@@ -18,7 +18,7 @@ from .array_model import (
     BeamCodebook,
     SteeringVector,
     WeightVector,
-    array_factor_many,
+    _weights_of,
     codebook_from_cosines,
 )
 
@@ -36,6 +36,7 @@ __all__ = [
     "toy_codebooks",
     "draw_cluster_loss",
     "sample_channel",
+    "cascade_gains",
     "end_to_end_gain",
     "pair_gain_table",
     "add_noise",
@@ -243,11 +244,65 @@ def sample_channel(cfg: ChannelConfig, seed: int) -> ChannelRealization:
     return ChannelRealization(rays=tuple(rays), los_present=cfg.los, seed=seed)
 
 
-def _cfg_for(w: WeightVector | SteeringVector, cfg: ArrayConfig | None) -> ArrayConfig:
-    if cfg is not None:
-        return cfg
-    n = len(w.entries) if isinstance(w, SteeringVector) else len(w)
-    return ArrayConfig(n)
+def _steering_matrix(angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Responses exp(+j 2 pi n spacing cos(angle)), shape (antennas, angles).
+
+    Same phase expression as :func:`~beamtrain.array_model.array_factor_many`,
+    so that a weight row times this matrix reproduces its values bit for bit.
+    """
+    n = np.arange(cfg.num_antennas)
+    cosines = np.cos(np.radians(angles_deg))
+    return np.exp(1j * (2.0 * np.pi * cfg.spacing * np.outer(n, cosines)))
+
+
+def _responses(weights: np.ndarray, angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Array factor of every weight row at every angle, shape (rows, angles)."""
+    w = np.ascontiguousarray(weights, dtype=np.complex128)
+    if w.ndim != 2 or w.shape[1] != cfg.num_antennas:
+        raise ValueError(
+            f"weights of shape {w.shape} do not match {cfg.num_antennas} antennas"
+        )
+    # A stack of row-times-matrix products, not one matrix product: each
+    # row then takes the same BLAS path as array_factor_many, and the two
+    # agree bit for bit.
+    return (w[:, None, :] @ _steering_matrix(angles_deg, cfg))[:, 0, :]
+
+
+def cascade_gains(
+    tx_weights: np.ndarray,
+    rx_weights: np.ndarray,
+    ch: ChannelRealization,
+    tx_cfg: ArrayConfig,
+    rx_cfg: ArrayConfig,
+) -> np.ndarray:
+    """Per-tap gains of the array-channel-array cascade for many weights.
+
+    ``tx_weights`` is (F, tx antennas) and ``rx_weights`` (G, rx antennas);
+    the result has shape (num_taps, F, G).  Each ray adds gain *
+    tx response(aod) * rx response(aoa) at its tap, in ray order.  Each
+    side's steering matrix is built once for all of its weights.
+    """
+    out = np.zeros((ch.num_taps, len(tx_weights), len(rx_weights)), dtype=np.complex128)
+    if not ch.rays:
+        return out
+    aods = np.array([r.aod_deg for r in ch.rays])
+    aoas = np.array([r.aoa_deg for r in ch.rays])
+    gains = np.array([r.gain for r in ch.rays])
+    taps = np.array([r.tap for r in ch.rays])
+    tx = _responses(tx_weights, aods, tx_cfg)
+    rx = _responses(rx_weights, aoas, rx_cfg)
+    # Every factor is laid out in full, contiguous and of one shape, so that
+    # numpy multiplies with the same contiguous loop as a product over one
+    # pair's rays.  Broadcast factors can take another loop, which rounds
+    # some products (one transmit weight and one ray, say) differently.
+    shape = (len(tx), len(rx), len(gains))
+    gains, tx, rx = (
+        np.ascontiguousarray(np.broadcast_to(x, shape))
+        for x in (gains, tx[:, None, :], rx[None, :, :])
+    )
+    contributions = gains * tx * rx
+    np.add.at(out, taps, np.moveaxis(contributions, -1, 0))
+    return out
 
 
 def end_to_end_gain(
@@ -263,43 +318,18 @@ def end_to_end_gain(
     array_factor(rx_w, aoa) at its tap.  Configs default to
     half-wavelength spacing with the length taken from the weights.
     """
-    tx_cfg = _cfg_for(tx_w, tx_cfg)
-    rx_cfg = _cfg_for(rx_w, rx_cfg)
-    taps = np.zeros(ch.num_taps, dtype=np.complex128)
-    if not ch.rays:
-        return taps
-    aods = np.array([r.aod_deg for r in ch.rays])
-    aoas = np.array([r.aoa_deg for r in ch.rays])
-    gains = np.array([r.gain for r in ch.rays])
-    tx_af = array_factor_many(tx_w, aods, tx_cfg)
-    rx_af = array_factor_many(rx_w, aoas, rx_cfg)
-    contributions = gains * tx_af * rx_af
-    for ray, c in zip(ch.rays, contributions):
-        taps[ray.tap] += c
-    return taps
+    tx = _weights_of(tx_w)[None, :]
+    rx = _weights_of(rx_w)[None, :]
+    tx_cfg = ArrayConfig(tx.shape[1]) if tx_cfg is None else tx_cfg
+    rx_cfg = ArrayConfig(rx.shape[1]) if rx_cfg is None else rx_cfg
+    return cascade_gains(tx, rx, ch, tx_cfg, rx_cfg)[:, 0, 0]
 
 
 def pair_gain_table(
     tx_cb: BeamCodebook, rx_cb: BeamCodebook, ch: ChannelRealization
 ) -> np.ndarray:
-    """End-to-end gains for every beam pair, shape (num_taps, P, Q).
-
-    Equivalent to calling :func:`end_to_end_gain` per pair but batched over
-    the codebooks.
-    """
-    out = np.zeros((ch.num_taps, len(tx_cb), len(rx_cb)), dtype=np.complex128)
-    if not ch.rays:
-        return out
-    aods = np.array([r.aod_deg for r in ch.rays])
-    aoas = np.array([r.aoa_deg for r in ch.rays])
-    gains = np.array([r.gain for r in ch.rays])
-    taps = np.array([r.tap for r in ch.rays])
-    tx_resp = np.stack([array_factor_many(v, aods, tx_cb.cfg) for v in tx_cb.vectors])
-    rx_resp = np.stack([array_factor_many(v, aoas, rx_cb.cfg) for v in rx_cb.vectors])
-    for tap in np.unique(taps):
-        idx = np.flatnonzero(taps == tap)
-        out[tap] = np.einsum("pr,qr,r->pq", tx_resp[:, idx], rx_resp[:, idx], gains[idx])
-    return out
+    """End-to-end gains for every beam pair, shape (num_taps, P, Q)."""
+    return cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg)
 
 
 def add_noise(samples: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:

@@ -8,8 +8,9 @@ writing, so re-running a config yields byte-identical CSV files.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .array_model import (
     ArrayConfig,
+    SteeringVector,
     WeightVector,
     array_factor_many,
     dft_codebook,
@@ -25,17 +27,17 @@ from .array_model import (
     steering_vector,
     superpose_beams,
 )
-from .beam_coding import build_schedule, walsh_codes
+from .beam_coding import GolayPair, build_schedule, encode_ce_field, golay_pair, walsh_codes
 from .channel import derive_seed, sample_channel, toy_channel, toy_codebooks
-from .experiment import ExperimentConfig
-from .metrics import aggregate_snr, empirical_cdf, power_ratio
+from .experiment import ConfigError, ExperimentConfig
+from .metrics import aggregate_snr, empirical_cdf
 from .packets import (
     PER_BEAM_BITS_80211AD,
     PER_BEAM_BITS_BEAM_CODING,
+    PacketLayout,
+    _tap_rows,
     layout_80211ad,
     layout_beam_coding,
-    power_trace,
-    preamble_samples,
 )
 from .protocols import ProtocolConfig, Scheme, run, run_exhaustive_pbp
 
@@ -155,6 +157,103 @@ def _beam_groups(num_beams: int, per_packet: int) -> list[list[int]]:
     return [list(range(g, num_beams, num_groups)) for g in range(num_groups)]
 
 
+_POWER_VAR_SCHEMES = ("80211ad", "beamcoding")
+_ENVIRONMENTS = ("los", "nlos")
+
+
+def _power_var_layout(scheme: str, beams: list[SteeringVector]) -> PacketLayout:
+    if scheme == "80211ad":
+        return layout_80211ad(beams)
+    order = max(0, (len(beams) - 1).bit_length())
+    codes = walsh_codes(order)[: len(beams)]
+    return layout_beam_coding(build_schedule(beams, codes))
+
+
+@dataclass(frozen=True)
+class _PacketPlan:
+    """One (K, packet, scheme) layout as indices into its plan's arrays."""
+
+    beams_per_packet: int
+    packet: int
+    scheme: str
+    fields: np.ndarray  # rows of _PowerVarPlan.weights, one per TRN field
+    preamble: np.ndarray  # rows of _PowerVarPlan.weights, one per preamble weight
+
+
+@dataclass(frozen=True)
+class _PowerVarPlan:
+    """Everything in a power-var campaign that does not depend on the channel."""
+
+    weights: np.ndarray  # distinct field and preamble weights, (F, tx antennas)
+    preamble_rows: np.ndarray  # rows of ``weights`` that some preamble rides
+    packets: tuple[_PacketPlan, ...]
+    golay: GolayPair
+
+
+def _readonly(indices: list[int]) -> np.ndarray:
+    arr = np.array(indices, dtype=np.intp)
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=8)
+def _power_var_plan(
+    tx_antennas: int, spacing: float, beams_per_packet: tuple[int, ...], schemes: tuple[str, ...]
+) -> _PowerVarPlan:
+    """The plan of a power-var config; raises ConfigError for a bad scheme
+    or beams-per-packet value."""
+    unknown = [s for s in schemes if s not in _POWER_VAR_SCHEMES]
+    if unknown:
+        raise ConfigError(
+            f"experiment.schemes: unknown power-var scheme(s) {', '.join(unknown)}; "
+            f"pick from {', '.join(_POWER_VAR_SCHEMES)}"
+        )
+    out_of_range = [k for k in beams_per_packet if not 1 <= k <= tx_antennas]
+    if out_of_range:
+        raise ConfigError(
+            f"packet.beams_per_packet: {', '.join(map(str, out_of_range))} outside "
+            f"[1, {tx_antennas}] (array.tx_antennas)"
+        )
+    tx_cb = dft_codebook(ArrayConfig(tx_antennas, spacing))
+    row_of: dict[bytes, int] = {}
+
+    def row(w: WeightVector) -> int:
+        return row_of.setdefault(w.weights.tobytes(), len(row_of))
+
+    drafts = []
+    for k in beams_per_packet:
+        for packet_idx, group in enumerate(_beam_groups(len(tx_cb), k)):
+            beams = [tx_cb.vectors[b] for b in group]
+            for scheme in schemes:
+                layout = _power_var_layout(scheme, beams)
+                fields = [row(f.weight) for f in layout.trn_fields]
+                preamble = [row(w) for w in layout.preamble_weights]
+                drafts.append((k, packet_idx, scheme, fields, preamble))
+    # The keys are the weights' bytes in row order; the cached plan is
+    # shared by every later call, so its arrays are read-only.
+    weights = np.frombuffer(b"".join(row_of), dtype=np.complex128)
+    return _PowerVarPlan(
+        weights=weights.reshape(len(row_of), tx_antennas),
+        preamble_rows=_readonly(sorted({r for *_, preamble in drafts for r in preamble})),
+        packets=tuple(
+            _PacketPlan(k, packet, scheme, _readonly(fields), _readonly(preamble))
+            for k, packet, scheme, fields, preamble in drafts
+        ),
+        golay=golay_pair(9),
+    )
+
+
+def _validate_power_var(exp: ExperimentConfig) -> None:
+    unknown = [e for e in exp.environments if e not in _ENVIRONMENTS]
+    if unknown:
+        raise ConfigError(
+            f"experiment.environments: unknown environment(s) {', '.join(unknown)}; "
+            f"pick from {', '.join(_ENVIRONMENTS)}"
+        )
+    if exp.runs < 1:
+        raise ConfigError(f"experiment.runs must be at least 1, got {exp.runs}")
+
+
 def power_var_campaign(
     exp: ExperimentConfig,
 ) -> tuple[list[str], list[tuple], list[str], list[tuple]]:
@@ -162,11 +261,28 @@ def power_var_campaign(
 
     The receiver is a single antenna, the worst case for coded training
     since it hears every path; the transmitter trains all its beams in
-    groups of ``beams_per_packet`` per packet.
+    groups of ``beams_per_packet`` per packet.  The config is checked
+    before any channel is drawn; a bad value raises :class:`ConfigError`.
+
+    The layouts depend only on the config, so their distinct field and
+    preamble weights are stacked once per config, and each channel costs
+    one :func:`~beamtrain.channel.cascade_gains` call.  A field's gamma is
+    its power over three times the preamble's sigma, which is synthesized
+    from Golay samples (:func:`~beamtrain.beam_coding.encode_ce_field`)
+    once per distinct preamble weight, the mean over the weights of a
+    multi-weight preamble.  Golay complementarity gives sigma in closed
+    form, but not bit for bit, and the K=1 CDFs count distinct doubles, so
+    the synthesis stays until the reference outputs are re-recorded.  The
+    per-layout path :func:`~beamtrain.packets.power_trace`,
+    :func:`~beamtrain.packets.preamble_samples` and
+    :func:`~beamtrain.metrics.power_ratio` gives the same gammas.
     """
+    _validate_power_var(exp)
+    plan = _power_var_plan(
+        exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes)
+    )
     tx_cfg = ArrayConfig(exp.tx_antennas, exp.spacing)
-    tx_cb = dft_codebook(tx_cfg)
-    rx_w = WeightVector(np.array([1.0 + 0.0j]))
+    rx_w = np.ones(1, dtype=np.complex128)
     rx_cfg = ArrayConfig(1, exp.spacing)
 
     gamma_header = [
@@ -186,37 +302,32 @@ def power_var_campaign(
     for env_idx, env in enumerate(exp.environments):
         ch_cfg = replace(exp.channel, los=(env == "los"))
         env_master = derive_seed(derive_seed(exp.master_seed, _POWER_VAR_STREAM), env_idx)
-        pooled: dict[tuple[str, int], list[float]] = {
+        pooled: dict[tuple[str, int], list[np.ndarray]] = {
             (scheme, k): [] for scheme in exp.schemes for k in exp.beams_per_packet
         }
         for i in range(exp.runs):
             ch = sample_channel(ch_cfg, derive_seed(env_master, i))
-            for k in exp.beams_per_packet:
-                for packet_idx, group in enumerate(_beam_groups(len(tx_cb), k)):
-                    beams = [tx_cb.vectors[b] for b in group]
-                    for scheme in exp.schemes:
-                        if scheme == "80211ad":
-                            layout = layout_80211ad(beams)
-                        elif scheme == "beamcoding":
-                            order = max(0, (len(beams) - 1).bit_length())
-                            codes = walsh_codes(order)[: len(beams)]
-                            layout = layout_beam_coding(build_schedule(beams, codes))
-                        else:
-                            raise ValueError(f"unknown power-var scheme {scheme!r}")
-                        trace = power_trace(layout, ch, rx_w, tx_cfg, rx_cfg)
-                        samples = preamble_samples(layout, ch, rx_w, tx_cfg, rx_cfg)
-                        ratios = power_ratio(
-                            trace.field_powers, samples, scheme=scheme, seed=i
-                        )
-                        cell = f"power_var/{scheme}/{env}/K{k}"
-                        for ratio in ratios:
-                            gamma_rows.append(
-                                (cell, scheme, env, k, i, packet_idx, ratio.field_index, ratio.gamma)
-                            )
-                            pooled[(scheme, k)].append(ratio.gamma)
+            taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
+            powers = np.sum(np.abs(taps) ** 2, axis=1)
+            guard = taps.shape[1] - 1
+            sigmas = np.zeros(len(taps))
+            for r in plan.preamble_rows:
+                sigmas[r] = np.mean(np.abs(encode_ce_field(taps[r], plan.golay, guard)) ** 2)
+            if np.any(sigmas[plan.preamble_rows] <= 0.0):
+                raise ValueError("undefined ratio: preamble has zero variance")
+            for packet in plan.packets:
+                sigma = np.mean(sigmas[packet.preamble])
+                gammas = powers[packet.fields] / (3.0 * sigma)
+                scheme, k = packet.scheme, packet.beams_per_packet
+                cell = f"power_var/{scheme}/{env}/K{k}"
+                gamma_rows.extend(
+                    (cell, scheme, env, k, i, packet.packet, field, gamma)
+                    for field, gamma in enumerate(gammas.tolist())
+                )
+                pooled[(scheme, k)].append(gammas)
         for (scheme, k), values in pooled.items():
             cell = f"power_var/{scheme}/{env}/K{k}"
-            for value, frac in empirical_cdf(values).points():
+            for value, frac in empirical_cdf(np.concatenate(values)).points():
                 cdf_rows.append((cell, scheme, env, k, value, frac))
 
     gamma_rows.sort(key=lambda r: (r[0], r[4], r[5], r[6]))

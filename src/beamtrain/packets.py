@@ -18,7 +18,7 @@ import numpy as np
 
 from .array_model import ArrayConfig, SteeringVector, WeightVector, superpose_beams
 from .beam_coding import CodedWeightSchedule, GolayPair, encode_ce_field, golay_pair
-from .channel import ChannelRealization, end_to_end_gain
+from .channel import ChannelRealization, cascade_gains
 
 __all__ = [
     "AGC_SUBFIELD_BITS",
@@ -241,15 +241,24 @@ class PowerTrace:
         object.__setattr__(self, "field_powers", arr)
 
 
-def _mean_power(
-    w: WeightVector,
+def _tap_rows(
+    tx: np.ndarray,
+    rx: np.ndarray,
     ch: ChannelRealization,
-    rx_w: WeightVector,
     tx_cfg: ArrayConfig | None,
     rx_cfg: ArrayConfig | None,
-) -> float:
-    taps = end_to_end_gain(w, rx_w, ch, tx_cfg, rx_cfg)
-    return float(np.sum(np.abs(taps) ** 2))
+) -> np.ndarray:
+    """Cascade taps of each transmit weight row through the receive weights
+    ``rx``, shape (rows, num_taps).
+
+    Configs default to half-wavelength spacing with the lengths taken from
+    the weights.  Each row is contiguous, so that a sum along it adds in the
+    same order as a sum over that weight's own tap vector.
+    """
+    tx_cfg = ArrayConfig(tx.shape[1]) if tx_cfg is None else tx_cfg
+    rx_cfg = ArrayConfig(rx.size) if rx_cfg is None else rx_cfg
+    taps = cascade_gains(tx, rx[None, :], ch, tx_cfg, rx_cfg)
+    return np.ascontiguousarray(taps[:, :, 0].T)
 
 
 def power_trace(
@@ -265,16 +274,15 @@ def power_trace(
     """
     if not layout.preamble_weights or any(f.weight is None for f in layout.trn_fields):
         raise ValueError("layout has unresolved field weights (built from a bare beam count)")
-    preamble = float(
-        np.mean(
-            [_mean_power(w, ch, rx_w, tx_cfg, rx_cfg) for w in layout.preamble_weights]
-        )
-    )
-    fields = np.array(
-        [_mean_power(f.weight, ch, rx_w, tx_cfg, rx_cfg) for f in layout.trn_fields]
-    )
+    weights = list(layout.preamble_weights) + [f.weight for f in layout.trn_fields]
+    taps = _tap_rows(np.stack([w.weights for w in weights]), rx_w.weights, ch, tx_cfg, rx_cfg)
+    powers = np.sum(np.abs(taps) ** 2, axis=1)
+    num_preamble = len(layout.preamble_weights)
+    preamble = float(np.mean(powers[:num_preamble]))
     agc_gain = 1.0 / preamble if preamble > 0.0 else math.inf
-    return PowerTrace(preamble_power=preamble, field_powers=fields, agc_gain=agc_gain)
+    return PowerTrace(
+        preamble_power=preamble, field_powers=powers[num_preamble:], agc_gain=agc_gain
+    )
 
 
 def preamble_samples(
@@ -297,9 +305,7 @@ def preamble_samples(
         raise ValueError("layout has no preamble weights attached")
     if golay is None:
         golay = golay_pair(9)
-    segments = []
-    for w in layout.preamble_weights:
-        taps = end_to_end_gain(w, rx_w, ch, tx_cfg, rx_cfg)
-        guard = max(len(taps) - 1, 0)
-        segments.append(encode_ce_field(taps, golay, guard))
-    return np.concatenate(segments)
+    tx = np.stack([w.weights for w in layout.preamble_weights])
+    taps = _tap_rows(tx, rx_w.weights, ch, tx_cfg, rx_cfg)
+    guard = taps.shape[1] - 1
+    return np.concatenate([encode_ce_field(h, golay, guard) for h in taps])

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook
+from beamtrain.array_model import ArrayConfig, WeightVector, array_factor_many, dft_codebook
 from beamtrain.channel import (
     TOY_BEAM_ANGLES_DEG,
     TOY_LOS_PAIR,
@@ -14,6 +16,7 @@ from beamtrain.channel import (
     LinkBudget,
     Ray,
     add_noise,
+    cascade_gains,
     derive_seed,
     draw_cluster_loss,
     end_to_end_gain,
@@ -226,6 +229,73 @@ class TestEndToEndGain:
         )
         assert out.shape == (1,)
         assert np.all(out == 0)
+
+
+_unit = st.floats(-1.0, 1.0)
+_complex = st.builds(complex, _unit, _unit)
+
+
+def _weight_matrix(rows: int, antennas: int):
+    return st.lists(
+        st.lists(_complex, min_size=antennas, max_size=antennas), min_size=rows, max_size=rows
+    ).map(lambda m: np.array(m, dtype=np.complex128))
+
+
+@st.composite
+def cascade_inputs(draw):
+    n_tx, n_rx = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    tx = draw(_weight_matrix(draw(st.integers(1, 4)), n_tx))
+    rx = draw(_weight_matrix(draw(st.integers(1, 3)), n_rx))
+    rays = draw(
+        st.lists(
+            st.builds(
+                Ray,
+                aod_deg=st.floats(0.0, 180.0),
+                aoa_deg=st.floats(0.0, 180.0),
+                gain=_complex,
+                tap=st.integers(0, 5),
+            ),
+            max_size=8,
+        )
+    )
+    spacing = draw(st.sampled_from([0.25, 0.5, 0.7]))
+    cfgs = ArrayConfig(n_tx, spacing), ArrayConfig(n_rx, spacing)
+    return tx, rx, ChannelRealization(rays=tuple(rays)), cfgs
+
+
+class TestCascadeGains:
+    @settings(max_examples=60, deadline=None)
+    @given(cascade_inputs())
+    def test_matches_naive_sum_and_per_pair_array_factors(self, inputs):
+        tx, rx, ch, (tx_cfg, rx_cfg) = inputs
+        got = cascade_gains(tx, rx, ch, tx_cfg, rx_cfg)
+        assert got.shape == (ch.num_taps, len(tx), len(rx))
+        aods = np.array([r.aod_deg for r in ch.rays])
+        aoas = np.array([r.aoa_deg for r in ch.rays])
+        gains = np.array([r.gain for r in ch.rays])
+        for f, tx_w in enumerate(tx):
+            for g, rx_w in enumerate(rx):
+                naive = brute_force_gain(
+                    WeightVector(tx_w), WeightVector(rx_w), ch, tx_cfg, rx_cfg
+                )
+                # Largest magnitude any tap can reach, the base of the relative error.
+                bound = sum(abs(r.gain) for r in ch.rays) * np.abs(tx_w).sum() * np.abs(rx_w).sum()
+                np.testing.assert_allclose(got[:, f, g], naive, rtol=0, atol=1e-12 * bound)
+                per_pair = np.zeros(ch.num_taps, dtype=np.complex128)
+                if ch.rays:
+                    contributions = (
+                        gains
+                        * array_factor_many(WeightVector(tx_w), aods, tx_cfg)
+                        * array_factor_many(WeightVector(rx_w), aoas, rx_cfg)
+                    )
+                    for ray, c in zip(ch.rays, contributions):
+                        per_pair[ray.tap] += c
+                assert np.array_equal(got[:, f, g], per_pair)
+
+    def test_rejects_weights_of_the_wrong_length(self):
+        ch = toy_channel(0.5)
+        with pytest.raises(ValueError, match="antennas"):
+            cascade_gains(np.ones((2, 3)), np.ones((1, 4)), ch, ArrayConfig(4), ArrayConfig(4))
 
 
 class TestPairGainTable:

@@ -3,7 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamtrain import cli
+from beamtrain import cli, harness
+from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook
+from beamtrain.beam_coding import build_schedule, golay_pair, walsh_codes
+from beamtrain.channel import ChannelConfig, derive_seed, sample_channel
 from beamtrain.experiment import ExperimentConfig, serialize_config
 from beamtrain.harness import (
     overhead_rows,
@@ -13,6 +16,8 @@ from beamtrain.harness import (
     train_once,
     write_csv,
 )
+from beamtrain.metrics import power_ratio
+from beamtrain.packets import layout_80211ad, layout_beam_coding, power_trace, preamble_samples
 from beamtrain.protocols import Scheme
 
 
@@ -116,6 +121,76 @@ class TestPowerVarCampaign:
         assert moved != first
 
 
+def campaign_channels(exp):
+    """The channel behind each (environment, seed index) of a power-var run."""
+    stream = derive_seed(exp.master_seed, harness._POWER_VAR_STREAM)
+    return {
+        (env, i): sample_channel(
+            replace(exp.channel, los=(env == "los")),
+            derive_seed(derive_seed(stream, env_idx), i),
+        )
+        for env_idx, env in enumerate(exp.environments)
+        for i in range(exp.runs)
+    }
+
+
+class TestPowerVarOracle:
+    """The campaign against the per-layout path on multi-tap channels."""
+
+    exp = ExperimentConfig(
+        runs=3,
+        beams_per_packet=(1, 2, 4, 16),
+        channel=ChannelConfig(intra_cluster_tap_spread=3),
+    )
+
+    @pytest.fixture(scope="class")
+    def campaign(self):
+        _, g_rows, _, _ = power_var_campaign(self.exp)
+        return g_rows, campaign_channels(self.exp)
+
+    def test_gammas_match_per_layout_path(self, campaign):
+        g_rows, channels = campaign
+        assert any(ch.num_taps > 1 for ch in channels.values())
+        cfg = ArrayConfig(self.exp.tx_antennas, self.exp.spacing)
+        tx_cb = dft_codebook(cfg)
+        rx_w, rx_cfg = WeightVector(np.array([1.0 + 0j])), ArrayConfig(1, self.exp.spacing)
+        got = {(r[1], r[2], r[3], r[4], r[5], r[6]): r[7] for r in g_rows}
+        want = {}
+        for (env, i), ch in channels.items():
+            for k in self.exp.beams_per_packet:
+                for packet, group in enumerate(harness._beam_groups(len(tx_cb), k)):
+                    beams = [tx_cb.vectors[b] for b in group]
+                    codes = walsh_codes(max(0, (k - 1).bit_length()))[:k]
+                    layouts = {
+                        "80211ad": layout_80211ad(beams),
+                        "beamcoding": layout_beam_coding(build_schedule(beams, codes)),
+                    }
+                    for scheme, layout in layouts.items():
+                        trace = power_trace(layout, ch, rx_w, cfg, rx_cfg)
+                        samples = preamble_samples(layout, ch, rx_w, cfg, rx_cfg)
+                        for ratio in power_ratio(trace.field_powers, samples):
+                            key = (scheme, env, k, i, packet, ratio.field_index)
+                            want[key] = ratio.gamma
+        assert got.keys() == want.keys()
+        for key, gamma in want.items():
+            if key[2] == 1:
+                assert got[key] == gamma, key
+            else:
+                assert got[key] == pytest.approx(gamma, rel=1e-12, abs=0.0), key
+
+    def test_single_beam_gammas_follow_golay_identity(self, campaign):
+        # With one beam the preamble rides the field's own weight, and Golay
+        # complementarity makes sigma = L * P / (L + guard) for guard =
+        # num_taps - 1, so every gamma is (L + guard) / (3 L).
+        g_rows, channels = campaign
+        length = len(golay_pair(9))
+        single = [r for r in g_rows if r[3] == 1]
+        assert len(single) == 2 * 16 * len(channels)
+        for row in single:
+            guard = channels[(row[2], row[4])].num_taps - 1
+            assert row[7] == pytest.approx((length + guard) / (3 * length), rel=1e-12, abs=0.0)
+
+
 class TestQuantSweepCampaign:
     def test_rows_and_baseline_equality_at_inf(self):
         exp = small_experiment()
@@ -210,6 +285,33 @@ class TestCli:
         config_path.write_text("experiment.bogus = 1\n")
         code = cli.main(["power-var", "--config", str(config_path), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("packet.beams_per_packet = 0", "packet.beams_per_packet"),
+            ("packet.beams_per_packet = 32", "packet.beams_per_packet"),
+            ("experiment.environments = LOS", "experiment.environments"),
+            ("experiment.environments = los,indoor", "experiment.environments"),
+            ("experiment.schemes = 80211ad,psychic", "experiment.schemes"),
+            ("experiment.runs = 0", "experiment.runs"),
+        ],
+    )
+    def test_power_var_rejects_bad_values_before_drawing(
+        self, tmp_path, capsys, monkeypatch, line, key
+    ):
+        def no_channels(*args, **kwargs):
+            raise AssertionError("a channel was drawn before the config was checked")
+
+        monkeypatch.setattr(harness, "sample_channel", no_channels)
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = cli.main(["power-var", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
 
     def test_fresh_processes_produce_identical_bytes(self, tmp_path):
         # determinism must survive interpreter restarts, not just reruns
