@@ -28,7 +28,6 @@ __all__ = [
     "decode_correlations",
     "encode_ce_field",
     "decode_per_tap",
-    "kronecker_codes",
 ]
 
 
@@ -290,24 +289,3 @@ def decode_per_tap(
     k = len(codes)
     return (math.sqrt(k) / t) * (s @ profiles)
 
-
-def kronecker_codes(
-    tx_codes: Sequence[SignatureCode], rx_codes: Sequence[SignatureCode]
-) -> list[SignatureCode]:
-    """Pairwise signature codes for simultaneous transmit and receive coding.
-
-    Pair (p, q) gets chips kron(rx_q, tx_p): the outer chip index runs over
-    receive-side fields, the inner one over transmit-side fields inside one
-    receive dwell.  Codes come back in (p, q) row-major order with
-    beam_index = p * len(rx_codes) + q.  This goes beyond plain
-    transmit-side coding and exists for feedback training stages where both
-    ends code at once.
-    """
-    out = []
-    nrx = len(rx_codes)
-    for p, tx in enumerate(tx_codes):
-        for q, rx in enumerate(rx_codes):
-            out.append(
-                SignatureCode(chips=np.kron(rx.chips, tx.chips), beam_index=p * nrx + q)
-            )
-    return out

@@ -2,9 +2,11 @@
 
 Subcommands: ``pattern``, ``power-var``, ``quant-sweep``, ``overhead`` and
 ``train``.  All outputs are CSV files under ``--out``; plotting is left to
-external tools.  Exit status is 0 on success and 2 on configuration
-errors.  Set the BEAMTRAIN_LOG environment variable (debug/info/warning)
-to control log verbosity.
+external tools.  Exit status is 0 on success, 2 on configuration errors
+(bad flags or config values, checked before any work is done) and 1 on
+any other failure, which is reported in one line; its traceback is logged
+at BEAMTRAIN_LOG=debug.  Set the BEAMTRAIN_LOG environment variable
+(debug/info/warning) to control log verbosity.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ def _setup_logging() -> None:
 
 def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"--config: cannot read {args.config}: {exc.strerror}") from None
         exp = parse_config(text)
     else:
         exp = ExperimentConfig()
@@ -43,8 +48,13 @@ def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
     return exp
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",") if v.strip()]
+def _parse_list(raw: str, flag: str, kind: type) -> list:
+    try:
+        return [kind(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"{flag} takes comma-separated {kind.__name__} values, got {raw!r}"
+        ) from None
 
 
 def _parse_sign_list(raw: str) -> list[int]:
@@ -56,24 +66,41 @@ def _parse_sign_list(raw: str) -> list[int]:
         elif v in ("-", "-1"):
             out.append(-1)
         elif v:
-            raise ConfigError(f"signs must be +1 or -1, got {v!r}")
+            raise ConfigError(f"--signs: signs must be +1 or -1, got {v!r}")
     return out
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
     if (args.angles is None) == (args.dft_beams is None):
         raise ConfigError("pass exactly one of --angles or --dft-beams")
+    if args.antennas < 1:
+        raise ConfigError(f"--antennas must be at least 1, got {args.antennas}")
+    if not args.spacing > 0.0:
+        raise ConfigError(f"--spacing must be positive, got {args.spacing}")
+    if args.quant_bits is not None and args.quant_bits < 1:
+        raise ConfigError(f"--quant-bits must be at least 1, got {args.quant_bits}")
+    if not 0.0 < args.step < 180.0:
+        raise ConfigError(f"--step must lie in (0, 180) degrees, got {args.step}")
     if args.dft_beams is not None:
         from .array_model import ArrayConfig, dft_codebook
 
-        codebook = dft_codebook(ArrayConfig(args.antennas, args.spacing))
-        indices = [int(v) for v in args.dft_beams.split(",") if v.strip()]
+        try:
+            codebook = dft_codebook(ArrayConfig(args.antennas, args.spacing))
+        except ValueError as exc:
+            raise ConfigError(f"--spacing: {exc}") from None
+        indices = _parse_list(args.dft_beams, "--dft-beams", int)
         if any(not 0 <= i < len(codebook) for i in indices):
-            raise ConfigError(f"beam indices must lie in [0, {len(codebook) - 1}]")
+            raise ConfigError(f"--dft-beams: beam indices must lie in [0, {len(codebook) - 1}]")
         angles = [codebook.angles_deg[i] for i in indices]
     else:
-        angles = _parse_float_list(args.angles)
+        angles = _parse_list(args.angles, "--angles", float)
+        if any(not 0.0 <= a <= 180.0 for a in angles):
+            raise ConfigError("--angles: beam angles must lie in [0, 180] degrees")
+    if not angles:
+        raise ConfigError("--angles or --dft-beams must name at least one beam")
     signs = _parse_sign_list(args.signs) if args.signs else None
+    if signs is not None and len(signs) != len(angles):
+        raise ConfigError(f"--signs gives {len(signs)} signs for {len(angles)} beams")
     header, rows = harness.pattern_rows(
         num_antennas=args.antennas,
         spacing=args.spacing,
@@ -108,7 +135,9 @@ def cmd_quant_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
-    counts = [int(v) for v in args.beams.split(",") if v.strip()]
+    counts = _parse_list(args.beams, "--beams", int)
+    if not counts or min(counts) < 1:
+        raise ConfigError(f"--beams takes beam counts of at least 1, got {args.beams!r}")
     header, rows = harness.overhead_rows(counts)
     path = harness.write_csv(Path(args.out) / "overhead.csv", header, rows)
     print(f"wrote {path}")
@@ -185,9 +214,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Anything else is a fault of the program, not of its input.
+        log.debug("%s failed", args.command, exc_info=True)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

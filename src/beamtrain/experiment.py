@@ -136,11 +136,11 @@ def parse_config(text: str) -> ExperimentConfig:
             budget_kwargs[attr] = value
         else:
             self_kwargs[attr] = value
-    if channel_kwargs:
-        self_kwargs["channel"] = replace(cfg.channel, **channel_kwargs)
-    if budget_kwargs:
-        self_kwargs["budget"] = replace(cfg.budget, **budget_kwargs)
     try:
+        if channel_kwargs:
+            self_kwargs["channel"] = replace(cfg.channel, **channel_kwargs)
+        if budget_kwargs:
+            self_kwargs["budget"] = replace(cfg.budget, **budget_kwargs)
         return replace(cfg, **self_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -18,6 +18,7 @@ import numpy as np
 
 from .array_model import (
     ArrayConfig,
+    BeamCodebook,
     SteeringVector,
     WeightVector,
     array_factor_many,
@@ -138,7 +139,7 @@ def pattern_rows(
     power = np.abs(array_factor_many(weights, grid, cfg)) ** 2
     peak = float(power.max())
     if peak <= 0.0:
-        raise ValueError("all-zero pattern")
+        raise ConfigError("all-zero pattern: the beams cancel under these signs")
     with np.errstate(divide="ignore"):
         gain_db = np.maximum(10.0 * np.log10(power / peak), floor_db)
     rows = [(float(a), float(g)) for a, g in zip(grid, gain_db)]
@@ -155,6 +156,15 @@ def _beam_groups(num_beams: int, per_packet: int) -> list[list[int]]:
     """
     num_groups = max(1, math.ceil(num_beams / per_packet))
     return [list(range(g, num_beams, num_groups)) for g in range(num_groups)]
+
+
+def _dft_codebook(key: str, num_antennas: int, spacing: float) -> BeamCodebook:
+    """The DFT codebook of a configured array; a size or spacing that has
+    none raises ConfigError naming ``key`` and ``array.spacing``."""
+    try:
+        return dft_codebook(ArrayConfig(num_antennas, spacing))
+    except ValueError as exc:
+        raise ConfigError(f"{key}, array.spacing: {exc}") from exc
 
 
 _POWER_VAR_SCHEMES = ("80211ad", "beamcoding")
@@ -214,7 +224,7 @@ def _power_var_plan(
             f"packet.beams_per_packet: {', '.join(map(str, out_of_range))} outside "
             f"[1, {tx_antennas}] (array.tx_antennas)"
         )
-    tx_cb = dft_codebook(ArrayConfig(tx_antennas, spacing))
+    tx_cb = _dft_codebook("array.tx_antennas", tx_antennas, spacing)
     row_of: dict[bytes, int] = {}
 
     def row(w: WeightVector) -> int:
@@ -243,7 +253,8 @@ def _power_var_plan(
     )
 
 
-def _validate_power_var(exp: ExperimentConfig) -> None:
+def _validate_campaign(exp: ExperimentConfig) -> None:
+    """Checks shared by the campaigns, made before any channel is drawn."""
     unknown = [e for e in exp.environments if e not in _ENVIRONMENTS]
     if unknown:
         raise ConfigError(
@@ -277,7 +288,7 @@ def power_var_campaign(
     :func:`~beamtrain.packets.preamble_samples` and
     :func:`~beamtrain.metrics.power_ratio` gives the same gammas.
     """
-    _validate_power_var(exp)
+    _validate_campaign(exp)
     plan = _power_var_plan(
         exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes)
     )
@@ -342,10 +353,24 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
     Training runs noiselessly (the comparison isolates quantization);
     the link budget only scales the reported SNR at the selected pair,
     which always uses clean steering.  The baseline is unquantized, so its
-    row repeats across the bits axis.
+    row repeats across the bits axis.  The config is checked before any
+    channel is drawn; a bad value raises :class:`ConfigError`.  The
+    protocol configs, and with them their training weights, are shared by
+    both environments.
     """
-    tx_cb = dft_codebook(ArrayConfig(exp.tx_antennas, exp.spacing))
-    rx_cb = dft_codebook(ArrayConfig(exp.rx_antennas, exp.spacing))
+    _validate_campaign(exp)
+    tx_cb = _dft_codebook("array.tx_antennas", exp.tx_antennas, exp.spacing)
+    rx_cb = _dft_codebook("array.rx_antennas", exp.rx_antennas, exp.spacing)
+    base_cfg = ProtocolConfig(
+        tx_codebook=tx_cb,
+        rx_codebook=rx_cb,
+        scheme=Scheme.EXHAUSTIVE_PBP,
+        snr_budget=exp.budget,
+    )
+    coded_cfgs = [
+        (bits, replace(base_cfg, scheme=Scheme.EXHAUSTIVE_BEAMCODING, quantize_bits=bits))
+        for bits in exp.quant_bits
+    ]
     header = ["experiment", "environment", "bits", "scheme", "runs", "snr_db"]
     rows: list[tuple] = []
 
@@ -356,26 +381,13 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
             sample_channel(ch_cfg, derive_seed(env_master, i)) for i in range(exp.runs)
         ]
 
-        base_cfg = ProtocolConfig(
-            tx_codebook=tx_cb,
-            rx_codebook=rx_cb,
-            scheme=Scheme.EXHAUSTIVE_PBP,
-            snr_budget=exp.budget,
-        )
         nbf_snrs = [
             10.0 ** (run_exhaustive_pbp(base_cfg, ch, i).snr_db / 10.0)
             for i, ch in enumerate(channels)
         ]
         nbf_db = 10.0 * math.log10(aggregate_snr(nbf_snrs))
 
-        for bits in exp.quant_bits:
-            coded_cfg = ProtocolConfig(
-                tx_codebook=tx_cb,
-                rx_codebook=rx_cb,
-                scheme=Scheme.EXHAUSTIVE_BEAMCODING,
-                snr_budget=exp.budget,
-                quantize_bits=bits,
-            )
+        for bits, coded_cfg in coded_cfgs:
             snrs = [
                 10.0 ** (run(coded_cfg, ch, i).snr_db / 10.0)
                 for i, ch in enumerate(channels)
@@ -405,8 +417,8 @@ def train_once(
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)
     else:
-        tx_cb = dft_codebook(ArrayConfig(exp.tx_antennas, exp.spacing))
-        rx_cb = dft_codebook(ArrayConfig(exp.rx_antennas, exp.spacing))
+        tx_cb = _dft_codebook("array.tx_antennas", exp.tx_antennas, exp.spacing)
+        rx_cb = _dft_codebook("array.rx_antennas", exp.rx_antennas, exp.spacing)
         ch = sample_channel(
             exp.channel, derive_seed(derive_seed(exp.master_seed, _TRAIN_STREAM), seed)
         )

@@ -5,6 +5,13 @@ Every runner is a pure function of (config, channel, seed) and returns a
 correlation table, packet and bit costs, per-field power traces and the
 post-selection SNR.
 
+Every weight a runner trains with depends on the config alone: the
+transformed codebooks, the Walsh-coded field weights with their chips,
+the sector beams and the receive composite.  A config builds each of them
+once, on first use, into a read-only plan per end of the link and reuses
+it for every channel; all estimates come from one
+:func:`~beamtrain.channel.cascade_gains` call per training stage.
+
 Measurement model: each training field yields one channel estimate per
 delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
 array response divided by sqrt(N_tx * N_rx), so a ray aligned with both
@@ -16,6 +23,7 @@ each estimate with variance noise_power / (tx_power * ce_chips).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,8 +42,15 @@ from .array_model import (
     subarray_beam,
     superpose_beams,
 )
-from .beam_coding import CorrelationMatrix, SignatureCode, build_schedule, walsh_codes
-from .channel import ChannelRealization, LinkBudget, Ray, derive_seed, end_to_end_gain
+from .beam_coding import CorrelationMatrix, build_schedule, walsh_codes
+from .channel import (
+    ChannelRealization,
+    LinkBudget,
+    Ray,
+    cascade_gains,
+    derive_seed,
+    end_to_end_gain,
+)
 from .packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING
 
 __all__ = [
@@ -80,7 +95,9 @@ class ProtocolConfig:
     magnitudes, ``quantize_bits`` snaps phases to a digital phase shifter.
     Transforms apply to training weights only; the reported SNR always uses
     clean steering at the chosen pair, since data transmission happens
-    after training refines the weights.
+    after training refines the weights.  The training weights are built on
+    a config's first run and reused by every later one, so reuse one
+    config across channels.
     """
 
     tx_codebook: BeamCodebook
@@ -111,6 +128,17 @@ class ProtocolConfig:
 
     def budget_for_snr(self) -> LinkBudget | None:
         return self.snr_budget if self.snr_budget is not None else self.noise
+
+    # cached_property stores into the instance __dict__, past the frozen
+    # __setattr__; dataclasses.replace makes a new instance, which builds
+    # its own plans.
+    @functools.cached_property
+    def _tx_plan(self) -> _TrainingPlan:
+        return _TrainingPlan(self, self.tx_codebook)
+
+    @functools.cached_property
+    def _rx_plan(self) -> _TrainingPlan:
+        return _TrainingPlan(self, self.rx_codebook)
 
 
 @dataclass(frozen=True)
@@ -144,6 +172,63 @@ def _transform(cfg: ProtocolConfig, w: WeightVector | SteeringVector) -> WeightV
     return out
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _weight_matrix(
+    cfg: ProtocolConfig, vectors: Sequence[WeightVector | SteeringVector]
+) -> np.ndarray:
+    return _readonly(np.stack([_transform(cfg, v).weights for v in vectors]))
+
+
+class _TrainingPlan:
+    """The training weights of one end of the link, shared by every run of
+    a config.
+
+    None of them depends on the channel, so each is built on first use,
+    stacked one row per beam or field, and kept read-only.
+    """
+
+    def __init__(self, cfg: ProtocolConfig, codebook: BeamCodebook) -> None:
+        self._cfg = cfg
+        self._codebook = codebook
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Transformed codebook, (beams, antennas)."""
+        return _weight_matrix(self._cfg, self._codebook.vectors)
+
+    @functools.cached_property
+    def coded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Transformed field weights (T, antennas) of the Walsh-coded
+        codebook, and the chips (K, T) that tag its beams."""
+        k = len(self._codebook)
+        codes = walsh_codes(max(0, (k - 1).bit_length()))[:k]
+        schedule = build_schedule(self._codebook, codes)
+        chips = np.stack([c.chips for c in codes]).astype(np.complex128)
+        return _weight_matrix(self._cfg, schedule.field_weights), _readonly(chips)
+
+    @functools.cached_property
+    def sectors(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Sector beams (untransformed), (S, antennas), and the fine beams
+        each one covers."""
+        beams, groups = sector_beams(self._codebook, self._cfg.num_sectors)
+        return (
+            _readonly(np.stack([w.weights for w in beams])),
+            tuple(_readonly(np.array(g, dtype=np.intp)) for g in groups),
+        )
+
+    @functools.cached_property
+    def composite(self) -> np.ndarray:
+        """Equal-power all-beams weights, (1, antennas), for the feedback
+        stages' reception; deliberately left untransformed (see
+        ProtocolConfig)."""
+        vectors = list(self._codebook.vectors)
+        return superpose_beams(vectors, [1] * len(vectors)).weights[None, :]
+
+
 def _field_noise_std(cfg: ProtocolConfig) -> float:
     if cfg.noise is None:
         return 0.0
@@ -156,30 +241,14 @@ def _estimate_table(
     cfg: ProtocolConfig,
     ch: ChannelRealization,
     rng: np.random.Generator,
-    tx_weights: Sequence[WeightVector],
-    rx_weights: Sequence[WeightVector],
+    tx_weights: np.ndarray,
+    rx_weights: np.ndarray,
 ) -> np.ndarray:
     """Noisy per-tap field estimates, shape (num_taps, len(tx), len(rx))."""
-    n_tx = cfg.tx_codebook.cfg.num_antennas
-    n_rx = cfg.rx_codebook.cfg.num_antennas
-    norm = math.sqrt(n_tx * n_rx)
-    est = np.zeros((ch.num_taps, len(tx_weights), len(rx_weights)), dtype=np.complex128)
-    if ch.rays:
-        aods = np.array([r.aod_deg for r in ch.rays])
-        aoas = np.array([r.aoa_deg for r in ch.rays])
-        gains = np.array([r.gain for r in ch.rays])
-        taps = np.array([r.tap for r in ch.rays])
-        tx_resp = np.stack(
-            [array_factor_many(w, aods, cfg.tx_codebook.cfg) for w in tx_weights]
-        )
-        rx_resp = np.stack(
-            [array_factor_many(w, aoas, cfg.rx_codebook.cfg) for w in rx_weights]
-        )
-        for tap in np.unique(taps):
-            idx = np.flatnonzero(taps == tap)
-            est[tap] = (
-                np.einsum("fr,gr,r->fg", tx_resp[:, idx], rx_resp[:, idx], gains[idx]) / norm
-            )
+    tx_cfg, rx_cfg = cfg.tx_codebook.cfg, cfg.rx_codebook.cfg
+    est = cascade_gains(tx_weights, rx_weights, ch, tx_cfg, rx_cfg) / math.sqrt(
+        tx_cfg.num_antennas * rx_cfg.num_antennas
+    )
     sigma = _field_noise_std(cfg)
     if sigma > 0.0:
         noise = rng.standard_normal(est.shape) + 1j * rng.standard_normal(est.shape)
@@ -232,9 +301,7 @@ def run_exhaustive_pbp(
 ) -> TrainingOutcome:
     """One packet per beam pair, (p, q) ordered; the performance yardstick."""
     rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    tx_ws = [_transform(cfg, v) for v in cfg.tx_codebook.vectors]
-    rx_ws = [_transform(cfg, v) for v in cfg.rx_codebook.vectors]
-    est = _estimate_table(cfg, ch, rng, tx_ws, rx_ws)
+    est = _estimate_table(cfg, ch, rng, cfg._tx_plan.weights, cfg._rx_plan.weights)
     power = np.sum(np.abs(est) ** 2, axis=0)
     success = _passes_detection(cfg, float(np.max(np.abs(est))))
     pair = _argmax_pair(power) if success else None
@@ -285,20 +352,21 @@ def run_multilevel_pbp(
 ) -> TrainingOutcome:
     """Two-level search: wide sector beams first, fine beams inside the winner."""
     rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    tx_wide, tx_groups = sector_beams(cfg.tx_codebook, cfg.num_sectors)
-    rx_wide, rx_groups = sector_beams(cfg.rx_codebook, cfg.num_sectors)
+    tx_wide, tx_groups = cfg._tx_plan.sectors
+    rx_wide, rx_groups = cfg._rx_plan.sectors
 
     est1 = _estimate_table(cfg, ch, rng, tx_wide, rx_wide)
     power1 = np.sum(np.abs(est1) ** 2, axis=0)
     s_tx, s_rx = _argmax_pair(power1)
 
-    fine_tx = [_transform(cfg, cfg.tx_codebook.vectors[i]) for i in tx_groups[s_tx]]
-    fine_rx = [_transform(cfg, cfg.rx_codebook.vectors[j]) for j in rx_groups[s_rx]]
-    est2 = _estimate_table(cfg, ch, rng, fine_tx, fine_rx)
+    fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
+    est2 = _estimate_table(
+        cfg, ch, rng, cfg._tx_plan.weights[fine_tx], cfg._rx_plan.weights[fine_rx]
+    )
     power2 = np.sum(np.abs(est2) ** 2, axis=0)
     success = _passes_detection(cfg, float(np.max(np.abs(est2))))
     local = _argmax_pair(power2)
-    pair = (tx_groups[s_tx][local[0]], rx_groups[s_rx][local[1]]) if success else None
+    pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if success else None
 
     packets = len(tx_wide) * len(rx_wide) + len(fine_tx) * len(fine_rx)
     return TrainingOutcome(
@@ -324,9 +392,7 @@ def run_exhaustive_inpacket(
     packet-by-packet search entry for entry.
     """
     rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    tx_ws = [_transform(cfg, v) for v in cfg.tx_codebook.vectors]
-    rx_ws = [_transform(cfg, v) for v in cfg.rx_codebook.vectors]
-    est = _estimate_table(cfg, ch, rng, tx_ws, rx_ws)
+    est = _estimate_table(cfg, ch, rng, cfg._tx_plan.weights, cfg._rx_plan.weights)
     power = np.sum(np.abs(est) ** 2, axis=0)
     success = _passes_detection(cfg, float(np.max(np.abs(est))))
     pair = _argmax_pair(power) if success else None
@@ -345,26 +411,19 @@ def run_exhaustive_inpacket(
     )
 
 
-def _rx_composite(cfg: ProtocolConfig) -> WeightVector:
-    # Equal-power all-beams reception for the feedback stage; deliberately
-    # left untransformed (see ProtocolConfig docstring).
-    return superpose_beams(list(cfg.rx_codebook.vectors), [1] * len(cfg.rx_codebook))
-
-
 def run_feedback_inpacket(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> TrainingOutcome:
     """Two-packet training: transmit sweep into a composite receiver, then a
     receive sweep at the fed-back transmit beam."""
     rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    tx_ws = [_transform(cfg, v) for v in cfg.tx_codebook.vectors]
-    est1 = _estimate_table(cfg, ch, rng, tx_ws, [_rx_composite(cfg)])
+    tx_ws = cfg._tx_plan.weights
+    est1 = _estimate_table(cfg, ch, rng, tx_ws, cfg._rx_plan.composite)
     power1 = np.sum(np.abs(est1) ** 2, axis=0)[:, 0]
     stage1_ok = _passes_detection(cfg, float(np.max(np.abs(est1))))
     best_tx = int(np.argmax(power1))
 
-    rx_ws = [_transform(cfg, v) for v in cfg.rx_codebook.vectors]
-    est2 = _estimate_table(cfg, ch, rng, [tx_ws[best_tx]], rx_ws)
+    est2 = _estimate_table(cfg, ch, rng, tx_ws[best_tx : best_tx + 1], cfg._rx_plan.weights)
     power2 = np.sum(np.abs(est2) ** 2, axis=0)[0, :]
     stage2_ok = _passes_detection(cfg, float(np.max(np.abs(est2))))
     success = stage1_ok and stage2_ok
@@ -390,20 +449,9 @@ def run_feedback_inpacket(
     )
 
 
-def _coded_fields(
-    cfg: ProtocolConfig, codebook: BeamCodebook
-) -> tuple[list[WeightVector], list[SignatureCode]]:
-    k = len(codebook)
-    order = max(0, (k - 1).bit_length())
-    codes = walsh_codes(order)[:k]
-    schedule = build_schedule(codebook, codes)
-    return [_transform(cfg, w) for w in schedule.field_weights], codes
-
-
-def _decode_fields(est: np.ndarray, codes: Sequence[SignatureCode]) -> np.ndarray:
+def _decode_fields(est: np.ndarray, chips: np.ndarray) -> np.ndarray:
     """Walsh-decode per-tap field estimates (taps, T, G) -> (taps, P, G)."""
-    s = np.stack([c.chips for c in codes]).astype(np.complex128)
-    return np.einsum("pt,dtg->dpg", s, est)
+    return np.einsum("pt,dtg->dpg", chips, est)
 
 
 def run_exhaustive_beamcoding(
@@ -415,10 +463,9 @@ def run_exhaustive_beamcoding(
     of the beam-pair gain, so the two-path toy decodes to exactly 2 and 2a.
     """
     rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    tx_fields, codes = _coded_fields(cfg, cfg.tx_codebook)
-    rx_ws = [_transform(cfg, v) for v in cfg.rx_codebook.vectors]
-    est = _estimate_table(cfg, ch, rng, tx_fields, rx_ws)
-    r = _decode_fields(est, codes)
+    tx_fields, chips = cfg._tx_plan.coded
+    est = _estimate_table(cfg, ch, rng, tx_fields, cfg._rx_plan.weights)
+    r = _decode_fields(est, chips)
     power = np.sum(np.abs(r) ** 2, axis=0)
     t = len(tx_fields)
     success = _passes_detection(cfg, float(np.max(np.abs(r))), decode_gain=math.sqrt(t))
@@ -427,7 +474,7 @@ def run_exhaustive_beamcoding(
     dominant = np.take_along_axis(
         r, np.argmax(np.abs(r), axis=0)[None, ...], axis=0
     )[0]
-    q = len(rx_ws)
+    q = est.shape[2]
     return TrainingOutcome(
         scheme=Scheme.EXHAUSTIVE_BEAMCODING,
         seed=seed,
@@ -448,21 +495,21 @@ def run_feedback_beamcoding(
     """Two-packet coded training: coded transmit beams into a composite
     receiver, feedback, then coded receive beams at the chosen transmit beam."""
     rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    tx_fields, tx_codes = _coded_fields(cfg, cfg.tx_codebook)
-    est1 = _estimate_table(cfg, ch, rng, tx_fields, [_rx_composite(cfg)])
-    r1 = _decode_fields(est1, tx_codes)[:, :, 0]
+    tx_fields, tx_chips = cfg._tx_plan.coded
+    est1 = _estimate_table(cfg, ch, rng, tx_fields, cfg._rx_plan.composite)
+    r1 = _decode_fields(est1, tx_chips)[:, :, 0]
     power1 = np.sum(np.abs(r1) ** 2, axis=0)
     stage1_ok = _passes_detection(
         cfg, float(np.max(np.abs(r1))), decode_gain=math.sqrt(len(tx_fields))
     )
     best_tx = int(np.argmax(power1))
 
-    rx_fields, rx_codes = _coded_fields(cfg, cfg.rx_codebook)
-    tx_best = _transform(cfg, cfg.tx_codebook.vectors[best_tx])
-    est2 = _estimate_table(cfg, ch, rng, [tx_best], rx_fields)
+    rx_fields, rx_chips = cfg._rx_plan.coded
+    tx_best = cfg._tx_plan.weights[best_tx : best_tx + 1]
+    est2 = _estimate_table(cfg, ch, rng, tx_best, rx_fields)
     # Receive-side coding: fields vary the receiver weights, so decode along
     # the receive axis.
-    r2 = _decode_fields(np.swapaxes(est2, 1, 2), rx_codes)[:, :, 0]
+    r2 = _decode_fields(np.swapaxes(est2, 1, 2), rx_chips)[:, :, 0]
     power2 = np.sum(np.abs(r2) ** 2, axis=0)
     stage2_ok = _passes_detection(
         cfg, float(np.max(np.abs(r2))), decode_gain=math.sqrt(len(rx_fields))

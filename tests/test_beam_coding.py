@@ -14,7 +14,6 @@ from beamtrain.beam_coding import (
     decode_per_tap,
     encode_ce_field,
     golay_pair,
-    kronecker_codes,
     walsh_codes,
 )
 
@@ -294,27 +293,3 @@ class TestWaveformRouteAgainstFieldRoute:
             decoded = decode_per_tap(np.array(fields), g, codes, num_taps=3)
             expected = pair_gain_table(tx_cb, rx_cb, ch)[:, :, q].T / norm
             assert np.abs(decoded - expected).max() < 1e-9
-
-
-class TestKroneckerCodes:
-    def test_orthogonal_and_well_formed(self):
-        pair_codes = kronecker_codes(walsh_codes(1), walsh_codes(1))
-        assert len(pair_codes) == 4
-        s = np.stack([c.chips for c in pair_codes])
-        assert np.array_equal(s @ s.T, 4 * np.eye(4, dtype=np.int64))
-
-    def test_separates_all_pairs(self):
-        # both ends coded at once: a single composite stream still splits
-        # into per-(tx, rx) gains
-        rng = np.random.default_rng(5)
-        tx_codes, rx_codes = walsh_codes(1), walsh_codes(2)
-        pair_codes = kronecker_codes(tx_codes, rx_codes)
-        gains = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        t_total = len(pair_codes[0])
-        received = np.zeros((1, t_total), dtype=complex)
-        for p in range(2):
-            for q in range(4):
-                received[0] += pair_codes[p * 4 + q].chips * gains[p, q]
-        out = decode_correlations(received, pair_codes)
-        recovered = out.r[:, 0].reshape(2, 4)
-        assert np.allclose(recovered, t_total * gains, atol=1e-9)

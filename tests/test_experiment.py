@@ -64,6 +64,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("experiment.runs = many\n")
 
+    def test_out_of_range_channel_value(self):
+        # caught where the nested config is built, not deep inside a campaign
+        with pytest.raises(ConfigError, match="cluster count"):
+            parse_config("channel.num_clusters = -1\n")
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("experiment.runs\n")

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +287,12 @@ class TestCli:
         code = cli.main(["power-var", "--config", str(config_path), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = cli.main(["quant-sweep", "--config", str(missing), "--out", str(tmp_path)])
+        assert code == 2
+        assert "--config" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line, key",
         [
@@ -295,11 +302,34 @@ class TestCli:
             ("experiment.environments = los,indoor", "experiment.environments"),
             ("experiment.schemes = 80211ad,psychic", "experiment.schemes"),
             ("experiment.runs = 0", "experiment.runs"),
+            ("array.spacing = 0.4", "array.spacing"),
         ],
     )
     def test_power_var_rejects_bad_values_before_drawing(
         self, tmp_path, capsys, monkeypatch, line, key
     ):
+        self.assert_rejected_before_drawing(
+            "power-var", line, key, tmp_path, capsys, monkeypatch
+        )
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("experiment.environments = LOS", "experiment.environments"),
+            ("experiment.runs = 0", "experiment.runs"),
+            ("array.rx_antennas = 0", "array.rx_antennas"),
+            ("array.spacing = 0.4", "array.spacing"),
+        ],
+    )
+    def test_quant_sweep_rejects_bad_values_before_drawing(
+        self, tmp_path, capsys, monkeypatch, line, key
+    ):
+        self.assert_rejected_before_drawing(
+            "quant-sweep", line, key, tmp_path, capsys, monkeypatch
+        )
+
+    @staticmethod
+    def assert_rejected_before_drawing(command, line, key, tmp_path, capsys, monkeypatch):
         def no_channels(*args, **kwargs):
             raise AssertionError("a channel was drawn before the config was checked")
 
@@ -307,11 +337,67 @@ class TestCli:
         config_path = tmp_path / "bad.cfg"
         config_path.write_text(line + "\n")
         out = tmp_path / "out"
-        code = cli.main(["power-var", "--config", str(config_path), "--out", str(out)])
+        code = cli.main([command, "--config", str(config_path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--antennas", "0", "--angles", "90"], "--antennas"),
+            (["--antennas", "16", "--angles", "90", "--quant-bits", "0"], "--quant-bits"),
+            (["--antennas", "16", "--angles", "75,105", "--signs", "+1"], "--signs"),
+            (["--antennas", "16", "--angles", "broadside"], "--angles"),
+            (["--antennas", "16", "--angles", "200"], "--angles"),
+            (["--antennas", "16", "--angles", "90", "--step", "0"], "--step"),
+            (["--antennas", "16", "--angles", "90", "--step", "-0.5"], "--step"),
+            (["--antennas", "16", "--dft-beams", "first"], "--dft-beams"),
+            (["--antennas", "16", "--dft-beams", "1", "--spacing", "0.25"], "--spacing"),
+        ],
+    )
+    def test_pattern_rejects_bad_flags_up_front(self, tmp_path, capsys, monkeypatch, flags, flag):
+        def no_pattern(*args, **kwargs):
+            raise AssertionError("a pattern was computed before the flags were checked")
+
+        monkeypatch.setattr(harness, "pattern_rows", no_pattern)
+        code = cli.main(["pattern", *flags, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
+
+    def test_pattern_of_cancelling_beams_is_config_error(self, tmp_path, capsys):
+        flags = ["--antennas", "16", "--angles", "90,90", "--signs", "+1,-1"]
+        assert cli.main(["pattern", *flags, "--out", str(tmp_path)]) == 2
+        assert "all-zero pattern" in capsys.readouterr().err
+
+    def test_overhead_rejects_bad_beam_counts(self, tmp_path, capsys):
+        for beams in ("0", "x"):
+            assert cli.main(["overhead", "--beams", beams, "--out", str(tmp_path)]) == 2
+            assert "--beams" in capsys.readouterr().err
+
+    def dead_channel_quant_sweep(self, tmp_path, monkeypatch):
+        # with no rays every run fails detection at SNR 0, and the aggregate
+        # takes log10(0): a fault of the program, not of its config
+        from beamtrain.channel import ChannelRealization
+
+        monkeypatch.setattr(harness, "sample_channel", lambda *a: ChannelRealization(rays=()))
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(serialize_config(small_experiment(runs=1)))
+        return cli.main(["quant-sweep", "--config", str(config_path), "--out", str(tmp_path)])
+
+    def test_program_fault_exits_one_in_one_line(self, tmp_path, capsys, monkeypatch):
+        assert self.dead_channel_quant_sweep(tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+
+    def test_program_fault_traceback_logged_at_debug(self, tmp_path, caplog, monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="beamtrain")
+        assert self.dead_channel_quant_sweep(tmp_path, monkeypatch) == 1
+        (record,) = [r for r in caplog.records if r.exc_info]
+        assert record.levelno == logging.DEBUG
+        assert record.exc_info[0] is ValueError
 
     def test_fresh_processes_produce_identical_bytes(self, tmp_path):
         # determinism must survive interpreter restarts, not just reruns

@@ -1,9 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from beamtrain.array_model import ArrayConfig, dft_codebook
+from beamtrain import protocols
+from beamtrain.array_model import (
+    ArrayConfig,
+    dft_codebook,
+    project_uniform,
+    quantize_phases,
+    superpose_beams,
+)
+from beamtrain.beam_coding import build_schedule, walsh_codes
 from beamtrain.channel import (
     TOY_LOS_PAIR,
     ChannelConfig,
@@ -20,6 +29,7 @@ from beamtrain.packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING
 from beamtrain.protocols import (
     ProtocolConfig,
     Scheme,
+    TrainingOutcome,
     run,
     run_exhaustive_beamcoding,
     run_exhaustive_inpacket,
@@ -368,3 +378,115 @@ class TestDispatcher:
             assert a.best_pair == b.best_pair
             assert np.array_equal(a.correlation.r, b.correlation.r)
             assert a.snr_db == b.snr_db
+
+
+def assert_outcomes_equal(a, b):
+    for f in dataclasses.fields(TrainingOutcome):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "power_traces":
+            assert len(x) == len(y)
+            assert all(np.array_equal(u, v) for u, v in zip(x, y)), f.name
+        elif f.name == "correlation":
+            assert (x is None) == (y is None), f.name
+            assert x is None or np.array_equal(x.r, y.r), f.name
+        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestTrainingPlan:
+    def plan_arrays(self, cfg):
+        arrays = []
+        for plan in (cfg._tx_plan, cfg._rx_plan):
+            beams, groups = plan.sectors
+            arrays += [plan.weights, *plan.coded, beams, *groups, plan.composite]
+        return arrays
+
+    def test_matrices_are_read_only(self):
+        cb = dft_codebook(ArrayConfig(8))
+        cfg = ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=Scheme.EXHAUSTIVE_PBP)
+        for arr in self.plan_arrays(cfg):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_rows_equal_per_run_transforms_and_schedules(self):
+        # three transmit beams: the Walsh schedule keeps the first three of
+        # four codes and trains four fields
+        cb = dft_codebook(ArrayConfig(16))
+        tx_cb = cb.subset([1, 6, 11])
+        cfg = ProtocolConfig(
+            tx_codebook=tx_cb,
+            rx_codebook=cb,
+            scheme=Scheme.FEEDBACK_BEAMCODING,
+            quantize_bits=3,
+            project_phase_only=True,
+        )
+
+        def transformed(w):
+            return quantize_phases(project_uniform(w), 3).weights
+
+        for book, plan in ((tx_cb, cfg._tx_plan), (cb, cfg._rx_plan)):
+            assert plan.weights.shape == (len(book), book.cfg.num_antennas)
+            for row, v in zip(plan.weights, book.vectors):
+                assert np.array_equal(row, transformed(v.as_weights()))
+
+            fields, chips = plan.coded
+            codes = walsh_codes(max(0, (len(book) - 1).bit_length()))[: len(book)]
+            schedule = build_schedule(book, codes)
+            assert fields.shape == (len(schedule), book.cfg.num_antennas)
+            for row, w in zip(fields, schedule.field_weights):
+                assert np.array_equal(row, transformed(w))
+            assert np.array_equal(chips, np.stack([c.chips for c in codes]))
+
+            beams, groups = plan.sectors
+            want_beams, want_groups = sector_beams(book, cfg.num_sectors)
+            assert np.array_equal(beams, np.stack([w.weights for w in want_beams]))
+            assert [g.tolist() for g in groups] == want_groups
+
+            composite = superpose_beams(list(book.vectors), [1] * len(book))
+            assert np.array_equal(plan.composite, composite.weights[None, :])
+
+    def test_reused_config_matches_fresh_config_per_channel(self):
+        cb = dft_codebook(ArrayConfig(16))
+        budget = LinkBudget(tx_power_dbm=-10.0)
+
+        def config(scheme):
+            return ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=scheme, noise=budget)
+
+        reused = {scheme: config(scheme) for scheme in Scheme}
+        for i in range(20):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(404, i))
+            for scheme in Scheme:
+                assert_outcomes_equal(run(reused[scheme], ch, i), run(config(scheme), ch, i))
+
+    def test_replace_does_not_inherit_the_plan(self):
+        cb = dft_codebook(ArrayConfig(16))
+        cfg = ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=Scheme.EXHAUSTIVE_PBP)
+        plain = cfg._tx_plan.weights
+        quantized = dataclasses.replace(cfg, quantize_bits=3)
+        assert "_tx_plan" not in vars(quantized) and "_rx_plan" not in vars(quantized)
+        assert quantized._tx_plan is not cfg._tx_plan
+        for row, v in zip(quantized._tx_plan.weights, cb.vectors):
+            assert np.array_equal(row, quantize_phases(v.as_weights(), 3).weights)
+        assert not np.array_equal(quantized._tx_plan.weights, plain)
+        assert cfg._tx_plan.weights is plain
+
+    def test_schedules_built_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counting_build_schedule(*args, **kwargs):
+            calls.append(1)
+            return build_schedule(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "build_schedule", counting_build_schedule)
+        cb = dft_codebook(ArrayConfig(16))
+        cfgs = [ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=s) for s in Scheme]
+        for i in range(5):
+            ch = sample_channel(ChannelConfig(), derive_seed(9, i))
+            for cfg in cfgs:
+                run(cfg, ch, i)
+        # one transmit schedule for each coded scheme, one receive schedule
+        # for feedback coding
+        assert len(calls) == 3
