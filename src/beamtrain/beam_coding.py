@@ -23,7 +23,6 @@ __all__ = [
     "CorrelationMatrix",
     "walsh_codes",
     "golay_pair",
-    "aperiodic_autocorrelation",
     "build_schedule",
     "decode_correlations",
     "encode_ce_field",
@@ -106,13 +105,6 @@ def golay_pair(length_log2: int) -> GolayPair:
     for _ in range(int(length_log2)):
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
     return GolayPair(a, b)
-
-
-def aperiodic_autocorrelation(x: Sequence[complex]) -> np.ndarray:
-    """Aperiodic autocorrelation of ``x`` at lags 0 .. len(x)-1."""
-    arr = np.asarray(x)
-    n = arr.size
-    return np.array([np.sum(arr[k:] * np.conj(arr[: n - k])) for k in range(n)])
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ at BEAMTRAIN_LOG=debug.  Set the BEAMTRAIN_LOG environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -208,10 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

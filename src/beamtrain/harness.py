@@ -9,8 +9,12 @@ writing, so re-running a config yields byte-identical CSV files.
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -57,6 +61,8 @@ _POWER_VAR_STREAM = 1
 _QUANT_SWEEP_STREAM = 2
 _TRAIN_STREAM = 3
 
+log = logging.getLogger(__name__)
+
 
 def _fmt_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
@@ -66,14 +72,25 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _fmt_float(value: float) -> str:
+    return f"{value:.12g}"
+
+
+# Formatters by exact cell type, each giving what _fmt_cell gives for that
+# type; any other type (bool, numpy scalars, subclasses) goes to _fmt_cell.
+_FORMATTERS = {str: str, int: str, float: _fmt_float}
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write rows with a header, formatting floats to 12 significant digits."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    fmt = _FORMATTERS.get
+    lines = [",".join(header)]
+    lines.extend(",".join([fmt(type(v), _fmt_cell)(v) for v in row]) for row in rows)
+    lines.append("")
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+        fh.write("\n".join(lines))
     return path
 
 
@@ -180,27 +197,36 @@ def _power_var_layout(scheme: str, beams: list[SteeringVector]) -> PacketLayout:
 
 
 @dataclass(frozen=True)
-class _PacketPlan:
-    """One (K, packet, scheme) layout as indices into its plan's arrays."""
+class _PacketGroup:
+    """The packets of a power-var plan that share a preamble length and a
+    field count, stacked one packet per row."""
 
-    beams_per_packet: int
-    packet: int
-    scheme: str
-    fields: np.ndarray  # rows of _PowerVarPlan.weights, one per TRN field
-    preamble: np.ndarray  # rows of _PowerVarPlan.weights, one per preamble weight
+    preambles: np.ndarray  # rows of _PowerVarPlan.weights, (packets, preamble weights)
+    fields: np.ndarray  # rows of _PowerVarPlan.weights, (packets, TRN fields)
 
 
 @dataclass(frozen=True)
 class _PowerVarPlan:
-    """Everything in a power-var campaign that does not depend on the channel."""
+    """Everything in a power-var campaign that does not depend on the channel.
+
+    The gammas of one channel form a vector laid out group by group, then
+    packet by packet and field by field; ``scheme_of``, ``k_of``,
+    ``packet_of`` and ``field_of`` label its entries, and ``cells`` lists
+    the entries of each (scheme, beams per packet) cell.
+    """
 
     weights: np.ndarray  # distinct field and preamble weights, (F, tx antennas)
     preamble_rows: np.ndarray  # rows of ``weights`` that some preamble rides
-    packets: tuple[_PacketPlan, ...]
+    groups: tuple[_PacketGroup, ...]
+    scheme_of: tuple[str, ...]
+    k_of: tuple[int, ...]
+    packet_of: tuple[int, ...]
+    field_of: tuple[int, ...]
+    cells: tuple[tuple[tuple[str, int], np.ndarray], ...]
     golay: GolayPair
 
 
-def _readonly(indices: list[int]) -> np.ndarray:
+def _readonly(indices: list) -> np.ndarray:
     arr = np.array(indices, dtype=np.intp)
     arr.setflags(write=False)
     return arr
@@ -210,14 +236,8 @@ def _readonly(indices: list[int]) -> np.ndarray:
 def _power_var_plan(
     tx_antennas: int, spacing: float, beams_per_packet: tuple[int, ...], schemes: tuple[str, ...]
 ) -> _PowerVarPlan:
-    """The plan of a power-var config; raises ConfigError for a bad scheme
-    or beams-per-packet value."""
-    unknown = [s for s in schemes if s not in _POWER_VAR_SCHEMES]
-    if unknown:
-        raise ConfigError(
-            f"experiment.schemes: unknown power-var scheme(s) {', '.join(unknown)}; "
-            f"pick from {', '.join(_POWER_VAR_SCHEMES)}"
-        )
+    """The plan of a power-var config; raises ConfigError for a bad
+    beams-per-packet value.  Schemes are checked by _validate_campaign."""
     out_of_range = [k for k in beams_per_packet if not 1 <= k <= tx_antennas]
     if out_of_range:
         raise ConfigError(
@@ -230,7 +250,8 @@ def _power_var_plan(
     def row(w: WeightVector) -> int:
         return row_of.setdefault(w.weights.tobytes(), len(row_of))
 
-    drafts = []
+    # (preamble length, field count) -> (scheme, K, packet, fields, preamble)
+    shapes: dict[tuple[int, int], list[tuple]] = {}
     for k in beams_per_packet:
         for packet_idx, group in enumerate(_beam_groups(len(tx_cb), k)):
             beams = [tx_cb.vectors[b] for b in group]
@@ -238,18 +259,66 @@ def _power_var_plan(
                 layout = _power_var_layout(scheme, beams)
                 fields = [row(f.weight) for f in layout.trn_fields]
                 preamble = [row(w) for w in layout.preamble_weights]
-                drafts.append((k, packet_idx, scheme, fields, preamble))
+                shapes.setdefault((len(preamble), len(fields)), []).append(
+                    (scheme, k, packet_idx, fields, preamble)
+                )
+    groups = []
+    labels: list[tuple[str, int, int, int]] = []
+    cells: dict[tuple[str, int], list[int]] = {}
+    for members in shapes.values():
+        groups.append(
+            _PacketGroup(
+                preambles=_readonly([preamble for *_, preamble in members]),
+                fields=_readonly([fields for *_, fields, _ in members]),
+            )
+        )
+        for scheme, k, packet_idx, fields, _ in members:
+            cells.setdefault((scheme, k), []).extend(range(len(labels), len(labels) + len(fields)))
+            labels.extend((scheme, k, packet_idx, field) for field in range(len(fields)))
+    scheme_of, k_of, packet_of, field_of = zip(*labels)
     # The keys are the weights' bytes in row order; the cached plan is
     # shared by every later call, so its arrays are read-only.
     weights = np.frombuffer(b"".join(row_of), dtype=np.complex128)
     return _PowerVarPlan(
         weights=weights.reshape(len(row_of), tx_antennas),
-        preamble_rows=_readonly(sorted({r for *_, preamble in drafts for r in preamble})),
-        packets=tuple(
-            _PacketPlan(k, packet, scheme, _readonly(fields), _readonly(preamble))
-            for k, packet, scheme, fields, preamble in drafts
-        ),
+        preamble_rows=_readonly(sorted({r for g in groups for r in g.preambles.flat})),
+        groups=tuple(groups),
+        scheme_of=scheme_of,
+        k_of=k_of,
+        packet_of=packet_of,
+        field_of=field_of,
+        cells=tuple((cell, _readonly(entries)) for cell, entries in cells.items()),
         golay=golay_pair(9),
+    )
+
+
+# Preamble rows whose Golay samples are synthesized into one block before
+# their sigmas are reduced together; a block of the 80 rows of the default
+# config would hold every field at once and raise the peak memory.
+_SIGMA_BLOCK = 16
+
+
+def _channel_gammas(plan: _PowerVarPlan, taps: np.ndarray) -> np.ndarray:
+    """The gammas of one channel in the plan's layout, given the taps of
+    every plan weight (one contiguous row each)."""
+    powers = np.sum(np.abs(taps) ** 2, axis=1)
+    guard = taps.shape[1] - 1
+    sigmas = np.zeros(len(taps))
+    block = np.empty((_SIGMA_BLOCK, 2 * (len(plan.golay) + guard)), dtype=np.complex128)
+    for start in range(0, len(plan.preamble_rows), _SIGMA_BLOCK):
+        rows = plan.preamble_rows[start : start + _SIGMA_BLOCK]
+        for j, r in enumerate(rows.tolist()):
+            block[j] = encode_ce_field(taps[r], plan.golay, guard)
+        # A reduction along contiguous rows sums each row in the same
+        # (pairwise) order as np.mean of that row alone, so the bits match.
+        sigmas[rows] = np.mean(np.abs(block[: len(rows)]) ** 2, axis=1)
+    if np.any(sigmas[plan.preamble_rows] <= 0.0):
+        raise ValueError("undefined ratio: preamble has zero variance")
+    return np.concatenate(
+        [
+            (powers[g.fields] / (3.0 * np.mean(sigmas[g.preambles], axis=1)[:, None])).ravel()
+            for g in plan.groups
+        ]
     )
 
 
@@ -260,6 +329,12 @@ def _validate_campaign(exp: ExperimentConfig) -> None:
         raise ConfigError(
             f"experiment.environments: unknown environment(s) {', '.join(unknown)}; "
             f"pick from {', '.join(_ENVIRONMENTS)}"
+        )
+    unknown = [s for s in exp.schemes if s not in _POWER_VAR_SCHEMES]
+    if unknown:
+        raise ConfigError(
+            f"experiment.schemes: unknown scheme(s) {', '.join(unknown)}; "
+            f"pick from {', '.join(_POWER_VAR_SCHEMES)}"
         )
     if exp.runs < 1:
         raise ConfigError(f"experiment.runs must be at least 1, got {exp.runs}")
@@ -275,23 +350,28 @@ def power_var_campaign(
     groups of ``beams_per_packet`` per packet.  The config is checked
     before any channel is drawn; a bad value raises :class:`ConfigError`.
 
-    The layouts depend only on the config, so their distinct field and
-    preamble weights are stacked once per config, and each channel costs
-    one :func:`~beamtrain.channel.cascade_gains` call.  A field's gamma is
-    its power over three times the preamble's sigma, which is synthesized
-    from Golay samples (:func:`~beamtrain.beam_coding.encode_ce_field`)
-    once per distinct preamble weight, the mean over the weights of a
-    multi-weight preamble.  Golay complementarity gives sigma in closed
-    form, but not bit for bit, and the K=1 CDFs count distinct doubles, so
-    the synthesis stays until the reference outputs are re-recorded.  The
+    The layouts depend only on the config, so once per config their
+    distinct field and preamble weights are stacked into one matrix and
+    their packets are grouped by preamble length and field count.  Per
+    channel, one :func:`~beamtrain.channel.cascade_gains` call gives every
+    weight's taps; a field's gamma is its power over three times its
+    preamble's sigma.  Sigma is synthesized from Golay samples
+    (:func:`~beamtrain.beam_coding.encode_ce_field`, once per distinct
+    preamble weight, reduced a block of weights at a time) and averaged
+    over the weights of a multi-weight preamble, one array operation per
+    packet group.  Golay complementarity gives sigma in closed form, but
+    not bit for bit, and the K=1 CDFs count distinct doubles, so the
+    synthesis stays until the reference outputs are re-recorded.  The
     per-layout path :func:`~beamtrain.packets.power_trace`,
     :func:`~beamtrain.packets.preamble_samples` and
     :func:`~beamtrain.metrics.power_ratio` gives the same gammas.
     """
+    started = time.perf_counter()
     _validate_campaign(exp)
     plan = _power_var_plan(
         exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes)
     )
+    log.info("power-var: %d runs in %s", exp.runs, ", ".join(exp.environments))
     tx_cfg = ArrayConfig(exp.tx_antennas, exp.spacing)
     rx_w = np.ones(1, dtype=np.complex128)
     rx_cfg = ArrayConfig(1, exp.spacing)
@@ -311,38 +391,44 @@ def power_var_campaign(
     cdf_rows: list[tuple] = []
 
     for env_idx, env in enumerate(exp.environments):
+        env_started = time.perf_counter()
         ch_cfg = replace(exp.channel, los=(env == "los"))
         env_master = derive_seed(derive_seed(exp.master_seed, _POWER_VAR_STREAM), env_idx)
-        pooled: dict[tuple[str, int], list[np.ndarray]] = {
-            (scheme, k): [] for scheme in exp.schemes for k in exp.beams_per_packet
-        }
+        gammas = np.empty((exp.runs, len(plan.field_of)))
         for i in range(exp.runs):
             ch = sample_channel(ch_cfg, derive_seed(env_master, i))
-            taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
-            powers = np.sum(np.abs(taps) ** 2, axis=1)
-            guard = taps.shape[1] - 1
-            sigmas = np.zeros(len(taps))
-            for r in plan.preamble_rows:
-                sigmas[r] = np.mean(np.abs(encode_ce_field(taps[r], plan.golay, guard)) ** 2)
-            if np.any(sigmas[plan.preamble_rows] <= 0.0):
-                raise ValueError("undefined ratio: preamble has zero variance")
-            for packet in plan.packets:
-                sigma = np.mean(sigmas[packet.preamble])
-                gammas = powers[packet.fields] / (3.0 * sigma)
-                scheme, k = packet.scheme, packet.beams_per_packet
-                cell = f"power_var/{scheme}/{env}/K{k}"
-                gamma_rows.extend(
-                    (cell, scheme, env, k, i, packet.packet, field, gamma)
-                    for field, gamma in enumerate(gammas.tolist())
+            gammas[i] = _channel_gammas(plan, _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg))
+        labels = {cell: f"power_var/{cell[0]}/{env}/K{cell[1]}" for cell, _ in plan.cells}
+        label_of = [labels[cell] for cell in zip(plan.scheme_of, plan.k_of)]
+        for i, run_gammas in enumerate(gammas.tolist()):
+            gamma_rows.extend(
+                zip(
+                    label_of,
+                    plan.scheme_of,
+                    repeat(env),
+                    plan.k_of,
+                    repeat(i),
+                    plan.packet_of,
+                    plan.field_of,
+                    run_gammas,
                 )
-                pooled[(scheme, k)].append(gammas)
-        for (scheme, k), values in pooled.items():
-            cell = f"power_var/{scheme}/{env}/K{k}"
-            for value, frac in empirical_cdf(np.concatenate(values)).points():
-                cdf_rows.append((cell, scheme, env, k, value, frac))
+            )
+        for (scheme, k), entries in plan.cells:
+            cell = labels[(scheme, k)]
+            points = empirical_cdf(gammas[:, entries].ravel()).points()
+            cdf_rows.extend((cell, scheme, env, k, value, frac) for value, frac in points)
+        log.debug("power-var: %s done in %.3f s", env, time.perf_counter() - env_started)
 
-    gamma_rows.sort(key=lambda r: (r[0], r[4], r[5], r[6]))
-    cdf_rows.sort(key=lambda r: (r[0], r[4]))
+    gamma_rows.sort(key=itemgetter(0, 4, 5, 6))
+    cdf_rows.sort(key=itemgetter(0, 4))
+    log.info(
+        "power-var: %d runs, %d environments, %d gamma and %d CDF rows in %.3f s",
+        exp.runs,
+        len(exp.environments),
+        len(gamma_rows),
+        len(cdf_rows),
+        time.perf_counter() - started,
+    )
     return gamma_header, gamma_rows, cdf_header, cdf_rows
 
 
@@ -358,9 +444,11 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
     protocol configs, and with them their training weights, are shared by
     both environments.
     """
+    started = time.perf_counter()
     _validate_campaign(exp)
     tx_cb = _dft_codebook("array.tx_antennas", exp.tx_antennas, exp.spacing)
     rx_cb = _dft_codebook("array.rx_antennas", exp.rx_antennas, exp.spacing)
+    log.info("quant-sweep: %d runs in %s", exp.runs, ", ".join(exp.environments))
     base_cfg = ProtocolConfig(
         tx_codebook=tx_cb,
         rx_codebook=rx_cb,
@@ -375,6 +463,7 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
     rows: list[tuple] = []
 
     for env_idx, env in enumerate(exp.environments):
+        env_started = time.perf_counter()
         ch_cfg = replace(exp.channel, los=(env == "los"))
         env_master = derive_seed(derive_seed(exp.master_seed, _QUANT_SWEEP_STREAM), env_idx)
         channels = [
@@ -397,8 +486,16 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
             cell = f"quant_sweep/{env}"
             rows.append((cell, env, bits_label, "beamcoding", exp.runs, coded_db))
             rows.append((cell, env, bits_label, "nbf", exp.runs, nbf_db))
+        log.debug("quant-sweep: %s done in %.3f s", env, time.perf_counter() - env_started)
 
-    rows.sort(key=lambda r: (r[0], r[2], r[3]))
+    rows.sort(key=itemgetter(0, 2, 3))
+    log.info(
+        "quant-sweep: %d runs, %d environments, %d rows in %.3f s",
+        exp.runs,
+        len(exp.environments),
+        len(rows),
+        time.perf_counter() - started,
+    )
     return header, rows
 
 

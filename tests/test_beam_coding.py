@@ -8,7 +8,6 @@ from beamtrain.array_model import ArrayConfig, dft_codebook, steering_vector
 from beamtrain.beam_coding import (
     GolayPair,
     SignatureCode,
-    aperiodic_autocorrelation,
     build_schedule,
     decode_correlations,
     decode_per_tap,
@@ -16,6 +15,13 @@ from beamtrain.beam_coding import (
     golay_pair,
     walsh_codes,
 )
+
+
+def aperiodic_autocorrelation(x):
+    """Aperiodic autocorrelation of ``x`` at lags 0 .. len(x)-1."""
+    arr = np.asarray(x)
+    n = arr.size
+    return np.array([np.sum(arr[k:] * np.conj(arr[: n - k])) for k in range(n)])
 
 
 def autocorr_oracle(seq, lag):

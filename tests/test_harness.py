@@ -1,12 +1,17 @@
 import logging
+import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrain import cli, harness
 from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook
-from beamtrain.beam_coding import build_schedule, golay_pair, walsh_codes
+from beamtrain.beam_coding import build_schedule, encode_ce_field, golay_pair, walsh_codes
 from beamtrain.channel import ChannelConfig, derive_seed, sample_channel
 from beamtrain.experiment import ExperimentConfig, serialize_config
 from beamtrain.harness import (
@@ -18,7 +23,13 @@ from beamtrain.harness import (
     write_csv,
 )
 from beamtrain.metrics import power_ratio
-from beamtrain.packets import layout_80211ad, layout_beam_coding, power_trace, preamble_samples
+from beamtrain.packets import (
+    _tap_rows,
+    layout_80211ad,
+    layout_beam_coding,
+    power_trace,
+    preamble_samples,
+)
 from beamtrain.protocols import Scheme
 
 
@@ -192,6 +203,85 @@ class TestPowerVarOracle:
             assert row[7] == pytest.approx((length + guard) / (3 * length), rel=1e-12, abs=0.0)
 
 
+class TestPowerVarPlan:
+    """The grouped per-channel arithmetic against one packet at a time."""
+
+    @staticmethod
+    def per_packet_gammas(plan, taps):
+        guard = taps.shape[1] - 1
+        powers = np.sum(np.abs(taps) ** 2, axis=1)
+        sigmas = {
+            r: np.mean(np.abs(encode_ce_field(taps[r], plan.golay, guard)) ** 2)
+            for r in plan.preamble_rows.tolist()
+        }
+        gammas = []
+        for group in plan.groups:
+            for preamble, fields in zip(group.preambles.tolist(), group.fields):
+                sigma = np.mean(np.array([sigmas[r] for r in preamble]))
+                gammas.extend((powers[fields] / (3.0 * sigma)).tolist())
+        return gammas
+
+    @pytest.mark.parametrize("beams_per_packet", [(1, 2, 4, 8, 16), (3, 5)])
+    def test_grouped_gammas_equal_per_packet_bits(self, beams_per_packet):
+        exp = ExperimentConfig(
+            runs=3,
+            beams_per_packet=beams_per_packet,
+            channel=ChannelConfig(intra_cluster_tap_spread=3),
+        )
+        plan = harness._power_var_plan(16, 0.5, beams_per_packet, exp.schemes)
+        assert max(g.preambles.shape[1] for g in plan.groups) > 1
+        rx_w, tx_cfg, rx_cfg = np.ones(1, dtype=complex), ArrayConfig(16), ArrayConfig(1)
+        for ch in campaign_channels(exp).values():
+            taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
+            got = harness._channel_gammas(plan, taps)
+            assert got.tolist() == self.per_packet_gammas(plan, taps)
+
+    def test_layout_labels_and_read_only_arrays(self):
+        schemes = ("80211ad", "beamcoding")
+        plan = harness._power_var_plan(16, 0.5, (1, 2, 4, 8, 16), schemes)
+        assert len(plan.field_of) == 160
+        assert sum(g.fields.size for g in plan.groups) == 160
+        for (scheme, k), entries in plan.cells:
+            assert {plan.scheme_of[e] for e in entries} == {scheme}
+            assert {plan.k_of[e] for e in entries} == {k}
+            assert len(entries) == 16
+        arrays = [plan.weights, plan.preamble_rows]
+        arrays += [g.preambles for g in plan.groups] + [g.fields for g in plan.groups]
+        arrays += [entries for _, entries in plan.cells]
+        assert not any(a.flags.writeable for a in arrays)
+
+
+class TestCampaignLogging:
+    def records(self, caplog, level):
+        return [r.getMessage() for r in caplog.records if r.name == "beamtrain.harness" and r.levelno == level]
+
+    def test_power_var_logs_start_end_and_environments(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="beamtrain.harness")
+        exp = small_experiment(runs=2, environments=("los", "nlos"))
+        _, g_rows, _, c_rows = power_var_campaign(exp)
+        start, end = self.records(caplog, logging.INFO)
+        assert start.startswith("power-var: 2 runs in los, nlos")
+        assert end.startswith(f"power-var: 2 runs, 2 environments, {len(g_rows)} gamma and {len(c_rows)} CDF rows in ")
+        assert end.endswith(" s")
+        los, nlos = self.records(caplog, logging.DEBUG)
+        assert los.startswith("power-var: los done in ") and nlos.startswith("power-var: nlos done in ")
+
+    def test_quant_sweep_logs_start_end_and_environments(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="beamtrain.harness")
+        _, rows = quant_sweep_campaign(small_experiment(runs=1))
+        start, end = self.records(caplog, logging.INFO)
+        assert start.startswith("quant-sweep: 1 runs in nlos")
+        assert end.startswith(f"quant-sweep: 1 runs, 1 environments, {len(rows)} rows in ")
+        (env,) = self.records(caplog, logging.DEBUG)
+        assert env.startswith("quant-sweep: nlos done in ")
+
+    def test_silent_at_default_level(self, caplog):
+        caplog.set_level(logging.WARNING, logger="beamtrain")
+        power_var_campaign(small_experiment(runs=1))
+        quant_sweep_campaign(small_experiment(runs=1))
+        assert not [r for r in caplog.records if r.name.startswith("beamtrain")]
+
+
 class TestQuantSweepCampaign:
     def test_rows_and_baseline_equality_at_inf(self):
         exp = small_experiment()
@@ -232,6 +322,37 @@ class TestWriteCsv:
         p1 = write_csv(tmp_path / "one.csv", ["x", "y"], rows)
         p2 = write_csv(tmp_path / "two.csv", ["x", "y"], rows)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ("power_var/los", "power_var/los"),
+            (42, "42"),
+            (True, "1"),
+            (False, "0"),
+            (np.int64(-7), "-7"),
+            (1.0 / 3.0, "0.333333333333"),
+            (np.float64(2.0 / 3.0), "0.666666666667"),
+            (np.float32(0.1), "0.10000000149"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (-0.0, "-0"),
+        ],
+        ids=lambda v: type(v).__name__ if not isinstance(v, str) else None,
+    )
+    def test_cell_formats_as_fmt_cell(self, tmp_path, value, text):
+        path = write_csv(tmp_path / "t.csv", ["x"], [(value,)])
+        assert path.read_bytes() == f"x\n{text}\n".encode()
+        assert harness._fmt_cell(value) == text
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.floats(), min_size=1, max_size=4), max_size=6))
+    def test_float_rows_write_twelve_significant_digits(self, rows):
+        want = "a\n" + "".join(",".join(f"{float(v):.12g}" for v in row) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(Path(tmp) / "t.csv", ["a"], rows)
+            assert path.read_bytes() == want.encode()
 
 
 class TestCli:
@@ -319,6 +440,7 @@ class TestCli:
             ("experiment.runs = 0", "experiment.runs"),
             ("array.rx_antennas = 0", "array.rx_antennas"),
             ("array.spacing = 0.4", "array.spacing"),
+            ("experiment.schemes = 80211ad, bogus", "experiment.schemes"),
         ],
     )
     def test_quant_sweep_rejects_bad_values_before_drawing(
@@ -398,6 +520,32 @@ class TestCli:
         (record,) = [r for r in caplog.records if r.exc_info]
         assert record.levelno == logging.DEBUG
         assert record.exc_info[0] is ValueError
+
+    def test_parser_built_once_on_first_call(self, tmp_path, monkeypatch):
+        built = []
+        real_build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert cli.main(["overhead", "--out", str(tmp_path)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_parser_not_built_at_import(self):
+        import subprocess
+        import sys
+
+        code = "import beamtrain.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
     def test_fresh_processes_produce_identical_bytes(self, tmp_path):
         # determinism must survive interpreter restarts, not just reruns
