@@ -24,6 +24,7 @@ __all__ = [
     "walsh_codes",
     "golay_pair",
     "build_schedule",
+    "walsh_decode",
     "decode_correlations",
     "encode_ce_field",
     "decode_per_tap",
@@ -197,6 +198,22 @@ class CorrelationMatrix:
         return int(p), int(q)
 
 
+def _chip_matrix(codes: Sequence[SignatureCode]) -> np.ndarray:
+    """The codes' chips as the rows of one complex (K, T) matrix."""
+    return np.stack([c.chips for c in codes]).astype(np.complex128)
+
+
+def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Correlate observations along their field axis with the chip rows.
+
+    ``chips`` is (K, T); ``fields`` holds T observations along ``axis``,
+    where the output holds the K beams: out[.., p, ..] = sum_t chips[p, t]
+    * fields[.., t, ..].  It is one matrix product: ``chips @ fields``
+    with the field axis moved second to last.
+    """
+    return np.moveaxis(chips @ np.moveaxis(fields, axis, -2), -2, axis)
+
+
 def decode_correlations(
     received: np.ndarray, codes: Sequence[SignatureCode]
 ) -> CorrelationMatrix:
@@ -214,8 +231,7 @@ def decode_correlations(
     t = len(codes[0])
     if y.shape[1] != t:
         raise ValueError(f"received has {y.shape[1]} fields but codes have {t} chips")
-    s = np.stack([c.chips for c in codes]).astype(np.complex128)
-    return CorrelationMatrix(s @ y.T)
+    return CorrelationMatrix(walsh_decode(_chip_matrix(codes), y.T))
 
 
 def encode_ce_field(
@@ -277,7 +293,6 @@ def decode_per_tap(
             y[:, d : d + length] @ a + y[:, width + d : width + d + length] @ b
         ) / (2.0 * length)
 
-    s = np.stack([c.chips for c in codes]).astype(np.complex128)
     k = len(codes)
-    return (math.sqrt(k) / t) * (s @ profiles)
+    return (math.sqrt(k) / t) * walsh_decode(_chip_matrix(codes), profiles)
 

@@ -8,6 +8,7 @@ Delays are integer tap indices at the signal sample period.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,19 +78,70 @@ class Ray:
         object.__setattr__(self, "gain", complex(self.gain))
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
-    """An immutable list of rays plus the seed that produced it."""
+    """An immutable tuple of rays plus the seed that produced it.
+
+    The ray geometry (angle, gain and tap arrays, the tap count and the
+    steering matrices) is derived from the rays on first use and kept,
+    read-only, for every later cascade through the same realization.
+    """
 
     rays: tuple[Ray, ...]
     los_present: bool = False
     seed: int | None = None
 
-    @property
+    def __post_init__(self) -> None:
+        # A list passed in and mutated later must not leave the derived
+        # geometry stale.
+        object.__setattr__(self, "rays", tuple(self.rays))
+
+    # cached_property stores into the instance __dict__, past the frozen
+    # __setattr__; dataclasses.replace makes a new instance, which derives
+    # its own geometry.
+    @functools.cached_property
+    def aods_deg(self) -> np.ndarray:
+        """Departure angle of every ray, in ray order."""
+        return _readonly(np.array([r.aod_deg for r in self.rays], dtype=float))
+
+    @functools.cached_property
+    def aoas_deg(self) -> np.ndarray:
+        """Arrival angle of every ray, in ray order."""
+        return _readonly(np.array([r.aoa_deg for r in self.rays], dtype=float))
+
+    @functools.cached_property
+    def gains(self) -> np.ndarray:
+        """Complex amplitude of every ray, in ray order."""
+        return _readonly(np.array([r.gain for r in self.rays], dtype=np.complex128))
+
+    @functools.cached_property
+    def taps(self) -> np.ndarray:
+        """Delay tap of every ray, in ray order."""
+        return _readonly(np.array([r.tap for r in self.rays], dtype=np.intp))
+
+    @functools.cached_property
     def num_taps(self) -> int:
-        if not self.rays:
-            return 1
-        return max(r.tap for r in self.rays) + 1
+        return int(self.taps.max()) + 1 if self.rays else 1
+
+    @functools.cached_property
+    def _steering(self) -> dict[tuple[str, int, float], np.ndarray]:
+        return {}
+
+    def steering_matrix(self, end: str, cfg: ArrayConfig) -> np.ndarray:
+        """Read-only responses of an array at one end of the link ("tx" at
+        the departure angles, "rx" at the arrival angles), shape
+        (antennas, rays); built once per (end, antennas, spacing)."""
+        key = (end, cfg.num_antennas, cfg.spacing)
+        matrix = self._steering.get(key)
+        if matrix is None:
+            angles = {"tx": self.aods_deg, "rx": self.aoas_deg}[end]
+            matrix = self._steering[key] = _readonly(_steering_matrix(angles, cfg))
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -255,17 +307,18 @@ def _steering_matrix(angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * cfg.spacing * np.outer(n, cosines)))
 
 
-def _responses(weights: np.ndarray, angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Array factor of every weight row at every angle, shape (rows, angles)."""
+def _responses(weights: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """Array factor of every weight row at every ray, laid out ray-major,
+    shape (rays, rows)."""
     w = np.ascontiguousarray(weights, dtype=np.complex128)
-    if w.ndim != 2 or w.shape[1] != cfg.num_antennas:
+    if w.ndim != 2 or w.shape[1] != len(steering):
         raise ValueError(
-            f"weights of shape {w.shape} do not match {cfg.num_antennas} antennas"
+            f"weights of shape {w.shape} do not match {len(steering)} antennas"
         )
     # A stack of row-times-matrix products, not one matrix product: each
     # row then takes the same BLAS path as array_factor_many, and the two
     # agree bit for bit.
-    return (w[:, None, :] @ _steering_matrix(angles_deg, cfg))[:, 0, :]
+    return (w[:, None, :] @ steering)[:, 0, :].T
 
 
 def cascade_gains(
@@ -279,29 +332,31 @@ def cascade_gains(
 
     ``tx_weights`` is (F, tx antennas) and ``rx_weights`` (G, rx antennas);
     the result has shape (num_taps, F, G).  Each ray adds gain *
-    tx response(aod) * rx response(aoa) at its tap, in ray order.  Each
-    side's steering matrix is built once for all of its weights.
+    tx response(aod) * rx response(aoa) at its tap, in ray order.  The
+    steering matrices come from the channel, which builds each one once.
     """
     out = np.zeros((ch.num_taps, len(tx_weights), len(rx_weights)), dtype=np.complex128)
     if not ch.rays:
         return out
-    aods = np.array([r.aod_deg for r in ch.rays])
-    aoas = np.array([r.aoa_deg for r in ch.rays])
-    gains = np.array([r.gain for r in ch.rays])
-    taps = np.array([r.tap for r in ch.rays])
-    tx = _responses(tx_weights, aods, tx_cfg)
-    rx = _responses(rx_weights, aoas, rx_cfg)
-    # Every factor is laid out in full, contiguous and of one shape, so that
-    # numpy multiplies with the same contiguous loop as a product over one
-    # pair's rays.  Broadcast factors can take another loop, which rounds
-    # some products (one transmit weight and one ray, say) differently.
-    shape = (len(tx), len(rx), len(gains))
+    tx = _responses(tx_weights, ch.steering_matrix("tx", tx_cfg))
+    rx = _responses(rx_weights, ch.steering_matrix("rx", rx_cfg))
+    # Every factor is laid out in full, ray-major, contiguous and of one
+    # shape, so that numpy multiplies with the same contiguous loop as a
+    # product over one pair's rays.  Broadcast factors can take another
+    # loop, which rounds some products (one transmit weight and one ray,
+    # say) differently.
+    shape = (len(ch.rays), len(tx_weights), len(rx_weights))
     gains, tx, rx = (
-        np.ascontiguousarray(np.broadcast_to(x, shape))
-        for x in (gains, tx[:, None, :], rx[None, :, :])
+        _filled(x, shape) for x in (ch.gains[:, None, None], tx[:, :, None], rx[:, None, :])
     )
-    contributions = gains * tx * rx
-    np.add.at(out, taps, np.moveaxis(contributions, -1, 0))
+    np.add.at(out, ch.taps, gains * tx * rx)
+    return out
+
+
+def _filled(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A new contiguous complex array of ``shape`` holding ``x`` broadcast."""
+    out = np.empty(shape, dtype=np.complex128)
+    out[...] = x
     return out
 
 

@@ -10,7 +10,10 @@ transformed codebooks, the Walsh-coded field weights with their chips,
 the sector beams and the receive composite.  A config builds each of them
 once, on first use, into a read-only plan per end of the link and reuses
 it for every channel; all estimates come from one
-:func:`~beamtrain.channel.cascade_gains` call per training stage.
+:func:`~beamtrain.channel.cascade_gains` call per training stage, and every
+stage of every scheme reuses the ray geometry and steering matrices the
+channel derived on its first cascade.  Coded fields are decoded with
+:func:`~beamtrain.beam_coding.walsh_decode`.
 
 Measurement model: each training field yields one channel estimate per
 delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
@@ -24,6 +27,7 @@ each estimate with variance noise_power / (tx_power * ce_chips).
 from __future__ import annotations
 
 import functools
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,7 +46,7 @@ from .array_model import (
     subarray_beam,
     superpose_beams,
 )
-from .beam_coding import CorrelationMatrix, build_schedule, walsh_codes
+from .beam_coding import CorrelationMatrix, build_schedule, walsh_codes, walsh_decode
 from .channel import (
     ChannelRealization,
     LinkBudget,
@@ -67,6 +71,8 @@ __all__ = [
     "sector_beams",
     "sector_trap_channel",
 ]
+
+log = logging.getLogger(__name__)
 
 # Salt for the measurement-noise RNG stream so it never replays the draws
 # that produced the channel realization from the same seed.
@@ -251,8 +257,11 @@ def _estimate_table(
     )
     sigma = _field_noise_std(cfg)
     if sigma > 0.0:
-        noise = rng.standard_normal(est.shape) + 1j * rng.standard_normal(est.shape)
-        est = est + (sigma / math.sqrt(2.0)) * noise
+        # One draw holds the real parts, then the imaginary parts.
+        noise = rng.standard_normal((2, *est.shape))
+        noise *= sigma / math.sqrt(2.0)
+        est.real += noise[0]
+        est.imag += noise[1]
     return est
 
 
@@ -306,9 +315,8 @@ def run_exhaustive_pbp(
     success = _passes_detection(cfg, float(np.max(np.abs(est))))
     pair = _argmax_pair(power) if success else None
     p, q = power.shape
-    traces = tuple(
-        np.array([power[i, j]]) for i in range(p) for j in range(q)
-    )
+    # One single-field trace per packet: the rows of one (p * q, 1) copy.
+    traces = tuple(power.reshape(p * q, 1).copy())
     return TrainingOutcome(
         scheme=Scheme.EXHAUSTIVE_PBP,
         seed=seed,
@@ -449,11 +457,6 @@ def run_feedback_inpacket(
     )
 
 
-def _decode_fields(est: np.ndarray, chips: np.ndarray) -> np.ndarray:
-    """Walsh-decode per-tap field estimates (taps, T, G) -> (taps, P, G)."""
-    return np.einsum("pt,dtg->dpg", chips, est)
-
-
 def run_exhaustive_beamcoding(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> TrainingOutcome:
@@ -465,7 +468,7 @@ def run_exhaustive_beamcoding(
     rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
     tx_fields, chips = cfg._tx_plan.coded
     est = _estimate_table(cfg, ch, rng, tx_fields, cfg._rx_plan.weights)
-    r = _decode_fields(est, chips)
+    r = walsh_decode(chips, est)
     power = np.sum(np.abs(r) ** 2, axis=0)
     t = len(tx_fields)
     success = _passes_detection(cfg, float(np.max(np.abs(r))), decode_gain=math.sqrt(t))
@@ -497,7 +500,7 @@ def run_feedback_beamcoding(
     rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
     tx_fields, tx_chips = cfg._tx_plan.coded
     est1 = _estimate_table(cfg, ch, rng, tx_fields, cfg._rx_plan.composite)
-    r1 = _decode_fields(est1, tx_chips)[:, :, 0]
+    r1 = walsh_decode(tx_chips, est1)[:, :, 0]
     power1 = np.sum(np.abs(r1) ** 2, axis=0)
     stage1_ok = _passes_detection(
         cfg, float(np.max(np.abs(r1))), decode_gain=math.sqrt(len(tx_fields))
@@ -509,7 +512,7 @@ def run_feedback_beamcoding(
     est2 = _estimate_table(cfg, ch, rng, tx_best, rx_fields)
     # Receive-side coding: fields vary the receiver weights, so decode along
     # the receive axis.
-    r2 = _decode_fields(np.swapaxes(est2, 1, 2), rx_chips)[:, :, 0]
+    r2 = walsh_decode(rx_chips, est2, axis=2)[:, 0, :]
     power2 = np.sum(np.abs(r2) ** 2, axis=0)
     stage2_ok = _passes_detection(
         cfg, float(np.max(np.abs(r2))), decode_gain=math.sqrt(len(rx_fields))
@@ -545,8 +548,13 @@ _RUNNERS = {
 
 
 def run(cfg: ProtocolConfig, ch: ChannelRealization, seed: int) -> TrainingOutcome:
-    """Dispatch to the runner named by ``cfg.scheme``."""
-    return _RUNNERS[cfg.scheme](cfg, ch, seed)
+    """Dispatch to the runner named by ``cfg.scheme``; logs the outcome at
+    DEBUG."""
+    out = _RUNNERS[cfg.scheme](cfg, ch, seed)
+    log.debug(
+        "%s seed %d: success=%s pair=%s", out.scheme.value, seed, out.success, out.best_pair
+    )
+    return out
 
 
 def sector_trap_channel(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrain.array_model import ArrayConfig, dft_codebook, steering_vector
 from beamtrain.beam_coding import (
@@ -14,7 +16,9 @@ from beamtrain.beam_coding import (
     encode_ce_field,
     golay_pair,
     walsh_codes,
+    walsh_decode,
 )
+from beamtrain.channel import ChannelRealization, Ray, cascade_gains, pair_gain_table
 
 
 def aperiodic_autocorrelation(x):
@@ -22,6 +26,34 @@ def aperiodic_autocorrelation(x):
     arr = np.asarray(x)
     n = arr.size
     return np.array([np.sum(arr[k:] * np.conj(arr[: n - k])) for k in range(n)])
+
+
+@st.composite
+def orthogonal_subsets(draw):
+    """A DFT codebook and a nonempty subset of its (mutually orthogonal) beams."""
+    n = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    spacing = draw(st.sampled_from([0.5, 0.6, 0.75, 1.0]))
+    cb = dft_codebook(ArrayConfig(n, spacing))
+    indices = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return cb, cb.subset(indices)
+
+
+def walsh_codes_for(k):
+    """The first k Walsh codes of the shortest order that separates k beams."""
+    return walsh_codes(max(0, (k - 1).bit_length()))[:k]
+
+
+_rays = st.lists(
+    st.builds(
+        Ray,
+        aod_deg=st.floats(0.0, 180.0),
+        aoa_deg=st.floats(0.0, 180.0),
+        gain=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        tap=st.integers(0, 4),
+    ),
+    min_size=1,
+    max_size=6,
+)
 
 
 def autocorr_oracle(seq, lag):
@@ -136,6 +168,15 @@ class TestBuildSchedule:
             energies = [w.energy() for w in schedule.field_weights]
             assert max(energies) - min(energies) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(orthogonal_subsets())
+    def test_orthogonal_schedule_fields_have_unit_energy(self, books):
+        _, subset = books
+        schedule = build_schedule(subset, walsh_codes_for(len(subset)))
+        assert schedule.orthogonal_beams
+        for w in schedule.field_weights:
+            assert w.energy() == pytest.approx(1.0, rel=1e-12)
+
     def test_longer_codes_than_beams(self):
         cfg = ArrayConfig(8)
         cb = dft_codebook(cfg)
@@ -202,6 +243,46 @@ class TestDecodeCorrelations:
         codes = walsh_codes(0)
         out = decode_correlations(np.array([[1.0], [1.0]]), codes)
         assert out.best_pair() == (0, 0)
+
+
+class TestWalshDecode:
+    def test_matches_explicit_sum_along_either_axis(self):
+        rng = np.random.default_rng(3)
+        chips = np.stack([c.chips for c in walsh_codes(2)[:3]]).astype(np.complex128)
+        fields = rng.standard_normal((5, 4, 2)) + 1j * rng.standard_normal((5, 4, 2))
+        want = np.einsum("pt,dtg->dpg", chips, fields)
+        np.testing.assert_allclose(walsh_decode(chips, fields), want, rtol=1e-14)
+        np.testing.assert_allclose(walsh_decode(chips, fields, axis=1), want, rtol=1e-14)
+        swapped = walsh_decode(chips, np.swapaxes(fields, 1, 2), axis=2)
+        np.testing.assert_allclose(swapped, np.swapaxes(want, 1, 2), rtol=1e-14)
+        assert np.array_equal(walsh_decode(chips, fields[0], axis=0), chips @ fields[0])
+
+    def test_decode_correlations_is_the_transposed_decode(self):
+        rng = np.random.default_rng(4)
+        codes = walsh_codes(3)
+        received = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        chips = np.stack([c.chips for c in codes]).astype(np.complex128)
+        got = decode_correlations(received, codes).r
+        assert np.array_equal(got, walsh_decode(chips, received, axis=1).T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(orthogonal_subsets(), _rays)
+    def test_noiseless_coded_decode_equals_the_gain_table(self, books, rays):
+        # Per tap, the decoded field estimates are the beam-pair gains
+        # scaled by T / sqrt(K).
+        cb, subset = books
+        k = len(subset)
+        codes = walsh_codes_for(k)
+        schedule = build_schedule(subset, codes)
+        fields = np.stack([w.weights for w in schedule.field_weights])
+        chips = np.stack([c.chips for c in codes]).astype(np.complex128)
+        ch = ChannelRealization(rays=tuple(rays))
+        est = cascade_gains(fields, cb.matrix(), ch, cb.cfg, cb.cfg)
+        decoded = walsh_decode(chips, est) * math.sqrt(k) / len(schedule)
+        table = pair_gain_table(subset, cb, ch)
+        # Largest magnitude a unit-norm beam pair can see through these rays.
+        bound = sum(abs(r.gain) for r in rays) * cb.cfg.num_antennas
+        np.testing.assert_allclose(decoded, table, rtol=0, atol=1e-12 * bound)
 
 
 class TestPerTapDecoding:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -296,6 +297,59 @@ class TestCascadeGains:
         ch = toy_channel(0.5)
         with pytest.raises(ValueError, match="antennas"):
             cascade_gains(np.ones((2, 3)), np.ones((1, 4)), ch, ArrayConfig(4), ArrayConfig(4))
+
+
+class TestChannelGeometry:
+    def test_arrays_follow_the_rays(self):
+        ch = sample_channel(ChannelConfig(intra_cluster_tap_spread=2), 31)
+        assert ch.aods_deg.tolist() == [r.aod_deg for r in ch.rays]
+        assert ch.aoas_deg.tolist() == [r.aoa_deg for r in ch.rays]
+        assert ch.gains.tolist() == [r.gain for r in ch.rays]
+        assert ch.taps.tolist() == [r.tap for r in ch.rays]
+        assert ch.num_taps == max(r.tap for r in ch.rays) + 1
+        assert ChannelRealization(rays=()).num_taps == 1
+
+    def test_rays_list_is_copied_into_a_tuple(self):
+        rays = [Ray(aod_deg=60.0, aoa_deg=120.0, gain=1.0, tap=0)]
+        ch = ChannelRealization(rays=rays)
+        assert isinstance(ch.rays, tuple)
+        rays.append(Ray(aod_deg=30.0, aoa_deg=40.0, gain=0.5, tap=3))
+        assert len(ch.rays) == 1
+        assert ch.num_taps == 1 and ch.aods_deg.tolist() == [60.0]
+        assert ch == ChannelRealization(rays=tuple(rays[:1]))
+        hash(ch)
+
+    def test_derived_arrays_are_read_only(self):
+        ch = toy_channel(0.5, nlos_excess_tap=2)
+        cfg = ArrayConfig(4)
+        arrays = [ch.aods_deg, ch.aoas_deg, ch.gains, ch.taps]
+        arrays += [ch.steering_matrix("tx", cfg), ch.steering_matrix("rx", cfg)]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_steering_matrix_once_per_end_and_array(self):
+        ch = sample_channel(ChannelConfig(), 32)
+        half, quarter = ArrayConfig(8, 0.5), ArrayConfig(8, 0.25)
+        tx = ch.steering_matrix("tx", half)
+        assert ch.steering_matrix("tx", ArrayConfig(8, 0.5)) is tx
+        assert ch.steering_matrix("rx", half) is not tx
+        assert ch.steering_matrix("tx", quarter) is not tx
+        assert ch.steering_matrix("tx", ArrayConfig(16)).shape == (16, len(ch.rays))
+        for end, angles in (("tx", ch.aods_deg), ("rx", ch.aoas_deg)):
+            for cfg in (half, quarter):
+                n = np.arange(cfg.num_antennas)[:, None]
+                want = np.exp(2j * np.pi * cfg.spacing * n * np.cos(np.radians(angles)))
+                np.testing.assert_allclose(ch.steering_matrix(end, cfg), want, rtol=0, atol=1e-12)
+
+    def test_replace_derives_its_own_geometry(self):
+        ch = sample_channel(ChannelConfig(), 33)
+        tx = ch.steering_matrix("tx", ArrayConfig(16))
+        fresh = dataclasses.replace(ch)
+        assert "aods_deg" not in vars(fresh)
+        assert fresh.steering_matrix("tx", ArrayConfig(16)) is not tx
+        assert np.array_equal(fresh.steering_matrix("tx", ArrayConfig(16)), tx)
 
 
 class TestPairGainTable:

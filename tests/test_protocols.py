@@ -1,12 +1,16 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamtrain import protocols
+from beamtrain import channel, protocols
 from beamtrain.array_model import (
     ArrayConfig,
+    codebook_from_cosines,
     dft_codebook,
     project_uniform,
     quantize_phases,
@@ -18,6 +22,7 @@ from beamtrain.channel import (
     ChannelConfig,
     ChannelRealization,
     LinkBudget,
+    Ray,
     derive_seed,
     end_to_end_gain,
     pair_gain_table,
@@ -301,6 +306,41 @@ class TestNoiselessEquivalence:
             assert out.best_pair == tuple(np.unravel_index(np.argmax(table), table.shape))
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 4, 8, 16]).flatmap(
+            lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), min_size=1))
+        ),
+        st.lists(
+            st.builds(
+                Ray,
+                aod_deg=st.floats(0.0, 180.0),
+                aoa_deg=st.floats(0.0, 180.0),
+                gain=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                tap=st.integers(0, 4),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_coded_decode_equals_exhaustive_table(self, beams, rays):
+        n, indices = beams
+        cb = dft_codebook(ArrayConfig(n))
+        tx_cb = cb.subset(sorted(indices))
+        ch = ChannelRealization(rays=tuple(rays))
+
+        def outcome(scheme):
+            return run(ProtocolConfig(tx_codebook=tx_cb, rx_codebook=cb, scheme=scheme), ch, 0)
+
+        coded = outcome(Scheme.EXHAUSTIVE_BEAMCODING)
+        table = outcome(Scheme.EXHAUSTIVE_PBP).pair_power
+        # The decode carries T / sqrt(K) on every per-tap amplitude.
+        k = len(tx_cb)
+        t = 1 << (k - 1).bit_length()
+        bound = sum(abs(r.gain) for r in rays) ** 2
+        np.testing.assert_allclose(coded.pair_power * k / t**2, table, rtol=0, atol=1e-12 * bound)
+
+
 class TestFeedbackAgainstExhaustive:
     def test_stage_two_is_conditionally_optimal(self):
         # feedback training loses only through its composite-receive first
@@ -490,3 +530,82 @@ class TestTrainingPlan:
         # one transmit schedule for each coded scheme, one receive schedule
         # for feedback coding
         assert len(calls) == 3
+
+
+class TestChannelGeometryCache:
+    budget = LinkBudget(tx_power_dbm=-10.0)
+
+    def configs(self, tx_cb, rx_cb):
+        return [
+            ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=s, noise=self.budget)
+            for s in Scheme
+        ]
+
+    def test_shared_channel_matches_fresh_channels(self):
+        cb = dft_codebook(ArrayConfig(16))
+        cfgs = self.configs(cb, cb)
+        for i in range(12):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(505, i))
+            shared = [run(cfg, ch, i) for cfg in cfgs]
+            for cfg, out in zip(cfgs, shared):
+                assert_outcomes_equal(out, run(cfg, dataclasses.replace(ch), i))
+
+    def test_one_channel_through_two_arrays_matches_fresh_channels(self):
+        wide = dft_codebook(ArrayConfig(16, 0.5))
+        # Orthogonal beams on the 8-antenna quarter-wavelength grid.
+        narrow = codebook_from_cosines(ArrayConfig(8, 0.25), (0.5, 0.0, -0.5))
+        books = [(wide, wide), (narrow, narrow), (wide, narrow)]
+        for i in range(6):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(606, i))
+            for tx_cb, rx_cb in books:
+                for cfg in self.configs(tx_cb, rx_cb):
+                    assert_outcomes_equal(run(cfg, ch, i), run(cfg, dataclasses.replace(ch), i))
+
+    def test_steering_built_once_per_end_per_channel(self, monkeypatch):
+        calls = []
+
+        def counting_steering_matrix(angles_deg, cfg):
+            calls.append(cfg)
+            return steering_matrix(angles_deg, cfg)
+
+        steering_matrix = channel._steering_matrix
+        monkeypatch.setattr(channel, "_steering_matrix", counting_steering_matrix)
+        cb = dft_codebook(ArrayConfig(16))
+        cfgs = self.configs(cb, cb)
+        for i in range(4):
+            ch = sample_channel(ChannelConfig(), derive_seed(707, i))
+            for cfg in cfgs:
+                run(cfg, ch, i)
+            # six schemes, 9 training stages and 6 SNR reports: one
+            # transmit and one receive matrix
+            assert len(calls) == 2 * (i + 1)
+
+
+class TestLogging:
+    def records(self, caplog):
+        return [r for r in caplog.records if r.name == "beamtrain.protocols"]
+
+    def test_one_debug_record_per_run(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="beamtrain.protocols")
+        ch = toy_channel(0.5)
+        outcomes = [run(toy_config(s, num_sectors=2), ch, 3) for s in Scheme]
+        records = self.records(caplog)
+        assert [r.levelno for r in records] == [logging.DEBUG] * len(outcomes)
+        for record, out in zip(records, outcomes):
+            assert record.getMessage() == (
+                f"{out.scheme.value} seed 3: success=True pair={TOY_LOS_PAIR}"
+            )
+
+    def test_failed_run_logs_no_pair(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="beamtrain.protocols")
+        run(toy_config(Scheme.EXHAUSTIVE_PBP), ChannelRealization(rays=()), 0)
+        (record,) = self.records(caplog)
+        assert record.getMessage() == "exhaustive_pbp seed 0: success=False pair=None"
+
+    def test_silent_at_default_level(self, caplog):
+        caplog.set_level(logging.WARNING, logger="beamtrain")
+        ch = sample_channel(ChannelConfig(), derive_seed(808, 0))
+        cb = dft_codebook(ArrayConfig(16))
+        for scheme in Scheme:
+            run(ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=scheme), ch, 0)
+        assert not self.records(caplog)
