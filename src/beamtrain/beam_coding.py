@@ -27,6 +27,7 @@ __all__ = [
     "walsh_decode",
     "decode_correlations",
     "encode_ce_field",
+    "ce_field_powers",
     "decode_per_tap",
 ]
 
@@ -69,6 +70,8 @@ class GolayPair:
         b = np.array(self.b, dtype=np.int64)
         if a.shape != b.shape or a.ndim != 1 or not _is_power_of_two(a.size):
             raise ValueError("pair members must share one power-of-two length")
+        if not (np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)):
+            raise ValueError("chips must be +1 or -1")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -254,6 +257,98 @@ def encode_ce_field(
     out[:spread] = np.convolve(golay.a, h)
     out[width : width + spread] = np.convolve(golay.b, h)
     return out
+
+
+# Rows whose fields ce_field_powers holds at once; all 80 preamble rows of
+# the default power-var config at once would raise the peak memory.
+_CE_BLOCK = 16
+
+
+def _same_up_to_sign(x: np.ndarray, y: np.ndarray) -> bool:
+    return bool(np.array_equal(x, y) or np.array_equal(x, -y))
+
+
+def _ce_frame(
+    golay: GolayPair, num_taps: int, nonzero: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
+    """Chip sequences, and a gather index into their joined convolutions,
+    that give the CE field of any tap row zero outside ``nonzero``.
+
+    The field is [a * h | b * h]; each sample of it is found at ``index``
+    in the outputs of the returned sequences convolved with h, one after
+    the other, up to its sign.  ``index`` is None when the sequences are
+    (a, b) themselves.
+    """
+    a, b, length, t = golay.a, golay.b, len(golay), num_taps
+    if nonzero.size == 0:
+        nonzero = np.zeros(1, dtype=np.intp)
+    head, tail = slice(0, t - 1), slice(length - t + 1, length)
+    # When the 2**(nonzero - 1) possible windows hold no fewer chips than a,
+    # they save nothing, and the pattern ids below could overflow int64.
+    # The edges of b are taken from those of a, so they must match.
+    if (t << (nonzero.size - 1)) >= length or not (
+        _same_up_to_sign(a[head], b[head]) and _same_up_to_sign(a[tail], b[tail])
+    ):
+        return (a, b), None
+    # Full-overlap output t - 1 + j of seq * h is the dot product of the
+    # window seq[j : j + t] with h reversed.  Its pattern id holds the
+    # window's signs at the nonzero taps relative to the first one, so a
+    # window and its negation share one id.
+    ab = np.stack([a, b])
+    first = ab[:, t - 1 - nonzero[0] : length - nonzero[0]]
+    ids = np.zeros(first.shape, dtype=np.intp)
+    for bit, k in enumerate(nonzero[1:].tolist()):
+        ids |= (ab[:, t - 1 - k : length - k] != first) << bit
+    # One window per id (any of those that carry it) and its slot in u.
+    slot = np.full(1 << (nonzero.size - 1), -1)
+    slot[ids.ravel()] = np.arange(ids.size)
+    seq_of, start = np.divmod(slot[slot >= 0], ids.shape[1])
+    slot[slot >= 0] = np.arange(seq_of.size)
+    windows = ab[seq_of[:, None], start[:, None] + np.arange(t)]
+    # A head and a tail of t - 1 chips reproduce the partial-overlap edges.
+    u = np.concatenate([a[head], windows.ravel(), a[tail]])
+    edge = np.arange(t - 1)
+    full = 2 * (t - 1) + t * slot[ids]
+    ends = len(u) + edge
+    return (u,), np.concatenate([edge, full[0], ends, edge, full[1], ends])
+
+
+def ce_field_powers(tap_rows: np.ndarray, golay: GolayPair) -> np.ndarray:
+    """Mean sample power of the CE field heard through each tap row.
+
+    For every row h of the (rows, T) matrix ``tap_rows`` the result equals
+    ``np.mean(np.abs(encode_ce_field(h, golay, T - 1)) ** 2)`` bit for bit.
+    A full-overlap output of ``np.convolve(seq, h)`` is one dot product of
+    a T-chip window with h reversed.  Products with a zero tap are signed
+    zeros, and negating the chips at the nonzero taps negates the output
+    exactly.  So only the windows that differ, up to sign, in the columns
+    where some row has a nonzero tap are convolved, framed by the head and
+    tail of a, which give the partial-overlap edges of both halves (those
+    of b equal them up to sign in every pair :func:`golay_pair` builds).
+    The squared magnitudes are gathered back into the full field before
+    the mean.  When that would not save work, or b's edges differ, the
+    whole field is convolved.  Each dot product's summation order must
+    depend only on its length, as in OpenBLAS and numpy's own loop.
+    """
+    taps = np.asarray(tap_rows, dtype=np.complex128)
+    if taps.ndim != 2 or taps.shape[1] == 0:
+        raise ValueError("tap_rows must be a (rows, taps) matrix with at least one tap")
+    t = taps.shape[1]
+    seqs, index = _ce_frame(golay, t, np.flatnonzero(np.any(taps != 0, axis=0)))
+    bounds = np.cumsum([0] + [len(seq) + t - 1 for seq in seqs]).tolist()
+    y = np.empty((_CE_BLOCK, bounds[-1]), dtype=np.complex128)
+    sigmas = np.empty(len(taps))
+    for start in range(0, len(taps), _CE_BLOCK):
+        block = taps[start : start + _CE_BLOCK]
+        for row, h in zip(y, block):
+            for seq, lo, hi in zip(seqs, bounds, bounds[1:]):
+                row[lo:hi] = np.convolve(seq, h)
+        power = np.abs(y[: len(block)]) ** 2
+        if index is not None:
+            # A contiguous gather: np.mean rounds a strided row differently.
+            power = np.take(power, index, axis=1)
+        sigmas[start : start + len(block)] = np.mean(power, axis=1)
+    return sigmas
 
 
 def decode_per_tap(

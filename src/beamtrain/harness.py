@@ -32,7 +32,7 @@ from .array_model import (
     steering_vector,
     superpose_beams,
 )
-from .beam_coding import GolayPair, build_schedule, encode_ce_field, golay_pair, walsh_codes
+from .beam_coding import GolayPair, build_schedule, ce_field_powers, golay_pair, walsh_codes
 from .channel import derive_seed, sample_channel, toy_channel, toy_codebooks
 from .experiment import ConfigError, ExperimentConfig
 from .metrics import aggregate_snr, empirical_cdf
@@ -44,7 +44,7 @@ from .packets import (
     layout_80211ad,
     layout_beam_coding,
 )
-from .protocols import ProtocolConfig, Scheme, run, run_exhaustive_pbp
+from .protocols import ProtocolConfig, Scheme, run
 
 __all__ = [
     "write_csv",
@@ -292,26 +292,12 @@ def _power_var_plan(
     )
 
 
-# Preamble rows whose Golay samples are synthesized into one block before
-# their sigmas are reduced together; a block of the 80 rows of the default
-# config would hold every field at once and raise the peak memory.
-_SIGMA_BLOCK = 16
-
-
 def _channel_gammas(plan: _PowerVarPlan, taps: np.ndarray) -> np.ndarray:
     """The gammas of one channel in the plan's layout, given the taps of
     every plan weight (one contiguous row each)."""
     powers = np.sum(np.abs(taps) ** 2, axis=1)
-    guard = taps.shape[1] - 1
     sigmas = np.zeros(len(taps))
-    block = np.empty((_SIGMA_BLOCK, 2 * (len(plan.golay) + guard)), dtype=np.complex128)
-    for start in range(0, len(plan.preamble_rows), _SIGMA_BLOCK):
-        rows = plan.preamble_rows[start : start + _SIGMA_BLOCK]
-        for j, r in enumerate(rows.tolist()):
-            block[j] = encode_ce_field(taps[r], plan.golay, guard)
-        # A reduction along contiguous rows sums each row in the same
-        # (pairwise) order as np.mean of that row alone, so the bits match.
-        sigmas[rows] = np.mean(np.abs(block[: len(rows)]) ** 2, axis=1)
+    sigmas[plan.preamble_rows] = ce_field_powers(taps[plan.preamble_rows], plan.golay)
     if np.any(sigmas[plan.preamble_rows] <= 0.0):
         raise ValueError("undefined ratio: preamble has zero variance")
     return np.concatenate(
@@ -355,14 +341,18 @@ def power_var_campaign(
     their packets are grouped by preamble length and field count.  Per
     channel, one :func:`~beamtrain.channel.cascade_gains` call gives every
     weight's taps; a field's gamma is its power over three times its
-    preamble's sigma.  Sigma is synthesized from Golay samples
-    (:func:`~beamtrain.beam_coding.encode_ce_field`, once per distinct
-    preamble weight, reduced a block of weights at a time) and averaged
-    over the weights of a multi-weight preamble, one array operation per
-    packet group.  Golay complementarity gives sigma in closed form, but
-    not bit for bit, and the K=1 CDFs count distinct doubles, so the
-    synthesis stays until the reference outputs are re-recorded.  The
-    per-layout path :func:`~beamtrain.packets.power_trace`,
+    preamble's sigma.  Sigma, the mean sample power of the Golay CE field
+    heard through a preamble weight's taps, comes from
+    :func:`~beamtrain.beam_coding.ce_field_powers` once per distinct
+    preamble weight.  It convolves only the chip windows that differ, up
+    to sign, at the channel's nonzero taps, and gives bit for bit what
+    :func:`~beamtrain.beam_coding.encode_ce_field` synthesis of the whole
+    field gives.  Sigma is averaged over the weights of a multi-weight
+    preamble, one array operation per packet group.  Golay
+    complementarity gives sigma in closed form, but not bit for bit, and
+    the K=1 CDFs count distinct doubles, so the synthesis stays until the
+    reference outputs are re-recorded.  The per-layout path
+    :func:`~beamtrain.packets.power_trace`,
     :func:`~beamtrain.packets.preamble_samples` and
     :func:`~beamtrain.metrics.power_ratio` gives the same gammas.
     """
@@ -442,7 +432,8 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
     row repeats across the bits axis.  The config is checked before any
     channel is drawn; a bad value raises :class:`ConfigError`.  The
     protocol configs, and with them their training weights, are shared by
-    both environments.
+    both environments.  Every training run, the baseline's included, goes
+    through :func:`~beamtrain.protocols.run`.
     """
     started = time.perf_counter()
     _validate_campaign(exp)
@@ -471,7 +462,7 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
         ]
 
         nbf_snrs = [
-            10.0 ** (run_exhaustive_pbp(base_cfg, ch, i).snr_db / 10.0)
+            10.0 ** (run(base_cfg, ch, i).snr_db / 10.0)
             for i, ch in enumerate(channels)
         ]
         nbf_db = 10.0 * math.log10(aggregate_snr(nbf_snrs))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamtrain import beam_coding
 from beamtrain.array_model import ArrayConfig, dft_codebook, steering_vector
 from beamtrain.beam_coding import (
     GolayPair,
     SignatureCode,
     build_schedule,
+    ce_field_powers,
     decode_correlations,
     decode_per_tap,
     encode_ce_field,
@@ -48,12 +50,56 @@ _rays = st.lists(
         Ray,
         aod_deg=st.floats(0.0, 180.0),
         aoa_deg=st.floats(0.0, 180.0),
-        gain=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        # Subnormal gains make the decode test's tolerance, which scales
+        # with the gains, underflow to zero.
+        gain=st.builds(
+            complex,
+            st.floats(-1.0, 1.0, allow_subnormal=False),
+            st.floats(-1.0, 1.0, allow_subnormal=False),
+        ),
         tap=st.integers(0, 4),
     ),
     min_size=1,
     max_size=6,
 )
+
+
+@st.composite
+def ce_tap_rows(draw):
+    """A +/-1 pair (a Golay pair, or random chips) and a (rows, T) tap
+    matrix: nonzero taps on a sparse or dense column set, exact zeros among
+    them, a negated row and an all-zero row."""
+    n = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        golay = golay_pair(n)
+    else:
+        chips = st.lists(st.sampled_from([1, -1]), min_size=2**n, max_size=2**n)
+        golay = GolayPair(draw(chips), draw(chips))
+    t = draw(st.integers(1, 21))
+    columns = st.integers(0, t - 1)
+    support = sorted(
+        draw(
+            st.one_of(
+                st.sets(columns, min_size=1, max_size=3),
+                st.sets(columns, min_size=max(1, t - 2)),
+            )
+        )
+    )
+    values = st.one_of(
+        st.just(0j),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    )
+    rows = draw(
+        st.lists(
+            st.lists(values, min_size=len(support), max_size=len(support)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    taps = np.zeros((len(rows) + 2, t), dtype=np.complex128)
+    taps[: len(rows), support] = rows
+    taps[len(rows)] = -taps[0]
+    return golay, taps
 
 
 def autocorr_oracle(seq, lag):
@@ -136,6 +182,12 @@ class TestGolayPair:
     def test_pair_shape_validation(self):
         with pytest.raises(ValueError):
             GolayPair(a=np.array([1, 1]), b=np.array([1, 1, 1, -1]))
+
+    def test_pair_chips_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="chips"):
+            GolayPair(a=np.array([1, 2]), b=np.array([1, -1]))
+        with pytest.raises(ValueError, match="chips"):
+            GolayPair(a=np.array([1, -1]), b=np.array([0, -1]))
 
 
 class TestBuildSchedule:
@@ -357,6 +409,52 @@ class TestPerTapDecoding:
         g = golay_pair(4)
         with pytest.raises(ValueError):
             encode_ce_field(np.ones(5), g, guard=2)
+
+
+class TestCeFieldPowers:
+    @staticmethod
+    def oracle(taps, golay):
+        guard = taps.shape[1] - 1
+        return [np.mean(np.abs(encode_ce_field(h, golay, guard)) ** 2) for h in taps]
+
+    @settings(max_examples=300, deadline=None)
+    @given(ce_tap_rows())
+    def test_equals_encode_ce_field_bit_for_bit(self, case):
+        golay, taps = case
+        assert ce_field_powers(taps, golay).tolist() == self.oracle(taps, golay)
+
+    def test_rows_across_blocks_and_both_layouts(self):
+        rng = np.random.default_rng(5)
+        golay = golay_pair(9)
+        for support in ([0, 4, 9, 16], range(17)):
+            taps = np.zeros((37, 17), dtype=np.complex128)
+            taps[:, support] = rng.standard_normal((37, len(support))) + 1j * rng.standard_normal(
+                (37, len(support))
+            )
+            assert ce_field_powers(taps, golay).tolist() == self.oracle(taps, golay)
+
+    def test_layout_choice(self):
+        golay = golay_pair(9)
+        # Four nonzero taps of 17: at most 8 windows up to sign, one sequence.
+        seqs, index = beam_coding._ce_frame(golay, 17, np.array([0, 4, 9, 16]))
+        assert len(seqs) == 1 and len(seqs[0]) <= 2 * 16 + 8 * 17
+        assert len(index) == 2 * (512 + 16)
+        # Six of 17: 32 windows of 17 chips are no fewer than the 512 of a.
+        seqs, index = beam_coding._ce_frame(golay, 17, np.arange(6))
+        assert index is None and seqs[0] is golay.a and seqs[1] is golay.b
+        # Far past int64 pattern ids, still the full field.
+        assert beam_coding._ce_frame(golay, 70, np.arange(70))[1] is None
+        # Edges of b that are not those of a up to sign.
+        odd = GolayPair(golay.a, np.concatenate([golay.b[:-1], -golay.b[-1:]]))
+        assert beam_coding._ce_frame(odd, 3, np.array([0, 2]))[1] is None
+
+    def test_shapes(self):
+        golay = golay_pair(4)
+        assert ce_field_powers(np.zeros((0, 3)), golay).shape == (0,)
+        assert ce_field_powers(np.zeros((2, 3)), golay).tolist() == [0.0, 0.0]
+        for bad in (np.zeros(3), np.zeros((2, 0)), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError):
+                ce_field_powers(bad, golay)
 
 
 class TestWaveformRouteAgainstFieldRoute:

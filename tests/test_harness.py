@@ -275,6 +275,20 @@ class TestCampaignLogging:
         (env,) = self.records(caplog, logging.DEBUG)
         assert env.startswith("quant-sweep: nlos done in ")
 
+    def test_quant_sweep_logs_every_training_run(self, caplog):
+        # The nbf baseline runs through protocols.run like the coded runs:
+        # one DEBUG record per run and channel.
+        caplog.set_level(logging.DEBUG, logger="beamtrain.protocols")
+        quant_sweep_campaign(small_experiment(runs=3, environments=("los", "nlos")))
+        runs = [r.getMessage() for r in caplog.records if r.name == "beamtrain.protocols"]
+        baseline = [m for m in runs if m.startswith("exhaustive_pbp seed ")]
+        coded = [m for m in runs if m.startswith("exhaustive_beamcoding seed ")]
+        assert [m.split(":")[0] for m in baseline] == [
+            f"exhaustive_pbp seed {i}" for _ in range(2) for i in range(3)
+        ]
+        assert len(coded) == 2 * 3 * 2
+        assert len(runs) == len(baseline) + len(coded)
+
     def test_silent_at_default_level(self, caplog):
         caplog.set_level(logging.WARNING, logger="beamtrain")
         power_var_campaign(small_experiment(runs=1))
