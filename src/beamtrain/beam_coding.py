@@ -335,6 +335,8 @@ def ce_field_powers(tap_rows: np.ndarray, golay: GolayPair) -> np.ndarray:
         raise ValueError("tap_rows must be a (rows, taps) matrix with at least one tap")
     t = taps.shape[1]
     seqs, index = _ce_frame(golay, t, np.flatnonzero(np.any(taps != 0, axis=0)))
+    # np.convolve would cast the int64 chips to complex on every call.
+    seqs = [seq.astype(np.complex128) for seq in seqs]
     bounds = np.cumsum([0] + [len(seq) + t - 1 for seq in seqs]).tolist()
     y = np.empty((_CE_BLOCK, bounds[-1]), dtype=np.complex128)
     sigmas = np.empty(len(taps))

@@ -276,6 +276,7 @@ def sample_channel(cfg: ChannelConfig, seed: int) -> ChannelRealization:
     """
     rng = np.random.default_rng(seed)
     ref = cfg.los_amplitude()
+    spread = cfg.intra_cluster_tap_spread
     rays: list[Ray] = []
     if cfg.los:
         aod = rng.uniform(0.0, 180.0)
@@ -291,7 +292,9 @@ def sample_channel(cfg: ChannelConfig, seed: int) -> ChannelRealization:
             aod = _fold_angle(center_aod + rng.normal(0.0, cfg.intra_cluster_angle_std_deg))
             aoa = _fold_angle(center_aoa + rng.normal(0.0, cfg.intra_cluster_angle_std_deg))
             phase = rng.uniform(0.0, 2.0 * math.pi)
-            tap = cluster_tap + int(rng.integers(0, cfg.intra_cluster_tap_spread + 1))
+            # integers(0, 1) draws nothing from the stream, so skipping it
+            # leaves every later draw as it was.
+            tap = cluster_tap + (int(rng.integers(0, spread + 1)) if spread else 0)
             rays.append(Ray(aod_deg=aod, aoa_deg=aoa, gain=amp * np.exp(1j * phase), tap=tap))
     return ChannelRealization(rays=tuple(rays), los_present=cfg.los, seed=seed)
 

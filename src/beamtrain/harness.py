@@ -2,8 +2,8 @@
 
 Campaigns are pure functions of an :class:`ExperimentConfig`; all
 randomness flows from the master seed through the documented splitting
-rule, cells are evaluated in a fixed order, and rows are sorted before
-writing, so re-running a config yields byte-identical CSV files.
+rule, cells are evaluated in a fixed order, and rows come out in a fixed
+order, so re-running a config yields byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import groupby, repeat, zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -72,25 +72,49 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _fmt_float(value: float) -> str:
-    return f"{value:.12g}"
+# The printf spec of a column whose cells all have one of these exact types;
+# each formats a cell as _fmt_cell does ("%.12g" % v == f"{v:.12g}" for every
+# float, inf, nan and -0.0 included).
+_SPECS = {str: "%s", int: "%d", float: "%.12g"}
 
 
-# Formatters by exact cell type, each giving what _fmt_cell gives for that
-# type; any other type (bool, numpy scalars, subclasses) goes to _fmt_cell.
-_FORMATTERS = {str: str, int: str, float: _fmt_float}
+class _Missing:
+    """The type of the cells a short row lacks while column types are read."""
+
+
+_MISSING = _Missing()
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write rows with a header, formatting floats to 12 significant digits."""
+    """Write rows with a header, formatting floats to 12 significant digits.
+
+    Each column gets one printf spec, found once from its set of cell types.
+    A column of any other type, or of mixed types (bool and numpy scalars
+    included), is turned into text cell by cell with _fmt_cell first.  Each
+    row is then one ``template % row``; rows may differ in length.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fmt = _FORMATTERS.get
-    lines = [",".join(header)]
-    lines.extend(",".join([fmt(type(v), _fmt_cell)(v) for v in row]) for row in rows)
-    lines.append("")
+    rows = list(map(tuple, rows))
+    specs = []
+    text_columns = set()
+    for i, column in enumerate(zip_longest(*rows, fillvalue=_MISSING)):
+        types = set(map(type, column)) - {_Missing}
+        spec = _SPECS.get(types.pop()) if len(types) == 1 else None
+        if spec is None:
+            spec = "%s"
+            text_columns.add(i)
+        specs.append(spec)
+    if text_columns:
+        rows = [
+            tuple(_fmt_cell(v) if i in text_columns else v for i, v in enumerate(row))
+            for row in rows
+        ]
+    body = "".join(
+        ["".join(map((",".join(specs[:n]) + "\n").__mod__, run)) for n, run in groupby(rows, len)]
+    )
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        fh.write(",".join(header) + "\n" + body)
     return path
 
 
@@ -211,8 +235,9 @@ class _PowerVarPlan:
 
     The gammas of one channel form a vector laid out group by group, then
     packet by packet and field by field; ``scheme_of``, ``k_of``,
-    ``packet_of`` and ``field_of`` label its entries, and ``cells`` lists
-    the entries of each (scheme, beams per packet) cell.
+    ``packet_of`` and ``field_of`` label its entries.  ``cells`` lists the
+    entries of each (scheme, beams per packet) cell in (packet, field)
+    order, and ``cell_labels`` their packets and fields in the same order.
     """
 
     weights: np.ndarray  # distinct field and preamble weights, (F, tx antennas)
@@ -223,6 +248,7 @@ class _PowerVarPlan:
     packet_of: tuple[int, ...]
     field_of: tuple[int, ...]
     cells: tuple[tuple[tuple[str, int], np.ndarray], ...]
+    cell_labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     golay: GolayPair
 
 
@@ -276,6 +302,8 @@ def _power_var_plan(
             cells.setdefault((scheme, k), []).extend(range(len(labels), len(labels) + len(fields)))
             labels.extend((scheme, k, packet_idx, field) for field in range(len(fields)))
     scheme_of, k_of, packet_of, field_of = zip(*labels)
+    for entries in cells.values():
+        entries.sort(key=lambda e: (packet_of[e], field_of[e]))
     # The keys are the weights' bytes in row order; the cached plan is
     # shared by every later call, so its arrays are read-only.
     weights = np.frombuffer(b"".join(row_of), dtype=np.complex128)
@@ -288,6 +316,10 @@ def _power_var_plan(
         packet_of=packet_of,
         field_of=field_of,
         cells=tuple((cell, _readonly(entries)) for cell, entries in cells.items()),
+        cell_labels=tuple(
+            (tuple(packet_of[e] for e in entries), tuple(field_of[e] for e in entries))
+            for entries in cells.values()
+        ),
         golay=golay_pair(9),
     )
 
@@ -315,6 +347,12 @@ def _validate_campaign(exp: ExperimentConfig) -> None:
         raise ConfigError(
             f"experiment.environments: unknown environment(s) {', '.join(unknown)}; "
             f"pick from {', '.join(_ENVIRONMENTS)}"
+        )
+    repeated = sorted({e for e in exp.environments if exp.environments.count(e) > 1})
+    if repeated:
+        raise ConfigError(
+            f"experiment.environments: {', '.join(repeated)} listed more than once; "
+            "their rows would share one label"
         )
     unknown = [s for s in exp.schemes if s not in _POWER_VAR_SCHEMES]
     if unknown:
@@ -355,6 +393,12 @@ def power_var_campaign(
     :func:`~beamtrain.packets.power_trace`,
     :func:`~beamtrain.packets.preamble_samples` and
     :func:`~beamtrain.metrics.power_ratio` gives the same gammas.
+
+    Rows are emitted in their final order and nothing is sorted.  The plan
+    keeps each cell's entries in (packet, field) order; the blocks of one
+    (environment, cell) come in the order of their label strings, each
+    with its runs in index order, and each block's CDF points come out of
+    :meth:`~beamtrain.metrics.EmpiricalCdf.points` in value order.
     """
     started = time.perf_counter()
     _validate_campaign(exp)
@@ -380,37 +424,45 @@ def power_var_campaign(
     gamma_rows: list[tuple] = []
     cdf_rows: list[tuple] = []
 
+    gammas_of: dict[str, np.ndarray] = {}
     for env_idx, env in enumerate(exp.environments):
         env_started = time.perf_counter()
         ch_cfg = replace(exp.channel, los=(env == "los"))
         env_master = derive_seed(derive_seed(exp.master_seed, _POWER_VAR_STREAM), env_idx)
-        gammas = np.empty((exp.runs, len(plan.field_of)))
+        gammas = gammas_of[env] = np.empty((exp.runs, len(plan.field_of)))
         for i in range(exp.runs):
             ch = sample_channel(ch_cfg, derive_seed(env_master, i))
             gammas[i] = _channel_gammas(plan, _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg))
-        labels = {cell: f"power_var/{cell[0]}/{env}/K{cell[1]}" for cell, _ in plan.cells}
-        label_of = [labels[cell] for cell in zip(plan.scheme_of, plan.k_of)]
-        for i, run_gammas in enumerate(gammas.tolist()):
+        log.debug("power-var: %s done in %.3f s", env, time.perf_counter() - env_started)
+
+    # Blocks in label order, runs in index order, entries in (packet, field)
+    # order: the order a sort by (label, run, packet, field) would give.
+    blocks = sorted(
+        (
+            (f"power_var/{scheme}/{env}/K{k}", env, scheme, k, entries, packets, fields)
+            for ((scheme, k), entries), (packets, fields) in zip(plan.cells, plan.cell_labels)
+            for env in exp.environments
+        ),
+        key=itemgetter(0),
+    )
+    for label, env, scheme, k, entries, packets, fields in blocks:
+        cell_gammas = gammas_of[env][:, entries]
+        for i, run_gammas in enumerate(cell_gammas.tolist()):
             gamma_rows.extend(
                 zip(
-                    label_of,
-                    plan.scheme_of,
+                    repeat(label),
+                    repeat(scheme),
                     repeat(env),
-                    plan.k_of,
+                    repeat(k),
                     repeat(i),
-                    plan.packet_of,
-                    plan.field_of,
+                    packets,
+                    fields,
                     run_gammas,
                 )
             )
-        for (scheme, k), entries in plan.cells:
-            cell = labels[(scheme, k)]
-            points = empirical_cdf(gammas[:, entries].ravel()).points()
-            cdf_rows.extend((cell, scheme, env, k, value, frac) for value, frac in points)
-        log.debug("power-var: %s done in %.3f s", env, time.perf_counter() - env_started)
+        points = empirical_cdf(cell_gammas.ravel()).points()
+        cdf_rows.extend((label, scheme, env, k, value, frac) for value, frac in points)
 
-    gamma_rows.sort(key=itemgetter(0, 4, 5, 6))
-    cdf_rows.sort(key=itemgetter(0, 4))
     log.info(
         "power-var: %d runs, %d environments, %d gamma and %d CDF rows in %.3f s",
         exp.runs,
@@ -437,6 +489,11 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
     """
     started = time.perf_counter()
     _validate_campaign(exp)
+    if tuple(exp.schemes) != _POWER_VAR_SCHEMES:
+        raise ConfigError(
+            f"experiment.schemes: quant-sweep always compares {', '.join(_POWER_VAR_SCHEMES)}; "
+            f"got {', '.join(exp.schemes)}"
+        )
     tx_cb = _dft_codebook("array.tx_antennas", exp.tx_antennas, exp.spacing)
     rx_cb = _dft_codebook("array.rx_antennas", exp.rx_antennas, exp.spacing)
     log.info("quant-sweep: %d runs in %s", exp.runs, ", ".join(exp.environments))

@@ -61,12 +61,19 @@ def power_ratio(
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Right-continuous empirical CDF, evaluable at arbitrary points."""
+    """Right-continuous empirical CDF, evaluable at arbitrary points.
+
+    NaN samples are rejected: a CDF over them has no meaning.
+    """
 
     sorted_values: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.sort(np.asarray(self.sorted_values, dtype=float))
+        # np.sort puts every NaN last.
+        if arr.size and math.isnan(arr[-1]):
+            nans = np.count_nonzero(np.isnan(arr))
+            raise ValueError(f"cannot build a CDF from NaN samples: {nans} of {arr.size} are NaN")
         arr.setflags(write=False)
         object.__setattr__(self, "sorted_values", arr)
 
@@ -75,14 +82,19 @@ class EmpiricalCdf:
         return float(frac) if np.isscalar(x) else frac
 
     def points(self) -> list[tuple[float, float]]:
-        """(value, cumulative fraction) pairs at the jump points."""
-        values, counts = np.unique(self.sorted_values, return_counts=True)
-        fracs = np.cumsum(counts) / self.sorted_values.size
-        return [(float(v), float(f)) for v, f in zip(values, fracs)]
+        """(value, cumulative fraction) pairs at the jump points.
+
+        Each value is the first of its run of equal sorted values, and its
+        fraction counts the samples up to the end of the run.
+        """
+        v = self.sorted_values
+        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+        ends = np.append(starts[1:], v.size)
+        return list(zip(v[starts].tolist(), (ends / v.size).tolist()))
 
 
 def empirical_cdf(samples: Sequence[float]) -> EmpiricalCdf:
-    """Empirical CDF of the samples; rejects empty input."""
+    """Empirical CDF of the samples; rejects empty input and NaN samples."""
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot build a CDF from no samples")

@@ -16,6 +16,7 @@ from beamtrain.channel import (
     ChannelRealization,
     LinkBudget,
     Ray,
+    _fold_angle,
     add_noise,
     cascade_gains,
     derive_seed,
@@ -97,6 +98,31 @@ class TestToyChannel:
         assert ch.rays[1].tap == 2
 
 
+def sample_channel_drawing_every_tap(cfg, seed):
+    """sample_channel with one integers(0, spread + 1) draw per ray, even at
+    a spread of 0."""
+    rng = np.random.default_rng(seed)
+    ref = cfg.los_amplitude()
+    rays = []
+    if cfg.los:
+        aod = rng.uniform(0.0, 180.0)
+        aoa = rng.uniform(0.0, 180.0)
+        rays.append(Ray(aod_deg=aod, aoa_deg=aoa, gain=ref, tap=0))
+    for _ in range(cfg.num_clusters):
+        center_aod = rng.uniform(0.0, 180.0)
+        center_aoa = rng.uniform(0.0, 180.0)
+        loss_db = draw_cluster_loss(cfg, rng)
+        cluster_tap = int(rng.integers(0, cfg.max_excess_tap + 1))
+        amp = ref * 10.0 ** (loss_db / 20.0) / math.sqrt(cfg.rays_per_cluster)
+        for _ in range(cfg.rays_per_cluster):
+            aod = _fold_angle(center_aod + rng.normal(0.0, cfg.intra_cluster_angle_std_deg))
+            aoa = _fold_angle(center_aoa + rng.normal(0.0, cfg.intra_cluster_angle_std_deg))
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            tap = cluster_tap + int(rng.integers(0, cfg.intra_cluster_tap_spread + 1))
+            rays.append(Ray(aod_deg=aod, aoa_deg=aoa, gain=amp * np.exp(1j * phase), tap=tap))
+    return ChannelRealization(rays=tuple(rays), los_present=cfg.los, seed=seed)
+
+
 class TestSampleChannel:
     def test_deterministic_under_seed(self):
         cfg = ChannelConfig()
@@ -157,6 +183,20 @@ class TestSampleChannel:
         for seed in range(40):
             for ray in sample_channel(cfg, seed).rays:
                 assert 0 <= ray.tap <= 6
+
+    @pytest.mark.parametrize("spread", [0, 2])
+    @pytest.mark.parametrize("los", [True, False])
+    def test_rays_equal_one_tap_draw_per_ray(self, spread, los):
+        # A spread of 0 draws no tap offset; integers(0, 1) takes nothing
+        # from the stream, so the rays equal those of a sampler that draws
+        # one for every ray.
+        cfg = ChannelConfig(intra_cluster_tap_spread=spread, los=los)
+        for seed in (0, 1, 7, 123, 2**40 + 5):
+            want = sample_channel_drawing_every_tap(cfg, seed)
+            assert sample_channel(cfg, seed) == want
+        assert any(
+            len({r.tap for r in sample_channel(cfg, s).rays}) > 1 for s in range(5)
+        )
 
 
 class TestEndToEndGain:

@@ -2,6 +2,7 @@ import logging
 import math
 import tempfile
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,26 @@ class TestPowerVarCampaign:
         assert first == second
         moved = power_var_campaign(replace(exp, master_seed=2))
         assert moved != first
+
+    @pytest.mark.parametrize("environments", [("los", "nlos"), ("nlos", "los")])
+    def test_rows_come_out_in_sorted_order(self, environments):
+        # K = 3 and 7 leave uneven last packets.  The two 2-beam packets of
+        # K = 3 share the packet group of K = 2, which comes first, so the
+        # entries of a cell reach (packet, field) order only if the plan
+        # puts them there.
+        exp = ExperimentConfig(
+            runs=3,
+            beams_per_packet=(2, 3, 5, 7),
+            environments=environments,
+            channel=ChannelConfig(intra_cluster_tap_spread=4),
+        )
+        _, g_rows, _, c_rows = power_var_campaign(exp)
+        plan = harness._power_var_plan(16, 0.5, exp.beams_per_packet, exp.schemes)
+        assert len(g_rows) == 2 * 3 * len(plan.field_of)
+        assert g_rows == sorted(g_rows)
+        assert g_rows == sorted(g_rows, key=itemgetter(0, 4, 5, 6))
+        assert c_rows == sorted(c_rows)
+        assert c_rows == sorted(c_rows, key=itemgetter(0, 4))
 
 
 def campaign_channels(exp):
@@ -369,6 +390,59 @@ class TestWriteCsv:
             assert path.read_bytes() == want.encode()
 
 
+_PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)
+# Cells by column kind: the first three give columns of one exact type, the
+# last any mix of types, numpy scalars, bool and None among them.
+_CELLS = {
+    "str": st.text(_PRINTABLE, max_size=8),
+    "int": st.one_of(st.integers(), st.integers(min_value=10**12), st.integers(max_value=-(10**12))),
+    "float": st.one_of(
+        st.floats(),
+        st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.2250738585072e-308]),
+    ),
+    "mixed": st.one_of(
+        st.integers(),
+        st.floats(),
+        st.booleans(),
+        st.none(),
+        st.text(_PRINTABLE, max_size=4),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.floats(width=32).map(np.float32),
+    ),
+}
+
+
+@st.composite
+def _tables(draw):
+    """A header and equal-width rows, column by column."""
+    num_rows = draw(st.integers(0, 6))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5)):
+        cells = draw(st.lists(_CELLS[kind], min_size=num_rows, max_size=num_rows))
+        if kind == "int" and cells and draw(st.booleans()):
+            # an int column with one float in it
+            cells[draw(st.integers(0, num_rows - 1))] = draw(_CELLS["float"])
+        columns.append(cells)
+    return [f"c{i}" for i in range(len(columns))], list(zip(*columns))
+
+
+class TestWriteCsvTemplates:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    def test_bytes_equal_a_per_cell_join(self, table):
+        header, rows = table
+        want = ",".join(header) + "\n"
+        want += "".join(",".join(map(harness._fmt_cell, row)) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(Path(tmp) / "t.csv", header, rows)
+            assert path.read_bytes() == want.encode()
+
+    def test_row_lists_and_percent_signs(self, tmp_path):
+        rows = [["5%d", 1, 0.5], ["%s%%", 2, 1e300]]
+        path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+        assert path.read_bytes() == b"a,b,c\n5%d,1,0.5\n%s%%,2,1e+300\n"
+
+
 class TestCli:
     def test_overhead_command(self, tmp_path, capsys):
         code = cli.main(["overhead", "--beams", "1,16", "--out", str(tmp_path)])
@@ -435,6 +509,7 @@ class TestCli:
             ("packet.beams_per_packet = 32", "packet.beams_per_packet"),
             ("experiment.environments = LOS", "experiment.environments"),
             ("experiment.environments = los,indoor", "experiment.environments"),
+            ("experiment.environments = los,nlos,los", "experiment.environments"),
             ("experiment.schemes = 80211ad,psychic", "experiment.schemes"),
             ("experiment.runs = 0", "experiment.runs"),
             ("array.spacing = 0.4", "array.spacing"),
@@ -455,6 +530,9 @@ class TestCli:
             ("array.rx_antennas = 0", "array.rx_antennas"),
             ("array.spacing = 0.4", "array.spacing"),
             ("experiment.schemes = 80211ad, bogus", "experiment.schemes"),
+            ("experiment.schemes = beamcoding", "experiment.schemes"),
+            ("experiment.schemes = beamcoding, 80211ad", "experiment.schemes"),
+            ("experiment.environments = nlos, nlos", "experiment.environments"),
         ],
     )
     def test_quant_sweep_rejects_bad_values_before_drawing(

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrain.metrics import (
+    EmpiricalCdf,
     SnrAggregate,
     aggregate_snr,
     empirical_cdf,
@@ -84,6 +87,34 @@ class TestEmpiricalCdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             empirical_cdf([])
+
+    def test_nan_rejected_with_its_count(self):
+        with pytest.raises(ValueError, match="2 of 5 are NaN"):
+            empirical_cdf([1.0, math.nan, 2.0, -math.nan, 3.0])
+        with pytest.raises(ValueError, match="1 of 1 are NaN"):
+            EmpiricalCdf(np.array([math.nan]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [-math.inf, -2.5, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, 1e300, math.inf]
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_points_equal_unique_and_cumsum(self, samples):
+        # Heavy ties: ten distinct values (two of them equal zeros) over up
+        # to 80 samples.  A run holding both zeros may report either sign,
+        # as np.unique's own sort may too; == compares them as equal.
+        cdf = empirical_cdf(samples)
+        values, counts = np.unique(cdf.sorted_values, return_counts=True)
+        fracs = np.cumsum(counts) / cdf.sorted_values.size
+        want = [(float(v), float(f)) for v, f in zip(values, fracs)]
+        got = cdf.points()
+        assert got == want
+        assert all(type(v) is float and type(f) is float for v, f in got)
 
 
 class TestAggregateSnr:
