@@ -26,6 +26,7 @@ from .array_model import (
 __all__ = [
     "Ray",
     "ChannelRealization",
+    "NormalStream",
     "ChannelConfig",
     "LinkBudget",
     "TOY_NUM_BEAMS",
@@ -83,13 +84,43 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class NormalStream:
+    """The standard normals of ``default_rng(seed)``, drawn on demand and kept.
+
+    A numpy Generator draws its normals one after another, so normals drawn
+    in pieces equal as many drawn at once: every reader of the stream sees
+    what a fresh generator of its own would have drawn.  The generator is
+    made on the first read.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._rng: np.random.Generator | None = None
+        self._normals = _readonly(np.empty(0))
+
+    def read(self, start: int, count: int) -> np.ndarray:
+        """Normals ``start`` to ``start + count - 1`` of the stream, read-only."""
+        end = start + count
+        drawn = len(self._normals)
+        if end > drawn:
+            if self._rng is None:
+                self._rng = np.random.default_rng(self._seed)
+            more = self._rng.standard_normal(end - drawn)
+            self._normals = _readonly(np.concatenate([self._normals, more]))
+        return self._normals[start:end]
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """An immutable tuple of rays plus the seed that produced it.
 
-    The ray geometry (angle, gain and tap arrays, the tap count and the
-    steering matrices) is derived from the rays on first use and kept,
-    read-only, for every later cascade through the same realization.
+    Everything derived from the rays alone is computed on first use and
+    kept, read-only, for every later use of the same realization: the ray
+    geometry (angle, gain and tap arrays, the tap count), the steering
+    matrices, the gain table of every pair of weight matrices passed to
+    :meth:`gain_table`, and the noise streams of :meth:`normal_stream`.
+    Training runs on one realization therefore share their cascades and
+    their noise draws.
     """
 
     rays: tuple[Ray, ...]
@@ -103,7 +134,7 @@ class ChannelRealization:
 
     # cached_property stores into the instance __dict__, past the frozen
     # __setattr__; dataclasses.replace makes a new instance, which derives
-    # its own geometry.
+    # its own geometry, tables and streams.
     @functools.cached_property
     def aods_deg(self) -> np.ndarray:
         """Departure angle of every ray, in ray order."""
@@ -129,19 +160,46 @@ class ChannelRealization:
         return int(self.taps.max()) + 1 if self.rays else 1
 
     @functools.cached_property
-    def _steering(self) -> dict[tuple[str, int, float], np.ndarray]:
+    def _cache(self) -> dict[tuple, object]:
+        """Steering matrices, gain tables and noise streams, each keyed by
+        its kind first."""
         return {}
 
     def steering_matrix(self, end: str, cfg: ArrayConfig) -> np.ndarray:
         """Read-only responses of an array at one end of the link ("tx" at
         the departure angles, "rx" at the arrival angles), shape
         (antennas, rays); built once per (end, antennas, spacing)."""
-        key = (end, cfg.num_antennas, cfg.spacing)
-        matrix = self._steering.get(key)
+        key = ("steering", end, cfg.num_antennas, cfg.spacing)
+        matrix = self._cache.get(key)
         if matrix is None:
             angles = {"tx": self.aods_deg, "rx": self.aoas_deg}[end]
-            matrix = self._steering[key] = _readonly(_steering_matrix(angles, cfg))
+            matrix = self._cache[key] = _readonly(_steering_matrix(angles, cfg))
         return matrix
+
+    def gain_table(
+        self,
+        tx_weights: np.ndarray,
+        rx_weights: np.ndarray,
+        tx_cfg: ArrayConfig,
+        rx_cfg: ArrayConfig,
+    ) -> np.ndarray:
+        """Read-only :func:`cascade_gains` of two weight matrices through
+        this realization, computed once per (weight bytes, array configs)."""
+        tx = np.ascontiguousarray(tx_weights, dtype=np.complex128)
+        rx = np.ascontiguousarray(rx_weights, dtype=np.complex128)
+        key = ("gains", tx.tobytes(), rx.tobytes(), tx_cfg, rx_cfg)
+        table = self._cache.get(key)
+        if table is None:
+            table = self._cache[key] = _readonly(cascade_gains(tx, rx, self, tx_cfg, rx_cfg))
+        return table
+
+    def normal_stream(self, seed: int) -> NormalStream:
+        """The one :class:`NormalStream` of ``seed`` on this realization."""
+        key = ("normals", seed)
+        stream = self._cache.get(key)
+        if stream is None:
+            stream = self._cache[key] = NormalStream(seed)
+        return stream
 
 
 @dataclass(frozen=True)
@@ -273,25 +331,31 @@ def sample_channel(cfg: ChannelConfig, seed: int) -> ChannelRealization:
     truncation cap, an excess delay tap, and ``rays_per_cluster`` rays
     spread Gaussian around the center with uniform phases.  The LOS ray, if
     present, sits at tap 0 with phase 0.
+
+    Zero-offset draws scale ``random`` and ``standard_normal`` by hand:
+    ``uniform(0, b)`` and ``normal(0, s)`` compute ``0 + b * u`` and
+    ``0 + s * z`` from the same state, so the rays are the same, bit for
+    bit, and each draw skips the generic offset-and-scale path.
     """
     rng = np.random.default_rng(seed)
     ref = cfg.los_amplitude()
     spread = cfg.intra_cluster_tap_spread
+    angle_std = cfg.intra_cluster_angle_std_deg
     rays: list[Ray] = []
     if cfg.los:
-        aod = rng.uniform(0.0, 180.0)
-        aoa = rng.uniform(0.0, 180.0)
+        aod = 180.0 * rng.random()
+        aoa = 180.0 * rng.random()
         rays.append(Ray(aod_deg=aod, aoa_deg=aoa, gain=ref, tap=0))
     for _ in range(cfg.num_clusters):
-        center_aod = rng.uniform(0.0, 180.0)
-        center_aoa = rng.uniform(0.0, 180.0)
+        center_aod = 180.0 * rng.random()
+        center_aoa = 180.0 * rng.random()
         loss_db = draw_cluster_loss(cfg, rng)
         cluster_tap = int(rng.integers(0, cfg.max_excess_tap + 1))
         amp = ref * 10.0 ** (loss_db / 20.0) / math.sqrt(cfg.rays_per_cluster)
         for _ in range(cfg.rays_per_cluster):
-            aod = _fold_angle(center_aod + rng.normal(0.0, cfg.intra_cluster_angle_std_deg))
-            aoa = _fold_angle(center_aoa + rng.normal(0.0, cfg.intra_cluster_angle_std_deg))
-            phase = rng.uniform(0.0, 2.0 * math.pi)
+            aod = _fold_angle(center_aod + angle_std * rng.standard_normal())
+            aoa = _fold_angle(center_aoa + angle_std * rng.standard_normal())
+            phase = 2.0 * math.pi * rng.random()
             # integers(0, 1) draws nothing from the stream, so skipping it
             # leaves every later draw as it was.
             tap = cluster_tap + (int(rng.integers(0, spread + 1)) if spread else 0)

@@ -33,7 +33,7 @@ from .array_model import (
     superpose_beams,
 )
 from .beam_coding import GolayPair, build_schedule, ce_field_powers, golay_pair, walsh_codes
-from .channel import derive_seed, sample_channel, toy_channel, toy_codebooks
+from .channel import ChannelRealization, derive_seed, sample_channel, toy_channel, toy_codebooks
 from .experiment import ConfigError, ExperimentConfig
 from .metrics import aggregate_snr, empirical_cdf
 from .packets import (
@@ -91,10 +91,10 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     Each column gets one printf spec, found once from its set of cell types.
     A column of any other type, or of mixed types (bool and numpy scalars
     included), is turned into text cell by cell with _fmt_cell first.  Each
-    row is then one ``template % row``; rows may differ in length.
+    row is then one ``template % row``; rows may be shorter than the
+    header, and a row wider than it raises ValueError.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = list(map(tuple, rows))
     specs = []
     text_columns = set()
@@ -105,6 +105,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
             spec = "%s"
             text_columns.add(i)
         specs.append(spec)
+    if len(specs) > len(header):
+        raise ValueError(f"a row has {len(specs)} cells, the header only {len(header)}")
     if text_columns:
         rows = [
             tuple(_fmt_cell(v) if i in text_columns else v for i, v in enumerate(row))
@@ -113,6 +115,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     body = "".join(
         ["".join(map((",".join(specs[:n]) + "\n").__mod__, run)) for n, run in groupby(rows, len)]
     )
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n" + body)
     return path
@@ -234,17 +237,15 @@ class _PowerVarPlan:
     """Everything in a power-var campaign that does not depend on the channel.
 
     The gammas of one channel form a vector laid out group by group, then
-    packet by packet and field by field; ``scheme_of``, ``k_of``,
-    ``packet_of`` and ``field_of`` label its entries.  ``cells`` lists the
-    entries of each (scheme, beams per packet) cell in (packet, field)
-    order, and ``cell_labels`` their packets and fields in the same order.
+    packet by packet and field by field; ``packet_of`` and ``field_of``
+    label its entries.  ``cells`` lists the entries of each (scheme, beams
+    per packet) cell in (packet, field) order, and ``cell_labels`` their
+    packets and fields in the same order.
     """
 
     weights: np.ndarray  # distinct field and preamble weights, (F, tx antennas)
     preamble_rows: np.ndarray  # rows of ``weights`` that some preamble rides
     groups: tuple[_PacketGroup, ...]
-    scheme_of: tuple[str, ...]
-    k_of: tuple[int, ...]
     packet_of: tuple[int, ...]
     field_of: tuple[int, ...]
     cells: tuple[tuple[tuple[str, int], np.ndarray], ...]
@@ -289,7 +290,7 @@ def _power_var_plan(
                     (scheme, k, packet_idx, fields, preamble)
                 )
     groups = []
-    labels: list[tuple[str, int, int, int]] = []
+    labels: list[tuple[int, int]] = []
     cells: dict[tuple[str, int], list[int]] = {}
     for members in shapes.values():
         groups.append(
@@ -300,8 +301,8 @@ def _power_var_plan(
         )
         for scheme, k, packet_idx, fields, _ in members:
             cells.setdefault((scheme, k), []).extend(range(len(labels), len(labels) + len(fields)))
-            labels.extend((scheme, k, packet_idx, field) for field in range(len(fields)))
-    scheme_of, k_of, packet_of, field_of = zip(*labels)
+            labels.extend((packet_idx, field) for field in range(len(fields)))
+    packet_of, field_of = zip(*labels)
     for entries in cells.values():
         entries.sort(key=lambda e: (packet_of[e], field_of[e]))
     # The keys are the weights' bytes in row order; the cached plan is
@@ -311,8 +312,6 @@ def _power_var_plan(
         weights=weights.reshape(len(row_of), tx_antennas),
         preamble_rows=_readonly(sorted({r for g in groups for r in g.preambles.flat})),
         groups=tuple(groups),
-        scheme_of=scheme_of,
-        k_of=k_of,
         packet_of=packet_of,
         field_of=field_of,
         cells=tuple((cell, _readonly(entries)) for cell, entries in cells.items()),
@@ -474,6 +473,13 @@ def power_var_campaign(
     return gamma_header, gamma_rows, cdf_header, cdf_rows
 
 
+def _linear_snrs(
+    cfgs: Sequence[ProtocolConfig], ch: ChannelRealization, seed: int
+) -> list[float]:
+    """The linear SNR of each config's run on one channel."""
+    return [10.0 ** (run(cfg, ch, seed).snr_db / 10.0) for cfg in cfgs]
+
+
 def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]:
     """Aggregate SNR versus phase-quantization bits, coded training against
     the exhaustive packet-by-packet upper bound.
@@ -486,6 +492,13 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
     protocol configs, and with them their training weights, are shared by
     both environments.  Every training run, the baseline's included, goes
     through :func:`~beamtrain.protocols.run`.
+
+    The loop is channel-major: each channel is drawn, trained by the
+    baseline and then at every bit width, and dropped before the next is
+    drawn, so only one realization and its cached gain tables is alive at
+    a time.  The coded runs report their SNR from the baseline's table of
+    the clean codebooks.  Each config's SNRs are aggregated in channel
+    order, as a config-major loop would.
     """
     started = time.perf_counter()
     _validate_campaign(exp)
@@ -503,8 +516,8 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
         scheme=Scheme.EXHAUSTIVE_PBP,
         snr_budget=exp.budget,
     )
-    coded_cfgs = [
-        (bits, replace(base_cfg, scheme=Scheme.EXHAUSTIVE_BEAMCODING, quantize_bits=bits))
+    configs = [base_cfg] + [
+        replace(base_cfg, scheme=Scheme.EXHAUSTIVE_BEAMCODING, quantize_bits=bits)
         for bits in exp.quant_bits
     ]
     header = ["experiment", "environment", "bits", "scheme", "runs", "snr_db"]
@@ -514,22 +527,14 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
         env_started = time.perf_counter()
         ch_cfg = replace(exp.channel, los=(env == "los"))
         env_master = derive_seed(derive_seed(exp.master_seed, _QUANT_SWEEP_STREAM), env_idx)
-        channels = [
-            sample_channel(ch_cfg, derive_seed(env_master, i)) for i in range(exp.runs)
+        per_channel = [
+            _linear_snrs(configs, sample_channel(ch_cfg, derive_seed(env_master, i)), i)
+            for i in range(exp.runs)
         ]
-
-        nbf_snrs = [
-            10.0 ** (run(base_cfg, ch, i).snr_db / 10.0)
-            for i, ch in enumerate(channels)
-        ]
-        nbf_db = 10.0 * math.log10(aggregate_snr(nbf_snrs))
-
-        for bits, coded_cfg in coded_cfgs:
-            snrs = [
-                10.0 ** (run(coded_cfg, ch, i).snr_db / 10.0)
-                for i, ch in enumerate(channels)
-            ]
-            coded_db = 10.0 * math.log10(aggregate_snr(snrs))
+        nbf_db, *coded_dbs = (
+            10.0 * math.log10(aggregate_snr(snrs)) for snrs in zip(*per_channel)
+        )
+        for bits, coded_db in zip(exp.quant_bits, coded_dbs):
             bits_label = "inf" if bits is None else str(bits)
             cell = f"quant_sweep/{env}"
             rows.append((cell, env, bits_label, "beamcoding", exp.runs, coded_db))

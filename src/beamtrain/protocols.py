@@ -7,12 +7,23 @@ post-selection SNR.
 
 Every weight a runner trains with depends on the config alone: the
 transformed codebooks, the Walsh-coded field weights with their chips,
-the sector beams and the receive composite.  A config builds each of them
-once, on first use, into a read-only plan per end of the link and reuses
-it for every channel; all estimates come from one
-:func:`~beamtrain.channel.cascade_gains` call per training stage, and every
-stage of every scheme reuses the ray geometry and steering matrices the
-channel derived on its first cascade.  Coded fields are decoded with
+the sector beams, the receive composite and the clean codebooks the SNR
+is reported with.  A config builds each of them once, on first use, into
+a read-only plan per end of the link and reuses it for every channel.
+
+Everything else depends on the channel alone, and the realization keeps
+it for every run on it (see
+:class:`~beamtrain.channel.ChannelRealization`).  A stage's estimates come
+from the realization's gain table of its two weight matrices, computed
+once per pair of matrices: the exhaustive schemes read the whole
+codebook table, feedback in-packet training reads its best row, and the
+SNR of every scheme reads its pair's entry of the clean-codebook table,
+which is that same table when no transform is set.  The multilevel fine
+stage keeps a cascade of its own, because entries sliced out of the
+whole table round differently in the last bit.  Measurement noise comes
+from the realization's one stream per seed: every run reads its stages
+as consecutive slices from the start of the stream, just as if it drew
+them from a fresh generator.  Coded fields are decoded with
 :func:`~beamtrain.beam_coding.walsh_decode`.
 
 Measurement model: each training field yields one channel estimate per
@@ -47,14 +58,7 @@ from .array_model import (
     superpose_beams,
 )
 from .beam_coding import CorrelationMatrix, build_schedule, walsh_codes, walsh_decode
-from .channel import (
-    ChannelRealization,
-    LinkBudget,
-    Ray,
-    cascade_gains,
-    derive_seed,
-    end_to_end_gain,
-)
+from .channel import ChannelRealization, LinkBudget, Ray, derive_seed
 from .packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING
 
 __all__ = [
@@ -207,6 +211,12 @@ class _TrainingPlan:
         return _weight_matrix(self._cfg, self._codebook.vectors)
 
     @functools.cached_property
+    def clean(self) -> np.ndarray:
+        """Untransformed codebook, (beams, antennas), for the SNR report; it
+        has the bytes of ``weights`` when no transform is set."""
+        return _readonly(self._codebook.matrix())
+
+    @functools.cached_property
     def coded(self) -> tuple[np.ndarray, np.ndarray]:
         """Transformed field weights (T, antennas) of the Walsh-coded
         codebook, and the chips (K, T) that tag its beams."""
@@ -243,25 +253,38 @@ def _field_noise_std(cfg: ProtocolConfig) -> float:
     return math.sqrt(cfg.noise.noise_to_signal / cfg.ce_chips) / math.sqrt(n_tx * n_rx)
 
 
-def _estimate_table(
-    cfg: ProtocolConfig,
-    ch: ChannelRealization,
-    rng: np.random.Generator,
-    tx_weights: np.ndarray,
-    rx_weights: np.ndarray,
+def _table(
+    cfg: ProtocolConfig, ch: ChannelRealization, tx_weights: np.ndarray, rx_weights: np.ndarray
 ) -> np.ndarray:
-    """Noisy per-tap field estimates, shape (num_taps, len(tx), len(rx))."""
-    tx_cfg, rx_cfg = cfg.tx_codebook.cfg, cfg.rx_codebook.cfg
-    est = cascade_gains(tx_weights, rx_weights, ch, tx_cfg, rx_cfg) / math.sqrt(
-        tx_cfg.num_antennas * rx_cfg.num_antennas
-    )
+    """The realization's read-only gain table, (num_taps, len(tx), len(rx))."""
+    return ch.gain_table(tx_weights, rx_weights, cfg.tx_codebook.cfg, cfg.rx_codebook.cfg)
+
+
+class _Noise:
+    """One run's reader of the realization's measurement-noise stream: the
+    run's stages read consecutive slices, from the start of the stream."""
+
+    def __init__(self, ch: ChannelRealization, seed: int) -> None:
+        self._stream = ch.normal_stream(derive_seed(seed, _NOISE_STREAM))
+        self._offset = 0
+
+    def next(self, shape: tuple[int, ...]) -> np.ndarray:
+        count = math.prod(shape)
+        normals = self._stream.read(self._offset, count)
+        self._offset += count
+        return normals.reshape(shape)
+
+
+def _estimate_table(cfg: ProtocolConfig, table: np.ndarray, noise: _Noise) -> np.ndarray:
+    """Noisy per-tap field estimates from a raw gain table, in a new array
+    of the same shape."""
+    est = table / math.sqrt(cfg.tx_codebook.cfg.num_antennas * cfg.rx_codebook.cfg.num_antennas)
     sigma = _field_noise_std(cfg)
     if sigma > 0.0:
         # One draw holds the real parts, then the imaginary parts.
-        noise = rng.standard_normal((2, *est.shape))
-        noise *= sigma / math.sqrt(2.0)
-        est.real += noise[0]
-        est.imag += noise[1]
+        normals = noise.next((2, *est.shape)) * (sigma / math.sqrt(2.0))
+        est.real += normals[0]
+        est.imag += normals[1]
     return est
 
 
@@ -269,13 +292,7 @@ def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] |
     budget = cfg.budget_for_snr()
     if budget is None or pair is None:
         return float("nan") if pair is not None else -math.inf
-    taps = end_to_end_gain(
-        cfg.tx_codebook.vectors[pair[0]],
-        cfg.rx_codebook.vectors[pair[1]],
-        ch,
-        cfg.tx_codebook.cfg,
-        cfg.rx_codebook.cfg,
-    )
+    taps = _table(cfg, ch, cfg._tx_plan.clean, cfg._rx_plan.clean)[:, pair[0], pair[1]]
     p_rel = float(np.sum(np.abs(taps) ** 2))
     if p_rel <= 0.0:
         return -math.inf
@@ -309,8 +326,8 @@ def run_exhaustive_pbp(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> TrainingOutcome:
     """One packet per beam pair, (p, q) ordered; the performance yardstick."""
-    rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    est = _estimate_table(cfg, ch, rng, cfg._tx_plan.weights, cfg._rx_plan.weights)
+    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
+    est = _estimate_table(cfg, table, _Noise(ch, seed))
     power = np.sum(np.abs(est) ** 2, axis=0)
     success = _passes_detection(cfg, float(np.max(np.abs(est))))
     pair = _argmax_pair(power) if success else None
@@ -359,18 +376,19 @@ def run_multilevel_pbp(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> TrainingOutcome:
     """Two-level search: wide sector beams first, fine beams inside the winner."""
-    rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
+    noise = _Noise(ch, seed)
     tx_wide, tx_groups = cfg._tx_plan.sectors
     rx_wide, rx_groups = cfg._rx_plan.sectors
 
-    est1 = _estimate_table(cfg, ch, rng, tx_wide, rx_wide)
+    est1 = _estimate_table(cfg, _table(cfg, ch, tx_wide, rx_wide), noise)
     power1 = np.sum(np.abs(est1) ** 2, axis=0)
     s_tx, s_rx = _argmax_pair(power1)
 
     fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
-    est2 = _estimate_table(
-        cfg, ch, rng, cfg._tx_plan.weights[fine_tx], cfg._rx_plan.weights[fine_rx]
-    )
+    # A cascade of its own: the same entries sliced out of the whole
+    # codebook table differ in the last bit.
+    fine = _table(cfg, ch, cfg._tx_plan.weights[fine_tx], cfg._rx_plan.weights[fine_rx])
+    est2 = _estimate_table(cfg, fine, noise)
     power2 = np.sum(np.abs(est2) ** 2, axis=0)
     success = _passes_detection(cfg, float(np.max(np.abs(est2))))
     local = _argmax_pair(power2)
@@ -399,8 +417,8 @@ def run_exhaustive_inpacket(
     Recovers the full beam-pair gain table, so noiselessly it agrees with
     packet-by-packet search entry for entry.
     """
-    rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    est = _estimate_table(cfg, ch, rng, cfg._tx_plan.weights, cfg._rx_plan.weights)
+    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
+    est = _estimate_table(cfg, table, _Noise(ch, seed))
     power = np.sum(np.abs(est) ** 2, axis=0)
     success = _passes_detection(cfg, float(np.max(np.abs(est))))
     pair = _argmax_pair(power) if success else None
@@ -424,14 +442,15 @@ def run_feedback_inpacket(
 ) -> TrainingOutcome:
     """Two-packet training: transmit sweep into a composite receiver, then a
     receive sweep at the fed-back transmit beam."""
-    rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-    tx_ws = cfg._tx_plan.weights
-    est1 = _estimate_table(cfg, ch, rng, tx_ws, cfg._rx_plan.composite)
+    noise = _Noise(ch, seed)
+    tx_ws, rx_ws = cfg._tx_plan.weights, cfg._rx_plan.weights
+    est1 = _estimate_table(cfg, _table(cfg, ch, tx_ws, cfg._rx_plan.composite), noise)
     power1 = np.sum(np.abs(est1) ** 2, axis=0)[:, 0]
     stage1_ok = _passes_detection(cfg, float(np.max(np.abs(est1))))
     best_tx = int(np.argmax(power1))
 
-    est2 = _estimate_table(cfg, ch, rng, tx_ws[best_tx : best_tx + 1], cfg._rx_plan.weights)
+    table = _table(cfg, ch, tx_ws, rx_ws)
+    est2 = _estimate_table(cfg, table[:, best_tx : best_tx + 1, :], noise)
     power2 = np.sum(np.abs(est2) ** 2, axis=0)[0, :]
     stage2_ok = _passes_detection(cfg, float(np.max(np.abs(est2))))
     success = stage1_ok and stage2_ok
@@ -465,9 +484,8 @@ def run_exhaustive_beamcoding(
     The correlation r[p, q] carries the documented T/sqrt(K) scale on top
     of the beam-pair gain, so the two-path toy decodes to exactly 2 and 2a.
     """
-    rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
     tx_fields, chips = cfg._tx_plan.coded
-    est = _estimate_table(cfg, ch, rng, tx_fields, cfg._rx_plan.weights)
+    est = _estimate_table(cfg, _table(cfg, ch, tx_fields, cfg._rx_plan.weights), _Noise(ch, seed))
     r = walsh_decode(chips, est)
     power = np.sum(np.abs(r) ** 2, axis=0)
     t = len(tx_fields)
@@ -497,9 +515,9 @@ def run_feedback_beamcoding(
 ) -> TrainingOutcome:
     """Two-packet coded training: coded transmit beams into a composite
     receiver, feedback, then coded receive beams at the chosen transmit beam."""
-    rng = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
+    noise = _Noise(ch, seed)
     tx_fields, tx_chips = cfg._tx_plan.coded
-    est1 = _estimate_table(cfg, ch, rng, tx_fields, cfg._rx_plan.composite)
+    est1 = _estimate_table(cfg, _table(cfg, ch, tx_fields, cfg._rx_plan.composite), noise)
     r1 = walsh_decode(tx_chips, est1)[:, :, 0]
     power1 = np.sum(np.abs(r1) ** 2, axis=0)
     stage1_ok = _passes_detection(
@@ -509,7 +527,7 @@ def run_feedback_beamcoding(
 
     rx_fields, rx_chips = cfg._rx_plan.coded
     tx_best = cfg._tx_plan.weights[best_tx : best_tx + 1]
-    est2 = _estimate_table(cfg, ch, rng, tx_best, rx_fields)
+    est2 = _estimate_table(cfg, _table(cfg, ch, tx_best, rx_fields), noise)
     # Receive-side coding: fields vary the receiver weights, so decode along
     # the receive axis.
     r2 = walsh_decode(rx_chips, est2, axis=2)[:, 0, :]

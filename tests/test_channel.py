@@ -15,6 +15,7 @@ from beamtrain.channel import (
     ChannelConfig,
     ChannelRealization,
     LinkBudget,
+    NormalStream,
     Ray,
     _fold_angle,
     add_noise,
@@ -99,8 +100,8 @@ class TestToyChannel:
 
 
 def sample_channel_drawing_every_tap(cfg, seed):
-    """sample_channel with one integers(0, spread + 1) draw per ray, even at
-    a spread of 0."""
+    """sample_channel with the generic uniform(0, b) and normal(0, s) draws,
+    and one integers(0, spread + 1) draw per ray, even at a spread of 0."""
     rng = np.random.default_rng(seed)
     ref = cfg.los_amplitude()
     rays = []
@@ -123,7 +124,31 @@ def sample_channel_drawing_every_tap(cfg, seed):
     return ChannelRealization(rays=tuple(rays), los_present=cfg.los, seed=seed)
 
 
+def ray_bits(ch):
+    return [
+        (r.aod_deg.hex(), r.aoa_deg.hex(), r.gain.real.hex(), r.gain.imag.hex(), r.tap)
+        for r in ch.rays
+    ]
+
+
 class TestSampleChannel:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ChannelConfig(),
+            ChannelConfig(los=False),
+            ChannelConfig(intra_cluster_tap_spread=4, num_clusters=7, rays_per_cluster=5),
+            ChannelConfig(cluster_loss_truncation_db=-9.0),
+        ],
+        ids=["los", "nlos", "spread4", "truncated"],
+    )
+    def test_rays_equal_uniform_and_normal_draws_bit_for_bit(self, cfg):
+        # b * random() and s * standard_normal() are uniform(0, b) and
+        # normal(0, s) without the zero offset
+        for seed in range(200):
+            want = sample_channel_drawing_every_tap(cfg, derive_seed(31, seed))
+            assert ray_bits(sample_channel(cfg, derive_seed(31, seed))) == ray_bits(want)
+
     def test_deterministic_under_seed(self):
         cfg = ChannelConfig()
         a = sample_channel(cfg, 1234)
@@ -446,6 +471,31 @@ class TestAddNoise:
         budget = LinkBudget()
         samples = np.ones(64, dtype=complex)
         assert np.array_equal(add_noise(samples, budget, 9), add_noise(samples, budget, 9))
+
+
+class TestNormalStream:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=3), min_size=1, max_size=6),
+    )
+    def test_slices_equal_successive_draws(self, seed, shapes):
+        rng = np.random.default_rng(seed)
+        want = [rng.standard_normal((2, *shape)) for shape in shapes]
+        stream = NormalStream(seed)
+        for _ in range(2):  # the second pass reads what the first one drew
+            offset = 0
+            for draw in want:
+                got = stream.read(offset, draw.size).reshape(draw.shape)
+                offset += draw.size
+                assert got.tobytes() == draw.tobytes()
+                assert not got.flags.writeable
+
+    def test_one_stream_per_seed_per_realization(self):
+        ch = sample_channel(ChannelConfig(), 3)
+        assert ch.normal_stream(5) is ch.normal_stream(5)
+        assert ch.normal_stream(6) is not ch.normal_stream(5)
+        assert dataclasses.replace(ch).normal_stream(5) is not ch.normal_stream(5)
 
 
 class TestDeriveSeed:

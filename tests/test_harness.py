@@ -1,6 +1,7 @@
 import logging
 import math
 import tempfile
+import weakref
 from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
@@ -259,13 +260,22 @@ class TestPowerVarPlan:
 
     def test_layout_labels_and_read_only_arrays(self):
         schemes = ("80211ad", "beamcoding")
-        plan = harness._power_var_plan(16, 0.5, (1, 2, 4, 8, 16), schemes)
+        beams_per_packet = (1, 2, 4, 8, 16)
+        plan = harness._power_var_plan(16, 0.5, beams_per_packet, schemes)
         assert len(plan.field_of) == 160
         assert sum(g.fields.size for g in plan.groups) == 160
-        for (scheme, k), entries in plan.cells:
-            assert {plan.scheme_of[e] for e in entries} == {scheme}
-            assert {plan.k_of[e] for e in entries} == {k}
+        assert sorted(cell for cell, _ in plan.cells) == sorted(
+            (scheme, k) for scheme in schemes for k in beams_per_packet
+        )
+        # every entry belongs to exactly one cell
+        entries_of_cells = [e for _, entries in plan.cells for e in entries.tolist()]
+        assert sorted(entries_of_cells) == list(range(160))
+        for ((scheme, k), entries), (packets, fields) in zip(plan.cells, plan.cell_labels):
             assert len(entries) == 16
+            assert packets == tuple(plan.packet_of[e] for e in entries)
+            assert fields == tuple(plan.field_of[e] for e in entries)
+            # K beams per packet: 16 / K packets of K fields each, in order
+            assert list(zip(packets, fields)) == [(p, f) for p in range(16 // k) for f in range(k)]
         arrays = [plan.weights, plan.preamble_rows]
         arrays += [g.preambles for g in plan.groups] + [g.fields for g in plan.groups]
         arrays += [entries for _, entries in plan.cells]
@@ -327,6 +337,21 @@ class TestQuantSweepCampaign:
         # the unquantized baseline repeats across the bits axis
         assert by_bits[("2", "nbf")] == pytest.approx(by_bits[("inf", "nbf")])
 
+    def test_one_realization_alive_at_a_time(self, monkeypatch):
+        drawn = []
+
+        def tracking_sample_channel(cfg, seed):
+            assert not [ref for ref in drawn if ref() is not None], "a drawn channel is alive"
+            ch = sample_channel(cfg, seed)
+            drawn.append(weakref.ref(ch))
+            return ch
+
+        exp = small_experiment(environments=("los", "nlos"))
+        want = quant_sweep_campaign(exp)
+        monkeypatch.setattr(harness, "sample_channel", tracking_sample_channel)
+        assert quant_sweep_campaign(exp) == want
+        assert len(drawn) == 6
+
 
 class TestTrainOnce:
     def test_toy_summary(self):
@@ -384,10 +409,18 @@ class TestWriteCsv:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.lists(st.floats(), min_size=1, max_size=4), max_size=6))
     def test_float_rows_write_twelve_significant_digits(self, rows):
-        want = "a\n" + "".join(",".join(f"{float(v):.12g}" for v in row) + "\n" for row in rows)
+        header = ["a", "b", "c", "d"]
+        want = "a,b,c,d\n"
+        want += "".join(",".join(f"{float(v):.12g}" for v in row) + "\n" for row in rows)
         with tempfile.TemporaryDirectory() as tmp:
-            path = write_csv(Path(tmp) / "t.csv", ["a"], rows)
+            path = write_csv(Path(tmp) / "t.csv", header, rows)
             assert path.read_bytes() == want.encode()
+
+    def test_rejects_a_row_wider_than_the_header(self, tmp_path):
+        path = tmp_path / "out" / "t.csv"
+        with pytest.raises(ValueError, match="3 cells, the header only 2"):
+            write_csv(path, ["a", "b"], [(1, 2), (1, 2, 3)])
+        assert not path.parent.exists()
 
 
 _PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)

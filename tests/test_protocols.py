@@ -23,6 +23,7 @@ from beamtrain.channel import (
     ChannelRealization,
     LinkBudget,
     Ray,
+    cascade_gains,
     derive_seed,
     end_to_end_gain,
     pair_gain_table,
@@ -420,19 +421,27 @@ class TestDispatcher:
             assert a.snr_db == b.snr_db
 
 
+def _bits(value):
+    """A value's exact bits: dtype, shape and bytes of an array, the bytes
+    of a float (so that -0.0 and nan compare as they are stored)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
 def assert_outcomes_equal(a, b):
+    """Every field of two outcomes holds the same bits."""
     for f in dataclasses.fields(TrainingOutcome):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "power_traces":
-            assert len(x) == len(y)
-            assert all(np.array_equal(u, v) for u, v in zip(x, y)), f.name
+            assert [_bits(u) for u in x] == [_bits(v) for v in y], f.name
         elif f.name == "correlation":
             assert (x is None) == (y is None), f.name
-            assert x is None or np.array_equal(x.r, y.r), f.name
-        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            assert np.array_equal(x, y), f.name
+            assert x is None or _bits(x.r) == _bits(y.r), f.name
         else:
-            assert x == y, f.name
+            assert _bits(x) == _bits(y), f.name
 
 
 class TestTrainingPlan:
@@ -579,6 +588,96 @@ class TestChannelGeometryCache:
             # six schemes, 9 training stages and 6 SNR reports: one
             # transmit and one receive matrix
             assert len(calls) == 2 * (i + 1)
+
+
+class TestSharedRealization:
+    """Every run on one realization reads its gain tables and its noise
+    stream; no run may see what another left behind."""
+
+    budget = LinkBudget(tx_power_dbm=-10.0)
+
+    def configs(self, **kwargs):
+        cb = dft_codebook(ArrayConfig(16))
+        return [
+            ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=s, noise=self.budget, **kwargs)
+            for s in Scheme
+        ]
+
+    @pytest.mark.parametrize("quantize_bits", [None, 2])
+    def test_outcomes_do_not_depend_on_run_order(self, quantize_bits):
+        cfgs = self.configs(quantize_bits=quantize_bits)
+        for i in range(8):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(909, i))
+            shared = [run(cfg, ch, i) for cfg in cfgs]
+            # the last scheme first: the noise stream grows run by run
+            backwards = dataclasses.replace(ch)
+            shared_backwards = [run(cfg, backwards, i) for cfg in reversed(cfgs)][::-1]
+            alone = [run(cfg, dataclasses.replace(ch), i) for cfg in reversed(cfgs)][::-1]
+            for out, other, own in zip(shared, shared_backwards, alone):
+                assert_outcomes_equal(out, own)
+                assert_outcomes_equal(other, own)
+
+    @pytest.mark.parametrize("spread", [0, 4])
+    def test_table_slices_equal_direct_cascades(self, spread):
+        tx_cb, rx_cb = dft_codebook(ArrayConfig(16)), dft_codebook(ArrayConfig(4))
+        cfg = ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=Scheme.FEEDBACK_INPACKET)
+        quantized = dataclasses.replace(cfg, quantize_bits=3)
+        tx_w, rx_w = cfg._tx_plan.weights, cfg._rx_plan.weights
+        for i in range(6):
+            ch_cfg = ChannelConfig(los=i % 2 == 0, intra_cluster_tap_spread=spread)
+            ch = sample_channel(ch_cfg, derive_seed(1010, i))
+            table = ch.gain_table(tx_w, rx_w, tx_cb.cfg, rx_cb.cfg)
+            assert not table.flags.writeable
+            direct = cascade_gains(tx_w, rx_w, dataclasses.replace(ch), tx_cb.cfg, rx_cb.cfg)
+            assert _bits(table) == _bits(direct)
+            # keyed on the weights' bytes, so the clean codebooks of any
+            # config read the same entry
+            assert ch.gain_table(tx_w.copy(), rx_w.copy(), tx_cb.cfg, rx_cb.cfg) is table
+            for plan_cfg in (cfg, quantized):
+                clean = (plan_cfg._tx_plan.clean, plan_cfg._rx_plan.clean)
+                assert ch.gain_table(*clean, tx_cb.cfg, rx_cb.cfg) is table
+            for p in range(len(tx_cb)):
+                row = cascade_gains(tx_w[p : p + 1], rx_w, ch, tx_cb.cfg, rx_cb.cfg)
+                assert _bits(table[:, p : p + 1, :]) == _bits(row)
+                for q in range(len(rx_cb)):
+                    taps = end_to_end_gain(
+                        tx_cb.vectors[p], rx_cb.vectors[q], ch, tx_cb.cfg, rx_cb.cfg
+                    )
+                    assert _bits(table[:, p, q]) == _bits(taps)
+
+    def test_scheme_mix_operation_makes_seven_cascades(self, monkeypatch):
+        cascades, generators = [], []
+        cascade, default_rng = channel.cascade_gains, np.random.default_rng
+
+        def counting_cascade(*args):
+            cascades.append(1)
+            return cascade(*args)
+
+        def counting_default_rng(seed):
+            generators.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(channel, "cascade_gains", counting_cascade)
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        cfgs = self.configs()
+        for i in range(4):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1111, i))
+            generators.clear()
+            for cfg in cfgs:
+                run(cfg, ch, i)
+            # the codebook table serves both exhaustive schemes, feedback
+            # in-packet's second stage and every SNR; the other stages are
+            # the two multilevel stages, feedback in-packet's first, coded
+            # exhaustive and both coded feedback stages
+            assert len(cascades) == 7 * (i + 1)
+            assert generators == [derive_seed(i, protocols._NOISE_STREAM)]
+
+    def test_noiseless_runs_draw_nothing(self, monkeypatch):
+        ch = sample_channel(ChannelConfig(), derive_seed(1212, 0))
+        # making a generator would now raise TypeError
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for cfg in self.configs():
+            run(dataclasses.replace(cfg, noise=None, snr_budget=self.budget), ch, 0)
 
 
 class TestLogging:
