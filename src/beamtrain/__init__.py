@@ -6,7 +6,6 @@ from .array_model import (
     SteeringVector,
     WeightVector,
     are_orthogonal,
-    array_factor,
     dft_codebook,
     project_uniform,
     quantize_phases,
@@ -20,7 +19,6 @@ from .beam_coding import (
     GolayPair,
     SignatureCode,
     build_schedule,
-    decode_correlations,
     decode_per_tap,
     golay_pair,
     walsh_codes,
@@ -32,8 +30,6 @@ from .channel import (
     Ray,
     add_noise,
     derive_seed,
-    end_to_end_gain,
-    pair_gain_table,
     sample_channel,
     toy_channel,
     toy_codebooks,

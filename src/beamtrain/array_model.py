@@ -4,10 +4,9 @@ measurement.
 
 Angle convention: beam directions are measured in degrees from the array
 axis, so broadside sits at 90 deg and steering phases go with cos(angle).
-Valid directions live in [0, 180]; the endfire endpoints are usable but
-flagged on the steering vector.  Steering vectors carry 1/sqrt(N)
-normalization (unit L2 norm); the magnitude-one form is recovered by
-scaling with sqrt(N).
+Valid directions live in [0, 180], the endfire endpoints included.
+Steering vectors carry 1/sqrt(N) normalization (unit L2 norm); the
+magnitude-one form is recovered by scaling with sqrt(N).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "SteeringVector",
     "BeamCodebook",
     "steering_vector",
-    "array_factor",
     "array_factor_many",
     "superpose_beams",
     "are_orthogonal",
@@ -92,10 +90,6 @@ class SteeringVector:
     def __len__(self) -> int:
         return int(self.entries.size)
 
-    @property
-    def is_endfire(self) -> bool:
-        return self.angle_deg == 0.0 or self.angle_deg == 180.0
-
     def as_weights(self) -> WeightVector:
         return WeightVector(self.entries)
 
@@ -147,7 +141,7 @@ def steering_vector(cfg: ArrayConfig, angle_deg: float) -> SteeringVector:
     """Unit-norm steering vector for a beam at ``angle_deg``.
 
     Entry n is exp(-j 2 pi n spacing cos(angle)) / sqrt(N), the conjugate
-    phase ramp that makes :func:`array_factor` peak at the steered angle.
+    phase ramp that makes :func:`array_factor_many` peak at the steered angle.
     """
     angle = float(angle_deg)
     if not math.isfinite(angle):
@@ -164,20 +158,11 @@ def _weights_of(w: WeightVector | SteeringVector) -> np.ndarray:
     return w.entries if isinstance(w, SteeringVector) else w.weights
 
 
-def array_factor(w: WeightVector | SteeringVector, angle_deg: float, cfg: ArrayConfig) -> complex:
-    """Pattern response x(angle) = sum_n w_n exp(+j 2 pi n spacing cos(angle))."""
-    weights = _weights_of(w)
-    if weights.size != cfg.num_antennas:
-        raise ValueError(f"weight length {weights.size} does not match {cfg.num_antennas} antennas")
-    n = np.arange(cfg.num_antennas)
-    phase = 2.0 * np.pi * n * cfg.spacing * math.cos(math.radians(float(angle_deg)))
-    return complex(np.sum(weights * np.exp(1j * phase)))
-
-
 def array_factor_many(
     w: WeightVector | SteeringVector, angles_deg: np.ndarray, cfg: ArrayConfig
 ) -> np.ndarray:
-    """Vectorised :func:`array_factor` over a grid of angles."""
+    """Pattern responses x(angle) = sum_n w_n exp(+j 2 pi n spacing cos(angle))
+    over a grid of angles."""
     weights = _weights_of(w)
     if weights.size != cfg.num_antennas:
         raise ValueError(f"weight length {weights.size} does not match {cfg.num_antennas} antennas")
@@ -305,7 +290,7 @@ def sidelobe_level(
 ) -> float | None:
     """Highest sidelobe relative to the main beam, in dB (always <= 0).
 
-    Scans |array_factor|^2 over (0, 180) at ``step_deg`` resolution, finds
+    Scans |array_factor_many|^2 over (0, 180) at ``step_deg`` resolution, finds
     local maxima by three-point comparison, treats every peak within
     ``main_threshold_db`` of the global maximum as a main lobe (multi-beam
     weights have several), masks each main lobe out to its first null on

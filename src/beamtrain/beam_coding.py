@@ -25,7 +25,6 @@ __all__ = [
     "golay_pair",
     "build_schedule",
     "walsh_decode",
-    "decode_correlations",
     "encode_ce_field",
     "ce_field_powers",
     "decode_per_tap",
@@ -129,10 +128,6 @@ class CodedWeightSchedule:
     def __len__(self) -> int:
         return len(self.field_weights)
 
-    @property
-    def num_beams(self) -> int:
-        return len(self.beams)
-
 
 def _beam_list(beams: BeamCodebook | Sequence[SteeringVector]) -> list[SteeringVector]:
     if isinstance(beams, BeamCodebook):
@@ -183,14 +178,6 @@ class CorrelationMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "r", arr)
 
-    @property
-    def num_tx(self) -> int:
-        return int(self.r.shape[0])
-
-    @property
-    def num_rx(self) -> int:
-        return int(self.r.shape[1])
-
     def magnitude(self) -> np.ndarray:
         return np.abs(self.r)
 
@@ -199,11 +186,6 @@ class CorrelationMatrix:
         flat = int(np.argmax(self.magnitude()))
         p, q = np.unravel_index(flat, self.r.shape)
         return int(p), int(q)
-
-
-def _chip_matrix(codes: Sequence[SignatureCode]) -> np.ndarray:
-    """The codes' chips as the rows of one complex (K, T) matrix."""
-    return np.stack([c.chips for c in codes]).astype(np.complex128)
 
 
 def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.ndarray:
@@ -215,26 +197,6 @@ def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.nd
     with the field axis moved second to last.
     """
     return np.moveaxis(chips @ np.moveaxis(fields, axis, -2), -2, axis)
-
-
-def decode_correlations(
-    received: np.ndarray, codes: Sequence[SignatureCode]
-) -> CorrelationMatrix:
-    """Correlate per-field observations against the signature codes.
-
-    ``received[q, t]`` is what receive beam q heard during field t; the
-    output is r[p, q] = sum_t codes[p][t] * received[q, t].  With K coded
-    beams and T chips a noiseless orthogonal transmission returns the
-    per-beam channel gain scaled by T/sqrt(K); the scale is left in so the
-    classic two-path example decodes to 2 and 2a on the aligned pairs.
-    """
-    y = np.asarray(received, dtype=np.complex128)
-    if y.ndim != 2:
-        raise ValueError("received must be a (num_rx, num_fields) matrix")
-    t = len(codes[0])
-    if y.shape[1] != t:
-        raise ValueError(f"received has {y.shape[1]} fields but codes have {t} chips")
-    return CorrelationMatrix(walsh_decode(_chip_matrix(codes), y.T))
 
 
 def encode_ce_field(
@@ -390,6 +352,6 @@ def decode_per_tap(
             y[:, d : d + length] @ a + y[:, width + d : width + d + length] @ b
         ) / (2.0 * length)
 
-    k = len(codes)
-    return (math.sqrt(k) / t) * walsh_decode(_chip_matrix(codes), profiles)
+    chips = np.stack([c.chips for c in codes]).astype(np.complex128)
+    return (math.sqrt(len(codes)) / t) * walsh_decode(chips, profiles)
 

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (
-    ArrayConfig,
-    BeamCodebook,
-    SteeringVector,
-    WeightVector,
-    _weights_of,
-    codebook_from_cosines,
-)
+from .array_model import ArrayConfig, BeamCodebook, codebook_from_cosines
 
 __all__ = [
     "Ray",
@@ -29,7 +22,6 @@ __all__ = [
     "NormalStream",
     "ChannelConfig",
     "LinkBudget",
-    "TOY_NUM_BEAMS",
     "TOY_BEAM_COSINES",
     "TOY_BEAM_ANGLES_DEG",
     "TOY_LOS_PAIR",
@@ -39,8 +31,6 @@ __all__ = [
     "draw_cluster_loss",
     "sample_channel",
     "cascade_gains",
-    "end_to_end_gain",
-    "pair_gain_table",
     "add_noise",
     "derive_seed",
 ]
@@ -269,7 +259,6 @@ class LinkBudget:
 # reflection joins tx beam 1 to rx beam 4 (numbering from one, so code
 # indices are one less).  The beam grid is the offset orthogonal grid
 # cos = +/-0.25, +/-0.75, which keeps all four beams away from endfire.
-TOY_NUM_BEAMS = 4
 TOY_BEAM_COSINES = (0.75, 0.25, -0.25, -0.75)
 TOY_BEAM_ANGLES_DEG = tuple(math.degrees(math.acos(c)) for c in TOY_BEAM_COSINES)
 TOY_LOS_PAIR = (1, 2)
@@ -425,33 +414,6 @@ def _filled(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     out = np.empty(shape, dtype=np.complex128)
     out[...] = x
     return out
-
-
-def end_to_end_gain(
-    tx_w: WeightVector | SteeringVector,
-    rx_w: WeightVector | SteeringVector,
-    ch: ChannelRealization,
-    tx_cfg: ArrayConfig | None = None,
-    rx_cfg: ArrayConfig | None = None,
-) -> np.ndarray:
-    """Per-tap complex gains of the full array-channel-array cascade.
-
-    Each ray contributes gain * array_factor(tx_w, aod) *
-    array_factor(rx_w, aoa) at its tap.  Configs default to
-    half-wavelength spacing with the length taken from the weights.
-    """
-    tx = _weights_of(tx_w)[None, :]
-    rx = _weights_of(rx_w)[None, :]
-    tx_cfg = ArrayConfig(tx.shape[1]) if tx_cfg is None else tx_cfg
-    rx_cfg = ArrayConfig(rx.shape[1]) if rx_cfg is None else rx_cfg
-    return cascade_gains(tx, rx, ch, tx_cfg, rx_cfg)[:, 0, 0]
-
-
-def pair_gain_table(
-    tx_cb: BeamCodebook, rx_cb: BeamCodebook, ch: ChannelRealization
-) -> np.ndarray:
-    """End-to-end gains for every beam pair, shape (num_taps, P, Q)."""
-    return cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg)
 
 
 def add_noise(samples: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:

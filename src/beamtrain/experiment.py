@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .channel import ChannelConfig, LinkBudget
+from .packets import LAYOUTS
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "serialize_config"]
 
@@ -20,7 +21,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything a Monte-Carlo campaign needs to be replayed exactly."""
 
-    schemes: tuple[str, ...] = ("80211ad", "beamcoding")
+    schemes: tuple[str, ...] = tuple(LAYOUTS)
     environments: tuple[str, ...] = ("los", "nlos")
     runs: int = 1000
     master_seed: int = 1

@@ -13,7 +13,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import groupby, repeat, zip_longest
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,7 +23,6 @@ import numpy as np
 from .array_model import (
     ArrayConfig,
     BeamCodebook,
-    SteeringVector,
     WeightVector,
     array_factor_many,
     dft_codebook,
@@ -32,14 +31,14 @@ from .array_model import (
     steering_vector,
     superpose_beams,
 )
-from .beam_coding import GolayPair, build_schedule, ce_field_powers, golay_pair, walsh_codes
+from .beam_coding import GolayPair, ce_field_powers, golay_pair
 from .channel import ChannelRealization, derive_seed, sample_channel, toy_channel, toy_codebooks
 from .experiment import ConfigError, ExperimentConfig
 from .metrics import aggregate_snr, empirical_cdf
 from .packets import (
+    LAYOUTS,
     PER_BEAM_BITS_80211AD,
     PER_BEAM_BITS_BEAM_CODING,
-    PacketLayout,
     _tap_rows,
     layout_80211ad,
     layout_beam_coding,
@@ -78,43 +77,36 @@ def _fmt_cell(value) -> str:
 _SPECS = {str: "%s", int: "%d", float: "%.12g"}
 
 
-class _Missing:
-    """The type of the cells a short row lacks while column types are read."""
-
-
-_MISSING = _Missing()
-
-
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write rows with a header, formatting floats to 12 significant digits.
 
-    Each column gets one printf spec, found once from its set of cell types.
-    A column of any other type, or of mixed types (bool and numpy scalars
-    included), is turned into text cell by cell with _fmt_cell first.  Each
-    row is then one ``template % row``; rows may be shorter than the
-    header, and a row wider than it raises ValueError.
+    Every row must have one cell per header column; a row of any other
+    width raises ValueError before anything is written.  Each column gets
+    one printf spec, found once from its set of cell types.  A column of
+    any other type, or of mixed types (bool and numpy scalars included),
+    is turned into text cell by cell with _fmt_cell first.  Each row is
+    then one ``template % row``.
     """
     path = Path(path)
     rows = list(map(tuple, rows))
+    widths = set(map(len, rows)) - {len(header)}
+    if widths:
+        raise ValueError(f"row width {min(widths)} does not match the header's {len(header)}")
     specs = []
     text_columns = set()
-    for i, column in enumerate(zip_longest(*rows, fillvalue=_MISSING)):
-        types = set(map(type, column)) - {_Missing}
+    for i, column in enumerate(zip(*rows)):
+        types = set(map(type, column))
         spec = _SPECS.get(types.pop()) if len(types) == 1 else None
         if spec is None:
             spec = "%s"
             text_columns.add(i)
         specs.append(spec)
-    if len(specs) > len(header):
-        raise ValueError(f"a row has {len(specs)} cells, the header only {len(header)}")
     if text_columns:
         rows = [
             tuple(_fmt_cell(v) if i in text_columns else v for i, v in enumerate(row))
             for row in rows
         ]
-    body = "".join(
-        ["".join(map((",".join(specs[:n]) + "\n").__mod__, run)) for n, run in groupby(rows, len)]
-    )
+    body = "".join(map((",".join(specs) + "\n").__mod__, rows))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n" + body)
@@ -140,11 +132,11 @@ def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], list
     for k in sorted(beam_counts):
         ad = layout_80211ad(k)
         coded = layout_beam_coding(k)
-        rows.append((k, "80211ad", PER_BEAM_BITS_80211AD, ad.training_bits, 0, 0))
+        rows.append((k, ad.scheme, PER_BEAM_BITS_80211AD, ad.training_bits, 0, 0))
         rows.append(
             (
                 k,
-                "beamcoding",
+                coded.scheme,
                 PER_BEAM_BITS_BEAM_CODING,
                 coded.training_bits,
                 saving,
@@ -211,16 +203,8 @@ def _dft_codebook(key: str, num_antennas: int, spacing: float) -> BeamCodebook:
         raise ConfigError(f"{key}, array.spacing: {exc}") from exc
 
 
-_POWER_VAR_SCHEMES = ("80211ad", "beamcoding")
+_POWER_VAR_SCHEMES = tuple(LAYOUTS)
 _ENVIRONMENTS = ("los", "nlos")
-
-
-def _power_var_layout(scheme: str, beams: list[SteeringVector]) -> PacketLayout:
-    if scheme == "80211ad":
-        return layout_80211ad(beams)
-    order = max(0, (len(beams) - 1).bit_length())
-    codes = walsh_codes(order)[: len(beams)]
-    return layout_beam_coding(build_schedule(beams, codes))
 
 
 @dataclass(frozen=True)
@@ -283,7 +267,7 @@ def _power_var_plan(
         for packet_idx, group in enumerate(_beam_groups(len(tx_cb), k)):
             beams = [tx_cb.vectors[b] for b in group]
             for scheme in schemes:
-                layout = _power_var_layout(scheme, beams)
+                layout = LAYOUTS[scheme](beams)
                 fields = [row(f.weight) for f in layout.trn_fields]
                 preamble = [row(w) for w in layout.preamble_weights]
                 shapes.setdefault((len(preamble), len(fields)), []).append(
@@ -531,8 +515,10 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
             _linear_snrs(configs, sample_channel(ch_cfg, derive_seed(env_master, i)), i)
             for i in range(exp.runs)
         ]
+        # A cell whose every run failed detection aggregates to 0: -inf dB.
         nbf_db, *coded_dbs = (
-            10.0 * math.log10(aggregate_snr(snrs)) for snrs in zip(*per_channel)
+            10.0 * math.log10(a) if a > 0.0 else -math.inf
+            for a in map(aggregate_snr, zip(*per_channel))
         )
         for bits, coded_db in zip(exp.quant_bits, coded_dbs):
             bits_label = "inf" if bits is None else str(bits)

@@ -10,41 +10,21 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "PowerRatioSample",
     "EmpiricalCdf",
-    "SnrAggregate",
     "power_ratio",
     "empirical_cdf",
     "aggregate_snr",
 ]
 
 
-@dataclass(frozen=True)
-class PowerRatioSample:
-    """One training-field power ratio gamma = P_train / (3 sigma_prem).
+def power_ratio(field_powers: Sequence[float], preamble_samples: Sequence[complex]) -> np.ndarray:
+    """Per-field power ratios gamma = P_train / (3 sigma_prem).
 
     The 3x factor reflects the AGC's habit of budgeting for three standard
     deviations of preamble signal; gamma above one means the field would
-    stress the gain setting the preamble established.
-    """
-
-    gamma: float
-    scheme: str = ""
-    seed: int | None = None
-    field_index: int = 0
-
-
-def power_ratio(
-    field_powers: Sequence[float],
-    preamble_samples: Sequence[complex],
-    *,
-    scheme: str = "",
-    seed: int | None = None,
-) -> list[PowerRatioSample]:
-    """Per-field power ratios against the preamble's signal variance.
-
-    ``sigma_prem`` is the population mean squared magnitude of the preamble
-    samples (variance about zero; no sample-mean subtraction, no n-1).
+    stress the gain setting the preamble established.  ``sigma_prem`` is
+    the population mean squared magnitude of the preamble samples
+    (variance about zero; no sample-mean subtraction, no n-1).
     """
     samples = np.asarray(preamble_samples)
     if samples.size == 0:
@@ -52,16 +32,12 @@ def power_ratio(
     sigma = float(np.mean(np.abs(samples) ** 2))
     if sigma <= 0.0:
         raise ValueError("undefined ratio: preamble has zero variance")
-    powers = np.asarray(field_powers, dtype=float)
-    return [
-        PowerRatioSample(gamma=float(p) / (3.0 * sigma), scheme=scheme, seed=seed, field_index=i)
-        for i, p in enumerate(powers)
-    ]
+    return np.asarray(field_powers, dtype=float) / (3.0 * sigma)
 
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Right-continuous empirical CDF, evaluable at arbitrary points.
+    """Right-continuous empirical CDF, read through its jump points.
 
     NaN samples are rejected: a CDF over them has no meaning.
     """
@@ -76,10 +52,6 @@ class EmpiricalCdf:
             raise ValueError(f"cannot build a CDF from NaN samples: {nans} of {arr.size} are NaN")
         arr.setflags(write=False)
         object.__setattr__(self, "sorted_values", arr)
-
-    def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        frac = np.searchsorted(self.sorted_values, x, side="right") / self.sorted_values.size
-        return float(frac) if np.isscalar(x) else frac
 
     def points(self) -> list[tuple[float, float]]:
         """(value, cumulative fraction) pairs at the jump points.
@@ -115,22 +87,3 @@ def aggregate_snr(per_run: Sequence[float]) -> float:
         raise ValueError("SNR values must be nonnegative")
     return float(2.0 ** np.mean(np.log2(1.0 + snrs)) - 1.0)
 
-
-@dataclass(frozen=True)
-class SnrAggregate:
-    """Per-run linear SNRs together with their aggregate."""
-
-    per_run_snr: tuple[float, ...]
-    aggregate: float
-
-    @classmethod
-    def from_runs(cls, per_run: Sequence[float]) -> "SnrAggregate":
-        return cls(per_run_snr=tuple(float(s) for s in per_run), aggregate=aggregate_snr(per_run))
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.per_run_snr)
-
-    @property
-    def aggregate_db(self) -> float:
-        return 10.0 * math.log10(self.aggregate) if self.aggregate > 0 else -math.inf

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .array_model import ArrayConfig, SteeringVector, WeightVector, superpose_beams
-from .beam_coding import CodedWeightSchedule, GolayPair, encode_ce_field, golay_pair
+from .beam_coding import GolayPair, build_schedule, encode_ce_field, golay_pair, walsh_codes
 from .channel import ChannelRealization, cascade_gains
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "PowerTrace",
     "layout_80211ad",
     "layout_beam_coding",
+    "LAYOUTS",
     "power_trace",
     "preamble_samples",
 ]
@@ -64,7 +65,6 @@ class TrnField:
     ce_bits: int = CE_BITS
     delay_subfield_bits: int = 0
     weight: WeightVector | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.ce_bits < 0 or self.delay_subfield_bits < 0:
@@ -109,27 +109,20 @@ class PacketLayout:
     def total_bits(self) -> int:
         return self.preamble_bits + self.header_bits + self.training_bits
 
-    def to_json_dict(self) -> dict:
-        """JSON-friendly description: one entry per section with its bits."""
-        if not self.preamble_weights:
-            preamble_label = None
-        elif len(self.preamble_weights) == 1:
-            preamble_label = "composite"
-        else:
-            preamble_label = f"schedule[{len(self.preamble_weights)}]"
-        sections = [
-            {"name": "preamble", "bits": self.preamble_bits, "weight": preamble_label},
-            {"name": "header", "bits": self.header_bits, "weight": None},
-        ]
-        for i in range(self.agc_subfield_count):
-            sections.append({"name": f"agc[{i}]", "bits": self.agc_subfield_bits, "weight": None})
-        for i, f in enumerate(self.trn_fields):
-            sections.append({"name": f"trn[{i}]", "bits": f.bits, "weight": f.label or None})
-        return {"scheme": self.scheme, "total_bits": self.total_bits, "sections": sections}
-
 
 def _preamble_composite(beams: Sequence[SteeringVector]) -> WeightVector:
     return superpose_beams(list(beams), [1] * len(beams))
+
+
+def _beam_count(
+    beams: int | Sequence[SteeringVector],
+) -> tuple[int, list[SteeringVector] | None]:
+    """The number of beams to train, and their steering vectors if given."""
+    vecs = None if isinstance(beams, int) else list(beams)
+    count = beams if vecs is None else len(vecs)
+    if count < 1:
+        raise ValueError("need at least one beam to train")
+    return count, vecs
 
 
 def layout_80211ad(
@@ -146,19 +139,12 @@ def layout_80211ad(
     the trained beams, the signal the AGC gets set from); pass a plain
     count for bits-only accounting.
     """
-    if isinstance(beams, int):
-        count, vecs = beams, None
-    else:
-        vecs = list(beams)
-        count = len(vecs)
-    if count < 1:
-        raise ValueError("need at least one beam to train")
+    count, vecs = _beam_count(beams)
     fields = tuple(
         TrnField(
             ce_bits=CE_BITS,
             delay_subfield_bits=DELAY_SUBFIELDS_PER_BEAM * DELAY_SUBFIELD_BITS,
             weight=None if vecs is None else vecs[i].as_weights(),
-            label=f"beam[{i}]",
         )
         for i in range(count)
     )
@@ -173,7 +159,7 @@ def layout_80211ad(
 
 
 def layout_beam_coding(
-    beams: int | CodedWeightSchedule,
+    beams: int | Sequence[SteeringVector],
     *,
     num_antennas: int | None = None,
     preamble_bits: int = PREAMBLE_BITS_DEFAULT,
@@ -181,46 +167,38 @@ def layout_beam_coding(
 ) -> PacketLayout:
     """Coded layout: T = next power of two >= K CE-only fields, no AGC.
 
-    The covering beams are identical in every field, so the preamble rides
-    the schedule's own composites (field weights attach when a schedule is
-    given).  Raises when more beams are requested than the array can keep
-    mutually orthogonal.
+    Pass steering vectors to get field weights attached: beam p rides
+    Walsh code p of length T, and since the covering beams are identical
+    in every field, the preamble rides the T coded composites.  Pass a
+    plain count, with ``num_antennas`` to check it, for bits-only
+    accounting.  Raises when more beams are requested than the array can
+    keep mutually orthogonal.
     """
-    if isinstance(beams, CodedWeightSchedule):
-        schedule = beams
-        count = schedule.num_beams
-        capacity = len(schedule.field_weights[0])
-    else:
-        schedule = None
-        count = beams
-        capacity = num_antennas
-    if count < 1:
-        raise ValueError("need at least one beam to train")
+    count, vecs = _beam_count(beams)
+    capacity = num_antennas if vecs is None else len(vecs[0])
     if capacity is not None and count > capacity:
         raise ValueError(
             f"cannot code {count} beams: an array of {capacity} antennas supports "
             f"at most {capacity} mutually orthogonal beams"
         )
-    num_fields = 1 << max(0, (count - 1).bit_length())
-    if schedule is not None:
-        num_fields = len(schedule)
-    fields = tuple(
-        TrnField(
-            ce_bits=CE_BITS,
-            delay_subfield_bits=0,
-            weight=None if schedule is None else schedule.field_weights[i],
-            label=f"walsh[{i}]x{count}",
-        )
-        for i in range(num_fields)
-    )
+    order = max(0, (count - 1).bit_length())
+    if vecs is None:
+        fields, weights = (TrnField(),) * (1 << order), ()
+    else:
+        weights = build_schedule(vecs, walsh_codes(order)[:count]).field_weights
+        fields = tuple(TrnField(weight=w) for w in weights)
     return PacketLayout(
         scheme="beamcoding",
         preamble_bits=preamble_bits,
         header_bits=header_bits,
         agc_subfield_count=0,
         trn_fields=fields,
-        preamble_weights=() if schedule is None else tuple(schedule.field_weights),
+        preamble_weights=weights,
     )
+
+
+# The packet layouts by scheme name: campaigns and configs take the names here.
+LAYOUTS = {"80211ad": layout_80211ad, "beamcoding": layout_beam_coding}
 
 
 @dataclass(frozen=True)

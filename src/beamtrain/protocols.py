@@ -58,7 +58,7 @@ from .array_model import (
     superpose_beams,
 )
 from .beam_coding import CorrelationMatrix, build_schedule, walsh_codes, walsh_decode
-from .channel import ChannelRealization, LinkBudget, Ray, derive_seed
+from .channel import ChannelRealization, LinkBudget, Ray, _readonly, derive_seed
 from .packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING
 
 __all__ = [
@@ -136,9 +136,6 @@ class ProtocolConfig:
                 stacklevel=2,
             )
 
-    def budget_for_snr(self) -> LinkBudget | None:
-        return self.snr_budget if self.snr_budget is not None else self.noise
-
     # cached_property stores into the instance __dict__, past the frozen
     # __setattr__; dataclasses.replace makes a new instance, which builds
     # its own plans.
@@ -180,11 +177,6 @@ def _transform(cfg: ProtocolConfig, w: WeightVector | SteeringVector) -> WeightV
     if cfg.quantize_bits is not None:
         out = quantize_phases(out, cfg.quantize_bits)
     return out
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _weight_matrix(
@@ -289,7 +281,7 @@ def _estimate_table(cfg: ProtocolConfig, table: np.ndarray, noise: _Noise) -> np
 
 
 def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] | None) -> float:
-    budget = cfg.budget_for_snr()
+    budget = cfg.snr_budget if cfg.snr_budget is not None else cfg.noise
     if budget is None or pair is None:
         return float("nan") if pair is not None else -math.inf
     taps = _table(cfg, ch, cfg._tx_plan.clean, cfg._rx_plan.clean)[:, pair[0], pair[1]]

@@ -20,8 +20,8 @@ from beamtrain.array_model import (
 from beamtrain.channel import (
     TOY_LOS_PAIR,
     ChannelConfig,
+    cascade_gains,
     derive_seed,
-    end_to_end_gain,
     sample_channel,
     toy_channel,
     toy_codebooks,
@@ -250,7 +250,8 @@ def test_criterion_9_multilevel_nlos_failure():
     ch = sector_trap_channel(cb, cb)
 
     def gain_db(pair):
-        taps = end_to_end_gain(cb.vectors[pair[0]], cb.vectors[pair[1]], ch, cb.cfg, cb.cfg)
+        tx_w, rx_w = cb.vectors[pair[0]].entries, cb.vectors[pair[1]].entries
+        taps = cascade_gains(tx_w[None], rx_w[None], ch, cb.cfg, cb.cfg)[:, 0, 0]
         return 10 * math.log10(float(np.sum(np.abs(taps) ** 2)))
 
     mk = lambda s: ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=s)

@@ -9,7 +9,6 @@ from beamtrain.array_model import (
     ArrayConfig,
     WeightVector,
     are_orthogonal,
-    array_factor,
     array_factor_many,
     codebook_from_cosines,
     dft_codebook,
@@ -76,8 +75,9 @@ class TestSteeringVector:
             steering_vector(cfg, float("nan"))
         with pytest.raises(ValueError):
             steering_vector(cfg, -5.0)
-        assert steering_vector(cfg, 180.0).is_endfire
-        assert not steering_vector(cfg, 90.0).is_endfire
+        # the endfire endpoints are valid directions
+        for endfire in (0.0, 180.0):
+            assert steering_vector(cfg, endfire).angle_deg == endfire
 
 
 class TestArrayFactor:
@@ -85,17 +85,17 @@ class TestArrayFactor:
         cfg = ArrayConfig(16)
         sv = steering_vector(cfg, 73.0)
         unnormalized = WeightVector(sv.entries * math.sqrt(16))
-        assert abs(array_factor(unnormalized, 73.0, cfg)) == pytest.approx(16.0, abs=1e-9)
+        (peak,) = array_factor_many(unnormalized, np.array([73.0]), cfg)
+        assert abs(peak) == pytest.approx(16.0, abs=1e-9)
 
     def test_zero_weights(self):
         cfg = ArrayConfig(8)
         w = WeightVector(np.zeros(8) + 0j)
-        for angle in (10.0, 90.0, 144.0):
-            assert array_factor(w, angle, cfg) == 0
+        assert np.all(array_factor_many(w, np.array([10.0, 90.0, 144.0]), cfg) == 0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            array_factor(WeightVector(np.ones(4) + 0j), 90.0, ArrayConfig(8))
+            array_factor_many(WeightVector(np.ones(4) + 0j), np.array([90.0]), ArrayConfig(8))
 
     def test_superposition_peaks_at_both_angles(self):
         # dense-grid scan oracle at 0.1 deg
@@ -116,7 +116,11 @@ class TestArrayFactor:
         grid = np.array([12.5, 90.0, 170.0])
         batch = array_factor_many(w, grid, cfg)
         for angle, value in zip(grid, batch):
-            assert value == pytest.approx(array_factor(w, angle, cfg), abs=1e-12)
+            scalar = sum(
+                wn * cmath.exp(2j * math.pi * n * cfg.spacing * math.cos(math.radians(angle)))
+                for n, wn in enumerate(w.weights)
+            )
+            assert value == pytest.approx(scalar, abs=1e-12)
 
 
 class TestSuperposeBeams:

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from beamtrain import beam_coding
 from beamtrain.array_model import ArrayConfig, dft_codebook, steering_vector
 from beamtrain.beam_coding import (
+    CorrelationMatrix,
     GolayPair,
     SignatureCode,
     build_schedule,
     ce_field_powers,
-    decode_correlations,
     decode_per_tap,
     encode_ce_field,
     golay_pair,
     walsh_codes,
     walsh_decode,
 )
-from beamtrain.channel import ChannelRealization, Ray, cascade_gains, pair_gain_table
+from beamtrain.channel import ChannelRealization, Ray, cascade_gains
 
 
 def aperiodic_autocorrelation(x):
@@ -43,6 +43,11 @@ def orthogonal_subsets(draw):
 def walsh_codes_for(k):
     """The first k Walsh codes of the shortest order that separates k beams."""
     return walsh_codes(max(0, (k - 1).bit_length()))[:k]
+
+
+def chip_matrix(codes):
+    """The codes' chips as the rows of one complex (K, T) matrix."""
+    return np.stack([c.chips for c in codes]).astype(np.complex128)
 
 
 _rays = st.lists(
@@ -235,7 +240,7 @@ class TestBuildSchedule:
         codes = walsh_codes(2)[:2]  # first 2 rows of order 4
         schedule = build_schedule([cb.vectors[0], cb.vectors[3]], codes)
         assert len(schedule) == 4
-        assert schedule.num_beams == 2
+        assert len(schedule.beams) == 2
 
     def test_non_orthogonal_flagged(self):
         cfg = ArrayConfig(16)
@@ -269,32 +274,30 @@ class TestDecodeCorrelations:
                 received[q, t] = sum(
                     codes[p].chips[t] / math.sqrt(k) * gains[p, q] for p in range(k)
                 )
-        out = decode_correlations(received, codes)
+        out = walsh_decode(chip_matrix(codes), received, axis=1)
         scale = 4 / math.sqrt(4)
-        assert np.allclose(out.r, scale * gains, atol=1e-12)
+        assert np.allclose(out, scale * gains.T, atol=1e-12)
 
     def test_sign_channel_gains_recover_exactly(self):
         rng = np.random.default_rng(2)
         codes = walsh_codes(2)
         gains = rng.choice([-1.0, 1.0], size=(4, 4))
         received = (np.stack([c.chips for c in codes]).T / 2.0) @ gains
-        out = decode_correlations(received.T, codes)
-        assert np.allclose(out.r, 2.0 * gains, atol=1e-12)
+        out = walsh_decode(chip_matrix(codes), received)
+        assert np.allclose(out, 2.0 * gains, atol=1e-12)
 
     def test_zero_row(self):
         codes = walsh_codes(2)
         received = np.zeros((2, 4))
-        out = decode_correlations(received, codes)
-        assert np.all(out.r == 0)
+        assert np.all(walsh_decode(chip_matrix(codes), received, axis=1) == 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            decode_correlations(np.zeros((2, 3)), walsh_codes(2))
+            walsh_decode(chip_matrix(walsh_codes(2)), np.zeros((2, 3)), axis=1)
 
     def test_best_pair_lexicographic_ties(self):
-        codes = walsh_codes(0)
-        out = decode_correlations(np.array([[1.0], [1.0]]), codes)
-        assert out.best_pair() == (0, 0)
+        out = walsh_decode(chip_matrix(walsh_codes(0)), np.array([[1.0], [1.0]]), axis=1)
+        assert CorrelationMatrix(out.T).best_pair() == (0, 0)
 
 
 class TestWalshDecode:
@@ -308,14 +311,6 @@ class TestWalshDecode:
         swapped = walsh_decode(chips, np.swapaxes(fields, 1, 2), axis=2)
         np.testing.assert_allclose(swapped, np.swapaxes(want, 1, 2), rtol=1e-14)
         assert np.array_equal(walsh_decode(chips, fields[0], axis=0), chips @ fields[0])
-
-    def test_decode_correlations_is_the_transposed_decode(self):
-        rng = np.random.default_rng(4)
-        codes = walsh_codes(3)
-        received = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-        chips = np.stack([c.chips for c in codes]).astype(np.complex128)
-        got = decode_correlations(received, codes).r
-        assert np.array_equal(got, walsh_decode(chips, received, axis=1).T)
 
     @settings(max_examples=60, deadline=None)
     @given(orthogonal_subsets(), _rays)
@@ -331,7 +326,7 @@ class TestWalshDecode:
         ch = ChannelRealization(rays=tuple(rays))
         est = cascade_gains(fields, cb.matrix(), ch, cb.cfg, cb.cfg)
         decoded = walsh_decode(chips, est) * math.sqrt(k) / len(schedule)
-        table = pair_gain_table(subset, cb, ch)
+        table = cascade_gains(subset.matrix(), cb.matrix(), ch, cb.cfg, cb.cfg)
         # Largest magnitude a unit-norm beam pair can see through these rays.
         bound = sum(abs(r.gain) for r in rays) * cb.cfg.num_antennas
         np.testing.assert_allclose(decoded, table, rtol=0, atol=1e-12 * bound)
@@ -462,7 +457,7 @@ class TestWaveformRouteAgainstFieldRoute:
         # independent route: synthesize the actual chip streams each coded
         # field produces through a two-tap scene and decode them; the result
         # must match the beam-domain pair gains computed analytically
-        from beamtrain.channel import end_to_end_gain, pair_gain_table, toy_channel, toy_codebooks
+        from beamtrain.channel import toy_channel, toy_codebooks
 
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.4, nlos_excess_tap=2)
@@ -470,11 +465,11 @@ class TestWaveformRouteAgainstFieldRoute:
         schedule = build_schedule(tx_cb, codes)
         g = golay_pair(9)
         norm = math.sqrt(4 * 4)
+        field_weights = np.stack([w.weights for w in schedule.field_weights])
+        field_taps = cascade_gains(field_weights, rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg) / norm
+        table = cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg) / norm
         for q in range(4):
-            fields = []
-            for w in schedule.field_weights:
-                taps = end_to_end_gain(w, rx_cb.vectors[q], ch, tx_cb.cfg, rx_cb.cfg) / norm
-                fields.append(encode_ce_field(taps, g, guard=4))
+            fields = [encode_ce_field(taps, g, guard=4) for taps in field_taps[:, :, q].T]
             decoded = decode_per_tap(np.array(fields), g, codes, num_taps=3)
-            expected = pair_gain_table(tx_cb, rx_cb, ch)[:, :, q].T / norm
+            expected = table[:, :, q].T
             assert np.abs(decoded - expected).max() < 1e-9

@@ -22,8 +22,6 @@ from beamtrain.channel import (
     cascade_gains,
     derive_seed,
     draw_cluster_loss,
-    end_to_end_gain,
-    pair_gain_table,
     sample_channel,
     toy_channel,
     toy_codebooks,
@@ -63,7 +61,8 @@ class TestToyChannel:
 
     def test_exhaustive_search_finds_los_pair(self):
         tx_cb, rx_cb = toy_codebooks()
-        table = pair_gain_table(tx_cb, rx_cb, toy_channel(0.5))
+        ch = toy_channel(0.5)
+        table = cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg)
         power = np.sum(np.abs(table) ** 2, axis=0)
         assert power.shape == (4, 4)
         best = np.unravel_index(np.argmax(power), power.shape)
@@ -71,7 +70,8 @@ class TestToyChannel:
 
     def test_vanishing_nlos_leaves_one_path(self):
         tx_cb, rx_cb = toy_codebooks()
-        table = pair_gain_table(tx_cb, rx_cb, toy_channel(1e-9))
+        ch = toy_channel(1e-9)
+        table = cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg)
         power = np.sum(np.abs(table) ** 2, axis=0)
         strong = power > 1e-12
         assert strong.sum() == 1
@@ -86,10 +86,8 @@ class TestToyChannel:
         ch = toy_channel(a)
         composite = superpose_beams(list(rx_cb.vectors), [1, 1, 1, 1])
         norm = math.sqrt(4 * 4)
-        observed = []
-        for p in range(4):
-            taps = end_to_end_gain(tx_cb.vectors[p], composite, ch, tx_cb.cfg, rx_cb.cfg)
-            observed.append(taps[0] / norm)
+        taps = cascade_gains(tx_cb.matrix(), composite.weights[None], ch, tx_cb.cfg, rx_cb.cfg)
+        observed = taps[0, :, 0] / norm
         expected = [0.5 * a, 0.5, 0.0, 0.0]
         assert np.allclose(observed, expected, atol=1e-9)
 
@@ -224,28 +222,28 @@ class TestSampleChannel:
         )
 
 
+def pair_taps(tx_w, rx_w, ch, tx_cfg, rx_cfg):
+    """The cascade's per-tap gains for one pair of weight vectors."""
+    return cascade_gains(tx_w[None], rx_w[None], ch, tx_cfg, rx_cfg)[:, 0, 0]
+
+
 class TestEndToEndGain:
     def test_toy_los_pair_untouched_by_nlos_ray(self):
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)
-        taps = end_to_end_gain(
-            tx_cb.vectors[TOY_LOS_PAIR[0]], rx_cb.vectors[TOY_LOS_PAIR[1]], ch,
-            tx_cb.cfg, rx_cb.cfg,
-        )
+        tx_w = tx_cb.vectors[TOY_LOS_PAIR[0]].entries
+        rx_w = rx_cb.vectors[TOY_LOS_PAIR[1]].entries
+        taps = pair_taps(tx_w, rx_w, ch, tx_cb.cfg, rx_cb.cfg)
         # aligned ray: both unit-norm array factors peak at sqrt(4)
         assert abs(taps[0]) == pytest.approx(4.0, abs=1e-9)
         only_nlos = ChannelRealization(rays=(ch.rays[1],))
-        leak = end_to_end_gain(
-            tx_cb.vectors[TOY_LOS_PAIR[0]], rx_cb.vectors[TOY_LOS_PAIR[1]], only_nlos,
-            tx_cb.cfg, rx_cb.cfg,
-        )
+        leak = pair_taps(tx_w, rx_w, only_nlos, tx_cb.cfg, rx_cb.cfg)
         assert abs(leak[0]) < 1e-12
 
     def test_zero_weights_zero_gain(self):
         ch = toy_channel(0.5)
-        w = WeightVector(np.zeros(4) + 0j)
-        rx = WeightVector(np.ones(4) + 0j)
-        assert np.all(end_to_end_gain(w, rx, ch) == 0)
+        cfg = ArrayConfig(4)
+        assert np.all(pair_taps(np.zeros(4) + 0j, np.ones(4) + 0j, ch, cfg, cfg) == 0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -262,7 +260,7 @@ class TestEndToEndGain:
         ch = ChannelRealization(rays=rays)
         tx_w = WeightVector(rng.standard_normal(8) + 1j * rng.standard_normal(8))
         rx_w = WeightVector(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        got = end_to_end_gain(tx_w, rx_w, ch, tx_cfg, rx_cfg)
+        got = pair_taps(tx_w.weights, rx_w.weights, ch, tx_cfg, rx_cfg)
         want = brute_force_gain(tx_w, rx_w, ch, tx_cfg, rx_cfg)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -282,17 +280,16 @@ class TestEndToEndGain:
             Ray(aod_deg=r.aoa_deg, aoa_deg=r.aod_deg, gain=r.gain, tap=r.tap)
             for r in rays
         )
-        tx_w = WeightVector(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        rx_w = WeightVector(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        forward = end_to_end_gain(tx_w, rx_w, ChannelRealization(rays=rays), cfg, cfg)
-        reverse = end_to_end_gain(rx_w, tx_w, ChannelRealization(rays=swapped), cfg, cfg)
+        tx_w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        rx_w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        forward = pair_taps(tx_w, rx_w, ChannelRealization(rays=rays), cfg, cfg)
+        reverse = pair_taps(rx_w, tx_w, ChannelRealization(rays=swapped), cfg, cfg)
         assert np.allclose(forward, reverse, atol=1e-12)
 
     def test_empty_channel(self):
         ch = ChannelRealization(rays=())
-        out = end_to_end_gain(
-            WeightVector(np.ones(2) + 0j), WeightVector(np.ones(2) + 0j), ch
-        )
+        cfg = ArrayConfig(2)
+        out = pair_taps(np.ones(2) + 0j, np.ones(2) + 0j, ch, cfg, cfg)
         assert out.shape == (1,)
         assert np.all(out == 0)
 
@@ -422,10 +419,11 @@ class TestPairGainTable:
         cfg = ChannelConfig(num_clusters=2, los=True)
         ch = sample_channel(cfg, 5)
         cb = dft_codebook(ArrayConfig(4))
-        table = pair_gain_table(cb, cb, ch)
+        table = cascade_gains(cb.matrix(), cb.matrix(), ch, cb.cfg, cb.cfg)
         for p in range(4):
             for q in range(4):
-                direct = end_to_end_gain(cb.vectors[p], cb.vectors[q], ch, cb.cfg, cb.cfg)
+                tx_w, rx_w = cb.vectors[p].entries, cb.vectors[q].entries
+                direct = pair_taps(tx_w, rx_w, ch, cb.cfg, cb.cfg)
                 assert np.allclose(table[:, p, q], direct, atol=1e-10)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from beamtrain import cli, harness
 from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook
-from beamtrain.beam_coding import build_schedule, encode_ce_field, golay_pair, walsh_codes
+from beamtrain.beam_coding import encode_ce_field, golay_pair
 from beamtrain.channel import ChannelConfig, derive_seed, sample_channel
 from beamtrain.experiment import ExperimentConfig, serialize_config
 from beamtrain.harness import (
@@ -194,17 +194,12 @@ class TestPowerVarOracle:
             for k in self.exp.beams_per_packet:
                 for packet, group in enumerate(harness._beam_groups(len(tx_cb), k)):
                     beams = [tx_cb.vectors[b] for b in group]
-                    codes = walsh_codes(max(0, (k - 1).bit_length()))[:k]
-                    layouts = {
-                        "80211ad": layout_80211ad(beams),
-                        "beamcoding": layout_beam_coding(build_schedule(beams, codes)),
-                    }
-                    for scheme, layout in layouts.items():
+                    for layout in (layout_80211ad(beams), layout_beam_coding(beams)):
                         trace = power_trace(layout, ch, rx_w, cfg, rx_cfg)
                         samples = preamble_samples(layout, ch, rx_w, cfg, rx_cfg)
-                        for ratio in power_ratio(trace.field_powers, samples):
-                            key = (scheme, env, k, i, packet, ratio.field_index)
-                            want[key] = ratio.gamma
+                        gammas = power_ratio(trace.field_powers, samples)
+                        for field, gamma in enumerate(gammas.tolist()):
+                            want[(layout.scheme, env, k, i, packet, field)] = gamma
         assert got.keys() == want.keys()
         for key, gamma in want.items():
             if key[2] == 1:
@@ -407,7 +402,7 @@ class TestWriteCsv:
         assert harness._fmt_cell(value) == text
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.lists(st.floats(), min_size=1, max_size=4), max_size=6))
+    @given(st.lists(st.lists(st.floats(), min_size=4, max_size=4), max_size=6))
     def test_float_rows_write_twelve_significant_digits(self, rows):
         header = ["a", "b", "c", "d"]
         want = "a,b,c,d\n"
@@ -418,8 +413,10 @@ class TestWriteCsv:
 
     def test_rejects_a_row_wider_than_the_header(self, tmp_path):
         path = tmp_path / "out" / "t.csv"
-        with pytest.raises(ValueError, match="3 cells, the header only 2"):
+        with pytest.raises(ValueError, match="row width 3 does not match the header's 2"):
             write_csv(path, ["a", "b"], [(1, 2), (1, 2, 3)])
+        with pytest.raises(ValueError, match="row width 1 does not match the header's 2"):
+            write_csv(path, ["a", "b"], [(1, 2), (1,)])
         assert not path.parent.exists()
 
 
@@ -624,27 +621,45 @@ class TestCli:
             assert cli.main(["overhead", "--beams", beams, "--out", str(tmp_path)]) == 2
             assert "--beams" in capsys.readouterr().err
 
-    def dead_channel_quant_sweep(self, tmp_path, monkeypatch):
-        # with no rays every run fails detection at SNR 0, and the aggregate
-        # takes log10(0): a fault of the program, not of its config
-        from beamtrain.channel import ChannelRealization
-
-        monkeypatch.setattr(harness, "sample_channel", lambda *a: ChannelRealization(rays=()))
+    @staticmethod
+    def quant_sweep_on(tmp_path, monkeypatch, sample_channel):
+        monkeypatch.setattr(harness, "sample_channel", sample_channel)
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(serialize_config(small_experiment(runs=1)))
         return cli.main(["quant-sweep", "--config", str(config_path), "--out", str(tmp_path)])
 
+    def faulty_quant_sweep(self, tmp_path, monkeypatch):
+        # a ValueError raised inside a campaign is a fault of the program,
+        # not of its config
+        def broken_sampler(*args):
+            raise ValueError("broken channel sampler")
+
+        return self.quant_sweep_on(tmp_path, monkeypatch, broken_sampler)
+
     def test_program_fault_exits_one_in_one_line(self, tmp_path, capsys, monkeypatch):
-        assert self.dead_channel_quant_sweep(tmp_path, monkeypatch) == 1
+        assert self.faulty_quant_sweep(tmp_path, monkeypatch) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert err == "error: ValueError: broken channel sampler\n"
 
     def test_program_fault_traceback_logged_at_debug(self, tmp_path, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="beamtrain")
-        assert self.dead_channel_quant_sweep(tmp_path, monkeypatch) == 1
+        assert self.faulty_quant_sweep(tmp_path, monkeypatch) == 1
         (record,) = [r for r in caplog.records if r.exc_info]
         assert record.levelno == logging.DEBUG
         assert record.exc_info[0] is ValueError
+
+    def test_rayless_channel_writes_minus_inf_db(self, tmp_path, monkeypatch):
+        # with no rays every run fails detection at SNR 0, so every cell
+        # aggregates to 0, which is -inf dB
+        from beamtrain.channel import ChannelRealization
+
+        dead = lambda *args: ChannelRealization(rays=())
+        assert self.quant_sweep_on(tmp_path, monkeypatch, dead) == 0
+        lines = (tmp_path / "quant_sweep.csv").read_text().splitlines()
+        assert lines[0].endswith(",snr_db")
+        rows = [line.split(",") for line in lines[1:]]
+        assert {row[3] for row in rows} == {"beamcoding", "nbf"}
+        assert {row[-1] for row in rows} == {"-inf"}
 
     def test_parser_built_once_on_first_call(self, tmp_path, monkeypatch):
         built = []

@@ -1,10 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook
+from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook, steering_vector
 from beamtrain.beam_coding import build_schedule, walsh_codes
 from beamtrain.channel import (
     TOY_LOS_PAIR,
@@ -16,7 +15,9 @@ from beamtrain.channel import (
     toy_channel,
     toy_codebooks,
 )
+from beamtrain.experiment import ExperimentConfig
 from beamtrain.packets import (
+    LAYOUTS,
     PER_BEAM_BITS_80211AD,
     PER_BEAM_BITS_BEAM_CODING,
     layout_80211ad,
@@ -27,10 +28,7 @@ from beamtrain.packets import (
 
 
 def coded_layout(beam_indices, codebook):
-    beams = [codebook.vectors[i] for i in beam_indices]
-    k = len(beams)
-    codes = walsh_codes(max(0, (k - 1).bit_length()))[:k]
-    return layout_beam_coding(build_schedule(beams, codes))
+    return layout_beam_coding([codebook.vectors[i] for i in beam_indices])
 
 
 class TestBitAccounting:
@@ -71,6 +69,9 @@ class TestBitAccounting:
     def test_capacity_exceeded(self):
         with pytest.raises(ValueError, match="at most 16"):
             layout_beam_coding(17, num_antennas=16)
+        cfg = ArrayConfig(2)
+        with pytest.raises(ValueError, match="at most 2"):
+            layout_beam_coding([steering_vector(cfg, a) for a in (30.0, 90.0, 150.0)])
 
     def test_total_is_exact_sum(self):
         layout = layout_80211ad(3)
@@ -100,35 +101,27 @@ class TestLayoutStructure:
         assert all(f.delay_subfield_bits == 0 for f in layout.trn_fields)
         assert len(layout.preamble_weights) == 4
 
-    def test_json_golden(self):
-        layout = layout_80211ad(2, preamble_bits=2176, header_bits=1024)
-        expected = {
-            "scheme": "80211ad",
-            "total_bits": 2176 + 1024 + 2 * 4864,
-            "sections": [
-                {"name": "preamble", "bits": 2176, "weight": None},
-                {"name": "header", "bits": 1024, "weight": None},
-                {"name": "agc[0]", "bits": 320, "weight": None},
-                {"name": "agc[1]", "bits": 320, "weight": None},
-                {"name": "agc[2]", "bits": 320, "weight": None},
-                {"name": "agc[3]", "bits": 320, "weight": None},
-                {"name": "agc[4]", "bits": 320, "weight": None},
-                {"name": "agc[5]", "bits": 320, "weight": None},
-                {"name": "agc[6]", "bits": 320, "weight": None},
-                {"name": "agc[7]", "bits": 320, "weight": None},
-                {"name": "trn[0]", "bits": 3584, "weight": "beam[0]"},
-                {"name": "trn[1]", "bits": 3584, "weight": "beam[1]"},
-            ],
-        }
-        assert layout.to_json_dict() == expected
-        json.dumps(layout.to_json_dict())
+    @pytest.mark.parametrize("k", [1, 3, 4, 16])
+    def test_coded_fields_are_the_walsh_schedule(self, k):
+        # beam p rides Walsh code p of the shortest length that separates k
+        cb = dft_codebook(ArrayConfig(16))
+        beams = list(cb.vectors[:k])
+        codes = walsh_codes(max(0, (k - 1).bit_length()))[:k]
+        want = build_schedule(beams, codes).field_weights
+        layout = layout_beam_coding(beams)
+        assert layout.training_bits == layout_beam_coding(k).training_bits
+        want_bytes = [w.weights.tobytes() for w in want]
+        assert [f.weight.weights.tobytes() for f in layout.trn_fields] == want_bytes
+        assert [w.weights.tobytes() for w in layout.preamble_weights] == want_bytes
 
-    def test_json_labels_for_coded_layout(self):
+
+class TestLayouts:
+    def test_names_are_the_layout_schemes(self):
         cb = dft_codebook(ArrayConfig(4))
-        layout = coded_layout([0, 1, 2, 3], cb)
-        d = layout.to_json_dict()
-        assert d["sections"][0]["weight"] == "schedule[4]"
-        assert d["sections"][2]["weight"] == "walsh[0]x4"
+        for name, layout_of in LAYOUTS.items():
+            assert layout_of(2).scheme == name
+            assert layout_of(list(cb.vectors[:2])).scheme == name
+        assert ExperimentConfig().schemes == tuple(LAYOUTS) == ("80211ad", "beamcoding")
 
 
 class TestPowerTrace:

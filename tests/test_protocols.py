@@ -25,8 +25,6 @@ from beamtrain.channel import (
     Ray,
     cascade_gains,
     derive_seed,
-    end_to_end_gain,
-    pair_gain_table,
     sample_channel,
     toy_channel,
     toy_codebooks,
@@ -54,7 +52,8 @@ def toy_config(scheme, **kwargs):
 
 
 def pair_power_db(cb, pair, ch):
-    taps = end_to_end_gain(cb.vectors[pair[0]], cb.vectors[pair[1]], ch, cb.cfg, cb.cfg)
+    tx_w, rx_w = cb.vectors[pair[0]].entries, cb.vectors[pair[1]].entries
+    taps = cascade_gains(tx_w[None], rx_w[None], ch, cb.cfg, cb.cfg)[:, 0, 0]
     return 10 * math.log10(float(np.sum(np.abs(taps) ** 2)))
 
 
@@ -303,7 +302,8 @@ class TestNoiselessEquivalence:
         for i in range(20):
             ch = sample_channel(ChannelConfig(), derive_seed(100, i))
             out = run(cfg, ch, i)
-            table = np.sum(np.abs(pair_gain_table(cb, cb, ch)) ** 2, axis=0)
+            gains = cascade_gains(cb.matrix(), cb.matrix(), ch, cb.cfg, cb.cfg)
+            table = np.sum(np.abs(gains) ** 2, axis=0)
             assert out.best_pair == tuple(np.unravel_index(np.argmax(table), table.shape))
 
 
@@ -640,9 +640,8 @@ class TestSharedRealization:
                 row = cascade_gains(tx_w[p : p + 1], rx_w, ch, tx_cb.cfg, rx_cb.cfg)
                 assert _bits(table[:, p : p + 1, :]) == _bits(row)
                 for q in range(len(rx_cb)):
-                    taps = end_to_end_gain(
-                        tx_cb.vectors[p], rx_cb.vectors[q], ch, tx_cb.cfg, rx_cb.cfg
-                    )
+                    tx_p, rx_q = tx_w[p : p + 1], rx_w[q : q + 1]
+                    taps = cascade_gains(tx_p, rx_q, ch, tx_cb.cfg, rx_cb.cfg)[:, 0, 0]
                     assert _bits(table[:, p, q]) == _bits(taps)
 
     def test_scheme_mix_operation_makes_seven_cascades(self, monkeypatch):
