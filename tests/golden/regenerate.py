@@ -4,7 +4,9 @@ Run from the repository root as ``PYTHONPATH=src python
 tests/golden/regenerate.py``.  Each campaign case is a directory holding
 its config (``config.txt``, canonical ``serialize_config`` text) and the
 CSVs that ``beamtrain <command> --config config.txt`` writes;
-``train_toy.json`` holds the ``train --toy`` summary of every scheme.
+``train_toy.json`` holds the ``train --toy`` summary of every scheme, and
+``scheme_outcomes.json`` every field of every scheme's outcome on a few
+noisy realizations.
 ``tests/test_golden.py`` holds the library to these files.  Regenerating
 them changes that check: record in CHANGES.md which commit generated
 them and why the numbers moved.
@@ -19,10 +21,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from beamtrain import cli
-from beamtrain.channel import ChannelConfig
+from beamtrain.array_model import ArrayConfig, dft_codebook
+from beamtrain.channel import ChannelConfig, LinkBudget, derive_seed, sample_channel
 from beamtrain.experiment import ExperimentConfig, serialize_config
 from beamtrain.harness import train_once
-from beamtrain.protocols import Scheme
+from beamtrain.protocols import ProtocolConfig, Scheme, TrainingOutcome, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -51,6 +54,47 @@ def train_toy_summaries() -> dict[str, dict]:
     return out
 
 
+# Noisy outcomes: 8x8 DFT codebooks at -10 dBm, where some runs fail
+# detection; realization i of an environment has seed derive_seed(11, i)
+# and is trained with run seed i.
+OUTCOME_BUDGET = LinkBudget(tx_power_dbm=-10.0)
+OUTCOME_MASTER_SEED = 11
+OUTCOME_REALIZATIONS = 3
+
+
+def _outcome_record(out: TrainingOutcome) -> dict:
+    """Every field of an outcome, JSON-ready; a complex array is split
+    into its real and imaginary parts."""
+    corr = out.correlation
+    return {
+        "scheme": out.scheme.value,
+        "seed": out.seed,
+        "success": out.success,
+        "best_pair": None if out.best_pair is None else list(out.best_pair),
+        "pair_power": None if out.pair_power is None else out.pair_power.tolist(),
+        "correlation": None if corr is None else {"real": corr.r.real.tolist(), "imag": corr.r.imag.tolist()},
+        "packets_sent": out.packets_sent,
+        "training_bits": out.training_bits,
+        "power_traces": [trace.tolist() for trace in out.power_traces],
+        "snr_db": out.snr_db,
+        "feedback_messages": out.feedback_messages,
+        "feedback_bits": out.feedback_bits,
+    }
+
+
+def scheme_outcomes() -> dict[str, dict[str, dict]]:
+    """Every scheme's outcome record on each noisy realization, keyed by
+    ``<environment>/<index>`` and scheme name."""
+    cb = dft_codebook(ArrayConfig(8))
+    cfgs = [ProtocolConfig(cb, cb, scheme, noise=OUTCOME_BUDGET) for scheme in Scheme]
+    out = {}
+    for env in ("los", "nlos"):
+        for i in range(OUTCOME_REALIZATIONS):
+            ch = sample_channel(ChannelConfig(los=env == "los"), derive_seed(OUTCOME_MASTER_SEED, i))
+            out[f"{env}/{i}"] = {cfg.scheme.value: _outcome_record(run(cfg, ch, i)) for cfg in cfgs}
+    return out
+
+
 def run_case(command: str, exp: ExperimentConfig, out_dir: Path) -> None:
     """Write ``config.txt`` and the subcommand's CSVs into ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -67,6 +111,8 @@ def main() -> None:
         run_case(command, exp, GOLDEN_DIR / name)
     text = json.dumps(train_toy_summaries(), indent=2, sort_keys=True)
     (GOLDEN_DIR / "train_toy.json").write_text(text + "\n")
+    text = json.dumps(scheme_outcomes(), indent=1, sort_keys=True)
+    (GOLDEN_DIR / "scheme_outcomes.json").write_text(text + "\n")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ them is a change to this check.
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -46,6 +47,30 @@ def _cells_match(actual: str, expected: str) -> bool:
     if math.isnan(e):
         return math.isnan(a)
     return math.isclose(a, e, rel_tol=1e-9, abs_tol=0.0)
+
+
+def _values_match(actual, expected) -> bool:
+    """JSON values equal: integers, booleans and text exactly, floats to a
+    relative 1e-9, lists and objects entry by entry."""
+    if isinstance(expected, float) or isinstance(actual, float):
+        if isinstance(actual, bool) or not isinstance(actual, (int, float)):
+            return False
+        if math.isnan(expected):
+            return math.isnan(actual)
+        return math.isclose(actual, expected, rel_tol=1e-9, abs_tol=0.0)
+    if isinstance(expected, list):
+        return (
+            isinstance(actual, list)
+            and len(actual) == len(expected)
+            and all(map(_values_match, actual, expected))
+        )
+    if isinstance(expected, dict):
+        return (
+            isinstance(actual, dict)
+            and actual.keys() == expected.keys()
+            and all(_values_match(actual[k], expected[k]) for k in expected)
+        )
+    return type(actual) is type(expected) and actual == expected
 
 
 def _mismatches(actual: list[list[str]], expected: list[list[str]]) -> list[str]:
@@ -92,3 +117,34 @@ def test_train_toy_summaries_match_golden():
                 assert list(value) == want[key], (scheme, key)
             else:
                 assert value == want[key], (scheme, key)
+
+
+def _regenerate_module():
+    spec = importlib.util.spec_from_file_location("regenerate", GOLDEN_DIR / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_noisy_scheme_outcomes_match_golden():
+    golden = json.loads((GOLDEN_DIR / "scheme_outcomes.json").read_text())
+    # The pinned runs must exercise the detection-failure path too.
+    assert any(not rec["success"] for runs in golden.values() for rec in runs.values())
+    actual = _regenerate_module().scheme_outcomes()
+    assert sorted(actual) == sorted(golden)
+    for case, runs in golden.items():
+        assert sorted(actual[case]) == sorted(s.value for s in Scheme)
+        for scheme, want in runs.items():
+            got = actual[case][scheme]
+            for key in want:
+                assert _values_match(got[key], want[key]), (case, scheme, key)
+            assert got.keys() == want.keys(), (case, scheme)
+
+
+def test_golden_value_comparison():
+    assert _values_match([1, 2.0, {"a": None}], [1, 2.0 * (1 + 1e-12), {"a": None}])
+    assert not _values_match([1.0], [1.0 + 1e-6])
+    assert not _values_match(1, 2)
+    assert not _values_match(True, 1)
+    assert not _values_match([1.0, 2.0], [1.0])
+    assert _values_match(-math.inf, -math.inf)
