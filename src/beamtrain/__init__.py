@@ -13,16 +13,7 @@ from .array_model import (
     steering_vector,
     superpose_beams,
 )
-from .beam_coding import (
-    CodedWeightSchedule,
-    CorrelationMatrix,
-    GolayPair,
-    SignatureCode,
-    build_schedule,
-    decode_per_tap,
-    golay_pair,
-    walsh_codes,
-)
+from .beam_coding import GolayPair, coded_fields, decode_per_tap, golay_pair, walsh_codes
 from .channel import (
     ChannelConfig,
     ChannelRealization,

@@ -14,16 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import BeamCodebook, SteeringVector, WeightVector, are_orthogonal, superpose_beams
+from .array_model import SteeringVector, WeightVector, superpose_beams
 
 __all__ = [
-    "SignatureCode",
     "GolayPair",
-    "CodedWeightSchedule",
-    "CorrelationMatrix",
     "walsh_codes",
     "golay_pair",
-    "build_schedule",
+    "coded_fields",
     "walsh_decode",
     "encode_ce_field",
     "ce_field_powers",
@@ -33,28 +30,6 @@ __all__ = [
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True)
-class SignatureCode:
-    """A +/-1 chip sequence tagging one beam, one chip per training field."""
-
-    chips: np.ndarray
-    beam_index: int
-
-    def __post_init__(self) -> None:
-        chips = np.array(self.chips, dtype=np.int64)
-        if chips.ndim != 1 or not _is_power_of_two(chips.size):
-            raise ValueError("chip count must be a power of two")
-        if not np.all(np.abs(chips) == 1):
-            raise ValueError("chips must be +1 or -1")
-        if chips[0] != 1:
-            raise ValueError("chips must start with +1")
-        chips.setflags(write=False)
-        object.__setattr__(self, "chips", chips)
-
-    def __len__(self) -> int:
-        return int(self.chips.size)
 
 
 @dataclass(frozen=True)
@@ -80,18 +55,33 @@ class GolayPair:
         return int(self.a.size)
 
 
-def walsh_codes(order_log2: int) -> list[SignatureCode]:
-    """All 2**order_log2 Walsh codes of length 2**order_log2.
+def walsh_codes(order_log2: int) -> np.ndarray:
+    """All 2**order_log2 Walsh codes of length 2**order_log2, one per row.
 
-    Rows of the Sylvester Hadamard matrix in natural order; distinct rows
-    have zero dot product.
+    The read-only (T, T) int64 Sylvester Hadamard matrix in natural order;
+    distinct rows have zero dot product.  Its first K rows are the chips of
+    a K-beam group.
     """
     if int(order_log2) != order_log2 or order_log2 < 0:
         raise ValueError(f"order_log2 must be a nonnegative integer, got {order_log2!r}")
     h = np.ones((1, 1), dtype=np.int64)
     for _ in range(int(order_log2)):
         h = np.block([[h, h], [h, -h]])
-    return [SignatureCode(chips=row, beam_index=p) for p, row in enumerate(h)]
+    h.setflags(write=False)
+    return h
+
+
+def _checked_chips(chips: np.ndarray) -> np.ndarray:
+    """``chips`` as a (K, T) array, if it is +/-1 with mutually orthogonal
+    rows (chips @ chips.T == T * I)."""
+    c = np.asarray(chips)
+    if c.ndim != 2 or c.size == 0:
+        raise ValueError("chips must be a nonempty (beams, fields) matrix")
+    if not np.all((c == 1) | (c == -1)):
+        raise ValueError("chips must be +1 or -1")
+    if not np.array_equal(c @ c.T, c.shape[1] * np.eye(len(c))):
+        raise ValueError("chip rows must be mutually orthogonal")
+    return c
 
 
 def golay_pair(length_log2: int) -> GolayPair:
@@ -110,82 +100,20 @@ def golay_pair(length_log2: int) -> GolayPair:
     return GolayPair(a, b)
 
 
-@dataclass(frozen=True)
-class CodedWeightSchedule:
-    """Per-field composite antenna weights for a coded beam group.
+def coded_fields(
+    beams: Sequence[SteeringVector], chips: np.ndarray
+) -> tuple[WeightVector, ...]:
+    """Per-field composite antenna weights of a coded beam group.
 
-    Field t carries w[t] = (1/sqrt(K)) sum_p codes[p][t] * beam_p.  When the
-    beams are mutually orthogonal every field has |w|^2 = 1; a schedule over
-    a non-orthogonal group still decodes but loses that power flatness,
-    which ``orthogonal_beams`` records.
+    Field t carries w[t] = (1/sqrt(K)) sum_p chips[p, t] * beam_p.  When
+    the beams are mutually orthogonal every field has |w|^2 = 1; a group
+    that is not still decodes but loses that power flatness.
     """
-
-    beams: tuple[SteeringVector, ...]
-    codes: tuple[SignatureCode, ...]
-    field_weights: tuple[WeightVector, ...]
-    orthogonal_beams: bool
-
-    def __len__(self) -> int:
-        return len(self.field_weights)
-
-
-def _beam_list(beams: BeamCodebook | Sequence[SteeringVector]) -> list[SteeringVector]:
-    if isinstance(beams, BeamCodebook):
-        return list(beams.vectors)
-    return list(beams)
-
-
-def build_schedule(
-    beams: BeamCodebook | Sequence[SteeringVector], codes: Sequence[SignatureCode]
-) -> CodedWeightSchedule:
-    """Composite weight sequence encoding ``beams`` with ``codes``."""
-    vecs = _beam_list(beams)
-    if len(vecs) == 0:
-        raise ValueError("need at least one beam")
-    if len(codes) != len(vecs):
-        raise ValueError(f"{len(codes)} codes for {len(vecs)} beams")
-    t = len(codes[0])
-    if any(len(c) != t for c in codes):
-        raise ValueError("all codes must have the same length")
-    if t < len(vecs):
-        raise ValueError(f"code length {t} cannot separate {len(vecs)} beams")
-    orthogonal = all(
-        are_orthogonal(vecs[i], vecs[j])
-        for i in range(len(vecs))
-        for j in range(i + 1, len(vecs))
-    )
-    fields = tuple(
-        superpose_beams(vecs, [int(c.chips[ti]) for c in codes]) for ti in range(t)
-    )
-    return CodedWeightSchedule(
-        beams=tuple(vecs),
-        codes=tuple(codes),
-        field_weights=fields,
-        orthogonal_beams=orthogonal,
-    )
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Correlator outputs r[p, q] for transmit beam p and receive beam q."""
-
-    r: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.r, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValueError("correlation matrix must be 2-D")
-        arr.setflags(write=False)
-        object.__setattr__(self, "r", arr)
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.r)
-
-    def best_pair(self) -> tuple[int, int]:
-        """Indices of the strongest entry; ties go to the lowest (p, q)."""
-        flat = int(np.argmax(self.magnitude()))
-        p, q = np.unravel_index(flat, self.r.shape)
-        return int(p), int(q)
+    chips = _checked_chips(chips)
+    vecs = list(beams)
+    if len(chips) != len(vecs):
+        raise ValueError(f"{len(chips)} chip rows for {len(vecs)} beams")
+    return tuple(superpose_beams(vecs, column.tolist()) for column in chips.T)
 
 
 def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.ndarray:
@@ -318,7 +246,7 @@ def ce_field_powers(tap_rows: np.ndarray, golay: GolayPair) -> np.ndarray:
 def decode_per_tap(
     received_fields: np.ndarray,
     golay: GolayPair,
-    codes: Sequence[SignatureCode],
+    chips: np.ndarray,
     num_taps: int | None = None,
 ) -> np.ndarray:
     """Per-beam, per-delay-tap gain estimates from coded CE fields.
@@ -326,12 +254,14 @@ def decode_per_tap(
     ``received_fields[t]`` is the sample stream of field t in the
     :func:`encode_ce_field` layout.  Golay correlation turns each field
     into a tap-delay profile; correlating the profiles against the codes
-    across fields separates the beams.  Output is (num_beams, num_taps)
-    and is fully normalized: gains injected through a
-    :func:`build_schedule` composite come back at their original scale.
+    across fields with the (K, T) chip matrix ``chips`` separates the
+    beams.  Output is (K, num_taps) and is fully normalized: gains injected
+    through a :func:`coded_fields` composite come back at their original
+    scale.
     """
+    chips = _checked_chips(chips)
     y = np.asarray(received_fields, dtype=np.complex128)
-    t = len(codes[0])
+    t = chips.shape[1]
     if y.ndim != 2 or y.shape[0] != t:
         raise ValueError(f"expected {t} fields of samples")
     length = len(golay)
@@ -352,6 +282,5 @@ def decode_per_tap(
             y[:, d : d + length] @ a + y[:, width + d : width + d + length] @ b
         ) / (2.0 * length)
 
-    chips = np.stack([c.chips for c in codes]).astype(np.complex128)
-    return (math.sqrt(len(codes)) / t) * walsh_decode(chips, profiles)
+    return (math.sqrt(len(chips)) / t) * walsh_decode(chips.astype(np.complex128), profiles)
 

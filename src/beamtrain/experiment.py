@@ -4,6 +4,7 @@ configs are diffable and round-trip exactly."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -42,6 +43,14 @@ def _parse_bool(raw: str) -> bool:
     if low in ("false", "no", "0"):
         return False
     raise ConfigError(f"expected a boolean, got {raw!r}")
+
+
+def _float(raw: str) -> float:
+    """A float, not NaN: no campaign can work with a NaN setting."""
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError("NaN is not a usable value")
+    return value
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
@@ -83,24 +92,24 @@ _SCHEMA: dict[str, tuple[str, str, Callable, Callable]] = {
     "experiment.master_seed": ("self", "master_seed", int, str),
     "array.tx_antennas": ("self", "tx_antennas", int, str),
     "array.rx_antennas": ("self", "rx_antennas", int, str),
-    "array.spacing": ("self", "spacing", float, repr),
+    "array.spacing": ("self", "spacing", _float, repr),
     "packet.beams_per_packet": ("self", "beams_per_packet", _parse_int_list, _fmt_list),
     "quant.bits": ("self", "quant_bits", _parse_bits_list, _fmt_bits_list),
-    "channel.path_loss_exponent": ("channel", "path_loss_exponent", float, repr),
-    "channel.cluster_loss_mean_db": ("channel", "cluster_loss_mean_db", float, repr),
-    "channel.cluster_loss_rms_db": ("channel", "cluster_loss_rms_db", float, repr),
-    "channel.cluster_loss_truncation_db": ("channel", "cluster_loss_truncation_db", float, repr),
-    "channel.intra_cluster_angle_std_deg": ("channel", "intra_cluster_angle_std_deg", float, repr),
+    "channel.path_loss_exponent": ("channel", "path_loss_exponent", _float, repr),
+    "channel.cluster_loss_mean_db": ("channel", "cluster_loss_mean_db", _float, repr),
+    "channel.cluster_loss_rms_db": ("channel", "cluster_loss_rms_db", _float, repr),
+    "channel.cluster_loss_truncation_db": ("channel", "cluster_loss_truncation_db", _float, repr),
+    "channel.intra_cluster_angle_std_deg": ("channel", "intra_cluster_angle_std_deg", _float, repr),
     "channel.num_clusters": ("channel", "num_clusters", int, str),
     "channel.rays_per_cluster": ("channel", "rays_per_cluster", int, str),
-    "channel.distance_m": ("channel", "distance_m", float, repr),
+    "channel.distance_m": ("channel", "distance_m", _float, repr),
     "channel.los": ("channel", "los", _parse_bool, _fmt_bool),
     "channel.max_excess_tap": ("channel", "max_excess_tap", int, str),
     "channel.intra_cluster_tap_spread": ("channel", "intra_cluster_tap_spread", int, str),
-    "channel.carrier_hz": ("channel", "carrier_hz", float, repr),
-    "link.tx_power_dbm": ("budget", "tx_power_dbm", float, repr),
-    "link.bandwidth_hz": ("budget", "bandwidth_hz", float, repr),
-    "link.noise_figure_plus_impl_db": ("budget", "noise_figure_plus_impl_db", float, repr),
+    "channel.carrier_hz": ("channel", "carrier_hz", _float, repr),
+    "link.tx_power_dbm": ("budget", "tx_power_dbm", _float, repr),
+    "link.bandwidth_hz": ("budget", "bandwidth_hz", _float, repr),
+    "link.noise_figure_plus_impl_db": ("budget", "noise_figure_plus_impl_db", _float, repr),
     "output.dir": ("self", "out_dir", str.strip, str),
 }
 

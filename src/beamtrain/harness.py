@@ -32,7 +32,14 @@ from .array_model import (
     superpose_beams,
 )
 from .beam_coding import GolayPair, ce_field_powers, golay_pair
-from .channel import ChannelRealization, derive_seed, sample_channel, toy_channel, toy_codebooks
+from .channel import (
+    ChannelRealization,
+    _readonly,
+    derive_seed,
+    sample_channel,
+    toy_channel,
+    toy_codebooks,
+)
 from .experiment import ConfigError, ExperimentConfig
 from .metrics import aggregate_snr, empirical_cdf
 from .packets import (
@@ -237,12 +244,6 @@ class _PowerVarPlan:
     golay: GolayPair
 
 
-def _readonly(indices: list) -> np.ndarray:
-    arr = np.array(indices, dtype=np.intp)
-    arr.setflags(write=False)
-    return arr
-
-
 @functools.lru_cache(maxsize=8)
 def _power_var_plan(
     tx_antennas: int, spacing: float, beams_per_packet: tuple[int, ...], schemes: tuple[str, ...]
@@ -279,8 +280,8 @@ def _power_var_plan(
     for members in shapes.values():
         groups.append(
             _PacketGroup(
-                preambles=_readonly([preamble for *_, preamble in members]),
-                fields=_readonly([fields for *_, fields, _ in members]),
+                preambles=_readonly(np.array([preamble for *_, preamble in members], np.intp)),
+                fields=_readonly(np.array([fields for *_, fields, _ in members], np.intp)),
             )
         )
         for scheme, k, packet_idx, fields, _ in members:
@@ -292,13 +293,14 @@ def _power_var_plan(
     # The keys are the weights' bytes in row order; the cached plan is
     # shared by every later call, so its arrays are read-only.
     weights = np.frombuffer(b"".join(row_of), dtype=np.complex128)
+    preamble_rows = sorted({r for g in groups for r in g.preambles.flat})
     return _PowerVarPlan(
         weights=weights.reshape(len(row_of), tx_antennas),
-        preamble_rows=_readonly(sorted({r for g in groups for r in g.preambles.flat})),
+        preamble_rows=_readonly(np.array(preamble_rows, np.intp)),
         groups=tuple(groups),
         packet_of=packet_of,
         field_of=field_of,
-        cells=tuple((cell, _readonly(entries)) for cell, entries in cells.items()),
+        cells=tuple((cell, _readonly(np.array(e, np.intp))) for cell, e in cells.items()),
         cell_labels=tuple(
             (tuple(packet_of[e] for e in entries), tuple(field_of[e] for e in entries))
             for entries in cells.values()
@@ -345,6 +347,28 @@ def _validate_campaign(exp: ExperimentConfig) -> None:
         )
     if exp.runs < 1:
         raise ConfigError(f"experiment.runs must be at least 1, got {exp.runs}")
+    ch = exp.channel
+    spread, rms, carrier = ch.intra_cluster_tap_spread, ch.cluster_loss_rms_db, ch.carrier_hz
+    bandwidth = exp.budget.bandwidth_hz
+    # Values the channel sampler or the link budget cannot work with.
+    for key, value, valid, rule in (
+        ("channel.intra_cluster_tap_spread", spread, spread >= 0, "nonnegative"),
+        ("channel.cluster_loss_rms_db", rms, rms >= 0, "nonnegative"),
+        ("channel.carrier_hz", carrier, 0 < carrier < math.inf, "positive and finite"),
+        ("channel.distance_m", ch.distance_m, math.isfinite(ch.distance_m), "finite"),
+        ("link.bandwidth_hz", bandwidth, bandwidth > 0, "positive"),
+    ):
+        if not valid:
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    # The sampler redraws each cluster loss until one passes the cap; when
+    # almost none do (here, under 1 in 10^4), it never returns in practice.
+    excess = ch.cluster_loss_mean_db - ch.cluster_loss_truncation_db
+    passing = 0.5 * math.erfc(excess / (rms * math.sqrt(2.0))) if rms > 0 else float(excess <= 0)
+    if passing < 1e-4:
+        raise ConfigError(
+            f"channel.cluster_loss_mean_db: with channel.cluster_loss_rms_db = {rms!r}, only "
+            f"{passing:.3g} of the draws pass channel.cluster_loss_truncation_db (need 1e-4)"
+        )
 
 
 def power_var_campaign(
@@ -491,6 +515,9 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
             f"experiment.schemes: quant-sweep always compares {', '.join(_POWER_VAR_SCHEMES)}; "
             f"got {', '.join(exp.schemes)}"
         )
+    bad_bits = [b for b in exp.quant_bits if b is not None and b < 1]
+    if bad_bits:
+        raise ConfigError(f"quant.bits: a phase shifter needs at least 1 bit, got {bad_bits}")
     tx_cb = _dft_codebook("array.tx_antennas", exp.tx_antennas, exp.spacing)
     rx_cb = _dft_codebook("array.rx_antennas", exp.rx_antennas, exp.spacing)
     log.info("quant-sweep: %d runs in %s", exp.runs, ", ".join(exp.environments))

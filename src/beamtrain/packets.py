@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .array_model import ArrayConfig, SteeringVector, WeightVector, superpose_beams
-from .beam_coding import GolayPair, build_schedule, encode_ce_field, golay_pair, walsh_codes
+from .beam_coding import GolayPair, coded_fields, encode_ce_field, golay_pair, walsh_codes
 from .channel import ChannelRealization, cascade_gains
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "DELAY_SUBFIELD_BITS",
     "DELAY_SUBFIELDS_PER_BEAM",
     "CE_BITS",
-    "PREAMBLE_BITS_DEFAULT",
-    "HEADER_BITS_DEFAULT",
     "PER_BEAM_BITS_80211AD",
     "PER_BEAM_BITS_BEAM_CODING",
     "TrnField",
@@ -45,10 +43,6 @@ AGC_SUBFIELDS_PER_BEAM = 4
 DELAY_SUBFIELD_BITS = 640
 DELAY_SUBFIELDS_PER_BEAM = 4
 CE_BITS = 1024
-
-# Not specified by the packet format we mirror; they only set trace lengths.
-PREAMBLE_BITS_DEFAULT = 2176
-HEADER_BITS_DEFAULT = 1024
 
 PER_BEAM_BITS_80211AD = (
     AGC_SUBFIELDS_PER_BEAM * AGC_SUBFIELD_BITS
@@ -77,7 +71,7 @@ class TrnField:
 
 @dataclass(frozen=True)
 class PacketLayout:
-    """Packet sections in fixed order: preamble, header, AGC, TRN fields.
+    """The training section of a packet: AGC subfields, then TRN fields.
 
     ``preamble_weights`` is the cycle of antenna weights the preamble rides:
     a single equal-power composite of the trained beams for the standard
@@ -87,27 +81,18 @@ class PacketLayout:
     """
 
     scheme: str
-    preamble_bits: int
-    header_bits: int
     agc_subfield_count: int
     trn_fields: tuple[TrnField, ...]
-    agc_subfield_bits: int = AGC_SUBFIELD_BITS
     preamble_weights: tuple[WeightVector, ...] = ()
 
     def __post_init__(self) -> None:
-        if min(self.preamble_bits, self.header_bits, self.agc_subfield_count) < 0:
-            raise ValueError("bit counts must be nonnegative")
+        if self.agc_subfield_count < 0:
+            raise ValueError("agc_subfield_count must be nonnegative")
 
     @property
     def training_bits(self) -> int:
         """Bits in the training section: AGC subfields plus TRN fields."""
-        return self.agc_subfield_count * self.agc_subfield_bits + sum(
-            f.bits for f in self.trn_fields
-        )
-
-    @property
-    def total_bits(self) -> int:
-        return self.preamble_bits + self.header_bits + self.training_bits
+        return self.agc_subfield_count * AGC_SUBFIELD_BITS + sum(f.bits for f in self.trn_fields)
 
 
 def _preamble_composite(beams: Sequence[SteeringVector]) -> WeightVector:
@@ -125,12 +110,7 @@ def _beam_count(
     return count, vecs
 
 
-def layout_80211ad(
-    beams: int | Sequence[SteeringVector],
-    *,
-    preamble_bits: int = PREAMBLE_BITS_DEFAULT,
-    header_bits: int = HEADER_BITS_DEFAULT,
-) -> PacketLayout:
+def layout_80211ad(beams: int | Sequence[SteeringVector]) -> PacketLayout:
     """Standard-style in-packet layout training ``beams`` one field at a time.
 
     Every trained beam costs 4 AGC subfields plus a TRN field with delay
@@ -150,8 +130,6 @@ def layout_80211ad(
     )
     return PacketLayout(
         scheme="80211ad",
-        preamble_bits=preamble_bits,
-        header_bits=header_bits,
         agc_subfield_count=AGC_SUBFIELDS_PER_BEAM * count,
         trn_fields=fields,
         preamble_weights=() if vecs is None else (_preamble_composite(vecs),),
@@ -162,8 +140,6 @@ def layout_beam_coding(
     beams: int | Sequence[SteeringVector],
     *,
     num_antennas: int | None = None,
-    preamble_bits: int = PREAMBLE_BITS_DEFAULT,
-    header_bits: int = HEADER_BITS_DEFAULT,
 ) -> PacketLayout:
     """Coded layout: T = next power of two >= K CE-only fields, no AGC.
 
@@ -185,12 +161,10 @@ def layout_beam_coding(
     if vecs is None:
         fields, weights = (TrnField(),) * (1 << order), ()
     else:
-        weights = build_schedule(vecs, walsh_codes(order)[:count]).field_weights
+        weights = coded_fields(vecs, walsh_codes(order)[:count])
         fields = tuple(TrnField(weight=w) for w in weights)
     return PacketLayout(
         scheme="beamcoding",
-        preamble_bits=preamble_bits,
-        header_bits=header_bits,
         agc_subfield_count=0,
         trn_fields=fields,
         preamble_weights=weights,

@@ -23,8 +23,10 @@ stage keeps a cascade of its own, because entries sliced out of the
 whole table round differently in the last bit.  Measurement noise comes
 from the realization's one stream per seed: every run reads its stages
 as consecutive slices from the start of the stream, just as if it drew
-them from a fresh generator.  Coded fields are decoded with
-:func:`~beamtrain.beam_coding.walsh_decode`.
+them from a fresh generator.  Every stage of every scheme runs through
+one routine: it adds the noise, decodes coded fields with
+:func:`~beamtrain.beam_coding.walsh_decode`, sums power over taps and
+tests detection.
 
 Measurement model: each training field yields one channel estimate per
 delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
@@ -57,7 +59,7 @@ from .array_model import (
     subarray_beam,
     superpose_beams,
 )
-from .beam_coding import CorrelationMatrix, build_schedule, walsh_codes, walsh_decode
+from .beam_coding import coded_fields, walsh_codes, walsh_decode
 from .channel import ChannelRealization, LinkBudget, Ray, _readonly, derive_seed
 from .packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING
 
@@ -82,6 +84,10 @@ log = logging.getLogger(__name__)
 # that produced the channel realization from the same seed.
 _NOISE_STREAM = 0x6E015E
 
+# A stage detects a beam when its peak clears this many decoded noise
+# standard deviations.
+_DETECTION_SIGMA = 5.0
+
 
 class Scheme(str, Enum):
     EXHAUSTIVE_PBP = "exhaustive_pbp"
@@ -93,6 +99,7 @@ class Scheme(str, Enum):
 
 
 _CODED_SCHEMES = (Scheme.EXHAUSTIVE_BEAMCODING, Scheme.FEEDBACK_BEAMCODING)
+_FEEDBACK_SCHEMES = (Scheme.FEEDBACK_INPACKET, Scheme.FEEDBACK_BEAMCODING)
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,6 @@ class ProtocolConfig:
     num_sectors: int = 4
     ce_chips: int = 1024
     feedback_bits: int = 512
-    detection_threshold_sigma: float = 5.0
 
     def __post_init__(self) -> None:
         if self.scheme in _CODED_SCHEMES and not self.tx_codebook.is_orthogonal:
@@ -154,6 +160,8 @@ class TrainingOutcome:
 
     ``feedback_bits`` counts the piggybacked feedback messages and is kept
     out of ``training_bits``, which covers training sections only.
+    ``correlation`` is the read-only decoded table of exhaustive coded
+    training, r[p, q] at each pair's strongest tap.
     """
 
     scheme: Scheme
@@ -161,7 +169,7 @@ class TrainingOutcome:
     success: bool
     best_pair: tuple[int, int] | None
     pair_power: np.ndarray | None
-    correlation: CorrelationMatrix | None
+    correlation: np.ndarray | None
     packets_sent: int
     training_bits: int
     power_traces: tuple[np.ndarray, ...]
@@ -213,10 +221,9 @@ class _TrainingPlan:
         """Transformed field weights (T, antennas) of the Walsh-coded
         codebook, and the chips (K, T) that tag its beams."""
         k = len(self._codebook)
-        codes = walsh_codes(max(0, (k - 1).bit_length()))[:k]
-        schedule = build_schedule(self._codebook, codes)
-        chips = np.stack([c.chips for c in codes]).astype(np.complex128)
-        return _weight_matrix(self._cfg, schedule.field_weights), _readonly(chips)
+        chips = walsh_codes(max(0, (k - 1).bit_length()))[:k]
+        fields = coded_fields(self._codebook.vectors, chips)
+        return _weight_matrix(self._cfg, fields), _readonly(chips.astype(np.complex128))
 
     @functools.cached_property
     def sectors(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -267,19 +274,6 @@ class _Noise:
         return normals.reshape(shape)
 
 
-def _estimate_table(cfg: ProtocolConfig, table: np.ndarray, noise: _Noise) -> np.ndarray:
-    """Noisy per-tap field estimates from a raw gain table, in a new array
-    of the same shape."""
-    est = table / math.sqrt(cfg.tx_codebook.cfg.num_antennas * cfg.rx_codebook.cfg.num_antennas)
-    sigma = _field_noise_std(cfg)
-    if sigma > 0.0:
-        # One draw holds the real parts, then the imaginary parts.
-        normals = noise.next((2, *est.shape)) * (sigma / math.sqrt(2.0))
-        est.real += normals[0]
-        est.imag += normals[1]
-    return est
-
-
 def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] | None) -> float:
     budget = cfg.snr_budget if cfg.snr_budget is not None else cfg.noise
     if budget is None or pair is None:
@@ -291,21 +285,74 @@ def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] |
     return 10.0 * math.log10(p_rel / budget.noise_to_signal)
 
 
-def _passes_detection(cfg: ProtocolConfig, peak: float, decode_gain: float = 1.0) -> bool:
-    """Peak statistic must clear 5x the decoded noise standard deviation.
-
-    There is no failure path in an idealized description, but degenerate
-    inputs (a dead channel) need one; noiseless runs just require a
-    strictly positive peak.
-    """
-    threshold = cfg.detection_threshold_sigma * _field_noise_std(cfg) * decode_gain
-    return peak > threshold
-
-
 def _argmax_pair(power: np.ndarray) -> tuple[int, int]:
     flat = int(np.argmax(power))
     p, q = np.unravel_index(flat, power.shape)
     return int(p), int(q)
+
+
+def _stage(
+    cfg: ProtocolConfig,
+    table: np.ndarray,
+    noise: _Noise,
+    chips: np.ndarray | None = None,
+    axis: int = -2,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """One training stage over a raw gain table (num_taps, tx, rx).
+
+    Returns the noisy per-tap field estimates (a new array), the per-beam
+    table (the estimates Walsh-decoded along ``axis`` when ``chips`` is
+    given, else the estimates themselves), its power summed over taps, and
+    whether its peak passes detection.  The peak must clear 5x the decoded
+    noise standard deviation, which decoding T fields raises by sqrt(T).
+    There is no failure path in an idealized description, but degenerate
+    inputs (a dead channel) need one; noiseless runs just require a
+    strictly positive peak.
+    """
+    est = table / math.sqrt(cfg.tx_codebook.cfg.num_antennas * cfg.rx_codebook.cfg.num_antennas)
+    sigma = _field_noise_std(cfg)
+    if sigma > 0.0:
+        # One draw holds the real parts, then the imaginary parts.
+        normals = noise.next((2, *est.shape)) * (sigma / math.sqrt(2.0))
+        est.real += normals[0]
+        est.imag += normals[1]
+    r, gain = est, 1.0
+    if chips is not None:
+        r, gain = walsh_decode(chips, est, axis), math.sqrt(chips.shape[1])
+    power = np.sum(np.abs(r) ** 2, axis=0)
+    detected = float(np.max(np.abs(r))) > _DETECTION_SIGMA * sigma * gain
+    return est, r, power, detected
+
+
+def _outcome(
+    scheme: Scheme,
+    cfg: ProtocolConfig,
+    ch: ChannelRealization,
+    seed: int,
+    pair: tuple[int, int] | None,
+    traces: tuple[np.ndarray, ...],
+    packets: int,
+    bits: int,
+    pair_power: np.ndarray | None = None,
+    correlation: np.ndarray | None = None,
+) -> TrainingOutcome:
+    """The outcome of a run that selected ``pair`` (None on a detection
+    failure); a feedback scheme also sends one feedback message."""
+    feedback = scheme in _FEEDBACK_SCHEMES
+    return TrainingOutcome(
+        scheme=scheme,
+        seed=seed,
+        success=pair is not None,
+        best_pair=pair,
+        pair_power=pair_power,
+        correlation=correlation,
+        packets_sent=packets,
+        training_bits=bits,
+        power_traces=traces,
+        snr_db=_snr_db(cfg, ch, pair),
+        feedback_messages=int(feedback),
+        feedback_bits=cfg.feedback_bits if feedback else 0,
+    )
 
 
 def _traces_per_rx(est: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -314,30 +361,26 @@ def _traces_per_rx(est: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(power[:, q].copy() for q in range(power.shape[1]))
 
 
+def _exhaustive(
+    cfg: ProtocolConfig, ch: ChannelRealization, seed: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
+    """The whole codebook table's estimates, their power and the pair they
+    select: packet-by-packet and in-packet search measure the same."""
+    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
+    est, _, power, detected = _stage(cfg, table, _Noise(ch, seed))
+    return est, power, _argmax_pair(power) if detected else None
+
+
 def run_exhaustive_pbp(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> TrainingOutcome:
     """One packet per beam pair, (p, q) ordered; the performance yardstick."""
-    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
-    est = _estimate_table(cfg, table, _Noise(ch, seed))
-    power = np.sum(np.abs(est) ** 2, axis=0)
-    success = _passes_detection(cfg, float(np.max(np.abs(est))))
-    pair = _argmax_pair(power) if success else None
+    _, power, pair = _exhaustive(cfg, ch, seed)
     p, q = power.shape
     # One single-field trace per packet: the rows of one (p * q, 1) copy.
     traces = tuple(power.reshape(p * q, 1).copy())
-    return TrainingOutcome(
-        scheme=Scheme.EXHAUSTIVE_PBP,
-        seed=seed,
-        success=success,
-        best_pair=pair,
-        pair_power=power,
-        correlation=None,
-        packets_sent=p * q,
-        training_bits=p * q * PER_BEAM_BITS_80211AD,
-        power_traces=traces,
-        snr_db=_snr_db(cfg, ch, pair),
-    )
+    bits = p * q * PER_BEAM_BITS_80211AD
+    return _outcome(Scheme.EXHAUSTIVE_PBP, cfg, ch, seed, pair, traces, p * q, bits, power)
 
 
 def sector_beams(
@@ -372,33 +415,21 @@ def run_multilevel_pbp(
     tx_wide, tx_groups = cfg._tx_plan.sectors
     rx_wide, rx_groups = cfg._rx_plan.sectors
 
-    est1 = _estimate_table(cfg, _table(cfg, ch, tx_wide, rx_wide), noise)
-    power1 = np.sum(np.abs(est1) ** 2, axis=0)
+    _, _, power1, _ = _stage(cfg, _table(cfg, ch, tx_wide, rx_wide), noise)
     s_tx, s_rx = _argmax_pair(power1)
 
     fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
     # A cascade of its own: the same entries sliced out of the whole
     # codebook table differ in the last bit.
     fine = _table(cfg, ch, cfg._tx_plan.weights[fine_tx], cfg._rx_plan.weights[fine_rx])
-    est2 = _estimate_table(cfg, fine, noise)
-    power2 = np.sum(np.abs(est2) ** 2, axis=0)
-    success = _passes_detection(cfg, float(np.max(np.abs(est2))))
+    _, _, power2, detected = _stage(cfg, fine, noise)
     local = _argmax_pair(power2)
-    pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if success else None
+    pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if detected else None
 
     packets = len(tx_wide) * len(rx_wide) + len(fine_tx) * len(fine_rx)
-    return TrainingOutcome(
-        scheme=Scheme.MULTILEVEL_PBP,
-        seed=seed,
-        success=success,
-        best_pair=pair,
-        pair_power=power2,
-        correlation=None,
-        packets_sent=packets,
-        training_bits=packets * PER_BEAM_BITS_80211AD,
-        power_traces=(power1.ravel(), power2.ravel()),
-        snr_db=_snr_db(cfg, ch, pair),
-    )
+    traces = (power1.ravel(), power2.ravel())
+    bits = packets * PER_BEAM_BITS_80211AD
+    return _outcome(Scheme.MULTILEVEL_PBP, cfg, ch, seed, pair, traces, packets, bits, power2)
 
 
 def run_exhaustive_inpacket(
@@ -409,23 +440,11 @@ def run_exhaustive_inpacket(
     Recovers the full beam-pair gain table, so noiselessly it agrees with
     packet-by-packet search entry for entry.
     """
-    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
-    est = _estimate_table(cfg, table, _Noise(ch, seed))
-    power = np.sum(np.abs(est) ** 2, axis=0)
-    success = _passes_detection(cfg, float(np.max(np.abs(est))))
-    pair = _argmax_pair(power) if success else None
+    est, power, pair = _exhaustive(cfg, ch, seed)
     p, q = power.shape
-    return TrainingOutcome(
-        scheme=Scheme.EXHAUSTIVE_INPACKET,
-        seed=seed,
-        success=success,
-        best_pair=pair,
-        pair_power=power,
-        correlation=None,
-        packets_sent=q,
-        training_bits=q * p * PER_BEAM_BITS_80211AD,
-        power_traces=_traces_per_rx(est),
-        snr_db=_snr_db(cfg, ch, pair),
+    bits = q * p * PER_BEAM_BITS_80211AD
+    return _outcome(
+        Scheme.EXHAUSTIVE_INPACKET, cfg, ch, seed, pair, _traces_per_rx(est), q, bits, power
     )
 
 
@@ -436,36 +455,16 @@ def run_feedback_inpacket(
     receive sweep at the fed-back transmit beam."""
     noise = _Noise(ch, seed)
     tx_ws, rx_ws = cfg._tx_plan.weights, cfg._rx_plan.weights
-    est1 = _estimate_table(cfg, _table(cfg, ch, tx_ws, cfg._rx_plan.composite), noise)
-    power1 = np.sum(np.abs(est1) ** 2, axis=0)[:, 0]
-    stage1_ok = _passes_detection(cfg, float(np.max(np.abs(est1))))
-    best_tx = int(np.argmax(power1))
+    _, _, power1, detected1 = _stage(cfg, _table(cfg, ch, tx_ws, cfg._rx_plan.composite), noise)
+    best_tx = int(np.argmax(power1[:, 0]))
 
     table = _table(cfg, ch, tx_ws, rx_ws)
-    est2 = _estimate_table(cfg, table[:, best_tx : best_tx + 1, :], noise)
-    power2 = np.sum(np.abs(est2) ** 2, axis=0)[0, :]
-    stage2_ok = _passes_detection(cfg, float(np.max(np.abs(est2))))
-    success = stage1_ok and stage2_ok
-    pair = (best_tx, int(np.argmax(power2))) if success else None
+    _, _, power2, detected2 = _stage(cfg, table[:, best_tx : best_tx + 1, :], noise)
+    pair = (best_tx, int(np.argmax(power2[0, :]))) if detected1 and detected2 else None
 
-    bits = (
-        len(cfg.tx_codebook) * PER_BEAM_BITS_80211AD
-        + len(cfg.rx_codebook) * PER_BEAM_BITS_80211AD
-    )
-    return TrainingOutcome(
-        scheme=Scheme.FEEDBACK_INPACKET,
-        seed=seed,
-        success=success,
-        best_pair=pair,
-        pair_power=None,
-        correlation=None,
-        packets_sent=2,
-        training_bits=bits,
-        power_traces=(power1, power2),
-        snr_db=_snr_db(cfg, ch, pair),
-        feedback_messages=1,
-        feedback_bits=cfg.feedback_bits,
-    )
+    traces = (power1[:, 0], power2[0, :])
+    bits = (len(cfg.tx_codebook) + len(cfg.rx_codebook)) * PER_BEAM_BITS_80211AD
+    return _outcome(Scheme.FEEDBACK_INPACKET, cfg, ch, seed, pair, traces, 2, bits)
 
 
 def run_exhaustive_beamcoding(
@@ -477,29 +476,16 @@ def run_exhaustive_beamcoding(
     of the beam-pair gain, so the two-path toy decodes to exactly 2 and 2a.
     """
     tx_fields, chips = cfg._tx_plan.coded
-    est = _estimate_table(cfg, _table(cfg, ch, tx_fields, cfg._rx_plan.weights), _Noise(ch, seed))
-    r = walsh_decode(chips, est)
-    power = np.sum(np.abs(r) ** 2, axis=0)
-    t = len(tx_fields)
-    success = _passes_detection(cfg, float(np.max(np.abs(r))), decode_gain=math.sqrt(t))
-    pair = _argmax_pair(power) if success else None
+    table = _table(cfg, ch, tx_fields, cfg._rx_plan.weights)
+    est, r, power, detected = _stage(cfg, table, _Noise(ch, seed), chips)
+    pair = _argmax_pair(power) if detected else None
 
-    dominant = np.take_along_axis(
-        r, np.argmax(np.abs(r), axis=0)[None, ...], axis=0
-    )[0]
+    dominant = np.take_along_axis(r, np.argmax(np.abs(r), axis=0)[None, ...], axis=0)[0]
     q = est.shape[2]
-    return TrainingOutcome(
-        scheme=Scheme.EXHAUSTIVE_BEAMCODING,
-        seed=seed,
-        success=success,
-        best_pair=pair,
-        pair_power=power,
-        correlation=CorrelationMatrix(dominant),
-        packets_sent=q,
-        training_bits=q * t * PER_BEAM_BITS_BEAM_CODING,
-        power_traces=_traces_per_rx(est),
-        snr_db=_snr_db(cfg, ch, pair),
-    )
+    traces = _traces_per_rx(est)
+    bits = q * len(tx_fields) * PER_BEAM_BITS_BEAM_CODING
+    scheme = Scheme.EXHAUSTIVE_BEAMCODING
+    return _outcome(scheme, cfg, ch, seed, pair, traces, q, bits, power, _readonly(dominant))
 
 
 def run_feedback_beamcoding(
@@ -509,42 +495,21 @@ def run_feedback_beamcoding(
     receiver, feedback, then coded receive beams at the chosen transmit beam."""
     noise = _Noise(ch, seed)
     tx_fields, tx_chips = cfg._tx_plan.coded
-    est1 = _estimate_table(cfg, _table(cfg, ch, tx_fields, cfg._rx_plan.composite), noise)
-    r1 = walsh_decode(tx_chips, est1)[:, :, 0]
-    power1 = np.sum(np.abs(r1) ** 2, axis=0)
-    stage1_ok = _passes_detection(
-        cfg, float(np.max(np.abs(r1))), decode_gain=math.sqrt(len(tx_fields))
-    )
-    best_tx = int(np.argmax(power1))
+    table1 = _table(cfg, ch, tx_fields, cfg._rx_plan.composite)
+    _, _, power1, detected1 = _stage(cfg, table1, noise, tx_chips)
+    best_tx = int(np.argmax(power1[:, 0]))
 
     rx_fields, rx_chips = cfg._rx_plan.coded
     tx_best = cfg._tx_plan.weights[best_tx : best_tx + 1]
-    est2 = _estimate_table(cfg, _table(cfg, ch, tx_best, rx_fields), noise)
     # Receive-side coding: fields vary the receiver weights, so decode along
     # the receive axis.
-    r2 = walsh_decode(rx_chips, est2, axis=2)[:, 0, :]
-    power2 = np.sum(np.abs(r2) ** 2, axis=0)
-    stage2_ok = _passes_detection(
-        cfg, float(np.max(np.abs(r2))), decode_gain=math.sqrt(len(rx_fields))
-    )
-    success = stage1_ok and stage2_ok
-    pair = (best_tx, int(np.argmax(power2))) if success else None
+    table2 = _table(cfg, ch, tx_best, rx_fields)
+    _, _, power2, detected2 = _stage(cfg, table2, noise, rx_chips, axis=2)
+    pair = (best_tx, int(np.argmax(power2[0, :]))) if detected1 and detected2 else None
 
+    traces = (power1[:, 0], power2[0, :])
     bits = (len(tx_fields) + len(rx_fields)) * PER_BEAM_BITS_BEAM_CODING
-    return TrainingOutcome(
-        scheme=Scheme.FEEDBACK_BEAMCODING,
-        seed=seed,
-        success=success,
-        best_pair=pair,
-        pair_power=None,
-        correlation=None,
-        packets_sent=2,
-        training_bits=bits,
-        power_traces=(power1, power2),
-        snr_db=_snr_db(cfg, ch, pair),
-        feedback_messages=1,
-        feedback_bits=cfg.feedback_bits,
-    )
+    return _outcome(Scheme.FEEDBACK_BEAMCODING, cfg, ch, seed, pair, traces, 2, bits)
 
 
 _RUNNERS = {

@@ -66,13 +66,15 @@ def _outcome_record(out: TrainingOutcome) -> dict:
     """Every field of an outcome, JSON-ready; a complex array is split
     into its real and imaginary parts."""
     corr = out.correlation
+    if corr is not None:
+        corr = {"real": corr.real.tolist(), "imag": corr.imag.tolist()}
     return {
         "scheme": out.scheme.value,
         "seed": out.seed,
         "success": out.success,
         "best_pair": None if out.best_pair is None else list(out.best_pair),
         "pair_power": None if out.pair_power is None else out.pair_power.tolist(),
-        "correlation": None if corr is None else {"real": corr.r.real.tolist(), "imag": corr.r.imag.tolist()},
+        "correlation": corr,
         "packets_sent": out.packets_sent,
         "training_bits": out.training_bits,
         "power_traces": [trace.tolist() for trace in out.power_traces],
@@ -90,7 +92,8 @@ def scheme_outcomes() -> dict[str, dict[str, dict]]:
     out = {}
     for env in ("los", "nlos"):
         for i in range(OUTCOME_REALIZATIONS):
-            ch = sample_channel(ChannelConfig(los=env == "los"), derive_seed(OUTCOME_MASTER_SEED, i))
+            seed = derive_seed(OUTCOME_MASTER_SEED, i)
+            ch = sample_channel(ChannelConfig(los=env == "los"), seed)
             out[f"{env}/{i}"] = {cfg.scheme.value: _outcome_record(run(cfg, ch, i)) for cfg in cfgs}
     return out
 

@@ -51,7 +51,7 @@ def test_criterion_1_toy_channel_exactness():
         ch,
         seed=0,
     )
-    r = coded.correlation.r
+    r = coded.correlation
     # beam pairs are reported zero-based; the strong pair (1, 2) is beam
     # pair (2, 3) when counting beams from one
     checks = [

@@ -305,11 +305,10 @@ class TestQuantizePhases:
         # Fields of a 16-beam coded schedule can have near-tied lobes, so the
         # argmax may hop between them; the distortion statement that holds is
         # per lobe: every strong peak stays put to within a degree.
-        from beamtrain.beam_coding import build_schedule, walsh_codes
+        from beamtrain.beam_coding import coded_fields, walsh_codes
 
         cfg = ArrayConfig(16)
         cb = dft_codebook(cfg)
-        schedule = build_schedule(cb, walsh_codes(4))
         grid = np.arange(0.1, 180.0, 0.1)
 
         def strong_peaks(weights):
@@ -318,7 +317,7 @@ class TestQuantizePhases:
             inner = (p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:])
             return grid[1:-1][inner & (p[1:-1] > 10 ** (-3 / 10))]
 
-        for w in schedule.field_weights:
+        for w in coded_fields(cb.vectors, walsh_codes(4)):
             ref = strong_peaks(w)
             quant = strong_peaks(quantize_phases(w, 4))
             for peak in ref:

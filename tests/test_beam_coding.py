@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from beamtrain import beam_coding
 from beamtrain.array_model import ArrayConfig, dft_codebook, steering_vector
 from beamtrain.beam_coding import (
-    CorrelationMatrix,
     GolayPair,
-    SignatureCode,
-    build_schedule,
     ce_field_powers,
+    coded_fields,
     decode_per_tap,
     encode_ce_field,
     golay_pair,
@@ -21,6 +19,7 @@ from beamtrain.beam_coding import (
     walsh_decode,
 )
 from beamtrain.channel import ChannelRealization, Ray, cascade_gains
+from beamtrain.protocols import _argmax_pair
 
 
 def aperiodic_autocorrelation(x):
@@ -45,9 +44,9 @@ def walsh_codes_for(k):
     return walsh_codes(max(0, (k - 1).bit_length()))[:k]
 
 
-def chip_matrix(codes):
-    """The codes' chips as the rows of one complex (K, T) matrix."""
-    return np.stack([c.chips for c in codes]).astype(np.complex128)
+def chip_matrix(chips):
+    """The chips as one complex (K, T) matrix, as the decoders take them."""
+    return chips.astype(np.complex128)
 
 
 _rays = st.lists(
@@ -114,45 +113,32 @@ def autocorr_oracle(seq, lag):
 
 class TestWalshCodes:
     def test_order_two_exact_rows(self):
-        codes = walsh_codes(2)
+        chips = walsh_codes(2)
         expected = [
             [1, 1, 1, 1],
             [1, -1, 1, -1],
             [1, 1, -1, -1],
             [1, -1, -1, 1],
         ]
-        assert [c.chips.tolist() for c in codes] == expected
-        assert [c.beam_index for c in codes] == [0, 1, 2, 3]
+        assert chips.tolist() == expected
+        assert chips.dtype == np.int64
+        assert not chips.flags.writeable and not chips[:2].flags.writeable
 
     def test_order_zero(self):
-        codes = walsh_codes(0)
-        assert len(codes) == 1
-        assert codes[0].chips.tolist() == [1]
+        assert walsh_codes(0).tolist() == [[1]]
 
     def test_order_three_all_pairs_orthogonal(self):
-        codes = walsh_codes(3)
-        for a, b in itertools.combinations(codes, 2):
-            assert int(np.dot(a.chips, b.chips)) == 0
+        for a, b in itertools.combinations(walsh_codes(3), 2):
+            assert int(np.dot(a, b)) == 0
 
     def test_gram_is_t_identity(self):
         for k in range(5):
-            codes = walsh_codes(k)
-            s = np.stack([c.chips for c in codes])
+            s = walsh_codes(k)
             assert np.array_equal(s @ s.T, (2**k) * np.eye(2**k, dtype=np.int64))
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             walsh_codes(-1)
-
-
-class TestSignatureCode:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SignatureCode(chips=np.array([1, 1, 1]), beam_index=0)  # not a power of 2
-        with pytest.raises(ValueError):
-            SignatureCode(chips=np.array([1, 2]), beam_index=0)
-        with pytest.raises(ValueError):
-            SignatureCode(chips=np.array([-1, 1]), beam_index=0)
 
 
 class TestGolayPair:
@@ -196,68 +182,89 @@ class TestGolayPair:
 
 
 class TestBuildSchedule:
+    """The coded field schedule that :func:`coded_fields` builds."""
+
     def test_four_beam_field_weights_match_hand_formula(self):
         cfg = ArrayConfig(16)
         cb = dft_codebook(cfg)
         beams = [cb.vectors[i] for i in (1, 5, 9, 13)]
-        codes = walsh_codes(2)
-        schedule = build_schedule(beams, codes)
-        assert schedule.orthogonal_beams
+        chips = walsh_codes(2)
+        fields = coded_fields(beams, chips)
         for t in range(4):
-            manual = 0.5 * sum(
-                codes[p].chips[t] * beams[p].entries for p in range(4)
-            )
-            assert np.allclose(schedule.field_weights[t].weights, manual, atol=1e-15)
+            manual = 0.5 * sum(chips[p, t] * beams[p].entries for p in range(4))
+            assert np.allclose(fields[t].weights, manual, atol=1e-15)
 
     def test_single_beam_schedule_is_constant(self):
         sv = steering_vector(ArrayConfig(8), 70.0)
-        schedule = build_schedule([sv], walsh_codes(0))
-        assert len(schedule) == 1
-        assert np.allclose(schedule.field_weights[0].weights, sv.entries)
+        fields = coded_fields([sv], walsh_codes(0))
+        assert len(fields) == 1
+        assert np.allclose(fields[0].weights, sv.entries)
 
     def test_power_flat_across_fields(self):
         cfg = ArrayConfig(16)
         cb = dft_codebook(cfg)
         for k in (1, 2, 4, 8, 16):
             beams = [cb.vectors[i] for i in range(0, 16, 16 // k)]
-            codes = walsh_codes(int(math.log2(k)) if k > 1 else 0)[:k]
-            schedule = build_schedule(beams, codes)
-            energies = [w.energy() for w in schedule.field_weights]
+            chips = walsh_codes(int(math.log2(k)) if k > 1 else 0)[:k]
+            energies = [w.energy() for w in coded_fields(beams, chips)]
             assert max(energies) - min(energies) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(orthogonal_subsets())
     def test_orthogonal_schedule_fields_have_unit_energy(self, books):
         _, subset = books
-        schedule = build_schedule(subset, walsh_codes_for(len(subset)))
-        assert schedule.orthogonal_beams
-        for w in schedule.field_weights:
+        for w in coded_fields(subset.vectors, walsh_codes_for(len(subset))):
             assert w.energy() == pytest.approx(1.0, rel=1e-12)
 
     def test_longer_codes_than_beams(self):
         cfg = ArrayConfig(8)
         cb = dft_codebook(cfg)
-        codes = walsh_codes(2)[:2]  # first 2 rows of order 4
-        schedule = build_schedule([cb.vectors[0], cb.vectors[3]], codes)
-        assert len(schedule) == 4
-        assert len(schedule.beams) == 2
+        chips = walsh_codes(2)[:2]  # first 2 rows of order 4
+        assert len(coded_fields([cb.vectors[0], cb.vectors[3]], chips)) == 4
 
-    def test_non_orthogonal_flagged(self):
+    def test_non_orthogonal_beams_lose_power_flatness(self):
         cfg = ArrayConfig(16)
         beams = [steering_vector(cfg, 60.0), steering_vector(cfg, 61.0)]
-        schedule = build_schedule(beams, walsh_codes(1))
-        assert not schedule.orthogonal_beams
+        energies = [w.energy() for w in coded_fields(beams, walsh_codes(1))]
+        assert max(energies) - min(energies) > 0.5
 
     def test_validation(self):
         cfg = ArrayConfig(8)
         cb = dft_codebook(cfg)
         with pytest.raises(ValueError):
-            build_schedule([], [])
-        with pytest.raises(ValueError):
-            build_schedule([cb.vectors[0]], walsh_codes(1))  # 2 codes, 1 beam
-        with pytest.raises(ValueError):
+            coded_fields([], np.zeros((0, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="2 chip rows for 1 beams"):
+            coded_fields([cb.vectors[0]], walsh_codes(1))
+        with pytest.raises(ValueError, match="orthogonal"):
             # 4 beams cannot be separated by 2-chip codes
-            build_schedule([cb.vectors[i] for i in range(4)], walsh_codes(1) * 2)
+            coded_fields([cb.vectors[i] for i in range(4)], np.vstack([walsh_codes(1)] * 2))
+
+    @pytest.mark.parametrize(
+        "chips, message",
+        [
+            (np.array([1, -1]), "matrix"),
+            (np.zeros((0, 4)), "matrix"),
+            (np.array([[1, 2]]), "chips must be"),
+            (np.array([[1, 0]]), "chips must be"),
+            (np.array([[1j, 1]]), "chips must be"),
+            (np.array([[1, 1], [1, 1]]), "orthogonal"),
+            (np.array([[1, 1, 1], [1, -1, 1]]), "orthogonal"),
+        ],
+    )
+    def test_rejects_a_bad_chip_matrix(self, chips, message):
+        g = golay_pair(2)
+        beams = [steering_vector(ArrayConfig(4), 60.0)] * max(1, len(np.atleast_2d(chips)))
+        with pytest.raises(ValueError, match=message):
+            coded_fields(beams, chips)
+        with pytest.raises(ValueError, match=message):
+            decode_per_tap(np.zeros((4, 16)), g, chips)
+
+    def test_accepts_any_orthogonal_sign_matrix(self):
+        # Not Walsh rows, not starting with +1, length not a power of two.
+        chips = np.array([[-1, 1], [1, 1]])
+        beams = [steering_vector(ArrayConfig(4), a) for a in (60.0, 120.0)]
+        fields = coded_fields(beams, chips)
+        assert np.allclose(fields[0].weights, (beams[1].entries - beams[0].entries) / math.sqrt(2))
 
 
 class TestDecodeCorrelations:
@@ -266,30 +273,27 @@ class TestDecodeCorrelations:
         # so coded fields must decode to (T / sqrt(K)) * gain
         rng = np.random.default_rng(21)
         k = 4
-        codes = walsh_codes(2)
+        chips = walsh_codes(2)
         gains = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
         received = np.zeros((3, 4), dtype=complex)
         for t in range(4):
             for q in range(3):
-                received[q, t] = sum(
-                    codes[p].chips[t] / math.sqrt(k) * gains[p, q] for p in range(k)
-                )
-        out = walsh_decode(chip_matrix(codes), received, axis=1)
+                received[q, t] = sum(chips[p, t] / math.sqrt(k) * gains[p, q] for p in range(k))
+        out = walsh_decode(chip_matrix(chips), received, axis=1)
         scale = 4 / math.sqrt(4)
         assert np.allclose(out, scale * gains.T, atol=1e-12)
 
     def test_sign_channel_gains_recover_exactly(self):
         rng = np.random.default_rng(2)
-        codes = walsh_codes(2)
+        chips = walsh_codes(2)
         gains = rng.choice([-1.0, 1.0], size=(4, 4))
-        received = (np.stack([c.chips for c in codes]).T / 2.0) @ gains
-        out = walsh_decode(chip_matrix(codes), received)
+        received = (chips.T / 2.0) @ gains
+        out = walsh_decode(chip_matrix(chips), received)
         assert np.allclose(out, 2.0 * gains, atol=1e-12)
 
     def test_zero_row(self):
-        codes = walsh_codes(2)
         received = np.zeros((2, 4))
-        assert np.all(walsh_decode(chip_matrix(codes), received, axis=1) == 0)
+        assert np.all(walsh_decode(chip_matrix(walsh_codes(2)), received, axis=1) == 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -297,13 +301,13 @@ class TestDecodeCorrelations:
 
     def test_best_pair_lexicographic_ties(self):
         out = walsh_decode(chip_matrix(walsh_codes(0)), np.array([[1.0], [1.0]]), axis=1)
-        assert CorrelationMatrix(out.T).best_pair() == (0, 0)
+        assert _argmax_pair(np.abs(out.T)) == (0, 0)
 
 
 class TestWalshDecode:
     def test_matches_explicit_sum_along_either_axis(self):
         rng = np.random.default_rng(3)
-        chips = np.stack([c.chips for c in walsh_codes(2)[:3]]).astype(np.complex128)
+        chips = chip_matrix(walsh_codes(2)[:3])
         fields = rng.standard_normal((5, 4, 2)) + 1j * rng.standard_normal((5, 4, 2))
         want = np.einsum("pt,dtg->dpg", chips, fields)
         np.testing.assert_allclose(walsh_decode(chips, fields), want, rtol=1e-14)
@@ -319,13 +323,11 @@ class TestWalshDecode:
         # scaled by T / sqrt(K).
         cb, subset = books
         k = len(subset)
-        codes = walsh_codes_for(k)
-        schedule = build_schedule(subset, codes)
-        fields = np.stack([w.weights for w in schedule.field_weights])
-        chips = np.stack([c.chips for c in codes]).astype(np.complex128)
+        chips = walsh_codes_for(k)
+        fields = np.stack([w.weights for w in coded_fields(subset.vectors, chips)])
         ch = ChannelRealization(rays=tuple(rays))
         est = cascade_gains(fields, cb.matrix(), ch, cb.cfg, cb.cfg)
-        decoded = walsh_decode(chips, est) * math.sqrt(k) / len(schedule)
+        decoded = walsh_decode(chip_matrix(chips), est) * math.sqrt(k) / len(fields)
         table = cascade_gains(subset.matrix(), cb.matrix(), ch, cb.cfg, cb.cfg)
         # Largest magnitude a unit-norm beam pair can see through these rays.
         bound = sum(abs(r.gain) for r in rays) * cb.cfg.num_antennas
@@ -335,41 +337,38 @@ class TestWalshDecode:
 class TestPerTapDecoding:
     def test_single_tap_impulse(self):
         g = golay_pair(9)
-        codes = walsh_codes(0)
         field = encode_ce_field([1.0], g, guard=0)
-        decoded = decode_per_tap(field[None, :], g, codes, num_taps=1)
+        decoded = decode_per_tap(field[None, :], g, walsh_codes(0), num_taps=1)
         assert decoded.shape == (1, 1)
         assert decoded[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_taps_two_beams(self):
         g = golay_pair(9)
-        codes = walsh_codes(2)
+        chips = walsh_codes(2)
         k = 4
         gains = np.zeros((k, 4), dtype=complex)
         gains[0, 0] = 1.0
         gains[1, 3] = 0.5
         fields = []
         for t in range(4):
-            taps = sum(codes[p].chips[t] / math.sqrt(k) * gains[p] for p in range(k))
+            taps = sum(chips[p, t] / math.sqrt(k) * gains[p] for p in range(k))
             fields.append(encode_ce_field(taps, g, guard=8))
-        decoded = decode_per_tap(np.array(fields), g, codes, num_taps=4)
+        decoded = decode_per_tap(np.array(fields), g, chips, num_taps=4)
         assert np.abs(decoded - gains).max() < 1e-9
 
     def test_two_path_scene_with_excess_delay(self):
         # one aligned pair at tap 0 with gain 1, the other at tap 2 with gain a
         a = 0.37
         g = golay_pair(8)
-        codes = walsh_codes(2)
+        chips = walsh_codes(2)
         gains = np.zeros((4, 3), dtype=complex)
         gains[1, 0] = 1.0
         gains[0, 2] = a
         fields = [
-            encode_ce_field(
-                sum(codes[p].chips[t] / 2.0 * gains[p] for p in range(4)), g, guard=4
-            )
+            encode_ce_field(sum(chips[p, t] / 2.0 * gains[p] for p in range(4)), g, guard=4)
             for t in range(4)
         ]
-        decoded = decode_per_tap(np.array(fields), g, codes, num_taps=3)
+        decoded = decode_per_tap(np.array(fields), g, chips, num_taps=3)
         assert decoded[1, 0] == pytest.approx(1.0, abs=1e-12)
         assert decoded[0, 2] == pytest.approx(a, abs=1e-12)
         mask = np.ones_like(gains, dtype=bool)
@@ -381,18 +380,18 @@ class TestPerTapDecoding:
         g = golay_pair(7)
         for _ in range(10):
             k = rng.choice([2, 4])
-            codes = walsh_codes(int(math.log2(k)))
+            chips = walsh_codes(int(math.log2(k)))
             taps = rng.integers(1, 6)
             gains = rng.standard_normal((k, taps)) + 1j * rng.standard_normal((k, taps))
             fields = [
                 encode_ce_field(
-                    sum(codes[p].chips[t] / math.sqrt(k) * gains[p] for p in range(k)),
+                    sum(chips[p, t] / math.sqrt(k) * gains[p] for p in range(k)),
                     g,
                     guard=int(taps),
                 )
                 for t in range(k)
             ]
-            decoded = decode_per_tap(np.array(fields), g, codes, num_taps=int(taps))
+            decoded = decode_per_tap(np.array(fields), g, chips, num_taps=int(taps))
             assert np.abs(decoded - gains).max() < 1e-9
 
     def test_field_too_short(self):
@@ -461,15 +460,14 @@ class TestWaveformRouteAgainstFieldRoute:
 
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.4, nlos_excess_tap=2)
-        codes = walsh_codes(2)
-        schedule = build_schedule(tx_cb, codes)
+        chips = walsh_codes(2)
         g = golay_pair(9)
         norm = math.sqrt(4 * 4)
-        field_weights = np.stack([w.weights for w in schedule.field_weights])
+        field_weights = np.stack([w.weights for w in coded_fields(tx_cb.vectors, chips)])
         field_taps = cascade_gains(field_weights, rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg) / norm
         table = cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg) / norm
         for q in range(4):
             fields = [encode_ce_field(taps, g, guard=4) for taps in field_taps[:, :, q].T]
-            decoded = decode_per_tap(np.array(fields), g, codes, num_taps=3)
+            decoded = decode_per_tap(np.array(fields), g, chips, num_taps=3)
             expected = table[:, :, q].T
             assert np.abs(decoded - expected).max() < 1e-9

@@ -45,6 +45,8 @@ def small_experiment(**kwargs):
     return replace(base, **kwargs)
 
 
+BOTH_CAMPAIGNS = ("power-var", "quant-sweep")
+
 class TestOverheadRows:
     def test_exact_integers(self):
         header, rows = overhead_rows([1, 16])
@@ -571,6 +573,43 @@ class TestCli:
         self.assert_rejected_before_drawing(
             "quant-sweep", line, key, tmp_path, capsys, monkeypatch
         )
+
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [
+            (command, line, key)
+            for commands, line, key in [
+                (("quant-sweep",), "quant.bits = 0", "quant.bits"),
+                (("quant-sweep",), "quant.bits = 2,-1", "quant.bits"),
+                (BOTH_CAMPAIGNS, "link.bandwidth_hz = 0", "link.bandwidth_hz"),
+                (
+                    BOTH_CAMPAIGNS,
+                    "channel.intra_cluster_tap_spread = -1",
+                    "channel.intra_cluster_tap_spread",
+                ),
+                (BOTH_CAMPAIGNS, "channel.cluster_loss_rms_db = -1", "channel.cluster_loss_rms_db"),
+                (BOTH_CAMPAIGNS, "channel.carrier_hz = 0", "channel.carrier_hz"),
+                (BOTH_CAMPAIGNS, "channel.distance_m = inf", "channel.distance_m"),
+                (BOTH_CAMPAIGNS, "channel.path_loss_exponent = nan", "channel.path_loss_exponent"),
+                (BOTH_CAMPAIGNS, "link.tx_power_dbm = nan", "link.tx_power_dbm"),
+                (
+                    BOTH_CAMPAIGNS,
+                    "channel.cluster_loss_rms_db = 0\nchannel.cluster_loss_mean_db = -1",
+                    "channel.cluster_loss_mean_db",
+                ),
+                (
+                    BOTH_CAMPAIGNS,
+                    "channel.cluster_loss_rms_db = 0.001\nchannel.cluster_loss_mean_db = -1",
+                    "channel.cluster_loss_mean_db",
+                ),
+            ]
+            for command in commands
+        ],
+    )
+    def test_unusable_values_rejected_before_drawing(
+        self, tmp_path, capsys, monkeypatch, command, line, key
+    ):
+        self.assert_rejected_before_drawing(command, line, key, tmp_path, capsys, monkeypatch)
 
     @staticmethod
     def assert_rejected_before_drawing(command, line, key, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook, steering_vector
-from beamtrain.beam_coding import build_schedule, walsh_codes
+from beamtrain.beam_coding import coded_fields, walsh_codes
 from beamtrain.channel import (
     TOY_LOS_PAIR,
     TOY_NLOS_PAIR,
@@ -74,12 +74,11 @@ class TestBitAccounting:
             layout_beam_coding([steering_vector(cfg, a) for a in (30.0, 90.0, 150.0)])
 
     def test_total_is_exact_sum(self):
+        # The training section is its AGC subfields plus its TRN fields.
         layout = layout_80211ad(3)
-        assert layout.total_bits == (
-            layout.preamble_bits
-            + layout.header_bits
-            + 12 * 320
-            + 3 * (4 * 640 + 1024)
+        assert layout.training_bits == 12 * 320 + 3 * (4 * 640 + 1024)
+        assert layout.training_bits == layout.agc_subfield_count * 320 + sum(
+            f.ce_bits + f.delay_subfield_bits for f in layout.trn_fields
         )
 
 
@@ -106,8 +105,7 @@ class TestLayoutStructure:
         # beam p rides Walsh code p of the shortest length that separates k
         cb = dft_codebook(ArrayConfig(16))
         beams = list(cb.vectors[:k])
-        codes = walsh_codes(max(0, (k - 1).bit_length()))[:k]
-        want = build_schedule(beams, codes).field_weights
+        want = coded_fields(beams, walsh_codes(max(0, (k - 1).bit_length()))[:k])
         layout = layout_beam_coding(beams)
         assert layout.training_bits == layout_beam_coding(k).training_bits
         want_bytes = [w.weights.tobytes() for w in want]

@@ -16,7 +16,7 @@ from beamtrain.array_model import (
     quantize_phases,
     superpose_beams,
 )
-from beamtrain.beam_coding import build_schedule, walsh_codes
+from beamtrain.beam_coding import coded_fields, walsh_codes
 from beamtrain.channel import (
     TOY_LOS_PAIR,
     ChannelConfig,
@@ -60,7 +60,8 @@ def pair_power_db(cb, pair, ch):
 class TestToyScenario:
     def test_exhaustive_beamcoding_exact_correlations(self):
         out = run_exhaustive_beamcoding(toy_config(Scheme.EXHAUSTIVE_BEAMCODING), toy_channel(0.5), 0)
-        r = out.correlation.r
+        r = out.correlation
+        assert r.dtype == np.complex128 and r.shape == (4, 4) and not r.flags.writeable
         assert abs(r[1, 2] - 2.0) < 1e-9
         assert abs(r[0, 3] - 1.0) < 1e-9
         mask = np.ones((4, 4), dtype=bool)
@@ -75,7 +76,7 @@ class TestToyScenario:
         for a in (0.05, 0.3, 0.62, 0.9, 0.99):
             out = run_exhaustive_beamcoding(cfg, toy_channel(a), 0)
             assert out.best_pair == TOY_LOS_PAIR
-            assert abs(abs(out.correlation.r[0, 3]) - 2 * a) < 1e-9
+            assert abs(abs(out.correlation[0, 3]) - 2 * a) < 1e-9
 
     def test_exhaustive_pbp(self):
         out = run_exhaustive_pbp(toy_config(Scheme.EXHAUSTIVE_PBP), toy_channel(0.5), 0)
@@ -142,7 +143,7 @@ class TestToyScenario:
         out = run_exhaustive_beamcoding(cfg, toy_channel(0.5), 0)
         assert out.best_pair == (0, TOY_LOS_PAIR[1])
         assert out.training_bits == 4 * PER_BEAM_BITS_BEAM_CODING
-        assert abs(out.correlation.r[0, TOY_LOS_PAIR[1]] - 1.0) < 1e-9
+        assert abs(out.correlation[0, TOY_LOS_PAIR[1]] - 1.0) < 1e-9
 
 
 class TestPacketAndBitCounts:
@@ -189,7 +190,7 @@ class TestNoise:
         cfg = toy_config(Scheme.EXHAUSTIVE_BEAMCODING)
         a = run(cfg, toy_channel(0.5), 3)
         b = run(cfg, toy_channel(0.5), 3)
-        assert np.array_equal(a.correlation.r, b.correlation.r)
+        assert np.array_equal(a.correlation, b.correlation)
 
     def test_noisy_runs_seed_dependent_but_reproducible(self):
         budget = LinkBudget(noise_override_dbm=5.0)
@@ -197,8 +198,8 @@ class TestNoise:
         a1 = run(cfg, toy_channel(0.5), 3)
         a2 = run(cfg, toy_channel(0.5), 3)
         b = run(cfg, toy_channel(0.5), 4)
-        assert np.array_equal(a1.correlation.r, a2.correlation.r)
-        assert not np.array_equal(a1.correlation.r, b.correlation.r)
+        assert np.array_equal(a1.correlation, a2.correlation)
+        assert not np.array_equal(a1.correlation, b.correlation)
 
     def test_monotone_degradation_with_noise_power(self):
         # success probability of finding the true pair never rises with noise
@@ -417,7 +418,7 @@ class TestDispatcher:
             parallel = list(pool.map(lambda t: run(cfg, t[1], t[0]), enumerate(channels)))
         for a, b in zip(serial, parallel):
             assert a.best_pair == b.best_pair
-            assert np.array_equal(a.correlation.r, b.correlation.r)
+            assert np.array_equal(a.correlation, b.correlation)
             assert a.snr_db == b.snr_db
 
 
@@ -437,9 +438,6 @@ def assert_outcomes_equal(a, b):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "power_traces":
             assert [_bits(u) for u in x] == [_bits(v) for v in y], f.name
-        elif f.name == "correlation":
-            assert (x is None) == (y is None), f.name
-            assert x is None or _bits(x.r) == _bits(y.r), f.name
         else:
             assert _bits(x) == _bits(y), f.name
 
@@ -483,11 +481,11 @@ class TestTrainingPlan:
 
             fields, chips = plan.coded
             codes = walsh_codes(max(0, (len(book) - 1).bit_length()))[: len(book)]
-            schedule = build_schedule(book, codes)
-            assert fields.shape == (len(schedule), book.cfg.num_antennas)
-            for row, w in zip(fields, schedule.field_weights):
+            want = coded_fields(book.vectors, codes)
+            assert fields.shape == (len(want), book.cfg.num_antennas)
+            for row, w in zip(fields, want):
                 assert np.array_equal(row, transformed(w))
-            assert np.array_equal(chips, np.stack([c.chips for c in codes]))
+            assert np.array_equal(chips, codes)
 
             beams, groups = plan.sectors
             want_beams, want_groups = sector_beams(book, cfg.num_sectors)
@@ -525,11 +523,11 @@ class TestTrainingPlan:
     def test_schedules_built_once_per_config(self, monkeypatch):
         calls = []
 
-        def counting_build_schedule(*args, **kwargs):
+        def counting_coded_fields(*args, **kwargs):
             calls.append(1)
-            return build_schedule(*args, **kwargs)
+            return coded_fields(*args, **kwargs)
 
-        monkeypatch.setattr(protocols, "build_schedule", counting_build_schedule)
+        monkeypatch.setattr(protocols, "coded_fields", counting_coded_fields)
         cb = dft_codebook(ArrayConfig(16))
         cfgs = [ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=s) for s in Scheme]
         for i in range(5):
