@@ -3,9 +3,6 @@
 from .array_model import (
     ArrayConfig,
     BeamCodebook,
-    SteeringVector,
-    WeightVector,
-    are_orthogonal,
     dft_codebook,
     project_uniform,
     quantize_phases,

@@ -6,7 +6,9 @@ Angle convention: beam directions are measured in degrees from the array
 axis, so broadside sits at 90 deg and steering phases go with cos(angle).
 Valid directions live in [0, 180], the endfire endpoints included.
 Steering vectors carry 1/sqrt(N) normalization (unit L2 norm); the
-magnitude-one form is recovered by scaling with sqrt(N).
+magnitude-one form is recovered by scaling with sqrt(N).  A beam is a
+read-only (N,) complex array of antenna weights and a beam set a
+read-only (K, N) matrix, one beam per row.
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ import numpy as np
 
 __all__ = [
     "ArrayConfig",
-    "WeightVector",
-    "SteeringVector",
     "BeamCodebook",
     "steering_vector",
     "array_factor_many",
     "superpose_beams",
-    "are_orthogonal",
     "codebook_from_cosines",
     "dft_codebook",
     "subarray_beam",
@@ -35,12 +34,7 @@ __all__ = [
 ]
 
 
-def _readonly_complex(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-D sequence of weights")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("weights must be finite")
+def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
@@ -61,84 +55,33 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Per-antenna complex weights, immutable after construction."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _readonly_complex(self.weights))
-
-    def __len__(self) -> int:
-        return int(self.weights.size)
-
-    def energy(self) -> float:
-        """Total weight power |w|^2 = sum_n w_n w_n*."""
-        return float(np.sum(np.abs(self.weights) ** 2))
-
-
-@dataclass(frozen=True)
-class SteeringVector:
-    """Unit-norm steering weights pointing one beam at ``angle_deg``."""
-
-    angle_deg: float
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _readonly_complex(self.entries))
-
-    def __len__(self) -> int:
-        return int(self.entries.size)
-
-    def as_weights(self) -> WeightVector:
-        return WeightVector(self.entries)
-
-
-@dataclass(frozen=True)
 class BeamCodebook:
-    """Ordered beam set with pairwise-orthogonality bookkeeping.
-
-    ``ortho[i, j]`` records whether beams i and j have (numerically) zero
-    inner product; the diagonal is False by convention.
-    """
+    """Ordered beam set: row k of the read-only (K, N) ``matrix`` steers a
+    beam at ``angles_deg[k]``."""
 
     cfg: ArrayConfig
     angles_deg: tuple[float, ...]
-    vectors: tuple[SteeringVector, ...]
-    ortho: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        ortho = np.array(self.ortho, dtype=bool)
-        if ortho.shape != (len(self.vectors), len(self.vectors)):
-            raise ValueError("ortho matrix shape must match the beam count")
-        ortho.setflags(write=False)
-        object.__setattr__(self, "ortho", ortho)
+        matrix = np.array(self.matrix, dtype=np.complex128)
+        shape = (len(self.angles_deg), self.cfg.num_antennas)
+        if matrix.shape != shape:
+            raise ValueError(f"beam matrix of shape {matrix.shape}, expected {shape}")
+        object.__setattr__(self, "matrix", _readonly(matrix))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.matrix)
 
     @property
     def is_orthogonal(self) -> bool:
-        """True when every distinct beam pair is orthogonal."""
-        off = ~np.eye(len(self), dtype=bool)
-        return bool(np.all(self.ortho[off]))
-
-    def subset(self, indices: Sequence[int]) -> "BeamCodebook":
-        idx = list(indices)
-        return BeamCodebook(
-            cfg=self.cfg,
-            angles_deg=tuple(self.angles_deg[i] for i in idx),
-            vectors=tuple(self.vectors[i] for i in idx),
-            ortho=self.ortho[np.ix_(idx, idx)],
-        )
-
-    def matrix(self) -> np.ndarray:
-        """Beam entries stacked as a (num_beams, num_antennas) array."""
-        return np.stack([v.entries for v in self.vectors])
+        """True when every distinct beam pair has |inner product| <= 1e-9."""
+        gram = np.abs(self.matrix.conj() @ self.matrix.T)
+        return bool(np.all(gram[~np.eye(len(self), dtype=bool)] <= 1e-9))
 
 
-def steering_vector(cfg: ArrayConfig, angle_deg: float) -> SteeringVector:
-    """Unit-norm steering vector for a beam at ``angle_deg``.
+def steering_vector(cfg: ArrayConfig, angle_deg: float) -> np.ndarray:
+    """Read-only unit-norm steering vector for a beam at ``angle_deg``.
 
     Entry n is exp(-j 2 pi n spacing cos(angle)) / sqrt(N), the conjugate
     phase ramp that makes :func:`array_factor_many` peak at the steered angle.
@@ -150,78 +93,50 @@ def steering_vector(cfg: ArrayConfig, angle_deg: float) -> SteeringVector:
         raise ValueError(f"beam angle must lie in [0, 180] degrees, got {angle_deg!r}")
     n = np.arange(cfg.num_antennas)
     phase = -2.0 * np.pi * n * cfg.spacing * math.cos(math.radians(angle))
-    entries = np.exp(1j * phase) / math.sqrt(cfg.num_antennas)
-    return SteeringVector(angle, entries)
+    return _readonly(np.exp(1j * phase) / math.sqrt(cfg.num_antennas))
 
 
-def _weights_of(w: WeightVector | SteeringVector) -> np.ndarray:
-    return w.entries if isinstance(w, SteeringVector) else w.weights
-
-
-def array_factor_many(
-    w: WeightVector | SteeringVector, angles_deg: np.ndarray, cfg: ArrayConfig
-) -> np.ndarray:
+def array_factor_many(w: np.ndarray, angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Pattern responses x(angle) = sum_n w_n exp(+j 2 pi n spacing cos(angle))
-    over a grid of angles."""
-    weights = _weights_of(w)
-    if weights.size != cfg.num_antennas:
-        raise ValueError(f"weight length {weights.size} does not match {cfg.num_antennas} antennas")
+    of the (N,) weights ``w`` over a grid of angles."""
+    weights = np.asarray(w, dtype=np.complex128)
+    if weights.shape != (cfg.num_antennas,):
+        raise ValueError(f"weights of shape {weights.shape} for {cfg.num_antennas} antennas")
     n = np.arange(cfg.num_antennas)
     cosines = np.cos(np.radians(np.asarray(angles_deg, dtype=float)))
     phases = 2.0 * np.pi * cfg.spacing * np.outer(n, cosines)
     return weights @ np.exp(1j * phases)
 
 
-def superpose_beams(
-    vectors: Sequence[SteeringVector], signs: Sequence[int]
-) -> WeightVector:
-    """Equal-power multi-beam weights w_n = (1/sqrt(K)) sum_k signs[k] beam_k[n]."""
-    if len(vectors) == 0:
-        raise ValueError("need at least one beam to superpose")
-    if len(signs) != len(vectors):
-        raise ValueError(f"{len(signs)} signs for {len(vectors)} beams")
+def superpose_beams(beams: np.ndarray, signs: Sequence[int]) -> np.ndarray:
+    """Equal-power multi-beam weights w_n = (1/sqrt(K)) sum_k signs[k] beams[k, n]
+    of the (K, N) beam matrix ``beams``.
+
+    The rows are added one at a time, in order: a ``signs @ beams`` product
+    rounds differently.
+    """
+    beams = np.asarray(beams)
+    if beams.ndim != 2 or len(beams) == 0:
+        raise ValueError("need a (beams, antennas) matrix of at least one beam to superpose")
+    if len(signs) != len(beams):
+        raise ValueError(f"{len(signs)} signs for {len(beams)} beams")
     if any(int(s) not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
-    length = len(vectors[0])
-    if any(len(v) != length for v in vectors):
-        raise ValueError("all beams must have the same length")
-    acc = np.zeros(length, dtype=np.complex128)
-    for sign, vec in zip(signs, vectors):
-        acc += int(sign) * vec.entries
-    return WeightVector(acc / math.sqrt(len(vectors)))
+    acc = np.zeros(beams.shape[1], dtype=np.complex128)
+    for sign, beam in zip(signs, beams):
+        acc += int(sign) * beam
+    return acc / math.sqrt(len(beams))
 
 
-def are_orthogonal(a: SteeringVector, b: SteeringVector, tol: float = 1e-9) -> bool:
-    """True when |sum_n a_n b_n*| is at most ``tol``."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if len(a) != len(b):
-        raise ValueError(f"beam lengths differ: {len(a)} vs {len(b)}")
-    inner = np.sum(a.entries * np.conj(b.entries))
-    return bool(abs(inner) <= tol)
-
-
-def codebook_from_cosines(
-    cfg: ArrayConfig, cosines: Sequence[float], tol: float = 1e-9
-) -> BeamCodebook:
+def codebook_from_cosines(cfg: ArrayConfig, cosines: Sequence[float]) -> BeamCodebook:
     """Codebook of beams at the given cos(angle) values, ordered as given."""
     cos_arr = np.asarray(list(cosines), dtype=float)
     if cos_arr.ndim != 1 or cos_arr.size == 0:
         raise ValueError("need at least one beam direction")
     if np.any(np.abs(cos_arr) > 1.0):
         raise ValueError("cos(angle) values must lie in [-1, 1]")
-    vectors = tuple(steering_vector(cfg, math.degrees(math.acos(c))) for c in cos_arr)
-    k = len(vectors)
-    ortho = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            ortho[i, j] = ortho[j, i] = are_orthogonal(vectors[i], vectors[j], tol)
-    return BeamCodebook(
-        cfg=cfg,
-        angles_deg=tuple(v.angle_deg for v in vectors),
-        vectors=vectors,
-        ortho=ortho,
-    )
+    angles = tuple(math.degrees(math.acos(c)) for c in cos_arr)
+    return BeamCodebook(cfg, angles, np.stack([steering_vector(cfg, a) for a in angles]))
 
 
 def dft_codebook(cfg: ArrayConfig) -> BeamCodebook:
@@ -245,7 +160,7 @@ def dft_codebook(cfg: ArrayConfig) -> BeamCodebook:
     return codebook_from_cosines(cfg, sorted(cosines, reverse=True))
 
 
-def subarray_beam(cfg: ArrayConfig, cos_center: float, num_active: int) -> WeightVector:
+def subarray_beam(cfg: ArrayConfig, cos_center: float, num_active: int) -> np.ndarray:
     """Wide beam from a front sub-array: first ``num_active`` antennas steer
     cos(angle) = cos_center, the rest stay off.  Smaller apertures trade
     gain for coverage, which is what lower-resolution sector beams are."""
@@ -254,11 +169,12 @@ def subarray_beam(cfg: ArrayConfig, cos_center: float, num_active: int) -> Weigh
     w = np.zeros(cfg.num_antennas, dtype=np.complex128)
     n = np.arange(num_active)
     w[:num_active] = np.exp(-2j * np.pi * n * cfg.spacing * cos_center) / math.sqrt(num_active)
-    return WeightVector(w)
+    return w
 
 
-def quantize_phases(w: WeightVector, bits: int) -> WeightVector:
-    """Snap each weight's phase to the nearest of 2**bits uniform levels.
+def quantize_phases(w: np.ndarray, bits: int) -> np.ndarray:
+    """Snap each weight's phase to the nearest of 2**bits uniform levels,
+    entry by entry, for weights of any shape.
 
     Magnitudes are untouched.  A phase exactly halfway between two levels
     rounds to the lower level so results do not depend on platform
@@ -267,22 +183,23 @@ def quantize_phases(w: WeightVector, bits: int) -> WeightVector:
     if int(bits) != bits or bits < 1:
         raise ValueError(f"bits must be a positive integer, got {bits!r}")
     step = 2.0 * np.pi / (2 ** int(bits))
-    mags = np.abs(w.weights)
-    levels = np.ceil(np.angle(w.weights) / step - 0.5)
-    return WeightVector(mags * np.exp(1j * step * levels))
+    mags = np.abs(w)
+    levels = np.ceil(np.angle(w) / step - 0.5)
+    return mags * np.exp(1j * step * levels)
 
 
-def project_uniform(w: WeightVector) -> WeightVector:
-    """Phase-only version of ``w``: every entry becomes exp(j phase)/sqrt(N).
+def project_uniform(w: np.ndarray) -> np.ndarray:
+    """Phase-only version of ``w``: every entry becomes exp(j phase)/sqrt(N),
+    with N the length of the last axis, so a (K, N) matrix is projected
+    row by row.
 
     np.angle(0) is 0, so zero entries come back at phase zero.
     """
-    phases = np.angle(w.weights)
-    return WeightVector(np.exp(1j * phases) / math.sqrt(len(w)))
+    return np.exp(1j * np.angle(w)) / math.sqrt(w.shape[-1])
 
 
 def sidelobe_level(
-    w: WeightVector | SteeringVector,
+    w: np.ndarray,
     cfg: ArrayConfig,
     *,
     step_deg: float = 0.05,

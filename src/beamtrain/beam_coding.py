@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import SteeringVector, WeightVector, superpose_beams
+from .array_model import superpose_beams
 
 __all__ = [
     "GolayPair",
@@ -100,20 +100,18 @@ def golay_pair(length_log2: int) -> GolayPair:
     return GolayPair(a, b)
 
 
-def coded_fields(
-    beams: Sequence[SteeringVector], chips: np.ndarray
-) -> tuple[WeightVector, ...]:
-    """Per-field composite antenna weights of a coded beam group.
+def coded_fields(beams: np.ndarray, chips: np.ndarray) -> np.ndarray:
+    """Per-field composite antenna weights of a coded beam group, (T, N).
 
-    Field t carries w[t] = (1/sqrt(K)) sum_p chips[p, t] * beam_p.  When
-    the beams are mutually orthogonal every field has |w|^2 = 1; a group
-    that is not still decodes but loses that power flatness.
+    Field t carries w[t] = (1/sqrt(K)) sum_p chips[p, t] * beams[p] for the
+    (K, N) beam matrix ``beams``.  When the beams are mutually orthogonal
+    every field has |w|^2 = 1; a group that is not still decodes but loses
+    that power flatness.
     """
     chips = _checked_chips(chips)
-    vecs = list(beams)
-    if len(chips) != len(vecs):
-        raise ValueError(f"{len(chips)} chip rows for {len(vecs)} beams")
-    return tuple(superpose_beams(vecs, column.tolist()) for column in chips.T)
+    if len(chips) != len(beams):
+        raise ValueError(f"{len(chips)} chip rows for {len(beams)} beams")
+    return np.stack([superpose_beams(beams, column.tolist()) for column in chips.T])
 
 
 def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.ndarray:

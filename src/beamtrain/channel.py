@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig, BeamCodebook, codebook_from_cosines
+from .array_model import ArrayConfig, BeamCodebook, _readonly, codebook_from_cosines
 
 __all__ = [
     "Ray",
@@ -67,11 +67,6 @@ class Ray:
             raise ValueError(f"tap must be a nonnegative integer, got {self.tap!r}")
         object.__setattr__(self, "tap", int(self.tap))
         object.__setattr__(self, "gain", complex(self.gain))
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 class NormalStream:

@@ -135,25 +135,35 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
     cfg = ExperimentConfig()
-    channel_kwargs: dict[str, object] = {}
-    budget_kwargs: dict[str, object] = {}
-    self_kwargs: dict[str, object] = {}
+    settings: dict[str, dict[str, object]] = {"self": {}, "channel": {}, "budget": {}}
     for key, value in values.items():
-        target, attr, _, _ = _SCHEMA[key]
-        if target == "channel":
-            channel_kwargs[attr] = value
-        elif target == "budget":
-            budget_kwargs[attr] = value
-        else:
-            self_kwargs[attr] = value
+        settings[_SCHEMA[key][0]][key] = value
+    self_kwargs = {_SCHEMA[key][1]: value for key, value in settings.pop("self").items()}
+    for target, nested in settings.items():
+        if nested:
+            self_kwargs[target] = _nested_config(getattr(cfg, target), nested)
+    return replace(cfg, **self_kwargs)
+
+
+def _nested_config(default, settings: dict[str, object]):
+    """``default`` with ``settings`` (config key -> value) applied.  When
+    the config class rejects them, the ConfigError names the keys it
+    rejects one at a time against the defaults, or every key set when it
+    rejects none of them alone."""
+
+    def build(keys):
+        return replace(default, **{_SCHEMA[key][1]: settings[key] for key in keys})
+
     try:
-        if channel_kwargs:
-            self_kwargs["channel"] = replace(cfg.channel, **channel_kwargs)
-        if budget_kwargs:
-            self_kwargs["budget"] = replace(cfg.budget, **budget_kwargs)
-        return replace(cfg, **self_kwargs)
+        return build(settings)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        failing = []
+        for key in settings:
+            try:
+                build([key])
+            except ValueError:
+                failing.append(key)
+        raise ConfigError(f"{', '.join(failing or settings)}: {exc}") from exc
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 from .array_model import (
     ArrayConfig,
     BeamCodebook,
-    WeightVector,
+    _readonly,
     array_factor_many,
     dft_codebook,
     project_uniform,
@@ -34,7 +34,6 @@ from .array_model import (
 from .beam_coding import GolayPair, ce_field_powers, golay_pair
 from .channel import (
     ChannelRealization,
-    _readonly,
     derive_seed,
     sample_channel,
     toy_channel,
@@ -170,10 +169,10 @@ def pattern_rows(
     if num_antennas < 1:
         raise ValueError("need at least one antenna")
     cfg = ArrayConfig(num_antennas, spacing)
-    vectors = [steering_vector(cfg, a) for a in angles_deg]
+    beams = np.stack([steering_vector(cfg, a) for a in angles_deg])
     if signs is None:
-        signs = [1] * len(vectors)
-    weights = superpose_beams(vectors, list(signs))
+        signs = [1] * len(beams)
+    weights = superpose_beams(beams, list(signs))
     if uniform:
         weights = project_uniform(weights)
     if quant_bits is not None:
@@ -259,16 +258,15 @@ def _power_var_plan(
     tx_cb = _dft_codebook("array.tx_antennas", tx_antennas, spacing)
     row_of: dict[bytes, int] = {}
 
-    def row(w: WeightVector) -> int:
-        return row_of.setdefault(w.weights.tobytes(), len(row_of))
+    def row(w: np.ndarray) -> int:
+        return row_of.setdefault(w.tobytes(), len(row_of))
 
     # (preamble length, field count) -> (scheme, K, packet, fields, preamble)
     shapes: dict[tuple[int, int], list[tuple]] = {}
     for k in beams_per_packet:
         for packet_idx, group in enumerate(_beam_groups(len(tx_cb), k)):
-            beams = [tx_cb.vectors[b] for b in group]
             for scheme in schemes:
-                layout = LAYOUTS[scheme](beams)
+                layout = LAYOUTS[scheme](tx_cb.matrix[group])
                 fields = [row(f.weight) for f in layout.trn_fields]
                 preamble = [row(w) for w in layout.preamble_weights]
                 shapes.setdefault((len(preamble), len(fields)), []).append(

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, SteeringVector, WeightVector, superpose_beams
+from .array_model import ArrayConfig, superpose_beams
 from .beam_coding import GolayPair, coded_fields, encode_ce_field, golay_pair, walsh_codes
 from .channel import ChannelRealization, cascade_gains
 
@@ -54,11 +53,12 @@ PER_BEAM_BITS_BEAM_CODING = CE_BITS
 
 @dataclass(frozen=True)
 class TrnField:
-    """One training field: CE bits, optional delay subfields, its weights."""
+    """One training field: CE bits, optional delay subfields, its (N,)
+    weights."""
 
     ce_bits: int = CE_BITS
     delay_subfield_bits: int = 0
-    weight: WeightVector | None = None
+    weight: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.ce_bits < 0 or self.delay_subfield_bits < 0:
@@ -73,17 +73,18 @@ class TrnField:
 class PacketLayout:
     """The training section of a packet: AGC subfields, then TRN fields.
 
-    ``preamble_weights`` is the cycle of antenna weights the preamble rides:
-    a single equal-power composite of the trained beams for the standard
-    layout, or the whole coded composite schedule for the coded layout (the
-    covering beams never change there, so the preamble can legitimately
-    sound like the training section it sets the AGC for).
+    ``preamble_weights`` is the cycle of antenna weights the preamble rides,
+    one row each: a single equal-power composite of the trained beams for
+    the standard layout, or the whole coded composite schedule for the
+    coded layout (the covering beams never change there, so the preamble
+    can legitimately sound like the training section it sets the AGC for).
+    It is None for a layout built from a bare beam count.
     """
 
     scheme: str
     agc_subfield_count: int
     trn_fields: tuple[TrnField, ...]
-    preamble_weights: tuple[WeightVector, ...] = ()
+    preamble_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.agc_subfield_count < 0:
@@ -95,36 +96,32 @@ class PacketLayout:
         return self.agc_subfield_count * AGC_SUBFIELD_BITS + sum(f.bits for f in self.trn_fields)
 
 
-def _preamble_composite(beams: Sequence[SteeringVector]) -> WeightVector:
-    return superpose_beams(list(beams), [1] * len(beams))
-
-
-def _beam_count(
-    beams: int | Sequence[SteeringVector],
-) -> tuple[int, list[SteeringVector] | None]:
-    """The number of beams to train, and their steering vectors if given."""
-    vecs = None if isinstance(beams, int) else list(beams)
-    count = beams if vecs is None else len(vecs)
+def _beam_count(beams: int | np.ndarray) -> tuple[int, np.ndarray | None]:
+    """The number of beams to train, and their (K, N) matrix if given."""
+    matrix = None if isinstance(beams, int) else np.asarray(beams)
+    if matrix is not None and matrix.ndim != 2:
+        raise ValueError(f"beams must be a count or a (K, N) matrix, not {matrix.ndim}-D")
+    count = beams if matrix is None else len(matrix)
     if count < 1:
         raise ValueError("need at least one beam to train")
-    return count, vecs
+    return count, matrix
 
 
-def layout_80211ad(beams: int | Sequence[SteeringVector]) -> PacketLayout:
+def layout_80211ad(beams: int | np.ndarray) -> PacketLayout:
     """Standard-style in-packet layout training ``beams`` one field at a time.
 
     Every trained beam costs 4 AGC subfields plus a TRN field with delay
-    subfields and a CE sequence.  Pass steering vectors to get per-field
+    subfields and a CE sequence.  Pass a (K, N) beam matrix to get per-field
     weights attached (the preamble then rides an equal-power composite of
     the trained beams, the signal the AGC gets set from); pass a plain
     count for bits-only accounting.
     """
-    count, vecs = _beam_count(beams)
+    count, matrix = _beam_count(beams)
     fields = tuple(
         TrnField(
             ce_bits=CE_BITS,
             delay_subfield_bits=DELAY_SUBFIELDS_PER_BEAM * DELAY_SUBFIELD_BITS,
-            weight=None if vecs is None else vecs[i].as_weights(),
+            weight=None if matrix is None else matrix[i],
         )
         for i in range(count)
     )
@@ -132,36 +129,34 @@ def layout_80211ad(beams: int | Sequence[SteeringVector]) -> PacketLayout:
         scheme="80211ad",
         agc_subfield_count=AGC_SUBFIELDS_PER_BEAM * count,
         trn_fields=fields,
-        preamble_weights=() if vecs is None else (_preamble_composite(vecs),),
+        preamble_weights=None if matrix is None else superpose_beams(matrix, [1] * count)[None],
     )
 
 
 def layout_beam_coding(
-    beams: int | Sequence[SteeringVector],
-    *,
-    num_antennas: int | None = None,
+    beams: int | np.ndarray, *, num_antennas: int | None = None
 ) -> PacketLayout:
     """Coded layout: T = next power of two >= K CE-only fields, no AGC.
 
-    Pass steering vectors to get field weights attached: beam p rides
+    Pass a (K, N) beam matrix to get field weights attached: beam p rides
     Walsh code p of length T, and since the covering beams are identical
     in every field, the preamble rides the T coded composites.  Pass a
     plain count, with ``num_antennas`` to check it, for bits-only
     accounting.  Raises when more beams are requested than the array can
     keep mutually orthogonal.
     """
-    count, vecs = _beam_count(beams)
-    capacity = num_antennas if vecs is None else len(vecs[0])
+    count, matrix = _beam_count(beams)
+    capacity = num_antennas if matrix is None else matrix.shape[1]
     if capacity is not None and count > capacity:
         raise ValueError(
             f"cannot code {count} beams: an array of {capacity} antennas supports "
             f"at most {capacity} mutually orthogonal beams"
         )
     order = max(0, (count - 1).bit_length())
-    if vecs is None:
-        fields, weights = (TrnField(),) * (1 << order), ()
+    if matrix is None:
+        fields, weights = (TrnField(),) * (1 << order), None
     else:
-        weights = coded_fields(vecs, walsh_codes(order)[:count])
+        weights = coded_fields(matrix, walsh_codes(order)[:count])
         fields = tuple(TrnField(weight=w) for w in weights)
     return PacketLayout(
         scheme="beamcoding",
@@ -216,18 +211,19 @@ def _tap_rows(
 def power_trace(
     layout: PacketLayout,
     ch: ChannelRealization,
-    rx_w: WeightVector,
+    rx_w: np.ndarray,
     tx_cfg: ArrayConfig | None = None,
     rx_cfg: ArrayConfig | None = None,
 ) -> PowerTrace:
     """Mean received power for the preamble and each TRN field of a packet.
 
-    The preamble power averages over the layout's preamble weight cycle.
+    The preamble power averages over the layout's preamble weight cycle;
+    ``rx_w`` holds the (N,) receive weights.
     """
-    if not layout.preamble_weights or any(f.weight is None for f in layout.trn_fields):
+    if layout.preamble_weights is None or any(f.weight is None for f in layout.trn_fields):
         raise ValueError("layout has unresolved field weights (built from a bare beam count)")
-    weights = list(layout.preamble_weights) + [f.weight for f in layout.trn_fields]
-    taps = _tap_rows(np.stack([w.weights for w in weights]), rx_w.weights, ch, tx_cfg, rx_cfg)
+    weights = np.vstack([layout.preamble_weights, *(f.weight for f in layout.trn_fields)])
+    taps = _tap_rows(weights, rx_w, ch, tx_cfg, rx_cfg)
     powers = np.sum(np.abs(taps) ** 2, axis=1)
     num_preamble = len(layout.preamble_weights)
     preamble = float(np.mean(powers[:num_preamble]))
@@ -240,7 +236,7 @@ def power_trace(
 def preamble_samples(
     layout: PacketLayout,
     ch: ChannelRealization,
-    rx_w: WeightVector,
+    rx_w: np.ndarray,
     tx_cfg: ArrayConfig | None = None,
     rx_cfg: ArrayConfig | None = None,
     golay: GolayPair | None = None,
@@ -253,11 +249,10 @@ def preamble_samples(
     concatenated.  This models the preamble's signal statistics, not its
     bit-true duration.
     """
-    if not layout.preamble_weights:
+    if layout.preamble_weights is None:
         raise ValueError("layout has no preamble weights attached")
     if golay is None:
         golay = golay_pair(9)
-    tx = np.stack([w.weights for w in layout.preamble_weights])
-    taps = _tap_rows(tx, rx_w.weights, ch, tx_cfg, rx_cfg)
+    taps = _tap_rows(layout.preamble_weights, rx_w, ch, tx_cfg, rx_cfg)
     guard = taps.shape[1] - 1
     return np.concatenate([encode_ce_field(h, golay, guard) for h in taps])

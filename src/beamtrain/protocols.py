@@ -45,14 +45,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .array_model import (
     BeamCodebook,
-    SteeringVector,
-    WeightVector,
+    _readonly,
     array_factor_many,
     project_uniform,
     quantize_phases,
@@ -60,7 +58,7 @@ from .array_model import (
     superpose_beams,
 )
 from .beam_coding import coded_fields, walsh_codes, walsh_decode
-from .channel import ChannelRealization, LinkBudget, Ray, _readonly, derive_seed
+from .channel import ChannelRealization, LinkBudget, Ray, derive_seed
 from .packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING
 
 __all__ = [
@@ -178,19 +176,14 @@ class TrainingOutcome:
     feedback_bits: int = 0
 
 
-def _transform(cfg: ProtocolConfig, w: WeightVector | SteeringVector) -> WeightVector:
-    out = w.as_weights() if isinstance(w, SteeringVector) else w
+def _transform(cfg: ProtocolConfig, matrix: np.ndarray) -> np.ndarray:
+    """The config's hardware transforms applied to a weight matrix, read-only;
+    ``matrix`` itself when none is set."""
     if cfg.project_phase_only:
-        out = project_uniform(out)
+        matrix = project_uniform(matrix)
     if cfg.quantize_bits is not None:
-        out = quantize_phases(out, cfg.quantize_bits)
-    return out
-
-
-def _weight_matrix(
-    cfg: ProtocolConfig, vectors: Sequence[WeightVector | SteeringVector]
-) -> np.ndarray:
-    return _readonly(np.stack([_transform(cfg, v).weights for v in vectors]))
+        matrix = quantize_phases(matrix, cfg.quantize_bits)
+    return _readonly(matrix)
 
 
 class _TrainingPlan:
@@ -198,7 +191,7 @@ class _TrainingPlan:
     a config.
 
     None of them depends on the channel, so each is built on first use,
-    stacked one row per beam or field, and kept read-only.
+    one row per beam or field, and kept read-only.
     """
 
     def __init__(self, cfg: ProtocolConfig, codebook: BeamCodebook) -> None:
@@ -208,13 +201,13 @@ class _TrainingPlan:
     @functools.cached_property
     def weights(self) -> np.ndarray:
         """Transformed codebook, (beams, antennas)."""
-        return _weight_matrix(self._cfg, self._codebook.vectors)
+        return _transform(self._cfg, self._codebook.matrix)
 
     @functools.cached_property
     def clean(self) -> np.ndarray:
         """Untransformed codebook, (beams, antennas), for the SNR report; it
-        has the bytes of ``weights`` when no transform is set."""
-        return _readonly(self._codebook.matrix())
+        is ``weights`` when no transform is set."""
+        return self._codebook.matrix
 
     @functools.cached_property
     def coded(self) -> tuple[np.ndarray, np.ndarray]:
@@ -222,26 +215,23 @@ class _TrainingPlan:
         codebook, and the chips (K, T) that tag its beams."""
         k = len(self._codebook)
         chips = walsh_codes(max(0, (k - 1).bit_length()))[:k]
-        fields = coded_fields(self._codebook.vectors, chips)
-        return _weight_matrix(self._cfg, fields), _readonly(chips.astype(np.complex128))
+        fields = coded_fields(self._codebook.matrix, chips)
+        return _transform(self._cfg, fields), _readonly(chips.astype(np.complex128))
 
     @functools.cached_property
     def sectors(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Sector beams (untransformed), (S, antennas), and the fine beams
         each one covers."""
         beams, groups = sector_beams(self._codebook, self._cfg.num_sectors)
-        return (
-            _readonly(np.stack([w.weights for w in beams])),
-            tuple(_readonly(np.array(g, dtype=np.intp)) for g in groups),
-        )
+        return _readonly(beams), tuple(_readonly(np.array(g, dtype=np.intp)) for g in groups)
 
     @functools.cached_property
     def composite(self) -> np.ndarray:
         """Equal-power all-beams weights, (1, antennas), for the feedback
         stages' reception; deliberately left untransformed (see
         ProtocolConfig)."""
-        vectors = list(self._codebook.vectors)
-        return superpose_beams(vectors, [1] * len(vectors)).weights[None, :]
+        beams = self._codebook.matrix
+        return _readonly(superpose_beams(beams, [1] * len(beams))[None, :])
 
 
 def _field_noise_std(cfg: ProtocolConfig) -> float:
@@ -385,8 +375,9 @@ def run_exhaustive_pbp(
 
 def sector_beams(
     codebook: BeamCodebook, num_sectors: int
-) -> tuple[list[WeightVector], list[list[int]]]:
-    """Lower-resolution sector beams plus the fine-beam indices they cover.
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Lower-resolution sector beams, (S, N), plus the fine-beam indices
+    they cover.
 
     The codebook is split into contiguous groups; each sector beam steers a
     front sub-array of N // num_sectors antennas at the group's mean
@@ -404,7 +395,7 @@ def sector_beams(
     for group in groups:
         center = float(np.mean([math.cos(math.radians(codebook.angles_deg[i])) for i in group]))
         beams.append(subarray_beam(codebook.cfg, center, sub))
-    return beams, groups
+    return np.stack(beams), groups
 
 
 def run_multilevel_pbp(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamtrain import beam_coding
-from beamtrain.array_model import ArrayConfig, dft_codebook, steering_vector
+from beamtrain.array_model import ArrayConfig, BeamCodebook, dft_codebook, steering_vector
 from beamtrain.beam_coding import (
     GolayPair,
     ce_field_powers,
@@ -36,7 +36,7 @@ def orthogonal_subsets(draw):
     spacing = draw(st.sampled_from([0.5, 0.6, 0.75, 1.0]))
     cb = dft_codebook(ArrayConfig(n, spacing))
     indices = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    return cb, cb.subset(indices)
+    return cb, BeamCodebook(cb.cfg, tuple(cb.angles_deg[i] for i in indices), cb.matrix[indices])
 
 
 def walsh_codes_for(k):
@@ -187,45 +187,45 @@ class TestBuildSchedule:
     def test_four_beam_field_weights_match_hand_formula(self):
         cfg = ArrayConfig(16)
         cb = dft_codebook(cfg)
-        beams = [cb.vectors[i] for i in (1, 5, 9, 13)]
+        beams = cb.matrix[[1, 5, 9, 13]]
         chips = walsh_codes(2)
         fields = coded_fields(beams, chips)
         for t in range(4):
-            manual = 0.5 * sum(chips[p, t] * beams[p].entries for p in range(4))
-            assert np.allclose(fields[t].weights, manual, atol=1e-15)
+            manual = 0.5 * sum(chips[p, t] * beams[p] for p in range(4))
+            assert np.allclose(fields[t], manual, atol=1e-15)
 
     def test_single_beam_schedule_is_constant(self):
         sv = steering_vector(ArrayConfig(8), 70.0)
         fields = coded_fields([sv], walsh_codes(0))
         assert len(fields) == 1
-        assert np.allclose(fields[0].weights, sv.entries)
+        assert np.allclose(fields[0], sv)
 
     def test_power_flat_across_fields(self):
         cfg = ArrayConfig(16)
         cb = dft_codebook(cfg)
         for k in (1, 2, 4, 8, 16):
-            beams = [cb.vectors[i] for i in range(0, 16, 16 // k)]
+            beams = cb.matrix[:: 16 // k]
             chips = walsh_codes(int(math.log2(k)) if k > 1 else 0)[:k]
-            energies = [w.energy() for w in coded_fields(beams, chips)]
+            energies = np.sum(np.abs(coded_fields(beams, chips)) ** 2, axis=1)
             assert max(energies) - min(energies) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(orthogonal_subsets())
     def test_orthogonal_schedule_fields_have_unit_energy(self, books):
         _, subset = books
-        for w in coded_fields(subset.vectors, walsh_codes_for(len(subset))):
-            assert w.energy() == pytest.approx(1.0, rel=1e-12)
+        for w in coded_fields(subset.matrix, walsh_codes_for(len(subset))):
+            assert np.sum(np.abs(w) ** 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_longer_codes_than_beams(self):
         cfg = ArrayConfig(8)
         cb = dft_codebook(cfg)
         chips = walsh_codes(2)[:2]  # first 2 rows of order 4
-        assert len(coded_fields([cb.vectors[0], cb.vectors[3]], chips)) == 4
+        assert len(coded_fields(cb.matrix[[0, 3]], chips)) == 4
 
     def test_non_orthogonal_beams_lose_power_flatness(self):
         cfg = ArrayConfig(16)
-        beams = [steering_vector(cfg, 60.0), steering_vector(cfg, 61.0)]
-        energies = [w.energy() for w in coded_fields(beams, walsh_codes(1))]
+        beams = np.stack([steering_vector(cfg, 60.0), steering_vector(cfg, 61.0)])
+        energies = np.sum(np.abs(coded_fields(beams, walsh_codes(1))) ** 2, axis=1)
         assert max(energies) - min(energies) > 0.5
 
     def test_validation(self):
@@ -234,10 +234,10 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             coded_fields([], np.zeros((0, 1), dtype=np.int64))
         with pytest.raises(ValueError, match="2 chip rows for 1 beams"):
-            coded_fields([cb.vectors[0]], walsh_codes(1))
+            coded_fields(cb.matrix[:1], walsh_codes(1))
         with pytest.raises(ValueError, match="orthogonal"):
             # 4 beams cannot be separated by 2-chip codes
-            coded_fields([cb.vectors[i] for i in range(4)], np.vstack([walsh_codes(1)] * 2))
+            coded_fields(cb.matrix[:4], np.vstack([walsh_codes(1)] * 2))
 
     @pytest.mark.parametrize(
         "chips, message",
@@ -253,7 +253,8 @@ class TestBuildSchedule:
     )
     def test_rejects_a_bad_chip_matrix(self, chips, message):
         g = golay_pair(2)
-        beams = [steering_vector(ArrayConfig(4), 60.0)] * max(1, len(np.atleast_2d(chips)))
+        beam = steering_vector(ArrayConfig(4), 60.0)
+        beams = np.stack([beam] * max(1, len(np.atleast_2d(chips))))
         with pytest.raises(ValueError, match=message):
             coded_fields(beams, chips)
         with pytest.raises(ValueError, match=message):
@@ -262,9 +263,9 @@ class TestBuildSchedule:
     def test_accepts_any_orthogonal_sign_matrix(self):
         # Not Walsh rows, not starting with +1, length not a power of two.
         chips = np.array([[-1, 1], [1, 1]])
-        beams = [steering_vector(ArrayConfig(4), a) for a in (60.0, 120.0)]
+        beams = np.stack([steering_vector(ArrayConfig(4), a) for a in (60.0, 120.0)])
         fields = coded_fields(beams, chips)
-        assert np.allclose(fields[0].weights, (beams[1].entries - beams[0].entries) / math.sqrt(2))
+        assert np.allclose(fields[0], (beams[1] - beams[0]) / math.sqrt(2))
 
 
 class TestDecodeCorrelations:
@@ -324,11 +325,11 @@ class TestWalshDecode:
         cb, subset = books
         k = len(subset)
         chips = walsh_codes_for(k)
-        fields = np.stack([w.weights for w in coded_fields(subset.vectors, chips)])
+        fields = coded_fields(subset.matrix, chips)
         ch = ChannelRealization(rays=tuple(rays))
-        est = cascade_gains(fields, cb.matrix(), ch, cb.cfg, cb.cfg)
+        est = cascade_gains(fields, cb.matrix, ch, cb.cfg, cb.cfg)
         decoded = walsh_decode(chip_matrix(chips), est) * math.sqrt(k) / len(fields)
-        table = cascade_gains(subset.matrix(), cb.matrix(), ch, cb.cfg, cb.cfg)
+        table = cascade_gains(subset.matrix, cb.matrix, ch, cb.cfg, cb.cfg)
         # Largest magnitude a unit-norm beam pair can see through these rays.
         bound = sum(abs(r.gain) for r in rays) * cb.cfg.num_antennas
         np.testing.assert_allclose(decoded, table, rtol=0, atol=1e-12 * bound)
@@ -463,9 +464,9 @@ class TestWaveformRouteAgainstFieldRoute:
         chips = walsh_codes(2)
         g = golay_pair(9)
         norm = math.sqrt(4 * 4)
-        field_weights = np.stack([w.weights for w in coded_fields(tx_cb.vectors, chips)])
-        field_taps = cascade_gains(field_weights, rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg) / norm
-        table = cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg) / norm
+        field_weights = coded_fields(tx_cb.matrix, chips)
+        field_taps = cascade_gains(field_weights, rx_cb.matrix, ch, tx_cb.cfg, rx_cb.cfg) / norm
+        table = cascade_gains(tx_cb.matrix, rx_cb.matrix, ch, tx_cb.cfg, rx_cb.cfg) / norm
         for q in range(4):
             fields = [encode_ce_field(taps, g, guard=4) for taps in field_taps[:, :, q].T]
             decoded = decode_per_tap(np.array(fields), g, chips, num_taps=3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrain.array_model import ArrayConfig, WeightVector, array_factor_many, dft_codebook
+from beamtrain.array_model import ArrayConfig, array_factor_many, dft_codebook
 from beamtrain.channel import (
     TOY_BEAM_ANGLES_DEG,
     TOY_LOS_PAIR,
@@ -34,11 +34,11 @@ def brute_force_gain(tx_w, rx_w, ch, tx_cfg, rx_cfg):
     for ray in ch.rays:
         tx = sum(
             w * cmath.exp(2j * math.pi * n * tx_cfg.spacing * math.cos(math.radians(ray.aod_deg)))
-            for n, w in enumerate(tx_w.weights)
+            for n, w in enumerate(tx_w)
         )
         rx = sum(
             w * cmath.exp(2j * math.pi * n * rx_cfg.spacing * math.cos(math.radians(ray.aoa_deg)))
-            for n, w in enumerate(rx_w.weights)
+            for n, w in enumerate(rx_w)
         )
         taps[ray.tap] += ray.gain * tx * rx
     return np.array(taps)
@@ -62,7 +62,7 @@ class TestToyChannel:
     def test_exhaustive_search_finds_los_pair(self):
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)
-        table = cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg)
+        table = cascade_gains(tx_cb.matrix, rx_cb.matrix, ch, tx_cb.cfg, rx_cb.cfg)
         power = np.sum(np.abs(table) ** 2, axis=0)
         assert power.shape == (4, 4)
         best = np.unravel_index(np.argmax(power), power.shape)
@@ -71,7 +71,7 @@ class TestToyChannel:
     def test_vanishing_nlos_leaves_one_path(self):
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(1e-9)
-        table = cascade_gains(tx_cb.matrix(), rx_cb.matrix(), ch, tx_cb.cfg, rx_cb.cfg)
+        table = cascade_gains(tx_cb.matrix, rx_cb.matrix, ch, tx_cb.cfg, rx_cb.cfg)
         power = np.sum(np.abs(table) ** 2, axis=0)
         strong = power > 1e-12
         assert strong.sum() == 1
@@ -84,9 +84,9 @@ class TestToyChannel:
         a = 0.5
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(a)
-        composite = superpose_beams(list(rx_cb.vectors), [1, 1, 1, 1])
+        composite = superpose_beams(rx_cb.matrix, [1, 1, 1, 1])
         norm = math.sqrt(4 * 4)
-        taps = cascade_gains(tx_cb.matrix(), composite.weights[None], ch, tx_cb.cfg, rx_cb.cfg)
+        taps = cascade_gains(tx_cb.matrix, composite[None], ch, tx_cb.cfg, rx_cb.cfg)
         observed = taps[0, :, 0] / norm
         expected = [0.5 * a, 0.5, 0.0, 0.0]
         assert np.allclose(observed, expected, atol=1e-9)
@@ -231,8 +231,8 @@ class TestEndToEndGain:
     def test_toy_los_pair_untouched_by_nlos_ray(self):
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)
-        tx_w = tx_cb.vectors[TOY_LOS_PAIR[0]].entries
-        rx_w = rx_cb.vectors[TOY_LOS_PAIR[1]].entries
+        tx_w = tx_cb.matrix[TOY_LOS_PAIR[0]]
+        rx_w = rx_cb.matrix[TOY_LOS_PAIR[1]]
         taps = pair_taps(tx_w, rx_w, ch, tx_cb.cfg, rx_cb.cfg)
         # aligned ray: both unit-norm array factors peak at sqrt(4)
         assert abs(taps[0]) == pytest.approx(4.0, abs=1e-9)
@@ -258,9 +258,9 @@ class TestEndToEndGain:
             for _ in range(9)
         )
         ch = ChannelRealization(rays=rays)
-        tx_w = WeightVector(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        rx_w = WeightVector(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        got = pair_taps(tx_w.weights, rx_w.weights, ch, tx_cfg, rx_cfg)
+        tx_w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        rx_w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        got = pair_taps(tx_w, rx_w, ch, tx_cfg, rx_cfg)
         want = brute_force_gain(tx_w, rx_w, ch, tx_cfg, rx_cfg)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -338,9 +338,7 @@ class TestCascadeGains:
         gains = np.array([r.gain for r in ch.rays])
         for f, tx_w in enumerate(tx):
             for g, rx_w in enumerate(rx):
-                naive = brute_force_gain(
-                    WeightVector(tx_w), WeightVector(rx_w), ch, tx_cfg, rx_cfg
-                )
+                naive = brute_force_gain(tx_w, rx_w, ch, tx_cfg, rx_cfg)
                 # Largest magnitude any tap can reach, the base of the relative error.
                 bound = sum(abs(r.gain) for r in ch.rays) * np.abs(tx_w).sum() * np.abs(rx_w).sum()
                 np.testing.assert_allclose(got[:, f, g], naive, rtol=0, atol=1e-12 * bound)
@@ -348,8 +346,8 @@ class TestCascadeGains:
                 if ch.rays:
                     contributions = (
                         gains
-                        * array_factor_many(WeightVector(tx_w), aods, tx_cfg)
-                        * array_factor_many(WeightVector(rx_w), aoas, rx_cfg)
+                        * array_factor_many(tx_w, aods, tx_cfg)
+                        * array_factor_many(rx_w, aoas, rx_cfg)
                     )
                     for ray, c in zip(ch.rays, contributions):
                         per_pair[ray.tap] += c
@@ -419,10 +417,10 @@ class TestPairGainTable:
         cfg = ChannelConfig(num_clusters=2, los=True)
         ch = sample_channel(cfg, 5)
         cb = dft_codebook(ArrayConfig(4))
-        table = cascade_gains(cb.matrix(), cb.matrix(), ch, cb.cfg, cb.cfg)
+        table = cascade_gains(cb.matrix, cb.matrix, ch, cb.cfg, cb.cfg)
         for p in range(4):
             for q in range(4):
-                tx_w, rx_w = cb.vectors[p].entries, cb.vectors[q].entries
+                tx_w, rx_w = cb.matrix[p], cb.matrix[q]
                 direct = pair_taps(tx_w, rx_w, ch, cb.cfg, cb.cfg)
                 assert np.allclose(table[:, p, q], direct, atol=1e-10)
 

@@ -66,8 +66,11 @@ class TestParsing:
 
     def test_out_of_range_channel_value(self):
         # caught where the nested config is built, not deep inside a campaign
-        with pytest.raises(ConfigError, match="cluster count"):
+        with pytest.raises(ConfigError, match="^channel.num_clusters: need a nonnegative cluster"):
             parse_config("channel.num_clusters = -1\n")
+        # Only the key that fails on its own is named, not every key set.
+        with pytest.raises(ConfigError, match="^channel.distance_m: distance must be positive"):
+            parse_config("channel.los = false\nchannel.distance_m = -1\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamtrain import cli, harness
-from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook
+from beamtrain.array_model import ArrayConfig, dft_codebook
 from beamtrain.beam_coding import encode_ce_field, golay_pair
 from beamtrain.channel import ChannelConfig, derive_seed, sample_channel
 from beamtrain.experiment import ExperimentConfig, serialize_config
@@ -189,13 +189,13 @@ class TestPowerVarOracle:
         assert any(ch.num_taps > 1 for ch in channels.values())
         cfg = ArrayConfig(self.exp.tx_antennas, self.exp.spacing)
         tx_cb = dft_codebook(cfg)
-        rx_w, rx_cfg = WeightVector(np.array([1.0 + 0j])), ArrayConfig(1, self.exp.spacing)
+        rx_w, rx_cfg = np.array([1.0 + 0j]), ArrayConfig(1, self.exp.spacing)
         got = {(r[1], r[2], r[3], r[4], r[5], r[6]): r[7] for r in g_rows}
         want = {}
         for (env, i), ch in channels.items():
             for k in self.exp.beams_per_packet:
                 for packet, group in enumerate(harness._beam_groups(len(tx_cb), k)):
-                    beams = [tx_cb.vectors[b] for b in group]
+                    beams = tx_cb.matrix[group]
                     for layout in (layout_80211ad(beams), layout_beam_coding(beams)):
                         trace = power_trace(layout, ch, rx_w, cfg, rx_cfg)
                         samples = preamble_samples(layout, ch, rx_w, cfg, rx_cfg)
@@ -591,6 +591,10 @@ class TestCli:
                 (BOTH_CAMPAIGNS, "channel.carrier_hz = 0", "channel.carrier_hz"),
                 (BOTH_CAMPAIGNS, "channel.distance_m = inf", "channel.distance_m"),
                 (BOTH_CAMPAIGNS, "channel.path_loss_exponent = nan", "channel.path_loss_exponent"),
+                (BOTH_CAMPAIGNS, "channel.distance_m = -1", "channel.distance_m"),
+                (BOTH_CAMPAIGNS, "channel.max_excess_tap = -1", "channel.max_excess_tap"),
+                (BOTH_CAMPAIGNS, "channel.num_clusters = -1", "channel.num_clusters"),
+                (BOTH_CAMPAIGNS, "channel.rays_per_cluster = 0", "channel.rays_per_cluster"),
                 (BOTH_CAMPAIGNS, "link.tx_power_dbm = nan", "link.tx_power_dbm"),
                 (
                     BOTH_CAMPAIGNS,

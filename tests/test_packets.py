@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamtrain.array_model import ArrayConfig, WeightVector, dft_codebook, steering_vector
+from beamtrain.array_model import ArrayConfig, dft_codebook, steering_vector
 from beamtrain.beam_coding import coded_fields, walsh_codes
 from beamtrain.channel import (
     TOY_LOS_PAIR,
@@ -28,7 +28,7 @@ from beamtrain.packets import (
 
 
 def coded_layout(beam_indices, codebook):
-    return layout_beam_coding([codebook.vectors[i] for i in beam_indices])
+    return layout_beam_coding(codebook.matrix[list(beam_indices)])
 
 
 class TestBitAccounting:
@@ -71,7 +71,7 @@ class TestBitAccounting:
             layout_beam_coding(17, num_antennas=16)
         cfg = ArrayConfig(2)
         with pytest.raises(ValueError, match="at most 2"):
-            layout_beam_coding([steering_vector(cfg, a) for a in (30.0, 90.0, 150.0)])
+            layout_beam_coding(np.stack([steering_vector(cfg, a) for a in (30.0, 90.0, 150.0)]))
 
     def test_total_is_exact_sum(self):
         # The training section is its AGC subfields plus its TRN fields.
@@ -85,12 +85,12 @@ class TestBitAccounting:
 class TestLayoutStructure:
     def test_80211ad_fields_carry_beams(self):
         cb = dft_codebook(ArrayConfig(8))
-        layout = layout_80211ad(list(cb.vectors[:3]))
+        layout = layout_80211ad(cb.matrix[:3])
         assert len(layout.trn_fields) == 3
         assert layout.agc_subfield_count == 12
         for i, field in enumerate(layout.trn_fields):
             assert field.delay_subfield_bits == 2560
-            assert np.allclose(field.weight.weights, cb.vectors[i].entries)
+            assert np.allclose(field.weight, cb.matrix[i])
         assert len(layout.preamble_weights) == 1
 
     def test_beam_coding_fields_carry_composites(self):
@@ -104,13 +104,13 @@ class TestLayoutStructure:
     def test_coded_fields_are_the_walsh_schedule(self, k):
         # beam p rides Walsh code p of the shortest length that separates k
         cb = dft_codebook(ArrayConfig(16))
-        beams = list(cb.vectors[:k])
+        beams = cb.matrix[:k]
         want = coded_fields(beams, walsh_codes(max(0, (k - 1).bit_length()))[:k])
         layout = layout_beam_coding(beams)
         assert layout.training_bits == layout_beam_coding(k).training_bits
-        want_bytes = [w.weights.tobytes() for w in want]
-        assert [f.weight.weights.tobytes() for f in layout.trn_fields] == want_bytes
-        assert [w.weights.tobytes() for w in layout.preamble_weights] == want_bytes
+        want_bytes = [w.tobytes() for w in want]
+        assert [f.weight.tobytes() for f in layout.trn_fields] == want_bytes
+        assert [w.tobytes() for w in layout.preamble_weights] == want_bytes
 
 
 class TestLayouts:
@@ -118,31 +118,31 @@ class TestLayouts:
         cb = dft_codebook(ArrayConfig(4))
         for name, layout_of in LAYOUTS.items():
             assert layout_of(2).scheme == name
-            assert layout_of(list(cb.vectors[:2])).scheme == name
+            assert layout_of(cb.matrix[:2]).scheme == name
         assert ExperimentConfig().schemes == tuple(LAYOUTS) == ("80211ad", "beamcoding")
 
 
 class TestPowerTrace:
     def test_unresolved_weights_rejected(self):
         layout = layout_80211ad(2)
-        rx = WeightVector(np.array([1.0 + 0j]))
+        rx = np.array([1.0 + 0j])
         with pytest.raises(ValueError):
             power_trace(layout, toy_channel(0.5), rx)
 
     def test_toy_80211ad_trace_isolates_aligned_fields(self):
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)
-        layout = layout_80211ad(list(tx_cb.vectors))
+        layout = layout_80211ad(tx_cb.matrix)
         # receiver parked on the strong pair's receive beam: only the
         # matching transmit field lights up
-        rx = rx_cb.vectors[TOY_LOS_PAIR[1]].as_weights()
+        rx = rx_cb.matrix[TOY_LOS_PAIR[1]]
         trace = power_trace(layout, ch, rx, tx_cb.cfg, rx_cb.cfg)
         powers = trace.field_powers / trace.field_powers.max()
         assert np.argmax(powers) == TOY_LOS_PAIR[0]
         others = np.delete(powers, TOY_LOS_PAIR[0])
         assert np.all(others < 1e-12)
         # parked on the weak pair's receive beam: only its field, a^2 down
-        rx2 = rx_cb.vectors[TOY_NLOS_PAIR[1]].as_weights()
+        rx2 = rx_cb.matrix[TOY_NLOS_PAIR[1]]
         trace2 = power_trace(layout, ch, rx2, tx_cb.cfg, rx_cb.cfg)
         assert np.argmax(trace2.field_powers) == TOY_NLOS_PAIR[0]
         assert trace2.field_powers.max() == pytest.approx(
@@ -151,8 +151,8 @@ class TestPowerTrace:
 
     def test_zero_channel_zero_trace(self):
         tx_cb, rx_cb = toy_codebooks()
-        layout = layout_80211ad(list(tx_cb.vectors))
-        rx = rx_cb.vectors[0].as_weights()
+        layout = layout_80211ad(tx_cb.matrix)
+        rx = rx_cb.matrix[0]
         empty = ChannelRealization(rays=())
         trace = power_trace(layout, empty, rx, tx_cb.cfg, rx_cb.cfg)
         assert np.all(trace.field_powers == 0)
@@ -167,9 +167,9 @@ class TestPowerTrace:
         # between the typical spreads.
         tx_cfg = ArrayConfig(16)
         cb = dft_codebook(tx_cfg)
-        rx = WeightVector(np.array([1.0 + 0j]))
+        rx = np.array([1.0 + 0j])
         rx_cfg = ArrayConfig(1)
-        ad_layout = layout_80211ad(list(cb.vectors))
+        ad_layout = layout_80211ad(cb.matrix)
         coded = coded_layout(range(16), cb)
         cfg = ChannelConfig(los=False)
         floor = 1e-30
@@ -187,8 +187,8 @@ class TestPowerTrace:
 
     def test_agc_gain_normalizes_preamble(self):
         tx_cb, rx_cb = toy_codebooks()
-        layout = layout_80211ad(list(tx_cb.vectors))
-        rx = rx_cb.vectors[TOY_LOS_PAIR[1]].as_weights()
+        layout = layout_80211ad(tx_cb.matrix)
+        rx = rx_cb.matrix[TOY_LOS_PAIR[1]]
         trace = power_trace(layout, toy_channel(0.5), rx, tx_cb.cfg, rx_cb.cfg)
         assert trace.agc_gain * trace.preamble_power == pytest.approx(1.0)
 
@@ -197,8 +197,8 @@ class TestPreambleSamples:
     def test_single_tap_mean_power_matches_trace(self):
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)
-        layout = layout_80211ad(list(tx_cb.vectors))
-        rx = rx_cb.vectors[1].as_weights()
+        layout = layout_80211ad(tx_cb.matrix)
+        rx = rx_cb.matrix[1]
         trace = power_trace(layout, ch, rx, tx_cb.cfg, rx_cb.cfg)
         samples = preamble_samples(layout, ch, rx, tx_cb.cfg, rx_cb.cfg)
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(
@@ -209,7 +209,7 @@ class TestPreambleSamples:
         cb = dft_codebook(ArrayConfig(8))
         layout = coded_layout([0, 2, 4, 6], cb)
         ch = sample_channel(ChannelConfig(num_clusters=2), 3)
-        rx = WeightVector(np.array([1.0 + 0j]))
+        rx = np.array([1.0 + 0j])
         samples = preamble_samples(layout, ch, rx, cb.cfg, ArrayConfig(1))
         trace = power_trace(layout, ch, rx, cb.cfg, ArrayConfig(1))
         # sample mean approximates the mean field power (guard zeros and
@@ -221,4 +221,4 @@ class TestPreambleSamples:
     def test_requires_weights(self):
         layout = layout_beam_coding(4, num_antennas=8)
         with pytest.raises(ValueError):
-            preamble_samples(layout, toy_channel(0.5), WeightVector(np.array([1.0 + 0j])))
+            preamble_samples(layout, toy_channel(0.5), np.array([1.0 + 0j]))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from beamtrain import channel, protocols
 from beamtrain.array_model import (
     ArrayConfig,
+    BeamCodebook,
     codebook_from_cosines,
     dft_codebook,
     project_uniform,
@@ -51,8 +52,14 @@ def toy_config(scheme, **kwargs):
     return ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=scheme, **kwargs)
 
 
+def subset(cb, indices):
+    """The codebook of ``cb``'s beams at ``indices``, in that order."""
+    idx = list(indices)
+    return BeamCodebook(cb.cfg, tuple(cb.angles_deg[i] for i in idx), cb.matrix[idx])
+
+
 def pair_power_db(cb, pair, ch):
-    tx_w, rx_w = cb.vectors[pair[0]].entries, cb.vectors[pair[1]].entries
+    tx_w, rx_w = cb.matrix[pair[0]], cb.matrix[pair[1]]
     taps = cascade_gains(tx_w[None], rx_w[None], ch, cb.cfg, cb.cfg)[:, 0, 0]
     return 10 * math.log10(float(np.sum(np.abs(taps) ** 2)))
 
@@ -124,8 +131,8 @@ class TestToyScenario:
     def test_single_beam_codebooks(self):
         tx_cb, rx_cb = toy_codebooks()
         cfg = ProtocolConfig(
-            tx_codebook=tx_cb.subset([TOY_LOS_PAIR[0]]),
-            rx_codebook=rx_cb.subset([TOY_LOS_PAIR[1]]),
+            tx_codebook=subset(tx_cb, [TOY_LOS_PAIR[0]]),
+            rx_codebook=subset(rx_cb, [TOY_LOS_PAIR[1]]),
             scheme=Scheme.EXHAUSTIVE_PBP,
         )
         out = run_exhaustive_pbp(cfg, toy_channel(0.5), 0)
@@ -136,7 +143,7 @@ class TestToyScenario:
         # one coded beam means a one-chip code: a single CE field per packet
         tx_cb, rx_cb = toy_codebooks()
         cfg = ProtocolConfig(
-            tx_codebook=tx_cb.subset([TOY_LOS_PAIR[0]]),
+            tx_codebook=subset(tx_cb, [TOY_LOS_PAIR[0]]),
             rx_codebook=rx_cb,
             scheme=Scheme.EXHAUSTIVE_BEAMCODING,
         )
@@ -258,8 +265,7 @@ class TestMultilevel:
         beams, groups = sector_beams(cb, 4)
         assert len(beams) == 4
         assert sorted(i for g in groups for i in g) == list(range(16))
-        for w in beams:
-            assert w.energy() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(np.sum(np.abs(beams) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_sixteen_beam_packet_count(self):
         cb = dft_codebook(ArrayConfig(16))
@@ -303,7 +309,7 @@ class TestNoiselessEquivalence:
         for i in range(20):
             ch = sample_channel(ChannelConfig(), derive_seed(100, i))
             out = run(cfg, ch, i)
-            gains = cascade_gains(cb.matrix(), cb.matrix(), ch, cb.cfg, cb.cfg)
+            gains = cascade_gains(cb.matrix, cb.matrix, ch, cb.cfg, cb.cfg)
             table = np.sum(np.abs(gains) ** 2, axis=0)
             assert out.best_pair == tuple(np.unravel_index(np.argmax(table), table.shape))
 
@@ -328,7 +334,7 @@ class TestNoiselessEquivalence:
     def test_coded_decode_equals_exhaustive_table(self, beams, rays):
         n, indices = beams
         cb = dft_codebook(ArrayConfig(n))
-        tx_cb = cb.subset(sorted(indices))
+        tx_cb = subset(cb, sorted(indices))
         ch = ChannelRealization(rays=tuple(rays))
 
         def outcome(scheme):
@@ -462,7 +468,7 @@ class TestTrainingPlan:
         # three transmit beams: the Walsh schedule keeps the first three of
         # four codes and trains four fields
         cb = dft_codebook(ArrayConfig(16))
-        tx_cb = cb.subset([1, 6, 11])
+        tx_cb = subset(cb, [1, 6, 11])
         cfg = ProtocolConfig(
             tx_codebook=tx_cb,
             rx_codebook=cb,
@@ -472,16 +478,16 @@ class TestTrainingPlan:
         )
 
         def transformed(w):
-            return quantize_phases(project_uniform(w), 3).weights
+            return quantize_phases(project_uniform(w), 3)
 
         for book, plan in ((tx_cb, cfg._tx_plan), (cb, cfg._rx_plan)):
             assert plan.weights.shape == (len(book), book.cfg.num_antennas)
-            for row, v in zip(plan.weights, book.vectors):
-                assert np.array_equal(row, transformed(v.as_weights()))
+            for row, v in zip(plan.weights, book.matrix):
+                assert np.array_equal(row, transformed(v))
 
             fields, chips = plan.coded
             codes = walsh_codes(max(0, (len(book) - 1).bit_length()))[: len(book)]
-            want = coded_fields(book.vectors, codes)
+            want = coded_fields(book.matrix, codes)
             assert fields.shape == (len(want), book.cfg.num_antennas)
             for row, w in zip(fields, want):
                 assert np.array_equal(row, transformed(w))
@@ -489,11 +495,11 @@ class TestTrainingPlan:
 
             beams, groups = plan.sectors
             want_beams, want_groups = sector_beams(book, cfg.num_sectors)
-            assert np.array_equal(beams, np.stack([w.weights for w in want_beams]))
+            assert np.array_equal(beams, want_beams)
             assert [g.tolist() for g in groups] == want_groups
 
-            composite = superpose_beams(list(book.vectors), [1] * len(book))
-            assert np.array_equal(plan.composite, composite.weights[None, :])
+            composite = superpose_beams(book.matrix, [1] * len(book))
+            assert np.array_equal(plan.composite, composite[None, :])
 
     def test_reused_config_matches_fresh_config_per_channel(self):
         cb = dft_codebook(ArrayConfig(16))
@@ -515,8 +521,8 @@ class TestTrainingPlan:
         quantized = dataclasses.replace(cfg, quantize_bits=3)
         assert "_tx_plan" not in vars(quantized) and "_rx_plan" not in vars(quantized)
         assert quantized._tx_plan is not cfg._tx_plan
-        for row, v in zip(quantized._tx_plan.weights, cb.vectors):
-            assert np.array_equal(row, quantize_phases(v.as_weights(), 3).weights)
+        for row, v in zip(quantized._tx_plan.weights, cb.matrix):
+            assert np.array_equal(row, quantize_phases(v, 3))
         assert not np.array_equal(quantized._tx_plan.weights, plain)
         assert cfg._tx_plan.weights is plain
 
