@@ -24,7 +24,7 @@ from .channel import (
 )
 from .experiment import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .metrics import aggregate_snr, empirical_cdf, power_ratio
-from .packets import layout_80211ad, layout_beam_coding, power_trace
+from .packets import layout_80211ad, layout_beam_coding, power_trace, training_bits
 from .protocols import ProtocolConfig, Scheme, TrainingOutcome, run
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -76,8 +77,8 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         raise ConfigError("pass exactly one of --angles or --dft-beams")
     if args.antennas < 1:
         raise ConfigError(f"--antennas must be at least 1, got {args.antennas}")
-    if not args.spacing > 0.0:
-        raise ConfigError(f"--spacing must be positive, got {args.spacing}")
+    if not 0.0 < args.spacing < math.inf:
+        raise ConfigError(f"--spacing must be positive and finite, got {args.spacing}")
     if args.quant_bits is not None and args.quant_bits < 1:
         raise ConfigError(f"--quant-bits must be at least 1, got {args.quant_bits}")
     if not 0.0 < args.step < 180.0:

@@ -13,7 +13,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,8 +46,7 @@ from .packets import (
     PER_BEAM_BITS_80211AD,
     PER_BEAM_BITS_BEAM_CODING,
     _tap_rows,
-    layout_80211ad,
-    layout_beam_coding,
+    training_bits,
 )
 from .protocols import ProtocolConfig, Scheme, run
 
@@ -136,19 +135,9 @@ def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], list
     rows = []
     saving = PER_BEAM_BITS_80211AD - PER_BEAM_BITS_BEAM_CODING
     for k in sorted(beam_counts):
-        ad = layout_80211ad(k)
-        coded = layout_beam_coding(k)
-        rows.append((k, ad.scheme, PER_BEAM_BITS_80211AD, ad.training_bits, 0, 0))
-        rows.append(
-            (
-                k,
-                coded.scheme,
-                PER_BEAM_BITS_BEAM_CODING,
-                coded.training_bits,
-                saving,
-                ad.training_bits - coded.training_bits,
-            )
-        )
+        ad, coded = training_bits("80211ad", k), training_bits("beamcoding", k)
+        rows.append((k, "80211ad", PER_BEAM_BITS_80211AD, ad, 0, 0))
+        rows.append((k, "beamcoding", PER_BEAM_BITS_BEAM_CODING, coded, saving, ad - coded))
     return header, rows
 
 
@@ -214,32 +203,24 @@ _ENVIRONMENTS = ("los", "nlos")
 
 
 @dataclass(frozen=True)
-class _PacketGroup:
-    """The packets of a power-var plan that share a preamble length and a
-    field count, stacked one packet per row."""
-
-    preambles: np.ndarray  # rows of _PowerVarPlan.weights, (packets, preamble weights)
-    fields: np.ndarray  # rows of _PowerVarPlan.weights, (packets, TRN fields)
-
-
-@dataclass(frozen=True)
 class _PowerVarPlan:
     """Everything in a power-var campaign that does not depend on the channel.
 
-    The gammas of one channel form a vector laid out group by group, then
-    packet by packet and field by field; ``packet_of`` and ``field_of``
-    label its entries.  ``cells`` lists the entries of each (scheme, beams
-    per packet) cell in (packet, field) order, and ``cell_labels`` their
-    packets and fields in the same order.
+    The gammas of one channel form a vector laid out cell by cell, with the
+    (scheme, beams per packet) cells in config order, then packet by packet
+    and field by field.  ``fields`` and ``packet_of`` give each entry's
+    weight row and packet.  Packets are numbered through ``preambles``,
+    which holds one (packets, P) matrix of preamble weight rows per
+    preamble length P.  ``cells`` gives each cell's (scheme, K, slice of
+    the vector, packet labels, field labels).
     """
 
-    weights: np.ndarray  # distinct field and preamble weights, (F, tx antennas)
+    weights: np.ndarray  # distinct field and preamble weights, (W, tx antennas)
     preamble_rows: np.ndarray  # rows of ``weights`` that some preamble rides
-    groups: tuple[_PacketGroup, ...]
-    packet_of: tuple[int, ...]
-    field_of: tuple[int, ...]
-    cells: tuple[tuple[tuple[str, int], np.ndarray], ...]
-    cell_labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    fields: np.ndarray
+    packet_of: np.ndarray
+    preambles: tuple[np.ndarray, ...]
+    cells: tuple[tuple[str, int, slice, tuple[int, ...], tuple[int, ...]], ...]
     golay: GolayPair
 
 
@@ -249,6 +230,8 @@ def _power_var_plan(
 ) -> _PowerVarPlan:
     """The plan of a power-var config; raises ConfigError for a bad
     beams-per-packet value.  Schemes are checked by _validate_campaign."""
+    if not beams_per_packet:
+        raise ConfigError("packet.beams_per_packet: the list is empty")
     out_of_range = [k for k in beams_per_packet if not 1 <= k <= tx_antennas]
     if out_of_range:
         raise ConfigError(
@@ -258,51 +241,41 @@ def _power_var_plan(
     tx_cb = _dft_codebook("array.tx_antennas", tx_antennas, spacing)
     row_of: dict[bytes, int] = {}
 
-    def row(w: np.ndarray) -> int:
-        return row_of.setdefault(w.tobytes(), len(row_of))
+    def rows(weights: np.ndarray) -> list[int]:
+        return [row_of.setdefault(w.tobytes(), len(row_of)) for w in weights]
 
-    # (preamble length, field count) -> (scheme, K, packet, fields, preamble)
-    shapes: dict[tuple[int, int], list[tuple]] = {}
-    for k in beams_per_packet:
-        for packet_idx, group in enumerate(_beam_groups(len(tx_cb), k)):
-            for scheme in schemes:
-                layout = LAYOUTS[scheme](tx_cb.matrix[group])
-                fields = [row(f.weight) for f in layout.trn_fields]
-                preamble = [row(w) for w in layout.preamble_weights]
-                shapes.setdefault((len(preamble), len(fields)), []).append(
-                    (scheme, k, packet_idx, fields, preamble)
-                )
-    groups = []
-    labels: list[tuple[int, int]] = []
-    cells: dict[tuple[str, int], list[int]] = {}
-    for members in shapes.values():
-        groups.append(
-            _PacketGroup(
-                preambles=_readonly(np.array([preamble for *_, preamble in members], np.intp)),
-                fields=_readonly(np.array([fields for *_, fields, _ in members], np.intp)),
+    fields: list[int] = []
+    # Each entry's packet as (preamble length, packet among those of that
+    # length), and each length's packets' preamble rows.
+    packets: list[tuple[int, int]] = []
+    preambles: dict[int, list[list[int]]] = {}
+    cells = []
+    for scheme in schemes:
+        for k in beams_per_packet:
+            start, packet_labels, field_labels = len(fields), [], []
+            for packet_idx, group in enumerate(_beam_groups(len(tx_cb), k)):
+                preamble, packet_fields = LAYOUTS[scheme](tx_cb.matrix[group])
+                fields += rows(packet_fields)
+                same_length = preambles.setdefault(len(preamble), [])
+                packets += [(len(preamble), len(same_length))] * len(packet_fields)
+                same_length.append(rows(preamble))
+                packet_labels += [packet_idx] * len(packet_fields)
+                field_labels += range(len(packet_fields))
+            cells.append(
+                (scheme, k, slice(start, len(fields)), tuple(packet_labels), tuple(field_labels))
             )
-        )
-        for scheme, k, packet_idx, fields, _ in members:
-            cells.setdefault((scheme, k), []).extend(range(len(labels), len(labels) + len(fields)))
-            labels.extend((packet_idx, field) for field in range(len(fields)))
-    packet_of, field_of = zip(*labels)
-    for entries in cells.values():
-        entries.sort(key=lambda e: (packet_of[e], field_of[e]))
+    first_packet = dict(zip(preambles, accumulate(map(len, preambles.values()), initial=0)))
     # The keys are the weights' bytes in row order; the cached plan is
     # shared by every later call, so its arrays are read-only.
     weights = np.frombuffer(b"".join(row_of), dtype=np.complex128)
-    preamble_rows = sorted({r for g in groups for r in g.preambles.flat})
+    preamble_rows = sorted({r for matrix in preambles.values() for p in matrix for r in p})
     return _PowerVarPlan(
         weights=weights.reshape(len(row_of), tx_antennas),
         preamble_rows=_readonly(np.array(preamble_rows, np.intp)),
-        groups=tuple(groups),
-        packet_of=packet_of,
-        field_of=field_of,
-        cells=tuple((cell, _readonly(np.array(e, np.intp))) for cell, e in cells.items()),
-        cell_labels=tuple(
-            (tuple(packet_of[e] for e in entries), tuple(field_of[e] for e in entries))
-            for entries in cells.values()
-        ),
+        fields=_readonly(np.array(fields, np.intp)),
+        packet_of=_readonly(np.array([first_packet[p] + i for p, i in packets], np.intp)),
+        preambles=tuple(_readonly(np.array(m, np.intp)) for m in preambles.values()),
+        cells=tuple(cells),
         golay=golay_pair(9),
     )
 
@@ -315,16 +288,16 @@ def _channel_gammas(plan: _PowerVarPlan, taps: np.ndarray) -> np.ndarray:
     sigmas[plan.preamble_rows] = ce_field_powers(taps[plan.preamble_rows], plan.golay)
     if np.any(sigmas[plan.preamble_rows] <= 0.0):
         raise ValueError("undefined ratio: preamble has zero variance")
-    return np.concatenate(
-        [
-            (powers[g.fields] / (3.0 * np.mean(sigmas[g.preambles], axis=1)[:, None])).ravel()
-            for g in plan.groups
-        ]
-    )
+    packet_sigmas = np.concatenate([np.mean(sigmas[p], axis=1) for p in plan.preambles])
+    return powers[plan.fields] / (3.0 * packet_sigmas[plan.packet_of])
 
 
 def _validate_campaign(exp: ExperimentConfig) -> None:
     """Checks shared by the campaigns, made before any channel is drawn."""
+    lists = (("experiment.environments", exp.environments), ("experiment.schemes", exp.schemes))
+    for key, values in lists:
+        if not values:
+            raise ConfigError(f"{key}: the list is empty")
     unknown = [e for e in exp.environments if e not in _ENVIRONMENTS]
     if unknown:
         raise ConfigError(
@@ -345,6 +318,12 @@ def _validate_campaign(exp: ExperimentConfig) -> None:
         )
     if exp.runs < 1:
         raise ConfigError(f"experiment.runs must be at least 1, got {exp.runs}")
+    _validate_channel_and_link(exp)
+
+
+def _validate_channel_and_link(exp: ExperimentConfig) -> None:
+    """Checks of the channel and link settings, made before any channel is
+    drawn or any run is trained."""
     ch = exp.channel
     spread, rms, carrier = ch.intra_cluster_tap_spread, ch.cluster_loss_rms_db, ch.carrier_hz
     bandwidth = exp.budget.bandwidth_hz
@@ -381,7 +360,7 @@ def power_var_campaign(
 
     The layouts depend only on the config, so once per config their
     distinct field and preamble weights are stacked into one matrix and
-    their packets are grouped by preamble length and field count.  Per
+    their packets' preambles are grouped by preamble length.  Per
     channel, one :func:`~beamtrain.channel.cascade_gains` call gives every
     weight's taps; a field's gamma is its power over three times its
     preamble's sigma.  Sigma, the mean sample power of the Golay CE field
@@ -391,7 +370,7 @@ def power_var_campaign(
     to sign, at the channel's nonzero taps, and gives bit for bit what
     :func:`~beamtrain.beam_coding.encode_ce_field` synthesis of the whole
     field gives.  Sigma is averaged over the weights of a multi-weight
-    preamble, one array operation per packet group.  Golay
+    preamble, one array operation per preamble length.  Golay
     complementarity gives sigma in closed form, but not bit for bit, and
     the K=1 CDFs count distinct doubles, so the synthesis stays until the
     reference outputs are re-recorded.  The per-layout path
@@ -400,13 +379,17 @@ def power_var_campaign(
     :func:`~beamtrain.metrics.power_ratio` gives the same gammas.
 
     Rows are emitted in their final order and nothing is sorted.  The plan
-    keeps each cell's entries in (packet, field) order; the blocks of one
+    lays each cell's entries out in (packet, field) order; the blocks of one
     (environment, cell) come in the order of their label strings, each
     with its runs in index order, and each block's CDF points come out of
     :meth:`~beamtrain.metrics.EmpiricalCdf.points` in value order.
     """
     started = time.perf_counter()
     _validate_campaign(exp)
+    if "nlos" in exp.environments and exp.channel.num_clusters == 0:
+        raise ConfigError(
+            "channel.num_clusters: an NLOS channel without clusters has no rays to train on"
+        )
     plan = _power_var_plan(
         exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes)
     )
@@ -434,7 +417,7 @@ def power_var_campaign(
         env_started = time.perf_counter()
         ch_cfg = replace(exp.channel, los=(env == "los"))
         env_master = derive_seed(derive_seed(exp.master_seed, _POWER_VAR_STREAM), env_idx)
-        gammas = gammas_of[env] = np.empty((exp.runs, len(plan.field_of)))
+        gammas = gammas_of[env] = np.empty((exp.runs, len(plan.fields)))
         for i in range(exp.runs):
             ch = sample_channel(ch_cfg, derive_seed(env_master, i))
             gammas[i] = _channel_gammas(plan, _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg))
@@ -445,7 +428,7 @@ def power_var_campaign(
     blocks = sorted(
         (
             (f"power_var/{scheme}/{env}/K{k}", env, scheme, k, entries, packets, fields)
-            for ((scheme, k), entries), (packets, fields) in zip(plan.cells, plan.cell_labels)
+            for scheme, k, entries, packets, fields in plan.cells
             for env in exp.environments
         ),
         key=itemgetter(0),
@@ -513,6 +496,8 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
             f"experiment.schemes: quant-sweep always compares {', '.join(_POWER_VAR_SCHEMES)}; "
             f"got {', '.join(exp.schemes)}"
         )
+    if not exp.quant_bits:
+        raise ConfigError("quant.bits: the list is empty")
     bad_bits = [b for b in exp.quant_bits if b is not None and b < 1]
     if bad_bits:
         raise ConfigError(f"quant.bits: a phase shifter needs at least 1 bit, got {bad_bits}")
@@ -572,8 +557,11 @@ def train_once(
     """Single training run with a full trace dump, for debugging.
 
     With ``toy=True`` the run uses the classic 4-beam two-path scene
-    (attenuation 0.5) instead of a sampled cluster channel.
+    (attenuation 0.5) instead of a sampled cluster channel.  The channel
+    and link settings are checked first, as the campaigns check them; a
+    bad value raises :class:`ConfigError`.
     """
+    _validate_channel_and_link(exp)
     if toy:
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)

@@ -1,17 +1,18 @@
 """Training packet structure at field granularity, with exact bit
-accounting and per-field weight annotations.
+accounting.
 
 The standard-style layout spends, per trained beam, 4x320 bits of AGC
 settling, 4x640 bits of delay-estimation subfields and 1024 bits of CE
 sequence.  A coded layout needs only the CE bits: the covering beams never
 change across the packet, so neither AGC resets nor per-beam delay fields
 are required.
+
+A layout is the pair ``(preamble, fields)`` of (P, N) and (F, N) weight
+matrices: the cycle of antenna weights the preamble rides, and the weights
+of the F TRN fields.  Its bits come from :func:`training_bits`.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +28,7 @@ __all__ = [
     "CE_BITS",
     "PER_BEAM_BITS_80211AD",
     "PER_BEAM_BITS_BEAM_CODING",
-    "TrnField",
-    "PacketLayout",
-    "PowerTrace",
+    "training_bits",
     "layout_80211ad",
     "layout_beam_coding",
     "LAYOUTS",
@@ -51,194 +50,94 @@ PER_BEAM_BITS_80211AD = (
 PER_BEAM_BITS_BEAM_CODING = CE_BITS
 
 
-@dataclass(frozen=True)
-class TrnField:
-    """One training field: CE bits, optional delay subfields, its (N,)
-    weights."""
+def training_bits(scheme: str, num_beams: int) -> int:
+    """Bits in the training section of one packet that trains ``num_beams``
+    beams under ``scheme``, a name in :data:`LAYOUTS`.
 
-    ce_bits: int = CE_BITS
-    delay_subfield_bits: int = 0
-    weight: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.ce_bits < 0 or self.delay_subfield_bits < 0:
-            raise ValueError("bit counts must be nonnegative")
-
-    @property
-    def bits(self) -> int:
-        return self.ce_bits + self.delay_subfield_bits
-
-
-@dataclass(frozen=True)
-class PacketLayout:
-    """The training section of a packet: AGC subfields, then TRN fields.
-
-    ``preamble_weights`` is the cycle of antenna weights the preamble rides,
-    one row each: a single equal-power composite of the trained beams for
-    the standard layout, or the whole coded composite schedule for the
-    coded layout (the covering beams never change there, so the preamble
-    can legitimately sound like the training section it sets the AGC for).
-    It is None for a layout built from a bare beam count.
+    The standard-style layout spends PER_BEAM_BITS_80211AD per beam; the
+    coded layout one CE field per Walsh code, T = the next power of two
+    >= K of them.  Exact for any count.
     """
-
-    scheme: str
-    agc_subfield_count: int
-    trn_fields: tuple[TrnField, ...]
-    preamble_weights: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.agc_subfield_count < 0:
-            raise ValueError("agc_subfield_count must be nonnegative")
-
-    @property
-    def training_bits(self) -> int:
-        """Bits in the training section: AGC subfields plus TRN fields."""
-        return self.agc_subfield_count * AGC_SUBFIELD_BITS + sum(f.bits for f in self.trn_fields)
+    if num_beams < 1:
+        raise ValueError(f"need at least one beam to train, got {num_beams}")
+    if scheme == "80211ad":
+        return num_beams * PER_BEAM_BITS_80211AD
+    if scheme == "beamcoding":
+        return (1 << (num_beams - 1).bit_length()) * CE_BITS
+    raise ValueError(f"unknown scheme {scheme!r}; pick from {', '.join(LAYOUTS)}")
 
 
-def _beam_count(beams: int | np.ndarray) -> tuple[int, np.ndarray | None]:
-    """The number of beams to train, and their (K, N) matrix if given."""
-    matrix = None if isinstance(beams, int) else np.asarray(beams)
-    if matrix is not None and matrix.ndim != 2:
-        raise ValueError(f"beams must be a count or a (K, N) matrix, not {matrix.ndim}-D")
-    count = beams if matrix is None else len(matrix)
-    if count < 1:
-        raise ValueError("need at least one beam to train")
-    return count, matrix
+def layout_80211ad(beams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-style in-packet layout training the (K, N) ``beams`` one
+    field at a time.
 
-
-def layout_80211ad(beams: int | np.ndarray) -> PacketLayout:
-    """Standard-style in-packet layout training ``beams`` one field at a time.
-
-    Every trained beam costs 4 AGC subfields plus a TRN field with delay
-    subfields and a CE sequence.  Pass a (K, N) beam matrix to get per-field
-    weights attached (the preamble then rides an equal-power composite of
-    the trained beams, the signal the AGC gets set from); pass a plain
-    count for bits-only accounting.
+    The preamble rides a single equal-power composite of the trained beams,
+    the signal the AGC gets set from; field k rides beam k.
     """
-    count, matrix = _beam_count(beams)
-    fields = tuple(
-        TrnField(
-            ce_bits=CE_BITS,
-            delay_subfield_bits=DELAY_SUBFIELDS_PER_BEAM * DELAY_SUBFIELD_BITS,
-            weight=None if matrix is None else matrix[i],
-        )
-        for i in range(count)
-    )
-    return PacketLayout(
-        scheme="80211ad",
-        agc_subfield_count=AGC_SUBFIELDS_PER_BEAM * count,
-        trn_fields=fields,
-        preamble_weights=None if matrix is None else superpose_beams(matrix, [1] * count)[None],
-    )
+    return superpose_beams(beams, [1] * len(beams))[None], beams
 
 
-def layout_beam_coding(
-    beams: int | np.ndarray, *, num_antennas: int | None = None
-) -> PacketLayout:
-    """Coded layout: T = next power of two >= K CE-only fields, no AGC.
+def layout_beam_coding(beams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coded layout of the (K, N) ``beams``: T = next power of two >= K
+    CE-only fields, no AGC.
 
-    Pass a (K, N) beam matrix to get field weights attached: beam p rides
-    Walsh code p of length T, and since the covering beams are identical
-    in every field, the preamble rides the T coded composites.  Pass a
-    plain count, with ``num_antennas`` to check it, for bits-only
-    accounting.  Raises when more beams are requested than the array can
+    Beam p rides Walsh code p of length T, and since the covering beams
+    are identical in every field, the preamble rides the T coded
+    composites.  Raises when more beams are requested than the array can
     keep mutually orthogonal.
     """
-    count, matrix = _beam_count(beams)
-    capacity = num_antennas if matrix is None else matrix.shape[1]
-    if capacity is not None and count > capacity:
+    count, capacity = np.shape(beams)
+    if count > capacity:
         raise ValueError(
             f"cannot code {count} beams: an array of {capacity} antennas supports "
             f"at most {capacity} mutually orthogonal beams"
         )
-    order = max(0, (count - 1).bit_length())
-    if matrix is None:
-        fields, weights = (TrnField(),) * (1 << order), None
-    else:
-        weights = coded_fields(matrix, walsh_codes(order)[:count])
-        fields = tuple(TrnField(weight=w) for w in weights)
-    return PacketLayout(
-        scheme="beamcoding",
-        agc_subfield_count=0,
-        trn_fields=fields,
-        preamble_weights=weights,
-    )
+    fields = coded_fields(beams, walsh_codes(max(0, (count - 1).bit_length()))[:count])
+    return fields, fields
 
 
 # The packet layouts by scheme name: campaigns and configs take the names here.
 LAYOUTS = {"80211ad": layout_80211ad, "beamcoding": layout_beam_coding}
 
 
-@dataclass(frozen=True)
-class PowerTrace:
-    """Mean received power per section: preamble first, then TRN fields.
-
-    ``agc_gain`` is the pure normalization the receiver derives once from
-    the preamble and then holds fixed across the whole training section.
-    """
-
-    preamble_power: float
-    field_powers: np.ndarray
-    agc_gain: float
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.field_powers, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "field_powers", arr)
-
-
 def _tap_rows(
-    tx: np.ndarray,
-    rx: np.ndarray,
-    ch: ChannelRealization,
-    tx_cfg: ArrayConfig | None,
-    rx_cfg: ArrayConfig | None,
+    tx: np.ndarray, rx: np.ndarray, ch: ChannelRealization, tx_cfg: ArrayConfig, rx_cfg: ArrayConfig
 ) -> np.ndarray:
     """Cascade taps of each transmit weight row through the receive weights
     ``rx``, shape (rows, num_taps).
 
-    Configs default to half-wavelength spacing with the lengths taken from
-    the weights.  Each row is contiguous, so that a sum along it adds in the
-    same order as a sum over that weight's own tap vector.
+    Each row is contiguous, so that a sum along it adds in the same order
+    as a sum over that weight's own tap vector.
     """
-    tx_cfg = ArrayConfig(tx.shape[1]) if tx_cfg is None else tx_cfg
-    rx_cfg = ArrayConfig(rx.size) if rx_cfg is None else rx_cfg
     taps = cascade_gains(tx, rx[None, :], ch, tx_cfg, rx_cfg)
     return np.ascontiguousarray(taps[:, :, 0].T)
 
 
 def power_trace(
-    layout: PacketLayout,
+    layout: tuple[np.ndarray, np.ndarray],
     ch: ChannelRealization,
     rx_w: np.ndarray,
-    tx_cfg: ArrayConfig | None = None,
-    rx_cfg: ArrayConfig | None = None,
-) -> PowerTrace:
-    """Mean received power for the preamble and each TRN field of a packet.
+    tx_cfg: ArrayConfig,
+    rx_cfg: ArrayConfig,
+) -> tuple[float, np.ndarray]:
+    """Mean received power of the preamble and of each TRN field of a
+    ``(preamble, fields)`` layout, as ``(preamble_power, field_powers)``.
 
-    The preamble power averages over the layout's preamble weight cycle;
-    ``rx_w`` holds the (N,) receive weights.
+    The preamble power averages over the preamble's weight cycle; ``rx_w``
+    holds the (N,) receive weights.
     """
-    if layout.preamble_weights is None or any(f.weight is None for f in layout.trn_fields):
-        raise ValueError("layout has unresolved field weights (built from a bare beam count)")
-    weights = np.vstack([layout.preamble_weights, *(f.weight for f in layout.trn_fields)])
-    taps = _tap_rows(weights, rx_w, ch, tx_cfg, rx_cfg)
+    preamble, fields = layout
+    taps = _tap_rows(np.vstack([preamble, fields]), rx_w, ch, tx_cfg, rx_cfg)
     powers = np.sum(np.abs(taps) ** 2, axis=1)
-    num_preamble = len(layout.preamble_weights)
-    preamble = float(np.mean(powers[:num_preamble]))
-    agc_gain = 1.0 / preamble if preamble > 0.0 else math.inf
-    return PowerTrace(
-        preamble_power=preamble, field_powers=powers[num_preamble:], agc_gain=agc_gain
-    )
+    return float(np.mean(powers[: len(preamble)])), powers[len(preamble) :]
 
 
 def preamble_samples(
-    layout: PacketLayout,
+    layout: tuple[np.ndarray, np.ndarray],
     ch: ChannelRealization,
     rx_w: np.ndarray,
-    tx_cfg: ArrayConfig | None = None,
-    rx_cfg: ArrayConfig | None = None,
+    tx_cfg: ArrayConfig,
+    rx_cfg: ArrayConfig,
     golay: GolayPair | None = None,
 ) -> np.ndarray:
     """Received baseband samples of the preamble sequence through ``ch``.
@@ -249,10 +148,8 @@ def preamble_samples(
     concatenated.  This models the preamble's signal statistics, not its
     bit-true duration.
     """
-    if layout.preamble_weights is None:
-        raise ValueError("layout has no preamble weights attached")
     if golay is None:
         golay = golay_pair(9)
-    taps = _tap_rows(layout.preamble_weights, rx_w, ch, tx_cfg, rx_cfg)
+    taps = _tap_rows(layout[0], rx_w, ch, tx_cfg, rx_cfg)
     guard = taps.shape[1] - 1
     return np.concatenate([encode_ce_field(h, golay, guard) for h in taps])

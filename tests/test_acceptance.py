@@ -201,20 +201,15 @@ def test_criterion_6_quantization_convergence():
 
 
 def test_criterion_7_overhead_arithmetic():
-    from beamtrain.packets import (
-        PER_BEAM_BITS_80211AD,
-        PER_BEAM_BITS_BEAM_CODING,
-        layout_80211ad,
-        layout_beam_coding,
-    )
+    from beamtrain.packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING, training_bits
 
     saving = PER_BEAM_BITS_80211AD - PER_BEAM_BITS_BEAM_CODING
     ok = (
         PER_BEAM_BITS_80211AD == 4864
         and PER_BEAM_BITS_BEAM_CODING == 1024
         and saving == 3840
-        and layout_80211ad(16).training_bits == 77824
-        and layout_beam_coding(16, num_antennas=16).training_bits == 16384
+        and training_bits("80211ad", 16) == 77824
+        and training_bits("beamcoding", 16) == 16384
     )
     report(
         7,

@@ -1,6 +1,7 @@
 import logging
 import math
 import tempfile
+import time
 import weakref
 from dataclasses import replace
 from operator import itemgetter
@@ -25,13 +26,7 @@ from beamtrain.harness import (
     write_csv,
 )
 from beamtrain.metrics import power_ratio
-from beamtrain.packets import (
-    _tap_rows,
-    layout_80211ad,
-    layout_beam_coding,
-    power_trace,
-    preamble_samples,
-)
+from beamtrain.packets import LAYOUTS, _tap_rows, power_trace, preamble_samples
 from beamtrain.protocols import Scheme
 
 
@@ -46,6 +41,8 @@ def small_experiment(**kwargs):
 
 
 BOTH_CAMPAIGNS = ("power-var", "quant-sweep")
+# The subcommands that check the channel and link settings.
+WITH_CHANNEL = (*BOTH_CAMPAIGNS, "train")
 
 class TestOverheadRows:
     def test_exact_integers(self):
@@ -138,10 +135,10 @@ class TestPowerVarCampaign:
 
     @pytest.mark.parametrize("environments", [("los", "nlos"), ("nlos", "los")])
     def test_rows_come_out_in_sorted_order(self, environments):
-        # K = 3 and 7 leave uneven last packets.  The two 2-beam packets of
-        # K = 3 share the packet group of K = 2, which comes first, so the
-        # entries of a cell reach (packet, field) order only if the plan
-        # puts them there.
+        # K = 3 and 7 leave uneven last packets, whose coded preambles are
+        # shorter than those of the cell's other packets and share their
+        # length with K = 2's, so the packets of a cell are numbered apart
+        # in the plan while their rows stay in (packet, field) order.
         exp = ExperimentConfig(
             runs=3,
             beams_per_packet=(2, 3, 5, 7),
@@ -150,7 +147,7 @@ class TestPowerVarCampaign:
         )
         _, g_rows, _, c_rows = power_var_campaign(exp)
         plan = harness._power_var_plan(16, 0.5, exp.beams_per_packet, exp.schemes)
-        assert len(g_rows) == 2 * 3 * len(plan.field_of)
+        assert len(g_rows) == 2 * 3 * len(plan.fields)
         assert g_rows == sorted(g_rows)
         assert g_rows == sorted(g_rows, key=itemgetter(0, 4, 5, 6))
         assert c_rows == sorted(c_rows)
@@ -196,12 +193,13 @@ class TestPowerVarOracle:
             for k in self.exp.beams_per_packet:
                 for packet, group in enumerate(harness._beam_groups(len(tx_cb), k)):
                     beams = tx_cb.matrix[group]
-                    for layout in (layout_80211ad(beams), layout_beam_coding(beams)):
-                        trace = power_trace(layout, ch, rx_w, cfg, rx_cfg)
+                    for scheme, layout_of in LAYOUTS.items():
+                        layout = layout_of(beams)
+                        _, field_powers = power_trace(layout, ch, rx_w, cfg, rx_cfg)
                         samples = preamble_samples(layout, ch, rx_w, cfg, rx_cfg)
-                        gammas = power_ratio(trace.field_powers, samples)
+                        gammas = power_ratio(field_powers, samples)
                         for field, gamma in enumerate(gammas.tolist()):
-                            want[(layout.scheme, env, k, i, packet, field)] = gamma
+                            want[(scheme, env, k, i, packet, field)] = gamma
         assert got.keys() == want.keys()
         for key, gamma in want.items():
             if key[2] == 1:
@@ -223,7 +221,7 @@ class TestPowerVarOracle:
 
 
 class TestPowerVarPlan:
-    """The grouped per-channel arithmetic against one packet at a time."""
+    """The per-channel arithmetic against one packet at a time."""
 
     @staticmethod
     def per_packet_gammas(plan, taps):
@@ -233,12 +231,15 @@ class TestPowerVarPlan:
             r: np.mean(np.abs(encode_ce_field(taps[r], plan.golay, guard)) ** 2)
             for r in plan.preamble_rows.tolist()
         }
-        gammas = []
-        for group in plan.groups:
-            for preamble, fields in zip(group.preambles.tolist(), group.fields):
-                sigma = np.mean(np.array([sigmas[r] for r in preamble]))
-                gammas.extend((powers[fields] / (3.0 * sigma)).tolist())
-        return gammas
+        packet_sigmas = [
+            np.mean(np.array([sigmas[r] for r in preamble]))
+            for matrix in plan.preambles
+            for preamble in matrix.tolist()
+        ]
+        return [
+            powers[field] / (3.0 * packet_sigmas[packet])
+            for field, packet in zip(plan.fields.tolist(), plan.packet_of.tolist())
+        ]
 
     @pytest.mark.parametrize("beams_per_packet", [(1, 2, 4, 8, 16), (3, 5)])
     def test_grouped_gammas_equal_per_packet_bits(self, beams_per_packet):
@@ -248,34 +249,37 @@ class TestPowerVarPlan:
             channel=ChannelConfig(intra_cluster_tap_spread=3),
         )
         plan = harness._power_var_plan(16, 0.5, beams_per_packet, exp.schemes)
-        assert max(g.preambles.shape[1] for g in plan.groups) > 1
+        assert max(p.shape[1] for p in plan.preambles) > 1
         rx_w, tx_cfg, rx_cfg = np.ones(1, dtype=complex), ArrayConfig(16), ArrayConfig(1)
         for ch in campaign_channels(exp).values():
             taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
             got = harness._channel_gammas(plan, taps)
             assert got.tolist() == self.per_packet_gammas(plan, taps)
 
-    def test_layout_labels_and_read_only_arrays(self):
-        schemes = ("80211ad", "beamcoding")
-        beams_per_packet = (1, 2, 4, 8, 16)
+    @pytest.mark.parametrize("beams_per_packet", [(1, 2, 4, 8, 16), (16, 3, 1, 5)])
+    def test_cells_tile_the_gammas_in_config_order(self, beams_per_packet):
+        schemes = ("beamcoding", "80211ad")
         plan = harness._power_var_plan(16, 0.5, beams_per_packet, schemes)
-        assert len(plan.field_of) == 160
-        assert sum(g.fields.size for g in plan.groups) == 160
-        assert sorted(cell for cell, _ in plan.cells) == sorted(
-            (scheme, k) for scheme in schemes for k in beams_per_packet
-        )
-        # every entry belongs to exactly one cell
-        entries_of_cells = [e for _, entries in plan.cells for e in entries.tolist()]
-        assert sorted(entries_of_cells) == list(range(160))
-        for ((scheme, k), entries), (packets, fields) in zip(plan.cells, plan.cell_labels):
-            assert len(entries) == 16
-            assert packets == tuple(plan.packet_of[e] for e in entries)
-            assert fields == tuple(plan.field_of[e] for e in entries)
-            # K beams per packet: 16 / K packets of K fields each, in order
-            assert list(zip(packets, fields)) == [(p, f) for p in range(16 // k) for f in range(k)]
-        arrays = [plan.weights, plan.preamble_rows]
-        arrays += [g.preambles for g in plan.groups] + [g.fields for g in plan.groups]
-        arrays += [entries for _, entries in plan.cells]
+        assert [(s, k) for s, k, *_ in plan.cells] == [
+            (s, k) for s in schemes for k in beams_per_packet
+        ]
+        stops = [0] + [entries.stop for _, _, entries, _, _ in plan.cells]
+        assert [entries.start for _, _, entries, _, _ in plan.cells] == stops[:-1]
+        assert stops[-1] == len(plan.fields) == len(plan.packet_of)
+        packets = sum(len(p) for p in plan.preambles)
+        assert sorted(set(plan.packet_of.tolist())) == list(range(packets))
+        for _, k, entries, labels, fields in plan.cells:
+            assert len(labels) == len(fields) == entries.stop - entries.start
+            # one plan packet per packet label, their fields numbered from 0
+            pairs = set(zip(labels, plan.packet_of[entries].tolist()))
+            assert len(pairs) == len(set(labels)) == len({p for _, p in pairs})
+            assert fields == tuple(
+                f for p in sorted(set(labels)) for f in range(labels.count(p))
+            )
+            if 16 % k == 0:
+                # K beams per packet: 16 / K packets of K fields each, in order
+                assert list(zip(labels, fields)) == [(p, f) for p in range(16 // k) for f in range(k)]
+        arrays = [plan.weights, plan.preamble_rows, plan.fields, plan.packet_of, *plan.preambles]
         assert not any(a.flags.writeable for a in arrays)
 
 
@@ -505,6 +509,36 @@ class TestCli:
         assert code == 0
         assert "best_pair: (1, 2)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line", ["link.bandwidth_hz = 0", "channel.carrier_hz = 0"])
+    def test_train_toy_checks_the_link_and_channel(self, tmp_path, capsys, line):
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_text(line + "\n")
+        flags = ["--scheme", "exhaustive_pbp", "--toy", "--config", str(config_path)]
+        assert cli.main(["train", *flags, "--out", str(tmp_path / "out")]) == 2
+        assert line.split(" ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overhead_of_any_beam_count_is_exact_and_immediate(self, tmp_path):
+        k = 10**20
+        started = time.perf_counter()
+        assert cli.main(["overhead", "--beams", str(k), "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - started < 1.0
+        lines = (tmp_path / "overhead.csv").read_text().splitlines()
+        ad, coded = 4864 * k, 2**67 * 1024
+        assert lines[1:] == [
+            f"{k},80211ad,4864,{ad},0,0",
+            f"{k},beamcoding,1024,{coded},3840,{ad - coded}",
+        ]
+
+    def test_power_var_without_clusters_runs_los_only(self, tmp_path):
+        config_path = tmp_path / "los.cfg"
+        config_path.write_text(
+            "channel.num_clusters = 0\nexperiment.environments = los\n"
+            "packet.beams_per_packet = 16\nexperiment.runs = 1\n"
+        )
+        assert cli.main(["power-var", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "power_var_gamma.csv").read_text().splitlines()) == 1 + 2 * 16
+
     def test_train_unknown_scheme_is_config_error(self, tmp_path):
         code = cli.main(["train", "--scheme", "psychic", "--out", str(tmp_path)])
         assert code == 2
@@ -545,6 +579,10 @@ class TestCli:
             ("experiment.schemes = 80211ad,psychic", "experiment.schemes"),
             ("experiment.runs = 0", "experiment.runs"),
             ("array.spacing = 0.4", "array.spacing"),
+            ("packet.beams_per_packet =", "packet.beams_per_packet"),
+            ("experiment.schemes =", "experiment.schemes"),
+            ("experiment.environments =", "experiment.environments"),
+            ("channel.num_clusters = 0", "channel.num_clusters"),
         ],
     )
     def test_power_var_rejects_bad_values_before_drawing(
@@ -565,6 +603,8 @@ class TestCli:
             ("experiment.schemes = beamcoding", "experiment.schemes"),
             ("experiment.schemes = beamcoding, 80211ad", "experiment.schemes"),
             ("experiment.environments = nlos, nlos", "experiment.environments"),
+            ("experiment.environments =", "experiment.environments"),
+            ("quant.bits =", "quant.bits"),
         ],
     )
     def test_quant_sweep_rejects_bad_values_before_drawing(
@@ -581,28 +621,28 @@ class TestCli:
             for commands, line, key in [
                 (("quant-sweep",), "quant.bits = 0", "quant.bits"),
                 (("quant-sweep",), "quant.bits = 2,-1", "quant.bits"),
-                (BOTH_CAMPAIGNS, "link.bandwidth_hz = 0", "link.bandwidth_hz"),
+                (WITH_CHANNEL, "link.bandwidth_hz = 0", "link.bandwidth_hz"),
                 (
-                    BOTH_CAMPAIGNS,
+                    WITH_CHANNEL,
                     "channel.intra_cluster_tap_spread = -1",
                     "channel.intra_cluster_tap_spread",
                 ),
-                (BOTH_CAMPAIGNS, "channel.cluster_loss_rms_db = -1", "channel.cluster_loss_rms_db"),
-                (BOTH_CAMPAIGNS, "channel.carrier_hz = 0", "channel.carrier_hz"),
-                (BOTH_CAMPAIGNS, "channel.distance_m = inf", "channel.distance_m"),
-                (BOTH_CAMPAIGNS, "channel.path_loss_exponent = nan", "channel.path_loss_exponent"),
-                (BOTH_CAMPAIGNS, "channel.distance_m = -1", "channel.distance_m"),
-                (BOTH_CAMPAIGNS, "channel.max_excess_tap = -1", "channel.max_excess_tap"),
-                (BOTH_CAMPAIGNS, "channel.num_clusters = -1", "channel.num_clusters"),
-                (BOTH_CAMPAIGNS, "channel.rays_per_cluster = 0", "channel.rays_per_cluster"),
-                (BOTH_CAMPAIGNS, "link.tx_power_dbm = nan", "link.tx_power_dbm"),
+                (WITH_CHANNEL, "channel.cluster_loss_rms_db = -1", "channel.cluster_loss_rms_db"),
+                (WITH_CHANNEL, "channel.carrier_hz = 0", "channel.carrier_hz"),
+                (WITH_CHANNEL, "channel.distance_m = inf", "channel.distance_m"),
+                (WITH_CHANNEL, "channel.path_loss_exponent = nan", "channel.path_loss_exponent"),
+                (WITH_CHANNEL, "channel.distance_m = -1", "channel.distance_m"),
+                (WITH_CHANNEL, "channel.max_excess_tap = -1", "channel.max_excess_tap"),
+                (WITH_CHANNEL, "channel.num_clusters = -1", "channel.num_clusters"),
+                (WITH_CHANNEL, "channel.rays_per_cluster = 0", "channel.rays_per_cluster"),
+                (WITH_CHANNEL, "link.tx_power_dbm = nan", "link.tx_power_dbm"),
                 (
-                    BOTH_CAMPAIGNS,
+                    WITH_CHANNEL,
                     "channel.cluster_loss_rms_db = 0\nchannel.cluster_loss_mean_db = -1",
                     "channel.cluster_loss_mean_db",
                 ),
                 (
-                    BOTH_CAMPAIGNS,
+                    WITH_CHANNEL,
                     "channel.cluster_loss_rms_db = 0.001\nchannel.cluster_loss_mean_db = -1",
                     "channel.cluster_loss_mean_db",
                 ),
@@ -624,7 +664,8 @@ class TestCli:
         config_path = tmp_path / "bad.cfg"
         config_path.write_text(line + "\n")
         out = tmp_path / "out"
-        code = cli.main([command, "--config", str(config_path), "--out", str(out)])
+        flags = ["--scheme", "exhaustive_pbp"] if command == "train" else []
+        code = cli.main([command, *flags, "--config", str(config_path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
@@ -642,6 +683,8 @@ class TestCli:
             (["--antennas", "16", "--angles", "90", "--step", "-0.5"], "--step"),
             (["--antennas", "16", "--dft-beams", "first"], "--dft-beams"),
             (["--antennas", "16", "--dft-beams", "1", "--spacing", "0.25"], "--spacing"),
+            (["--antennas", "16", "--angles", "90", "--spacing", "inf"], "--spacing"),
+            (["--antennas", "16", "--angles", "90", "--spacing", "nan"], "--spacing"),
         ],
     )
     def test_pattern_rejects_bad_flags_up_front(self, tmp_path, capsys, monkeypatch, flags, flag):

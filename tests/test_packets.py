@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from beamtrain.channel import (
 )
 from beamtrain.experiment import ExperimentConfig
 from beamtrain.packets import (
+    CE_BITS,
     LAYOUTS,
     PER_BEAM_BITS_80211AD,
     PER_BEAM_BITS_BEAM_CODING,
@@ -24,6 +23,7 @@ from beamtrain.packets import (
     layout_beam_coding,
     power_trace,
     preamble_samples,
+    training_bits,
 )
 
 
@@ -37,68 +37,76 @@ class TestBitAccounting:
         assert PER_BEAM_BITS_BEAM_CODING == 1024
 
     def test_80211ad_one_beam(self):
-        layout = layout_80211ad(1)
-        assert layout.training_bits == 4864
+        assert training_bits("80211ad", 1) == 4864
 
     def test_80211ad_sixteen_beams(self):
-        layout = layout_80211ad(16)
-        assert layout.training_bits == 16 * 4864 == 77824
+        assert training_bits("80211ad", 16) == 16 * 4864 == 77824
 
     def test_beam_coding_sixteen(self):
-        layout = layout_beam_coding(16, num_antennas=16)
-        assert layout.training_bits == 16 * 1024 == 16384
+        assert training_bits("beamcoding", 16) == 16 * 1024 == 16384
 
     def test_beam_coding_single(self):
-        layout = layout_beam_coding(1)
-        assert layout.training_bits == 1024
-        assert len(layout.trn_fields) == 1
+        assert training_bits("beamcoding", 1) == 1024
+        preamble, fields = layout_beam_coding(dft_codebook(ArrayConfig(4)).matrix[:1])
+        assert len(fields) == len(preamble) == 1
 
     def test_per_beam_saving(self):
         assert PER_BEAM_BITS_80211AD - PER_BEAM_BITS_BEAM_CODING == 3840
 
     def test_non_power_of_two_rounds_up_fields(self):
-        layout = layout_beam_coding(5, num_antennas=16)
-        assert len(layout.trn_fields) == 8
+        assert training_bits("beamcoding", 5) == 8 * 1024
+        _, fields = layout_beam_coding(dft_codebook(ArrayConfig(16)).matrix[:5])
+        assert len(fields) == 8
 
     def test_zero_beams_rejected(self):
-        with pytest.raises(ValueError):
-            layout_80211ad(0)
-        with pytest.raises(ValueError):
-            layout_beam_coding(0)
+        no_beams = np.empty((0, 4), dtype=complex)
+        for scheme, layout_of in LAYOUTS.items():
+            with pytest.raises(ValueError):
+                training_bits(scheme, 0)
+            with pytest.raises(ValueError):
+                layout_of(no_beams)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="psychic"):
+            training_bits("psychic", 1)
 
     def test_capacity_exceeded(self):
-        with pytest.raises(ValueError, match="at most 16"):
-            layout_beam_coding(17, num_antennas=16)
         cfg = ArrayConfig(2)
         with pytest.raises(ValueError, match="at most 2"):
             layout_beam_coding(np.stack([steering_vector(cfg, a) for a in (30.0, 90.0, 150.0)]))
 
     def test_total_is_exact_sum(self):
         # The training section is its AGC subfields plus its TRN fields.
-        layout = layout_80211ad(3)
-        assert layout.training_bits == 12 * 320 + 3 * (4 * 640 + 1024)
-        assert layout.training_bits == layout.agc_subfield_count * 320 + sum(
-            f.ce_bits + f.delay_subfield_bits for f in layout.trn_fields
-        )
+        assert training_bits("80211ad", 3) == 12 * 320 + 3 * (4 * 640 + 1024)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_equals_field_count_times_per_field_bits(self, k):
+        beams = dft_codebook(ArrayConfig(16)).matrix[:k]
+        per_field = {"80211ad": PER_BEAM_BITS_80211AD, "beamcoding": PER_BEAM_BITS_BEAM_CODING}
+        for scheme, layout_of in LAYOUTS.items():
+            _, fields = layout_of(beams)
+            assert training_bits(scheme, k) == len(fields) * per_field[scheme]
+
+    def test_closed_form_for_any_count(self):
+        k = 10**20
+        assert training_bits("80211ad", k) == 4864 * 10**20
+        assert training_bits("beamcoding", k) == 2**67 * CE_BITS
+        assert training_bits("beamcoding", 2**67) == 2**67 * CE_BITS
+        assert training_bits("beamcoding", 2**67 + 1) == 2**68 * CE_BITS
 
 
 class TestLayoutStructure:
     def test_80211ad_fields_carry_beams(self):
         cb = dft_codebook(ArrayConfig(8))
-        layout = layout_80211ad(cb.matrix[:3])
-        assert len(layout.trn_fields) == 3
-        assert layout.agc_subfield_count == 12
-        for i, field in enumerate(layout.trn_fields):
-            assert field.delay_subfield_bits == 2560
-            assert np.allclose(field.weight, cb.matrix[i])
-        assert len(layout.preamble_weights) == 1
+        preamble, fields = layout_80211ad(cb.matrix[:3])
+        assert fields.tobytes() == cb.matrix[:3].tobytes()
+        assert preamble.shape == (1, 8)
 
     def test_beam_coding_fields_carry_composites(self):
         cb = dft_codebook(ArrayConfig(8))
-        layout = coded_layout([0, 2, 4, 6], cb)
-        assert layout.agc_subfield_count == 0
-        assert all(f.delay_subfield_bits == 0 for f in layout.trn_fields)
-        assert len(layout.preamble_weights) == 4
+        preamble, fields = coded_layout([0, 2, 4, 6], cb)
+        assert preamble is fields
+        assert fields.shape == (4, 8)
 
     @pytest.mark.parametrize("k", [1, 3, 4, 16])
     def test_coded_fields_are_the_walsh_schedule(self, k):
@@ -106,29 +114,19 @@ class TestLayoutStructure:
         cb = dft_codebook(ArrayConfig(16))
         beams = cb.matrix[:k]
         want = coded_fields(beams, walsh_codes(max(0, (k - 1).bit_length()))[:k])
-        layout = layout_beam_coding(beams)
-        assert layout.training_bits == layout_beam_coding(k).training_bits
-        want_bytes = [w.tobytes() for w in want]
-        assert [f.weight.tobytes() for f in layout.trn_fields] == want_bytes
-        assert [w.tobytes() for w in layout.preamble_weights] == want_bytes
+        preamble, fields = layout_beam_coding(beams)
+        assert training_bits("beamcoding", k) == len(fields) * CE_BITS
+        assert fields.tobytes() == preamble.tobytes() == want.tobytes()
 
 
 class TestLayouts:
     def test_names_are_the_layout_schemes(self):
-        cb = dft_codebook(ArrayConfig(4))
-        for name, layout_of in LAYOUTS.items():
-            assert layout_of(2).scheme == name
-            assert layout_of(cb.matrix[:2]).scheme == name
+        for name in LAYOUTS:
+            assert training_bits(name, 2) > 0
         assert ExperimentConfig().schemes == tuple(LAYOUTS) == ("80211ad", "beamcoding")
 
 
 class TestPowerTrace:
-    def test_unresolved_weights_rejected(self):
-        layout = layout_80211ad(2)
-        rx = np.array([1.0 + 0j])
-        with pytest.raises(ValueError):
-            power_trace(layout, toy_channel(0.5), rx)
-
     def test_toy_80211ad_trace_isolates_aligned_fields(self):
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)
@@ -136,28 +134,25 @@ class TestPowerTrace:
         # receiver parked on the strong pair's receive beam: only the
         # matching transmit field lights up
         rx = rx_cb.matrix[TOY_LOS_PAIR[1]]
-        trace = power_trace(layout, ch, rx, tx_cb.cfg, rx_cb.cfg)
-        powers = trace.field_powers / trace.field_powers.max()
+        _, field_powers = power_trace(layout, ch, rx, tx_cb.cfg, rx_cb.cfg)
+        powers = field_powers / field_powers.max()
         assert np.argmax(powers) == TOY_LOS_PAIR[0]
         others = np.delete(powers, TOY_LOS_PAIR[0])
         assert np.all(others < 1e-12)
         # parked on the weak pair's receive beam: only its field, a^2 down
         rx2 = rx_cb.matrix[TOY_NLOS_PAIR[1]]
-        trace2 = power_trace(layout, ch, rx2, tx_cb.cfg, rx_cb.cfg)
-        assert np.argmax(trace2.field_powers) == TOY_NLOS_PAIR[0]
-        assert trace2.field_powers.max() == pytest.approx(
-            0.25 * trace.field_powers.max(), rel=1e-9
-        )
+        _, field_powers2 = power_trace(layout, ch, rx2, tx_cb.cfg, rx_cb.cfg)
+        assert np.argmax(field_powers2) == TOY_NLOS_PAIR[0]
+        assert field_powers2.max() == pytest.approx(0.25 * field_powers.max(), rel=1e-9)
 
     def test_zero_channel_zero_trace(self):
         tx_cb, rx_cb = toy_codebooks()
         layout = layout_80211ad(tx_cb.matrix)
         rx = rx_cb.matrix[0]
         empty = ChannelRealization(rays=())
-        trace = power_trace(layout, empty, rx, tx_cb.cfg, rx_cb.cfg)
-        assert np.all(trace.field_powers == 0)
-        assert trace.preamble_power == 0
-        assert math.isinf(trace.agc_gain)
+        preamble_power, field_powers = power_trace(layout, empty, rx, tx_cb.cfg, rx_cb.cfg)
+        assert np.all(field_powers == 0)
+        assert preamble_power == 0
 
     def test_coded_trace_flatter_than_sweep_trace(self):
         # Max/min field-power spread over 1000 seeds.  A handful of
@@ -176,21 +171,14 @@ class TestPowerTrace:
         ad_ratios, bc_ratios = [], []
         for i in range(1000):
             ch = sample_channel(cfg, derive_seed(4242, i))
-            ad = power_trace(ad_layout, ch, rx, tx_cfg, rx_cfg).field_powers
-            bc = power_trace(coded, ch, rx, tx_cfg, rx_cfg).field_powers
+            _, ad = power_trace(ad_layout, ch, rx, tx_cfg, rx_cfg)
+            _, bc = power_trace(coded, ch, rx, tx_cfg, rx_cfg)
             ad_ratios.append(ad.max() / max(ad.min(), floor))
             bc_ratios.append(bc.max() / max(bc.min(), floor))
         ad_ratios = np.array(ad_ratios)
         bc_ratios = np.array(bc_ratios)
         assert np.mean(bc_ratios <= ad_ratios) >= 0.98
         assert np.median(ad_ratios) >= 10 * np.median(bc_ratios)
-
-    def test_agc_gain_normalizes_preamble(self):
-        tx_cb, rx_cb = toy_codebooks()
-        layout = layout_80211ad(tx_cb.matrix)
-        rx = rx_cb.matrix[TOY_LOS_PAIR[1]]
-        trace = power_trace(layout, toy_channel(0.5), rx, tx_cb.cfg, rx_cb.cfg)
-        assert trace.agc_gain * trace.preamble_power == pytest.approx(1.0)
 
 
 class TestPreambleSamples:
@@ -199,11 +187,9 @@ class TestPreambleSamples:
         ch = toy_channel(0.5)
         layout = layout_80211ad(tx_cb.matrix)
         rx = rx_cb.matrix[1]
-        trace = power_trace(layout, ch, rx, tx_cb.cfg, rx_cb.cfg)
+        preamble_power, _ = power_trace(layout, ch, rx, tx_cb.cfg, rx_cb.cfg)
         samples = preamble_samples(layout, ch, rx, tx_cb.cfg, rx_cb.cfg)
-        assert np.mean(np.abs(samples) ** 2) == pytest.approx(
-            trace.preamble_power, rel=1e-12
-        )
+        assert np.mean(np.abs(samples) ** 2) == pytest.approx(preamble_power, rel=1e-12)
 
     def test_coded_preamble_cycles_schedule(self):
         cb = dft_codebook(ArrayConfig(8))
@@ -211,14 +197,7 @@ class TestPreambleSamples:
         ch = sample_channel(ChannelConfig(num_clusters=2), 3)
         rx = np.array([1.0 + 0j])
         samples = preamble_samples(layout, ch, rx, cb.cfg, ArrayConfig(1))
-        trace = power_trace(layout, ch, rx, cb.cfg, ArrayConfig(1))
+        preamble_power, _ = power_trace(layout, ch, rx, cb.cfg, ArrayConfig(1))
         # sample mean approximates the mean field power (guard zeros and
         # convolution edges keep it from being exact)
-        assert np.mean(np.abs(samples) ** 2) == pytest.approx(
-            trace.preamble_power, rel=0.05
-        )
-
-    def test_requires_weights(self):
-        layout = layout_beam_coding(4, num_antennas=8)
-        with pytest.raises(ValueError):
-            preamble_samples(layout, toy_channel(0.5), np.array([1.0 + 0j]))
+        assert np.mean(np.abs(samples) ** 2) == pytest.approx(preamble_power, rel=0.05)

@@ -30,7 +30,7 @@ from beamtrain.channel import (
     toy_channel,
     toy_codebooks,
 )
-from beamtrain.packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING
+from beamtrain.packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING, training_bits
 from beamtrain.protocols import (
     ProtocolConfig,
     Scheme,
@@ -172,6 +172,24 @@ class TestPacketAndBitCounts:
         assert coded.training_bits < swept.training_bits
         assert coded.training_bits == 4 * 4 * PER_BEAM_BITS_BEAM_CODING
         assert swept.training_bits == 4 * 4 * PER_BEAM_BITS_80211AD
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_bits_are_the_sum_over_the_packets_sent(self, scheme):
+        # 12 and 6 beams: coded packets round up to 16 and 8 fields
+        tx_cb, rx_cb = dft_codebook(ArrayConfig(12)), dft_codebook(ArrayConfig(6))
+        p, q = len(tx_cb), len(rx_cb)
+        out = run(ProtocolConfig(tx_cb, rx_cb, scheme), sample_channel(ChannelConfig(), 5), 0)
+        # (layout, beams trained) of each packet sent
+        packets = {
+            Scheme.EXHAUSTIVE_PBP: [("80211ad", 1)] * (p * q),
+            Scheme.MULTILEVEL_PBP: [("80211ad", 1)] * out.packets_sent,
+            Scheme.EXHAUSTIVE_INPACKET: [("80211ad", p)] * q,
+            Scheme.FEEDBACK_INPACKET: [("80211ad", p), ("80211ad", q)],
+            Scheme.EXHAUSTIVE_BEAMCODING: [("beamcoding", p)] * q,
+            Scheme.FEEDBACK_BEAMCODING: [("beamcoding", p), ("beamcoding", q)],
+        }[scheme]
+        assert out.packets_sent == len(packets)
+        assert out.training_bits == sum(training_bits(*packet) for packet in packets)
 
 
 class TestFailurePath:
