@@ -10,12 +10,11 @@ from .array_model import (
     steering_vector,
     superpose_beams,
 )
-from .beam_coding import GolayPair, coded_fields, decode_per_tap, golay_pair, walsh_codes
+from .beam_coding import coded_fields, decode_per_tap, golay_pair, walsh_codes
 from .channel import (
     ChannelConfig,
     ChannelRealization,
     LinkBudget,
-    Ray,
     add_noise,
     derive_seed,
     sample_channel,

@@ -1,23 +1,25 @@
 """Signature codes and correlation receivers for coded multi-beam training.
 
-Walsh codes tag the beams that are steered simultaneously; Golay
-complementary pairs form the channel-estimation sequence inside each
+Walsh codes tag the beams that are steered simultaneously; a Golay
+complementary pair forms the channel-estimation sequence inside each
 training field.  A receiver correlates what it heard against the codes to
 split the per-beam gains back apart, per delay tap when asked to.
+
+Codes are plain read-only int64 chip matrices: the K Walsh codes of a
+beam group a (K, T) matrix, one code per row, and a Golay pair a (2, L)
+matrix whose rows are its sequences a and b.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .array_model import superpose_beams
+from .array_model import _readonly, superpose_beams
 
 __all__ = [
-    "GolayPair",
     "walsh_codes",
     "golay_pair",
     "coded_fields",
@@ -26,33 +28,6 @@ __all__ = [
     "ce_field_powers",
     "decode_per_tap",
 ]
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True)
-class GolayPair:
-    """Complementary +/-1 sequence pair used as the CE sequence."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=np.int64)
-        b = np.array(self.b, dtype=np.int64)
-        if a.shape != b.shape or a.ndim != 1 or not _is_power_of_two(a.size):
-            raise ValueError("pair members must share one power-of-two length")
-        if not (np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)):
-            raise ValueError("chips must be +1 or -1")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __len__(self) -> int:
-        return int(self.a.size)
 
 
 def walsh_codes(order_log2: int) -> np.ndarray:
@@ -84,8 +59,9 @@ def _checked_chips(chips: np.ndarray) -> np.ndarray:
     return c
 
 
-def golay_pair(length_log2: int) -> GolayPair:
-    """Binary Golay complementary pair of length 2**length_log2.
+def golay_pair(length_log2: int) -> np.ndarray:
+    """Binary Golay complementary pair of length L = 2**length_log2, as the
+    read-only (2, L) int64 chip matrix whose rows are a and b.
 
     Doubling recursion a' = a|b, b' = a|-b from a = b = [1].  The two
     aperiodic autocorrelations sum to 2L at lag 0 and cancel exactly at
@@ -93,11 +69,10 @@ def golay_pair(length_log2: int) -> GolayPair:
     """
     if int(length_log2) != length_log2 or length_log2 < 0:
         raise ValueError(f"length_log2 must be a nonnegative integer, got {length_log2!r}")
-    a = np.ones(1, dtype=np.int64)
-    b = np.ones(1, dtype=np.int64)
+    a = b = np.ones(1, dtype=np.int64)
     for _ in range(int(length_log2)):
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
-    return GolayPair(a, b)
+    return _readonly(np.stack([a, b]))
 
 
 def coded_fields(beams: np.ndarray, chips: np.ndarray) -> np.ndarray:
@@ -125,25 +100,24 @@ def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.nd
     return np.moveaxis(chips @ np.moveaxis(fields, axis, -2), -2, axis)
 
 
-def encode_ce_field(
-    tap_gains: Sequence[complex], golay: GolayPair, guard: int
-) -> np.ndarray:
+def encode_ce_field(tap_gains: Sequence[complex], golay: np.ndarray, guard: int) -> np.ndarray:
     """One CE field as heard through a tapped channel.
 
-    The transmitted field is [a | guard zeros | b | guard zeros]; ``guard``
-    must be at least the highest tap index so the two halves do not smear
-    into each other.
+    The transmitted field is [a | guard zeros | b | guard zeros] for the
+    (2, L) Golay chip matrix ``golay`` = [a, b]; ``guard`` must be at least
+    the highest tap index so the two halves do not smear into each other.
     """
     h = np.asarray(tap_gains, dtype=np.complex128)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("tap_gains must be a nonempty 1-D sequence")
     if guard < h.size - 1:
         raise ValueError(f"guard {guard} shorter than channel spread {h.size - 1}")
-    width = len(golay) + guard
+    length = golay.shape[1]
+    width = length + guard
     out = np.zeros(2 * width, dtype=np.complex128)
-    spread = len(golay) + h.size - 1
-    out[:spread] = np.convolve(golay.a, h)
-    out[width : width + spread] = np.convolve(golay.b, h)
+    spread = length + h.size - 1
+    out[:spread] = np.convolve(golay[0], h)
+    out[width : width + spread] = np.convolve(golay[1], h)
     return out
 
 
@@ -157,17 +131,18 @@ def _same_up_to_sign(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _ce_frame(
-    golay: GolayPair, num_taps: int, nonzero: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
-    """Chip sequences, and a gather index into their joined convolutions,
-    that give the CE field of any tap row zero outside ``nonzero``.
+    golay: np.ndarray, num_taps: int, nonzero: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Chip sequences, one per row, and a gather index into their joined
+    convolutions, that give the CE field of any tap row zero outside
+    ``nonzero``.
 
     The field is [a * h | b * h]; each sample of it is found at ``index``
     in the outputs of the returned sequences convolved with h, one after
     the other, up to its sign.  ``index`` is None when the sequences are
-    (a, b) themselves.
+    ``golay`` = [a, b] itself.
     """
-    a, b, length, t = golay.a, golay.b, len(golay), num_taps
+    (a, b), length, t = golay, golay.shape[1], num_taps
     if nonzero.size == 0:
         nonzero = np.zeros(1, dtype=np.intp)
     head, tail = slice(0, t - 1), slice(length - t + 1, length)
@@ -177,31 +152,30 @@ def _ce_frame(
     if (t << (nonzero.size - 1)) >= length or not (
         _same_up_to_sign(a[head], b[head]) and _same_up_to_sign(a[tail], b[tail])
     ):
-        return (a, b), None
+        return golay, None
     # Full-overlap output t - 1 + j of seq * h is the dot product of the
     # window seq[j : j + t] with h reversed.  Its pattern id holds the
     # window's signs at the nonzero taps relative to the first one, so a
     # window and its negation share one id.
-    ab = np.stack([a, b])
-    first = ab[:, t - 1 - nonzero[0] : length - nonzero[0]]
+    first = golay[:, t - 1 - nonzero[0] : length - nonzero[0]]
     ids = np.zeros(first.shape, dtype=np.intp)
     for bit, k in enumerate(nonzero[1:].tolist()):
-        ids |= (ab[:, t - 1 - k : length - k] != first) << bit
+        ids |= (golay[:, t - 1 - k : length - k] != first) << bit
     # One window per id (any of those that carry it) and its slot in u.
     slot = np.full(1 << (nonzero.size - 1), -1)
     slot[ids.ravel()] = np.arange(ids.size)
     seq_of, start = np.divmod(slot[slot >= 0], ids.shape[1])
     slot[slot >= 0] = np.arange(seq_of.size)
-    windows = ab[seq_of[:, None], start[:, None] + np.arange(t)]
+    windows = golay[seq_of[:, None], start[:, None] + np.arange(t)]
     # A head and a tail of t - 1 chips reproduce the partial-overlap edges.
     u = np.concatenate([a[head], windows.ravel(), a[tail]])
     edge = np.arange(t - 1)
     full = 2 * (t - 1) + t * slot[ids]
     ends = len(u) + edge
-    return (u,), np.concatenate([edge, full[0], ends, edge, full[1], ends])
+    return u[None], np.concatenate([edge, full[0], ends, edge, full[1], ends])
 
 
-def ce_field_powers(tap_rows: np.ndarray, golay: GolayPair) -> np.ndarray:
+def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
     """Mean sample power of the CE field heard through each tap row.
 
     For every row h of the (rows, T) matrix ``tap_rows`` the result equals
@@ -223,8 +197,9 @@ def ce_field_powers(tap_rows: np.ndarray, golay: GolayPair) -> np.ndarray:
         raise ValueError("tap_rows must be a (rows, taps) matrix with at least one tap")
     t = taps.shape[1]
     seqs, index = _ce_frame(golay, t, np.flatnonzero(np.any(taps != 0, axis=0)))
-    # np.convolve would cast the int64 chips to complex on every call.
-    seqs = [seq.astype(np.complex128) for seq in seqs]
+    # np.convolve would cast the int64 chips to complex on every call.  A
+    # list of rows: iterating the matrix would make a view per convolve.
+    seqs = list(seqs.astype(np.complex128))
     bounds = np.cumsum([0] + [len(seq) + t - 1 for seq in seqs]).tolist()
     y = np.empty((_CE_BLOCK, bounds[-1]), dtype=np.complex128)
     sigmas = np.empty(len(taps))
@@ -243,7 +218,7 @@ def ce_field_powers(tap_rows: np.ndarray, golay: GolayPair) -> np.ndarray:
 
 def decode_per_tap(
     received_fields: np.ndarray,
-    golay: GolayPair,
+    golay: np.ndarray,
     chips: np.ndarray,
     num_taps: int | None = None,
 ) -> np.ndarray:
@@ -262,7 +237,7 @@ def decode_per_tap(
     t = chips.shape[1]
     if y.ndim != 2 or y.shape[0] != t:
         raise ValueError(f"expected {t} fields of samples")
-    length = len(golay)
+    length = golay.shape[1]
     if y.shape[1] < 2 * length:
         raise ValueError(f"field of {y.shape[1]} samples is shorter than the CE pair")
     width = y.shape[1] // 2
@@ -273,8 +248,7 @@ def decode_per_tap(
         raise ValueError(f"cannot resolve {num_taps} taps from a guard of {guard}")
 
     profiles = np.empty((t, num_taps), dtype=np.complex128)
-    a = golay.a.astype(np.complex128)
-    b = golay.b.astype(np.complex128)
+    a, b = golay.astype(np.complex128)
     for d in range(num_taps):
         profiles[:, d] = (
             y[:, d : d + length] @ a + y[:, width + d : width + d + length] @ b

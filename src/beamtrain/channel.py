@@ -1,9 +1,11 @@
 """Propagation models: the deterministic two-path toy scene, a seeded
 cluster channel, link budget bookkeeping and noise injection.
 
-Ray gains are linear amplitudes relative to a 1 m free-space reference, so
-a line-of-sight ray at distance d carries (lambda / 4 pi) * d**(-eta/2).
-Delays are integer tap indices at the signal sample period.
+A realization is four read-only 1-D arrays in ray order: departure and
+arrival angles in degrees, complex gains and delay taps.  Gains are linear
+amplitudes relative to a 1 m free-space reference, so a line-of-sight ray
+at distance d carries (lambda / 4 pi) * d**(-eta/2).  Taps are integer
+indices at the signal sample period.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from .array_model import ArrayConfig, BeamCodebook, _readonly, codebook_from_cosines
 
 __all__ = [
-    "Ray",
     "ChannelRealization",
     "NormalStream",
     "ChannelConfig",
@@ -53,22 +54,6 @@ def derive_seed(master: int, index: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-@dataclass(frozen=True)
-class Ray:
-    """One propagation path: departure/arrival angles, amplitude, delay tap."""
-
-    aod_deg: float
-    aoa_deg: float
-    gain: complex
-    tap: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tap < 0 or int(self.tap) != self.tap:
-            raise ValueError(f"tap must be a nonnegative integer, got {self.tap!r}")
-        object.__setattr__(self, "tap", int(self.tap))
-        object.__setattr__(self, "gain", complex(self.gain))
-
-
 class NormalStream:
     """The standard normals of ``default_rng(seed)``, drawn on demand and kept.
 
@@ -95,54 +80,49 @@ class NormalStream:
         return self._normals[start:end]
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """An immutable tuple of rays plus the seed that produced it.
+# The dtype of each ray array of a realization, in field order.
+_RAY_DTYPES = {"aods_deg": float, "aoas_deg": float, "gains": np.complex128, "taps": np.intp}
 
-    Everything derived from the rays alone is computed on first use and
-    kept, read-only, for every later use of the same realization: the ray
-    geometry (angle, gain and tap arrays, the tap count), the steering
-    matrices, the gain table of every pair of weight matrices passed to
+
+# Arrays have no dataclass equality or hash, hence eq=False: two
+# realizations are equal only when they are one object.
+@dataclass(frozen=True, eq=False)
+class ChannelRealization:
+    """The rays of one channel as four read-only 1-D arrays, in ray order:
+    departure and arrival angles in degrees, complex gains and delay taps.
+
+    The constructor keeps its own copies, so later writes to the arrays
+    passed in do not reach the realization.  Everything derived from the
+    rays is computed on first use and kept, read-only, for every later use
+    of the same realization: the tap count, the steering matrices, the
+    gain table of every pair of weight matrices passed to
     :meth:`gain_table`, and the noise streams of :meth:`normal_stream`.
     Training runs on one realization therefore share their cascades and
     their noise draws.
     """
 
-    rays: tuple[Ray, ...]
-    los_present: bool = False
-    seed: int | None = None
+    aods_deg: np.ndarray
+    aoas_deg: np.ndarray
+    gains: np.ndarray
+    taps: np.ndarray
 
     def __post_init__(self) -> None:
-        # A list passed in and mutated later must not leave the derived
-        # geometry stale.
-        object.__setattr__(self, "rays", tuple(self.rays))
+        taps = np.asarray(self.taps)
+        if not np.all(np.isfinite(taps) & (taps >= 0) & (np.floor(taps) == taps)):
+            raise ValueError(f"taps must be nonnegative integers, got {taps!r}")
+        arrays = {name: np.array(getattr(self, name), dtype) for name, dtype in _RAY_DTYPES.items()}
+        shapes = [a.shape for a in arrays.values()]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"need four 1-D ray arrays of one length, got shapes {shapes}")
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, _readonly(arr))
 
     # cached_property stores into the instance __dict__, past the frozen
     # __setattr__; dataclasses.replace makes a new instance, which derives
-    # its own geometry, tables and streams.
-    @functools.cached_property
-    def aods_deg(self) -> np.ndarray:
-        """Departure angle of every ray, in ray order."""
-        return _readonly(np.array([r.aod_deg for r in self.rays], dtype=float))
-
-    @functools.cached_property
-    def aoas_deg(self) -> np.ndarray:
-        """Arrival angle of every ray, in ray order."""
-        return _readonly(np.array([r.aoa_deg for r in self.rays], dtype=float))
-
-    @functools.cached_property
-    def gains(self) -> np.ndarray:
-        """Complex amplitude of every ray, in ray order."""
-        return _readonly(np.array([r.gain for r in self.rays], dtype=np.complex128))
-
-    @functools.cached_property
-    def taps(self) -> np.ndarray:
-        """Delay tap of every ray, in ray order."""
-        return _readonly(np.array([r.tap for r in self.rays], dtype=np.intp))
-
+    # its own tables and streams.
     @functools.cached_property
     def num_taps(self) -> int:
-        return int(self.taps.max()) + 1 if self.rays else 1
+        return int(self.taps.max()) + 1 if len(self.taps) else 1
 
     @functools.cached_property
     def _cache(self) -> dict[tuple, object]:
@@ -269,19 +249,13 @@ def toy_channel(a: float, nlos_excess_tap: int = 0) -> ChannelRealization:
     """
     if not (0.0 < a < 1.0):
         raise ValueError(f"NLOS attenuation must lie in (0, 1), got {a!r}")
-    los = Ray(
-        aod_deg=TOY_BEAM_ANGLES_DEG[TOY_LOS_PAIR[0]],
-        aoa_deg=TOY_BEAM_ANGLES_DEG[TOY_LOS_PAIR[1]],
-        gain=1.0,
-        tap=0,
+    los, nlos = TOY_LOS_PAIR, TOY_NLOS_PAIR
+    return ChannelRealization(
+        aods_deg=[TOY_BEAM_ANGLES_DEG[los[0]], TOY_BEAM_ANGLES_DEG[nlos[0]]],
+        aoas_deg=[TOY_BEAM_ANGLES_DEG[los[1]], TOY_BEAM_ANGLES_DEG[nlos[1]]],
+        gains=[1.0, a],
+        taps=[0, nlos_excess_tap],
     )
-    nlos = Ray(
-        aod_deg=TOY_BEAM_ANGLES_DEG[TOY_NLOS_PAIR[0]],
-        aoa_deg=TOY_BEAM_ANGLES_DEG[TOY_NLOS_PAIR[1]],
-        gain=a,
-        tap=nlos_excess_tap,
-    )
-    return ChannelRealization(rays=(los, nlos), los_present=True)
 
 
 def toy_codebooks(
@@ -325,11 +299,15 @@ def sample_channel(cfg: ChannelConfig, seed: int) -> ChannelRealization:
     ref = cfg.los_amplitude()
     spread = cfg.intra_cluster_tap_spread
     angle_std = cfg.intra_cluster_angle_std_deg
-    rays: list[Ray] = []
+    ray = int(cfg.los)
+    count = ray + cfg.num_clusters * cfg.rays_per_cluster
+    aods, aoas = np.empty(count), np.empty(count)
+    gains = np.empty(count, dtype=np.complex128)
+    taps = np.zeros(count, dtype=np.intp)
     if cfg.los:
-        aod = 180.0 * rng.random()
-        aoa = 180.0 * rng.random()
-        rays.append(Ray(aod_deg=aod, aoa_deg=aoa, gain=ref, tap=0))
+        aods[0] = 180.0 * rng.random()
+        aoas[0] = 180.0 * rng.random()
+        gains[0] = ref
     for _ in range(cfg.num_clusters):
         center_aod = 180.0 * rng.random()
         center_aoa = 180.0 * rng.random()
@@ -337,14 +315,15 @@ def sample_channel(cfg: ChannelConfig, seed: int) -> ChannelRealization:
         cluster_tap = int(rng.integers(0, cfg.max_excess_tap + 1))
         amp = ref * 10.0 ** (loss_db / 20.0) / math.sqrt(cfg.rays_per_cluster)
         for _ in range(cfg.rays_per_cluster):
-            aod = _fold_angle(center_aod + angle_std * rng.standard_normal())
-            aoa = _fold_angle(center_aoa + angle_std * rng.standard_normal())
+            aods[ray] = _fold_angle(center_aod + angle_std * rng.standard_normal())
+            aoas[ray] = _fold_angle(center_aoa + angle_std * rng.standard_normal())
             phase = 2.0 * math.pi * rng.random()
+            gains[ray] = amp * np.exp(1j * phase)
             # integers(0, 1) draws nothing from the stream, so skipping it
             # leaves every later draw as it was.
-            tap = cluster_tap + (int(rng.integers(0, spread + 1)) if spread else 0)
-            rays.append(Ray(aod_deg=aod, aoa_deg=aoa, gain=amp * np.exp(1j * phase), tap=tap))
-    return ChannelRealization(rays=tuple(rays), los_present=cfg.los, seed=seed)
+            taps[ray] = cluster_tap + (int(rng.integers(0, spread + 1)) if spread else 0)
+            ray += 1
+    return ChannelRealization(aods, aoas, gains, taps)
 
 
 def _steering_matrix(angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
@@ -387,7 +366,7 @@ def cascade_gains(
     steering matrices come from the channel, which builds each one once.
     """
     out = np.zeros((ch.num_taps, len(tx_weights), len(rx_weights)), dtype=np.complex128)
-    if not ch.rays:
+    if not len(ch.gains):
         return out
     tx = _responses(tx_weights, ch.steering_matrix("tx", tx_cfg))
     rx = _responses(rx_weights, ch.steering_matrix("rx", rx_cfg))
@@ -396,7 +375,7 @@ def cascade_gains(
     # product over one pair's rays.  Broadcast factors can take another
     # loop, which rounds some products (one transmit weight and one ray,
     # say) differently.
-    shape = (len(ch.rays), len(tx_weights), len(rx_weights))
+    shape = (len(ch.gains), len(tx_weights), len(rx_weights))
     gains, tx, rx = (
         _filled(x, shape) for x in (ch.gains[:, None, None], tx[:, :, None], rx[:, None, :])
     )

@@ -31,7 +31,7 @@ from .array_model import (
     steering_vector,
     superpose_beams,
 )
-from .beam_coding import GolayPair, ce_field_powers, golay_pair
+from .beam_coding import ce_field_powers, golay_pair
 from .channel import (
     ChannelRealization,
     derive_seed,
@@ -221,7 +221,7 @@ class _PowerVarPlan:
     packet_of: np.ndarray
     preambles: tuple[np.ndarray, ...]
     cells: tuple[tuple[str, int, slice, tuple[int, ...], tuple[int, ...]], ...]
-    golay: GolayPair
+    golay: np.ndarray  # the (2, 512) Golay chip matrix of the CE field
 
 
 @functools.lru_cache(maxsize=8)
@@ -322,21 +322,38 @@ def _validate_campaign(exp: ExperimentConfig) -> None:
 
 
 def _validate_channel_and_link(exp: ExperimentConfig) -> None:
-    """Checks of the channel and link settings, made before any channel is
-    drawn or any run is trained."""
+    """Checks of the array, channel and link settings, made before any
+    channel is drawn or any run is trained."""
+    antennas = (("array.tx_antennas", exp.tx_antennas), ("array.rx_antennas", exp.rx_antennas))
+    for key, count in antennas:
+        if count < 1:
+            raise ConfigError(f"{key} must be at least 1, got {count}")
     ch = exp.channel
     spread, rms, carrier = ch.intra_cluster_tap_spread, ch.cluster_loss_rms_db, ch.carrier_hz
-    bandwidth = exp.budget.bandwidth_hz
+    std, bandwidth = ch.intra_cluster_angle_std_deg, exp.budget.bandwidth_hz
     # Values the channel sampler or the link budget cannot work with.
     for key, value, valid, rule in (
         ("channel.intra_cluster_tap_spread", spread, spread >= 0, "nonnegative"),
         ("channel.cluster_loss_rms_db", rms, rms >= 0, "nonnegative"),
+        ("channel.intra_cluster_angle_std_deg", std, 0 <= std < math.inf, "nonnegative and finite"),
         ("channel.carrier_hz", carrier, 0 < carrier < math.inf, "positive and finite"),
         ("channel.distance_m", ch.distance_m, math.isfinite(ch.distance_m), "finite"),
-        ("link.bandwidth_hz", bandwidth, bandwidth > 0, "positive"),
+        ("link.bandwidth_hz", bandwidth, 0 < bandwidth < math.inf, "positive and finite"),
     ):
         if not valid:
             raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    # Every SNR divides by the noise-to-signal ratio, and every noise draw
+    # scales with it.
+    try:
+        ratio = exp.budget.noise_to_signal
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ConfigError(
+            f"link.tx_power_dbm, link.noise_figure_plus_impl_db: {exp.budget.tx_power_dbm!r} dBm "
+            f"and {exp.budget.noise_figure_plus_impl_db!r} dB give a noise-to-signal ratio of "
+            f"{ratio!r}; it must be positive and finite"
+        )
     # The sampler redraws each cluster loss until one passes the cap; when
     # almost none do (here, under 1 in 10^4), it never returns in practice.
     excess = ch.cluster_loss_mean_db - ch.cluster_loss_truncation_db

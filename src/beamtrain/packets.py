@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .array_model import ArrayConfig, superpose_beams
-from .beam_coding import GolayPair, coded_fields, encode_ce_field, golay_pair, walsh_codes
+from .beam_coding import coded_fields, encode_ce_field, golay_pair, walsh_codes
 from .channel import ChannelRealization, cascade_gains
 
 __all__ = [
@@ -138,18 +138,16 @@ def preamble_samples(
     rx_w: np.ndarray,
     tx_cfg: ArrayConfig,
     rx_cfg: ArrayConfig,
-    golay: GolayPair | None = None,
 ) -> np.ndarray:
     """Received baseband samples of the preamble sequence through ``ch``.
 
-    The preamble is modeled as a Golay pair (512 chips each by default)
-    sent once per weight in the layout's preamble cycle; what comes back
-    is each chip stream convolved with the per-tap cascade gains,
-    concatenated.  This models the preamble's signal statistics, not its
-    bit-true duration.
+    The preamble is modeled as a Golay pair of 512 chips each, sent once
+    per weight in the layout's preamble cycle; what comes back is each
+    chip stream convolved with the per-tap cascade gains, concatenated.
+    This models the preamble's signal statistics, not its bit-true
+    duration.
     """
-    if golay is None:
-        golay = golay_pair(9)
+    golay = golay_pair(9)
     taps = _tap_rows(layout[0], rx_w, ch, tx_cfg, rx_cfg)
     guard = taps.shape[1] - 1
     return np.concatenate([encode_ce_field(h, golay, guard) for h in taps])

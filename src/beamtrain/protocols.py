@@ -58,8 +58,8 @@ from .array_model import (
     superpose_beams,
 )
 from .beam_coding import coded_fields, walsh_codes, walsh_decode
-from .channel import ChannelRealization, LinkBudget, Ray, derive_seed
-from .packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING
+from .channel import ChannelRealization, LinkBudget, derive_seed
+from .packets import training_bits
 
 __all__ = [
     "Scheme",
@@ -85,6 +85,12 @@ _NOISE_STREAM = 0x6E015E
 # A stage detects a beam when its peak clears this many decoded noise
 # standard deviations.
 _DETECTION_SIGMA = 5.0
+
+# Bits per swept beam of the standard-style layout and per CE field (one
+# per Walsh code) of the coded one, from the packets' closed form, taken
+# once so that training runs never call into the packets module.
+_SWEPT_BEAM_BITS = training_bits("80211ad", 1)
+_CODED_FIELD_BITS = training_bits("beamcoding", 1)
 
 
 class Scheme(str, Enum):
@@ -369,7 +375,7 @@ def run_exhaustive_pbp(
     p, q = power.shape
     # One single-field trace per packet: the rows of one (p * q, 1) copy.
     traces = tuple(power.reshape(p * q, 1).copy())
-    bits = p * q * PER_BEAM_BITS_80211AD
+    bits = p * q * _SWEPT_BEAM_BITS
     return _outcome(Scheme.EXHAUSTIVE_PBP, cfg, ch, seed, pair, traces, p * q, bits, power)
 
 
@@ -419,7 +425,7 @@ def run_multilevel_pbp(
 
     packets = len(tx_wide) * len(rx_wide) + len(fine_tx) * len(fine_rx)
     traces = (power1.ravel(), power2.ravel())
-    bits = packets * PER_BEAM_BITS_80211AD
+    bits = packets * _SWEPT_BEAM_BITS
     return _outcome(Scheme.MULTILEVEL_PBP, cfg, ch, seed, pair, traces, packets, bits, power2)
 
 
@@ -433,7 +439,7 @@ def run_exhaustive_inpacket(
     """
     est, power, pair = _exhaustive(cfg, ch, seed)
     p, q = power.shape
-    bits = q * p * PER_BEAM_BITS_80211AD
+    bits = q * p * _SWEPT_BEAM_BITS
     return _outcome(
         Scheme.EXHAUSTIVE_INPACKET, cfg, ch, seed, pair, _traces_per_rx(est), q, bits, power
     )
@@ -454,7 +460,7 @@ def run_feedback_inpacket(
     pair = (best_tx, int(np.argmax(power2[0, :]))) if detected1 and detected2 else None
 
     traces = (power1[:, 0], power2[0, :])
-    bits = (len(cfg.tx_codebook) + len(cfg.rx_codebook)) * PER_BEAM_BITS_80211AD
+    bits = (len(cfg.tx_codebook) + len(cfg.rx_codebook)) * _SWEPT_BEAM_BITS
     return _outcome(Scheme.FEEDBACK_INPACKET, cfg, ch, seed, pair, traces, 2, bits)
 
 
@@ -474,7 +480,7 @@ def run_exhaustive_beamcoding(
     dominant = np.take_along_axis(r, np.argmax(np.abs(r), axis=0)[None, ...], axis=0)[0]
     q = est.shape[2]
     traces = _traces_per_rx(est)
-    bits = q * len(tx_fields) * PER_BEAM_BITS_BEAM_CODING
+    bits = q * len(tx_fields) * _CODED_FIELD_BITS
     scheme = Scheme.EXHAUSTIVE_BEAMCODING
     return _outcome(scheme, cfg, ch, seed, pair, traces, q, bits, power, _readonly(dominant))
 
@@ -499,7 +505,7 @@ def run_feedback_beamcoding(
     pair = (best_tx, int(np.argmax(power2[0, :]))) if detected1 and detected2 else None
 
     traces = (power1[:, 0], power2[0, :])
-    bits = (len(tx_fields) + len(rx_fields)) * PER_BEAM_BITS_BEAM_CODING
+    bits = (len(tx_fields) + len(rx_fields)) * _CODED_FIELD_BITS
     return _outcome(Scheme.FEEDBACK_BEAMCODING, cfg, ch, seed, pair, traces, 2, bits)
 
 
@@ -561,14 +567,9 @@ def sector_trap_channel(
 
     d_tx = tx_groups[2][len(tx_groups[2]) // 2]
     d_rx = rx_groups[2][len(rx_groups[2]) // 2]
-    rays = (
-        Ray(aod_deg=aod1, aoa_deg=aoa, gain=1.0, tap=0),
-        Ray(aod_deg=aod2, aoa_deg=aoa, gain=gain2, tap=0),
-        Ray(
-            aod_deg=tx_cb.angles_deg[d_tx],
-            aoa_deg=rx_cb.angles_deg[d_rx],
-            gain=distractor_gain,
-            tap=0,
-        ),
+    return ChannelRealization(
+        aods_deg=[aod1, aod2, tx_cb.angles_deg[d_tx]],
+        aoas_deg=[aoa, aoa, rx_cb.angles_deg[d_rx]],
+        gains=[1.0, gain2, distractor_gain],
+        taps=[0, 0, 0],
     )
-    return ChannelRealization(rays=rays, los_present=False)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamtrain import beam_coding
 from beamtrain.array_model import ArrayConfig, BeamCodebook, dft_codebook, steering_vector
 from beamtrain.beam_coding import (
-    GolayPair,
     ce_field_powers,
     coded_fields,
     decode_per_tap,
@@ -18,7 +18,7 @@ from beamtrain.beam_coding import (
     walsh_codes,
     walsh_decode,
 )
-from beamtrain.channel import ChannelRealization, Ray, cascade_gains
+from beamtrain.channel import ChannelRealization, cascade_gains
 from beamtrain.protocols import _argmax_pair
 
 
@@ -49,36 +49,32 @@ def chip_matrix(chips):
     return chips.astype(np.complex128)
 
 
-_rays = st.lists(
-    st.builds(
-        Ray,
-        aod_deg=st.floats(0.0, 180.0),
-        aoa_deg=st.floats(0.0, 180.0),
-        # Subnormal gains make the decode test's tolerance, which scales
-        # with the gains, underflow to zero.
-        gain=st.builds(
-            complex,
-            st.floats(-1.0, 1.0, allow_subnormal=False),
-            st.floats(-1.0, 1.0, allow_subnormal=False),
-        ),
-        tap=st.integers(0, 4),
-    ),
-    min_size=1,
-    max_size=6,
-)
+@st.composite
+def realizations(draw):
+    """One to six rays at taps 0 to 4."""
+    n = draw(st.integers(1, 6))
+    angles = hnp.arrays(float, n, elements=st.floats(0.0, 180.0))
+    # Subnormal gains make the decode test's tolerance, which scales with
+    # the gains, underflow to zero.
+    part = st.floats(-1.0, 1.0, allow_subnormal=False)
+    return ChannelRealization(
+        aods_deg=draw(angles),
+        aoas_deg=draw(angles),
+        gains=draw(hnp.arrays(np.complex128, n, elements=st.builds(complex, part, part))),
+        taps=draw(hnp.arrays(np.intp, n, elements=st.integers(0, 4))),
+    )
 
 
 @st.composite
 def ce_tap_rows(draw):
-    """A +/-1 pair (a Golay pair, or random chips) and a (rows, T) tap
-    matrix: nonzero taps on a sparse or dense column set, exact zeros among
-    them, a negated row and an all-zero row."""
+    """A (2, L) +/-1 pair (a Golay pair, or random chips) and a (rows, T)
+    tap matrix: nonzero taps on a sparse or dense column set, exact zeros
+    among them, a negated row and an all-zero row."""
     n = draw(st.integers(0, 9))
     if draw(st.booleans()):
         golay = golay_pair(n)
     else:
-        chips = st.lists(st.sampled_from([1, -1]), min_size=2**n, max_size=2**n)
-        golay = GolayPair(draw(chips), draw(chips))
+        golay = draw(hnp.arrays(np.int64, (2, 2**n), elements=st.sampled_from([1, -1])))
     t = draw(st.integers(1, 21))
     columns = st.integers(0, t - 1)
     support = sorted(
@@ -144,41 +140,41 @@ class TestWalshCodes:
 class TestGolayPair:
     def test_length_one(self):
         g = golay_pair(0)
-        assert g.a.tolist() == [1] and g.b.tolist() == [1]
-        total = aperiodic_autocorrelation(g.a) + aperiodic_autocorrelation(g.b)
+        assert g.tolist() == [[1], [1]]
+        total = aperiodic_autocorrelation(g[0]) + aperiodic_autocorrelation(g[1])
         assert total.tolist() == [2]
 
     def test_length_four_exact_sequences(self):
         g = golay_pair(2)
-        assert g.a.tolist() == [1, 1, 1, -1]
-        assert g.b.tolist() == [1, 1, -1, 1]
+        assert g.tolist() == [[1, 1, 1, -1], [1, 1, -1, 1]]
         # hand-computable lags via the independent oracle
         for lag in range(4):
-            s = autocorr_oracle(g.a, lag) + autocorr_oracle(g.b, lag)
+            s = autocorr_oracle(g[0], lag) + autocorr_oracle(g[1], lag)
             assert s == (8 if lag == 0 else 0)
 
     def test_length_128_complementary(self):
         g = golay_pair(7)
-        total = aperiodic_autocorrelation(g.a) + aperiodic_autocorrelation(g.b)
+        total = aperiodic_autocorrelation(g[0]) + aperiodic_autocorrelation(g[1])
         assert total[0] == 256
         assert np.all(total[1:] == 0)
 
     def test_complementarity_exact_integers(self):
         for m in range(9):
             g = golay_pair(m)
-            total = aperiodic_autocorrelation(g.a) + aperiodic_autocorrelation(g.b)
-            assert total[0] == 2 * len(g)
+            total = aperiodic_autocorrelation(g[0]) + aperiodic_autocorrelation(g[1])
+            assert total[0] == 2 * g.shape[1]
             assert int(np.abs(total[1:]).sum()) == 0
 
-    def test_pair_shape_validation(self):
-        with pytest.raises(ValueError):
-            GolayPair(a=np.array([1, 1]), b=np.array([1, 1, 1, -1]))
+    def test_read_only_int64_chip_matrix(self):
+        for m in (0, 3, 9):
+            g = golay_pair(m)
+            assert g.shape == (2, 2**m) and g.dtype == np.int64
+            assert not g.flags.writeable and not g[0].flags.writeable
 
-    def test_pair_chips_must_be_plus_or_minus_one(self):
-        with pytest.raises(ValueError, match="chips"):
-            GolayPair(a=np.array([1, 2]), b=np.array([1, -1]))
-        with pytest.raises(ValueError, match="chips"):
-            GolayPair(a=np.array([1, -1]), b=np.array([0, -1]))
+    def test_rejects_a_bad_length(self):
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError, match="length_log2"):
+                golay_pair(bad)
 
 
 class TestBuildSchedule:
@@ -318,20 +314,19 @@ class TestWalshDecode:
         assert np.array_equal(walsh_decode(chips, fields[0], axis=0), chips @ fields[0])
 
     @settings(max_examples=60, deadline=None)
-    @given(orthogonal_subsets(), _rays)
-    def test_noiseless_coded_decode_equals_the_gain_table(self, books, rays):
+    @given(orthogonal_subsets(), realizations())
+    def test_noiseless_coded_decode_equals_the_gain_table(self, books, ch):
         # Per tap, the decoded field estimates are the beam-pair gains
         # scaled by T / sqrt(K).
         cb, subset = books
         k = len(subset)
         chips = walsh_codes_for(k)
         fields = coded_fields(subset.matrix, chips)
-        ch = ChannelRealization(rays=tuple(rays))
         est = cascade_gains(fields, cb.matrix, ch, cb.cfg, cb.cfg)
         decoded = walsh_decode(chip_matrix(chips), est) * math.sqrt(k) / len(fields)
         table = cascade_gains(subset.matrix, cb.matrix, ch, cb.cfg, cb.cfg)
         # Largest magnitude a unit-norm beam pair can see through these rays.
-        bound = sum(abs(r.gain) for r in rays) * cb.cfg.num_antennas
+        bound = np.abs(ch.gains).sum() * cb.cfg.num_antennas
         np.testing.assert_allclose(decoded, table, rtol=0, atol=1e-12 * bound)
 
 
@@ -436,11 +431,12 @@ class TestCeFieldPowers:
         assert len(index) == 2 * (512 + 16)
         # Six of 17: 32 windows of 17 chips are no fewer than the 512 of a.
         seqs, index = beam_coding._ce_frame(golay, 17, np.arange(6))
-        assert index is None and seqs[0] is golay.a and seqs[1] is golay.b
+        assert index is None and seqs is golay
         # Far past int64 pattern ids, still the full field.
         assert beam_coding._ce_frame(golay, 70, np.arange(70))[1] is None
         # Edges of b that are not those of a up to sign.
-        odd = GolayPair(golay.a, np.concatenate([golay.b[:-1], -golay.b[-1:]]))
+        odd = golay.copy()
+        odd[1, -1] *= -1
         assert beam_coding._ce_frame(odd, 3, np.array([0, 2]))[1] is None
 
     def test_shapes(self):

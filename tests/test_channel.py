@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamtrain.array_model import ArrayConfig, array_factor_many, dft_codebook
 from beamtrain.channel import (
@@ -16,7 +17,6 @@ from beamtrain.channel import (
     ChannelRealization,
     LinkBudget,
     NormalStream,
-    Ray,
     _fold_angle,
     add_noise,
     cascade_gains,
@@ -28,19 +28,30 @@ from beamtrain.channel import (
 )
 
 
+def rays_of(ch):
+    """The realization's rays as (aod, aoa, gain, tap) tuples of Python
+    scalars, in ray order."""
+    return list(zip(*(a.tolist() for a in (ch.aods_deg, ch.aoas_deg, ch.gains, ch.taps))))
+
+
+def from_rays(rays):
+    """A realization from (aod, aoa, gain, tap) tuples, one per ray."""
+    return ChannelRealization(*(list(zip(*rays)) or [()] * 4))
+
+
 def brute_force_gain(tx_w, rx_w, ch, tx_cfg, rx_cfg):
     """Ray-by-ray oracle with explicit python loops."""
     taps = [0j] * ch.num_taps
-    for ray in ch.rays:
+    for aod, aoa, gain, tap in rays_of(ch):
         tx = sum(
-            w * cmath.exp(2j * math.pi * n * tx_cfg.spacing * math.cos(math.radians(ray.aod_deg)))
+            w * cmath.exp(2j * math.pi * n * tx_cfg.spacing * math.cos(math.radians(aod)))
             for n, w in enumerate(tx_w)
         )
         rx = sum(
-            w * cmath.exp(2j * math.pi * n * rx_cfg.spacing * math.cos(math.radians(ray.aoa_deg)))
+            w * cmath.exp(2j * math.pi * n * rx_cfg.spacing * math.cos(math.radians(aoa)))
             for n, w in enumerate(rx_w)
         )
-        taps[ray.tap] += ray.gain * tx * rx
+        taps[tap] += gain * tx * rx
     return np.array(taps)
 
 
@@ -52,12 +63,10 @@ class TestToyChannel:
 
     def test_structure(self):
         ch = toy_channel(0.5)
-        assert len(ch.rays) == 2
-        los, nlos = ch.rays
-        assert los.gain == 1.0 and los.tap == 0
-        assert nlos.gain == 0.5
-        assert los.aod_deg == TOY_BEAM_ANGLES_DEG[TOY_LOS_PAIR[0]]
-        assert nlos.aoa_deg == TOY_BEAM_ANGLES_DEG[TOY_NLOS_PAIR[1]]
+        assert len(ch.gains) == 2
+        assert ch.gains.tolist() == [1.0, 0.5] and ch.taps[0] == 0
+        assert ch.aods_deg[0] == TOY_BEAM_ANGLES_DEG[TOY_LOS_PAIR[0]]
+        assert ch.aoas_deg[1] == TOY_BEAM_ANGLES_DEG[TOY_NLOS_PAIR[1]]
 
     def test_exhaustive_search_finds_los_pair(self):
         tx_cb, rx_cb = toy_codebooks()
@@ -94,7 +103,7 @@ class TestToyChannel:
     def test_excess_tap(self):
         ch = toy_channel(0.3, nlos_excess_tap=2)
         assert ch.num_taps == 3
-        assert ch.rays[1].tap == 2
+        assert ch.taps[1] == 2
 
 
 def sample_channel_drawing_every_tap(cfg, seed):
@@ -106,7 +115,7 @@ def sample_channel_drawing_every_tap(cfg, seed):
     if cfg.los:
         aod = rng.uniform(0.0, 180.0)
         aoa = rng.uniform(0.0, 180.0)
-        rays.append(Ray(aod_deg=aod, aoa_deg=aoa, gain=ref, tap=0))
+        rays.append((aod, aoa, complex(ref), 0))
     for _ in range(cfg.num_clusters):
         center_aod = rng.uniform(0.0, 180.0)
         center_aoa = rng.uniform(0.0, 180.0)
@@ -118,15 +127,14 @@ def sample_channel_drawing_every_tap(cfg, seed):
             aoa = _fold_angle(center_aoa + rng.normal(0.0, cfg.intra_cluster_angle_std_deg))
             phase = rng.uniform(0.0, 2.0 * math.pi)
             tap = cluster_tap + int(rng.integers(0, cfg.intra_cluster_tap_spread + 1))
-            rays.append(Ray(aod_deg=aod, aoa_deg=aoa, gain=amp * np.exp(1j * phase), tap=tap))
-    return ChannelRealization(rays=tuple(rays), los_present=cfg.los, seed=seed)
+            rays.append((aod, aoa, amp * np.exp(1j * phase), tap))
+    return from_rays(rays)
 
 
 def ray_bits(ch):
-    return [
-        (r.aod_deg.hex(), r.aoa_deg.hex(), r.gain.real.hex(), r.gain.imag.hex(), r.tap)
-        for r in ch.rays
-    ]
+    """The dtype, shape and bytes of each of the four ray arrays."""
+    arrays = (ch.aods_deg, ch.aoas_deg, ch.gains, ch.taps)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 class TestSampleChannel:
@@ -151,33 +159,33 @@ class TestSampleChannel:
         cfg = ChannelConfig()
         a = sample_channel(cfg, 1234)
         b = sample_channel(cfg, 1234)
-        assert a == b
+        assert ray_bits(a) == ray_bits(b)
         c = sample_channel(cfg, 1235)
-        assert a != c
+        assert ray_bits(a) != ray_bits(c)
 
     def test_ray_counts_and_los_flag(self):
         cfg = ChannelConfig(num_clusters=4, rays_per_cluster=3, los=True)
         ch = sample_channel(cfg, 7)
-        assert len(ch.rays) == 1 + 12
-        assert ch.los_present
+        assert len(ch.gains) == 1 + 12
+        # The LOS ray comes first, at tap 0 with phase 0.
+        assert ch.gains[0] == cfg.los_amplitude() and ch.taps[0] == 0
         nlos = sample_channel(ChannelConfig(los=False), 7)
-        assert len(nlos.rays) == 12
-        assert not nlos.los_present
+        assert len(nlos.gains) == 12
+        assert not np.any(nlos.gains == cfg.los_amplitude())
 
     def test_no_ray_beats_los_reference(self):
         cfg = ChannelConfig(los=False)
         ref = cfg.los_amplitude()
         for seed in range(50):
             ch = sample_channel(cfg, seed)
-            for ray in ch.rays:
-                assert abs(ray.gain) <= ref
+            assert np.all(np.abs(ch.gains) <= ref)
 
     def test_angles_folded_into_range(self):
         cfg = ChannelConfig(num_clusters=8, rays_per_cluster=3)
         for seed in range(30):
-            for ray in sample_channel(cfg, seed).rays:
-                assert 0.0 <= ray.aod_deg <= 180.0
-                assert 0.0 <= ray.aoa_deg <= 180.0
+            ch = sample_channel(cfg, seed)
+            for angles in (ch.aods_deg, ch.aoas_deg):
+                assert np.all((0.0 <= angles) & (angles <= 180.0))
 
     def test_cluster_loss_truncated_mean_matches_analytic(self):
         # oracle: mean of a Gaussian truncated above at c is
@@ -204,8 +212,8 @@ class TestSampleChannel:
     def test_tap_range(self):
         cfg = ChannelConfig(max_excess_tap=4, intra_cluster_tap_spread=2, los=False)
         for seed in range(40):
-            for ray in sample_channel(cfg, seed).rays:
-                assert 0 <= ray.tap <= 6
+            taps = sample_channel(cfg, seed).taps
+            assert np.all((0 <= taps) & (taps <= 6))
 
     @pytest.mark.parametrize("spread", [0, 2])
     @pytest.mark.parametrize("los", [True, False])
@@ -216,10 +224,8 @@ class TestSampleChannel:
         cfg = ChannelConfig(intra_cluster_tap_spread=spread, los=los)
         for seed in (0, 1, 7, 123, 2**40 + 5):
             want = sample_channel_drawing_every_tap(cfg, seed)
-            assert sample_channel(cfg, seed) == want
-        assert any(
-            len({r.tap for r in sample_channel(cfg, s).rays}) > 1 for s in range(5)
-        )
+            assert ray_bits(sample_channel(cfg, seed)) == ray_bits(want)
+        assert any(len(set(sample_channel(cfg, s).taps.tolist())) > 1 for s in range(5))
 
 
 def pair_taps(tx_w, rx_w, ch, tx_cfg, rx_cfg):
@@ -236,7 +242,7 @@ class TestEndToEndGain:
         taps = pair_taps(tx_w, rx_w, ch, tx_cb.cfg, rx_cb.cfg)
         # aligned ray: both unit-norm array factors peak at sqrt(4)
         assert abs(taps[0]) == pytest.approx(4.0, abs=1e-9)
-        only_nlos = ChannelRealization(rays=(ch.rays[1],))
+        only_nlos = from_rays(rays_of(ch)[1:])
         leak = pair_taps(tx_w, rx_w, only_nlos, tx_cb.cfg, rx_cb.cfg)
         assert abs(leak[0]) < 1e-12
 
@@ -248,16 +254,16 @@ class TestEndToEndGain:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
         tx_cfg, rx_cfg = ArrayConfig(8), ArrayConfig(4)
-        rays = tuple(
-            Ray(
-                aod_deg=float(rng.uniform(0, 180)),
-                aoa_deg=float(rng.uniform(0, 180)),
-                gain=complex(rng.standard_normal(), rng.standard_normal()),
-                tap=int(rng.integers(0, 4)),
+        rays = [
+            (
+                float(rng.uniform(0, 180)),
+                float(rng.uniform(0, 180)),
+                complex(rng.standard_normal(), rng.standard_normal()),
+                int(rng.integers(0, 4)),
             )
             for _ in range(9)
-        )
-        ch = ChannelRealization(rays=rays)
+        ]
+        ch = from_rays(rays)
         tx_w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         rx_w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         got = pair_taps(tx_w, rx_w, ch, tx_cfg, rx_cfg)
@@ -267,27 +273,25 @@ class TestEndToEndGain:
     def test_reciprocity(self):
         rng = np.random.default_rng(17)
         cfg = ArrayConfig(8)
-        rays = tuple(
-            Ray(
-                aod_deg=float(rng.uniform(0, 180)),
-                aoa_deg=float(rng.uniform(0, 180)),
-                gain=complex(rng.standard_normal(), rng.standard_normal()),
-                tap=int(rng.integers(0, 3)),
+        rays = [
+            (
+                float(rng.uniform(0, 180)),
+                float(rng.uniform(0, 180)),
+                complex(rng.standard_normal(), rng.standard_normal()),
+                int(rng.integers(0, 3)),
             )
             for _ in range(6)
-        )
-        swapped = tuple(
-            Ray(aod_deg=r.aoa_deg, aoa_deg=r.aod_deg, gain=r.gain, tap=r.tap)
-            for r in rays
-        )
+        ]
+        ch = from_rays(rays)
+        swapped = ChannelRealization(ch.aoas_deg, ch.aods_deg, ch.gains, ch.taps)
         tx_w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         rx_w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        forward = pair_taps(tx_w, rx_w, ChannelRealization(rays=rays), cfg, cfg)
-        reverse = pair_taps(rx_w, tx_w, ChannelRealization(rays=swapped), cfg, cfg)
+        forward = pair_taps(tx_w, rx_w, ch, cfg, cfg)
+        reverse = pair_taps(rx_w, tx_w, swapped, cfg, cfg)
         assert np.allclose(forward, reverse, atol=1e-12)
 
     def test_empty_channel(self):
-        ch = ChannelRealization(rays=())
+        ch = from_rays([])
         cfg = ArrayConfig(2)
         out = pair_taps(np.ones(2) + 0j, np.ones(2) + 0j, ch, cfg, cfg)
         assert out.shape == (1,)
@@ -305,25 +309,28 @@ def _weight_matrix(rows: int, antennas: int):
 
 
 @st.composite
+def realizations(draw, gains, max_tap, max_rays):
+    """A realization of up to ``max_rays`` rays: angles in [0, 180], gains
+    from ``gains`` and taps in [0, max_tap]."""
+    n = draw(st.integers(0, max_rays))
+    angles = hnp.arrays(float, n, elements=st.floats(0.0, 180.0))
+    return ChannelRealization(
+        aods_deg=draw(angles),
+        aoas_deg=draw(angles),
+        gains=draw(hnp.arrays(np.complex128, n, elements=gains)),
+        taps=draw(hnp.arrays(np.intp, n, elements=st.integers(0, max_tap))),
+    )
+
+
+@st.composite
 def cascade_inputs(draw):
     n_tx, n_rx = draw(st.integers(1, 8)), draw(st.integers(1, 4))
     tx = draw(_weight_matrix(draw(st.integers(1, 4)), n_tx))
     rx = draw(_weight_matrix(draw(st.integers(1, 3)), n_rx))
-    rays = draw(
-        st.lists(
-            st.builds(
-                Ray,
-                aod_deg=st.floats(0.0, 180.0),
-                aoa_deg=st.floats(0.0, 180.0),
-                gain=_complex,
-                tap=st.integers(0, 5),
-            ),
-            max_size=8,
-        )
-    )
+    ch = draw(realizations(_complex, max_tap=5, max_rays=8))
     spacing = draw(st.sampled_from([0.25, 0.5, 0.7]))
     cfgs = ArrayConfig(n_tx, spacing), ArrayConfig(n_rx, spacing)
-    return tx, rx, ChannelRealization(rays=tuple(rays)), cfgs
+    return tx, rx, ch, cfgs
 
 
 class TestCascadeGains:
@@ -333,24 +340,21 @@ class TestCascadeGains:
         tx, rx, ch, (tx_cfg, rx_cfg) = inputs
         got = cascade_gains(tx, rx, ch, tx_cfg, rx_cfg)
         assert got.shape == (ch.num_taps, len(tx), len(rx))
-        aods = np.array([r.aod_deg for r in ch.rays])
-        aoas = np.array([r.aoa_deg for r in ch.rays])
-        gains = np.array([r.gain for r in ch.rays])
         for f, tx_w in enumerate(tx):
             for g, rx_w in enumerate(rx):
                 naive = brute_force_gain(tx_w, rx_w, ch, tx_cfg, rx_cfg)
                 # Largest magnitude any tap can reach, the base of the relative error.
-                bound = sum(abs(r.gain) for r in ch.rays) * np.abs(tx_w).sum() * np.abs(rx_w).sum()
+                bound = np.abs(ch.gains).sum() * np.abs(tx_w).sum() * np.abs(rx_w).sum()
                 np.testing.assert_allclose(got[:, f, g], naive, rtol=0, atol=1e-12 * bound)
                 per_pair = np.zeros(ch.num_taps, dtype=np.complex128)
-                if ch.rays:
+                if len(ch.gains):
                     contributions = (
-                        gains
-                        * array_factor_many(tx_w, aods, tx_cfg)
-                        * array_factor_many(rx_w, aoas, rx_cfg)
+                        ch.gains
+                        * array_factor_many(tx_w, ch.aods_deg, tx_cfg)
+                        * array_factor_many(rx_w, ch.aoas_deg, rx_cfg)
                     )
-                    for ray, c in zip(ch.rays, contributions):
-                        per_pair[ray.tap] += c
+                    for tap, c in zip(ch.taps, contributions):
+                        per_pair[tap] += c
                 assert np.array_equal(got[:, f, g], per_pair)
 
     def test_rejects_weights_of_the_wrong_length(self):
@@ -361,23 +365,15 @@ class TestCascadeGains:
 
 class TestChannelGeometry:
     def test_arrays_follow_the_rays(self):
+        rays = [(60.0, 120.0, 1.0, 0), (30.5, 40.0, 0.5 - 0.25j, 3.0)]
+        ch = from_rays(rays)
+        assert rays_of(ch) == [(60.0, 120.0, 1 + 0j, 0), (30.5, 40.0, 0.5 - 0.25j, 3)]
+        dtypes = [a.dtype for a in (ch.aods_deg, ch.aoas_deg, ch.gains, ch.taps)]
+        assert dtypes == [np.float64, np.float64, np.complex128, np.intp]
+        assert ch.num_taps == 4
+        assert from_rays([]).num_taps == 1
         ch = sample_channel(ChannelConfig(intra_cluster_tap_spread=2), 31)
-        assert ch.aods_deg.tolist() == [r.aod_deg for r in ch.rays]
-        assert ch.aoas_deg.tolist() == [r.aoa_deg for r in ch.rays]
-        assert ch.gains.tolist() == [r.gain for r in ch.rays]
-        assert ch.taps.tolist() == [r.tap for r in ch.rays]
-        assert ch.num_taps == max(r.tap for r in ch.rays) + 1
-        assert ChannelRealization(rays=()).num_taps == 1
-
-    def test_rays_list_is_copied_into_a_tuple(self):
-        rays = [Ray(aod_deg=60.0, aoa_deg=120.0, gain=1.0, tap=0)]
-        ch = ChannelRealization(rays=rays)
-        assert isinstance(ch.rays, tuple)
-        rays.append(Ray(aod_deg=30.0, aoa_deg=40.0, gain=0.5, tap=3))
-        assert len(ch.rays) == 1
-        assert ch.num_taps == 1 and ch.aods_deg.tolist() == [60.0]
-        assert ch == ChannelRealization(rays=tuple(rays[:1]))
-        hash(ch)
+        assert ch.num_taps == ch.taps.max() + 1
 
     def test_derived_arrays_are_read_only(self):
         ch = toy_channel(0.5, nlos_excess_tap=2)
@@ -396,7 +392,7 @@ class TestChannelGeometry:
         assert ch.steering_matrix("tx", ArrayConfig(8, 0.5)) is tx
         assert ch.steering_matrix("rx", half) is not tx
         assert ch.steering_matrix("tx", quarter) is not tx
-        assert ch.steering_matrix("tx", ArrayConfig(16)).shape == (16, len(ch.rays))
+        assert ch.steering_matrix("tx", ArrayConfig(16)).shape == (16, len(ch.gains))
         for end, angles in (("tx", ch.aods_deg), ("rx", ch.aoas_deg)):
             for cfg in (half, quarter):
                 n = np.arange(cfg.num_antennas)[:, None]
@@ -407,7 +403,7 @@ class TestChannelGeometry:
         ch = sample_channel(ChannelConfig(), 33)
         tx = ch.steering_matrix("tx", ArrayConfig(16))
         fresh = dataclasses.replace(ch)
-        assert "aods_deg" not in vars(fresh)
+        assert ray_bits(fresh) == ray_bits(ch)
         assert fresh.steering_matrix("tx", ArrayConfig(16)) is not tx
         assert np.array_equal(fresh.steering_matrix("tx", ArrayConfig(16)), tx)
 
@@ -507,7 +503,45 @@ class TestDeriveSeed:
                 assert 0 <= s < 2**64
 
 
-class TestRayValidation:
-    def test_negative_tap_rejected(self):
-        with pytest.raises(ValueError):
-            Ray(aod_deg=10.0, aoa_deg=20.0, gain=1.0, tap=-1)
+class TestChannelRealization:
+    @pytest.mark.parametrize("tap", [-1, -1.0, 0.5, 2.25, math.nan, math.inf])
+    def test_rejects_negative_or_fractional_taps(self, tap):
+        with pytest.raises(ValueError, match="taps must be nonnegative integers"):
+            ChannelRealization([10.0, 11.0], [20.0, 21.0], [1.0, 1.0], [0, tap])
+
+    def test_rejects_a_negative_toy_excess_tap(self):
+        with pytest.raises(ValueError, match="taps"):
+            toy_channel(0.5, nlos_excess_tap=-1)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            ([10.0], [20.0, 30.0], [1.0, 1.0], [0, 0]),
+            ([10.0, 11.0], [20.0, 30.0], [1.0, 1.0], [0]),
+            ([10.0, 11.0], [20.0, 30.0], [1.0], [0, 0]),
+        ],
+    )
+    def test_rejects_unequal_lengths(self, arrays):
+        with pytest.raises(ValueError, match="one length"):
+            ChannelRealization(*arrays)
+
+    @pytest.mark.parametrize("shape", [(), (2, 1), (1, 2)])
+    def test_rejects_arrays_that_are_not_one_dimensional(self, shape):
+        arrays = [np.full(shape, 10.0), np.full(shape, 20.0), np.ones(shape), np.zeros(shape)]
+        with pytest.raises(ValueError, match="1-D"):
+            ChannelRealization(*arrays)
+
+    def test_keeps_read_only_copies_of_the_callers_arrays(self):
+        arrays = [np.array(x) for x in ([60.0, 70.0], [120.0, 110.0], [1.0, 0.5j], [0, 2])]
+        ch = ChannelRealization(*arrays)
+        before = ray_bits(ch)
+        for arr in arrays:
+            arr[:] = 0
+        assert ray_bits(ch) == before and ch.num_taps == 3
+        for arr in (ch.aods_deg, ch.aoas_deg, ch.gains, ch.taps):
+            assert not arr.flags.writeable and not any(arr is a for a in arrays)
+
+    def test_equal_only_to_itself(self):
+        a, b = sample_channel(ChannelConfig(), 3), sample_channel(ChannelConfig(), 3)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2

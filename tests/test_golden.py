@@ -1,9 +1,11 @@
 """Campaign outputs held to golden files in ``tests/golden/``.
 
-Integer cells and row counts must match exactly, float cells to a relative
-1e-9 (a pure refactor may move the 12th printed digit), and any other cell
-as text.  ``tests/golden/regenerate.py`` wrote the files; regenerating
-them is a change to this check.
+In the CSVs, integer cells and row counts must match exactly, float cells
+to a relative 1e-9 (a pure refactor may move the 12th printed digit), and
+any other cell as text.  The JSON files hold every float at full
+precision, so their values must match exactly, to the bit.
+``tests/golden/regenerate.py`` wrote the files; regenerating them is a
+change to this check.
 """
 
 import contextlib
@@ -50,14 +52,11 @@ def _cells_match(actual: str, expected: str) -> bool:
 
 
 def _values_match(actual, expected) -> bool:
-    """JSON values equal: integers, booleans and text exactly, floats to a
-    relative 1e-9, lists and objects entry by entry."""
+    """JSON values equal: floats bit for bit (NaN, infinities and the sign
+    of zero included), integers, booleans and text exactly, lists and
+    objects entry by entry."""
     if isinstance(expected, float) or isinstance(actual, float):
-        if isinstance(actual, bool) or not isinstance(actual, (int, float)):
-            return False
-        if math.isnan(expected):
-            return math.isnan(actual)
-        return math.isclose(actual, expected, rel_tol=1e-9, abs_tol=0.0)
+        return type(actual) is type(expected) and actual.hex() == expected.hex()
     if isinstance(expected, list):
         return (
             isinstance(actual, list)
@@ -111,12 +110,8 @@ def test_train_toy_summaries_match_golden():
         want = golden[scheme.value]
         assert len(rows) == want["trace_rows"], scheme
         for key, value in summary.items():
-            if isinstance(value, float):
-                assert value == pytest.approx(want[key], rel=1e-9, abs=0.0), (scheme, key)
-            elif isinstance(value, tuple):
-                assert list(value) == want[key], (scheme, key)
-            else:
-                assert value == want[key], (scheme, key)
+            value = list(value) if isinstance(value, tuple) else value
+            assert _values_match(value, want[key]), (scheme, key)
 
 
 def _regenerate_module():
@@ -142,9 +137,13 @@ def test_noisy_scheme_outcomes_match_golden():
 
 
 def test_golden_value_comparison():
-    assert _values_match([1, 2.0, {"a": None}], [1, 2.0 * (1 + 1e-12), {"a": None}])
+    assert _values_match([1, 2.0, {"a": None}], [1, 2.0, {"a": None}])
+    assert not _values_match([1, 2.0], [1, 2.0 * (1 + 2**-52)])
     assert not _values_match([1.0], [1.0 + 1e-6])
     assert not _values_match(1, 2)
     assert not _values_match(True, 1)
+    assert not _values_match(1, 1.0) and not _values_match(1.0, 1)
+    assert not _values_match(0.0, -0.0)
     assert not _values_match([1.0, 2.0], [1.0])
     assert _values_match(-math.inf, -math.inf)
+    assert _values_match(math.nan, math.nan)

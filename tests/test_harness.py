@@ -43,6 +43,9 @@ def small_experiment(**kwargs):
 BOTH_CAMPAIGNS = ("power-var", "quant-sweep")
 # The subcommands that check the channel and link settings.
 WITH_CHANNEL = (*BOTH_CAMPAIGNS, "train")
+# The keys named when the link budget's noise-to-signal ratio is not a
+# positive finite float.
+NOISE_RATIO_KEYS = "link.tx_power_dbm, link.noise_figure_plus_impl_db"
 
 class TestOverheadRows:
     def test_exact_integers(self):
@@ -212,7 +215,7 @@ class TestPowerVarOracle:
         # complementarity makes sigma = L * P / (L + guard) for guard =
         # num_taps - 1, so every gamma is (L + guard) / (3 L).
         g_rows, channels = campaign
-        length = len(golay_pair(9))
+        length = golay_pair(9).shape[1]
         single = [r for r in g_rows if r[3] == 1]
         assert len(single) == 2 * 16 * len(channels)
         for row in single:
@@ -636,6 +639,28 @@ class TestCli:
                 (WITH_CHANNEL, "channel.num_clusters = -1", "channel.num_clusters"),
                 (WITH_CHANNEL, "channel.rays_per_cluster = 0", "channel.rays_per_cluster"),
                 (WITH_CHANNEL, "link.tx_power_dbm = nan", "link.tx_power_dbm"),
+                (WITH_CHANNEL, "link.bandwidth_hz = inf", "link.bandwidth_hz"),
+                (
+                    WITH_CHANNEL,
+                    "channel.intra_cluster_angle_std_deg = -5",
+                    "channel.intra_cluster_angle_std_deg",
+                ),
+                (
+                    WITH_CHANNEL,
+                    "channel.intra_cluster_angle_std_deg = inf",
+                    "channel.intra_cluster_angle_std_deg",
+                ),
+                (WITH_CHANNEL, "link.tx_power_dbm = inf", NOISE_RATIO_KEYS),
+                (WITH_CHANNEL, "link.tx_power_dbm = 1e6", NOISE_RATIO_KEYS),
+                (WITH_CHANNEL, "link.tx_power_dbm = -inf", NOISE_RATIO_KEYS),
+                (WITH_CHANNEL, "link.noise_figure_plus_impl_db = inf", NOISE_RATIO_KEYS),
+                (WITH_CHANNEL, "link.noise_figure_plus_impl_db = 1e6", NOISE_RATIO_KEYS),
+                # Either value alone leaves a ratio above 1e-307.
+                (
+                    WITH_CHANNEL,
+                    "link.tx_power_dbm = 3000\nlink.noise_figure_plus_impl_db = -1e3",
+                    NOISE_RATIO_KEYS,
+                ),
                 (
                     WITH_CHANNEL,
                     "channel.cluster_loss_rms_db = 0\nchannel.cluster_loss_mean_db = -1",
@@ -655,6 +680,18 @@ class TestCli:
     ):
         self.assert_rejected_before_drawing(command, line, key, tmp_path, capsys, monkeypatch)
 
+    @pytest.mark.parametrize("command", WITH_CHANNEL)
+    @pytest.mark.parametrize("key", ["array.tx_antennas", "array.rx_antennas"])
+    def test_zero_antennas_named_alone_before_the_beam_counts(
+        self, tmp_path, capsys, monkeypatch, command, key
+    ):
+        # power-var checked its beam counts against tx_antennas first and
+        # blamed packet.beams_per_packet.
+        err = self.assert_rejected_before_drawing(
+            command, f"{key} = 0", key, tmp_path, capsys, monkeypatch
+        )
+        assert err == f"config error: {key} must be at least 1, got 0\n"
+
     @staticmethod
     def assert_rejected_before_drawing(command, line, key, tmp_path, capsys, monkeypatch):
         def no_channels(*args, **kwargs):
@@ -670,6 +707,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not out.exists()
+        return err
 
     @pytest.mark.parametrize(
         "flags, flag",
@@ -739,7 +777,7 @@ class TestCli:
         # aggregates to 0, which is -inf dB
         from beamtrain.channel import ChannelRealization
 
-        dead = lambda *args: ChannelRealization(rays=())
+        dead = lambda *args: ChannelRealization([], [], [], [])
         assert self.quant_sweep_on(tmp_path, monkeypatch, dead) == 0
         lines = (tmp_path / "quant_sweep.csv").read_text().splitlines()
         assert lines[0].endswith(",snr_db")

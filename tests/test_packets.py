@@ -149,7 +149,7 @@ class TestPowerTrace:
         tx_cb, rx_cb = toy_codebooks()
         layout = layout_80211ad(tx_cb.matrix)
         rx = rx_cb.matrix[0]
-        empty = ChannelRealization(rays=())
+        empty = ChannelRealization([], [], [], [])
         preamble_power, field_powers = power_trace(layout, empty, rx, tx_cb.cfg, rx_cb.cfg)
         assert np.all(field_powers == 0)
         assert preamble_power == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamtrain import channel, protocols
 from beamtrain.array_model import (
@@ -23,7 +24,6 @@ from beamtrain.channel import (
     ChannelConfig,
     ChannelRealization,
     LinkBudget,
-    Ray,
     cascade_gains,
     derive_seed,
     sample_channel,
@@ -194,7 +194,7 @@ class TestPacketAndBitCounts:
 
 class TestFailurePath:
     def test_zero_channel_fails_every_scheme(self):
-        empty = ChannelRealization(rays=())
+        empty = ChannelRealization([], [], [], [])
         for scheme in Scheme:
             cfg = toy_config(scheme)
             out = run(cfg, empty, 0)
@@ -203,7 +203,7 @@ class TestFailurePath:
             assert out.snr_db == -math.inf
 
     def test_noise_only_channel_rarely_detects(self):
-        empty = ChannelRealization(rays=())
+        empty = ChannelRealization([], [], [], [])
         budget = LinkBudget()
         cfg = toy_config(Scheme.EXHAUSTIVE_BEAMCODING, noise=budget)
         outcomes = [run(cfg, empty, seed) for seed in range(100)]
@@ -337,23 +337,24 @@ class TestNoiselessEquivalence:
         st.sampled_from([1, 2, 4, 8, 16]).flatmap(
             lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), min_size=1))
         ),
-        st.lists(
-            st.builds(
-                Ray,
-                aod_deg=st.floats(0.0, 180.0),
-                aoa_deg=st.floats(0.0, 180.0),
-                gain=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-                tap=st.integers(0, 4),
-            ),
-            min_size=1,
-            max_size=6,
+        st.integers(1, 6).flatmap(
+            lambda n: st.builds(
+                ChannelRealization,
+                aods_deg=hnp.arrays(float, n, elements=st.floats(0.0, 180.0)),
+                aoas_deg=hnp.arrays(float, n, elements=st.floats(0.0, 180.0)),
+                gains=hnp.arrays(
+                    np.complex128,
+                    n,
+                    elements=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                ),
+                taps=hnp.arrays(np.intp, n, elements=st.integers(0, 4)),
+            )
         ),
     )
-    def test_coded_decode_equals_exhaustive_table(self, beams, rays):
+    def test_coded_decode_equals_exhaustive_table(self, beams, ch):
         n, indices = beams
         cb = dft_codebook(ArrayConfig(n))
         tx_cb = subset(cb, sorted(indices))
-        ch = ChannelRealization(rays=tuple(rays))
 
         def outcome(scheme):
             return run(ProtocolConfig(tx_codebook=tx_cb, rx_codebook=cb, scheme=scheme), ch, 0)
@@ -363,7 +364,7 @@ class TestNoiselessEquivalence:
         # The decode carries T / sqrt(K) on every per-tap amplitude.
         k = len(tx_cb)
         t = 1 << (k - 1).bit_length()
-        bound = sum(abs(r.gain) for r in rays) ** 2
+        bound = np.abs(ch.gains).sum() ** 2
         np.testing.assert_allclose(coded.pair_power * k / t**2, table, rtol=0, atol=1e-12 * bound)
 
 
@@ -718,7 +719,7 @@ class TestLogging:
 
     def test_failed_run_logs_no_pair(self, caplog):
         caplog.set_level(logging.DEBUG, logger="beamtrain.protocols")
-        run(toy_config(Scheme.EXHAUSTIVE_PBP), ChannelRealization(rays=()), 0)
+        run(toy_config(Scheme.EXHAUSTIVE_PBP), ChannelRealization([], [], [], []), 0)
         (record,) = self.records(caplog)
         assert record.getMessage() == "exhaustive_pbp seed 0: success=False pair=None"
 
