@@ -12,6 +12,7 @@ matrix whose rows are its sequences a and b.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -121,8 +122,8 @@ def encode_ce_field(tap_gains: Sequence[complex], golay: np.ndarray, guard: int)
     return out
 
 
-# Rows whose fields ce_field_powers holds at once; all 80 preamble rows of
-# the default power-var config at once would raise the peak memory.
+# Rows whose gathered fields ce_field_powers holds at once; all 80 preamble
+# rows of the default power-var config at once would raise the peak memory.
 _CE_BLOCK = 16
 
 
@@ -132,15 +133,16 @@ def _same_up_to_sign(x: np.ndarray, y: np.ndarray) -> bool:
 
 def _ce_frame(
     golay: np.ndarray, num_taps: int, nonzero: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Chip sequences, one per row, and a gather index into their joined
-    convolutions, that give the CE field of any tap row zero outside
-    ``nonzero``.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct chip windows, and a gather index into the dot products
+    that give the CE field of any tap row zero outside ``nonzero``.
 
-    The field is [a * h | b * h]; each sample of it is found at ``index``
-    in the outputs of the returned sequences convolved with h, one after
-    the other, up to its sign.  ``index`` is None when the sequences are
-    ``golay`` = [a, b] itself.
+    With h reversed into r, the dot products are laid out as the left and
+    right edge of each length n < T, then the windows: a[:n] . r[-n:],
+    a[-n:] . r[:n] for n = 1 .. T - 1, then windows[j] . r.  Each sample
+    of the field [a * h | b * h] is found at ``index`` among them up to its
+    sign.  None when the windows would save nothing, or when b's edges are
+    not a's up to sign.
     """
     (a, b), length, t = golay, golay.shape[1], num_taps
     if nonzero.size == 0:
@@ -152,7 +154,7 @@ def _ce_frame(
     if (t << (nonzero.size - 1)) >= length or not (
         _same_up_to_sign(a[head], b[head]) and _same_up_to_sign(a[tail], b[tail])
     ):
-        return golay, None
+        return None
     # Full-overlap output t - 1 + j of seq * h is the dot product of the
     # window seq[j : j + t] with h reversed.  Its pattern id holds the
     # window's signs at the nonzero taps relative to the first one, so a
@@ -161,18 +163,77 @@ def _ce_frame(
     ids = np.zeros(first.shape, dtype=np.intp)
     for bit, k in enumerate(nonzero[1:].tolist()):
         ids |= (golay[:, t - 1 - k : length - k] != first) << bit
-    # One window per id (any of those that carry it) and its slot in u.
+    # One window per id (any of those that carry it) and its slot.
     slot = np.full(1 << (nonzero.size - 1), -1)
     slot[ids.ravel()] = np.arange(ids.size)
     seq_of, start = np.divmod(slot[slot >= 0], ids.shape[1])
     slot[slot >= 0] = np.arange(seq_of.size)
     windows = golay[seq_of[:, None], start[:, None] + np.arange(t)]
-    # A head and a tail of t - 1 chips reproduce the partial-overlap edges.
-    u = np.concatenate([a[head], windows.ravel(), a[tail]])
-    edge = np.arange(t - 1)
-    full = 2 * (t - 1) + t * slot[ids]
-    ends = len(u) + edge
-    return u[None], np.concatenate([edge, full[0], ends, edge, full[1], ends])
+    # Output i < T - 1 of seq * h is a left edge of length i + 1, and
+    # output L + i a right edge of length T - 1 - i.
+    edge = 2 * np.arange(t - 1)
+    ends = edge[::-1] + 1
+    full = 2 * (t - 1) + slot[ids]
+    return windows, np.concatenate([edge, full[0], ends, edge, full[1], ends])
+
+
+@functools.lru_cache(maxsize=32)
+def _edge_columns(num_taps: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of a and of r for the edge dot products of :func:`_ce_frame`,
+    one length after the other: the 2n entries from n(n - 1) on are
+    a[:n], a[-n:] and r[-n:], r[:n]."""
+    chips, taps = [], []
+    for n in range(1, num_taps):
+        chips += [*range(n), *range(length - n, length)]
+        taps += [*range(num_taps - n, num_taps), *range(n)]
+    return _readonly(np.array(chips, dtype=np.intp)), _readonly(np.array(taps, dtype=np.intp))
+
+
+def _frame_dots(taps: np.ndarray, golay: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """The dot products of :func:`_ce_frame`'s layout for every tap row,
+    (rows, 2 (T - 1) + windows), each bit for bit the output of
+    ``np.convolve`` that it stands for."""
+    rows, t = taps.shape
+    chip_cols, tap_cols = _edge_columns(t, golay.shape[1])
+    edge_chips = golay[0, chip_cols].astype(np.complex128)
+    # np.convolve correlates the chips with the reversed taps, both
+    # contiguous.  Every vector here must be contiguous too, as BLAS sums
+    # a strided one in another order; r[:, tap_cols] would be laid out
+    # column by column.
+    r = np.ascontiguousarray(taps[:, ::-1])
+    edge_taps = np.take(r, tap_cols, axis=1)
+    y = np.empty((rows, 2 * (t - 1) + len(windows), 1, 1), dtype=np.complex128)
+    for n in range(1, t):
+        span = slice(n * (n - 1), n * (n + 1))
+        np.matmul(
+            edge_chips[span].reshape(1, 2, 1, n),
+            edge_taps[:, span].reshape(rows, 2, n, 1),
+            out=y[:, 2 * n - 2 : 2 * n],
+        )
+    np.matmul(
+        windows.astype(np.complex128, order="C")[None, :, None, :],
+        r[:, None, :, None],
+        out=y[:, 2 * (t - 1) :],
+    )
+    return y[:, :, 0, 0]
+
+
+def _convolved_field_powers(taps: np.ndarray, golay: np.ndarray) -> np.ndarray:
+    """ce_field_powers by convolving the whole field, row by row."""
+    t = taps.shape[1]
+    # np.convolve would cast the int64 chips to complex on every call.  A
+    # list of rows: iterating the matrix would make a view per convolve.
+    a, b = list(golay.astype(np.complex128))
+    width = golay.shape[1] + t - 1
+    y = np.empty((_CE_BLOCK, 2 * width), dtype=np.complex128)
+    sigmas = np.empty(len(taps))
+    for start in range(0, len(taps), _CE_BLOCK):
+        block = taps[start : start + _CE_BLOCK]
+        for row, h in zip(y, block):
+            row[:width] = np.convolve(a, h)
+            row[width:] = np.convolve(b, h)
+        sigmas[start : start + len(block)] = np.mean(np.abs(y[: len(block)]) ** 2, axis=1)
+    return sigmas
 
 
 def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
@@ -180,39 +241,41 @@ def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
 
     For every row h of the (rows, T) matrix ``tap_rows`` the result equals
     ``np.mean(np.abs(encode_ce_field(h, golay, T - 1)) ** 2)`` bit for bit.
-    A full-overlap output of ``np.convolve(seq, h)`` is one dot product of
-    a T-chip window with h reversed.  Products with a zero tap are signed
-    zeros, and negating the chips at the nonzero taps negates the output
-    exactly.  So only the windows that differ, up to sign, in the columns
-    where some row has a nonzero tap are convolved, framed by the head and
-    tail of a, which give the partial-overlap edges of both halves (those
-    of b equal them up to sign in every pair :func:`golay_pair` builds).
-    The squared magnitudes are gathered back into the full field before
-    the mean.  When that would not save work, or b's edges differ, the
-    whole field is convolved.  Each dot product's summation order must
-    depend only on its length, as in OpenBLAS and numpy's own loop.
+    Each output of ``np.convolve(seq, h)`` is one dot product of up to T
+    chips with h reversed.  Products with a zero tap are signed zeros, and
+    negating the chips at the nonzero taps negates the output exactly.  So
+    only the full-overlap windows that differ, up to sign, in the columns
+    where some row has a nonzero tap are taken, with the partial-overlap
+    edges of a (those of b equal them up to sign in every pair
+    :func:`golay_pair` builds).  Their dot products for all rows at once
+    take one stacked ``np.matmul`` for the windows and one per edge length
+    for the left and right edge together: T calls, however many rows.  The
+    squared magnitudes are gathered back into the full field, and averaged,
+    a block of rows at a time.  When the windows would not save work (T at
+    least L among those cases) or b's edges differ, the whole field is
+    convolved row by row.
+
+    Bit-exactness rests on one kernel rule.  A stacked ``matmul`` whose
+    every product is a (1, n) row by an (n, 1) column calls numpy's vector
+    dot for each, the same dot ``np.convolve`` calls, and the vector dot
+    sums in an order that depends only on n when both vectors are
+    contiguous (BLAS ``zdotu``).  ``matmul`` of a matrix by a vector
+    (gemv), ``np.einsum`` and a dot over strided vectors sum in other
+    orders and do not match.
     """
     taps = np.asarray(tap_rows, dtype=np.complex128)
     if taps.ndim != 2 or taps.shape[1] == 0:
         raise ValueError("tap_rows must be a (rows, taps) matrix with at least one tap")
-    t = taps.shape[1]
-    seqs, index = _ce_frame(golay, t, np.flatnonzero(np.any(taps != 0, axis=0)))
-    # np.convolve would cast the int64 chips to complex on every call.  A
-    # list of rows: iterating the matrix would make a view per convolve.
-    seqs = list(seqs.astype(np.complex128))
-    bounds = np.cumsum([0] + [len(seq) + t - 1 for seq in seqs]).tolist()
-    y = np.empty((_CE_BLOCK, bounds[-1]), dtype=np.complex128)
+    frame = _ce_frame(golay, taps.shape[1], np.flatnonzero(np.any(taps != 0, axis=0)))
+    if frame is None:
+        return _convolved_field_powers(taps, golay)
+    windows, index = frame
+    power = np.abs(_frame_dots(taps, golay, windows)) ** 2
     sigmas = np.empty(len(taps))
     for start in range(0, len(taps), _CE_BLOCK):
-        block = taps[start : start + _CE_BLOCK]
-        for row, h in zip(y, block):
-            for seq, lo, hi in zip(seqs, bounds, bounds[1:]):
-                row[lo:hi] = np.convolve(seq, h)
-        power = np.abs(y[: len(block)]) ** 2
-        if index is not None:
-            # A contiguous gather: np.mean rounds a strided row differently.
-            power = np.take(power, index, axis=1)
-        sigmas[start : start + len(block)] = np.mean(power, axis=1)
+        # A contiguous gather: np.mean rounds a strided row differently.
+        block = np.take(power[start : start + _CE_BLOCK], index, axis=1)
+        sigmas[start : start + len(block)] = np.mean(block, axis=1)
     return sigmas
 
 

@@ -103,7 +103,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     signs = _parse_sign_list(args.signs) if args.signs else None
     if signs is not None and len(signs) != len(angles):
         raise ConfigError(f"--signs gives {len(signs)} signs for {len(angles)} beams")
-    header, rows = harness.pattern_rows(
+    header, block = harness.pattern_rows(
         num_antennas=args.antennas,
         spacing=args.spacing,
         angles_deg=angles,
@@ -112,17 +112,18 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         uniform=args.uniform,
         step_deg=args.step,
     )
-    path = harness.write_csv(Path(args.out) / "pattern.csv", header, rows)
+    path = harness.write_csv(Path(args.out) / "pattern.csv", header, [block])
     print(f"wrote {path}")
     return 0
 
 
 def cmd_power_var(args: argparse.Namespace) -> int:
     exp = _load_experiment(args)
-    g_header, g_rows, c_header, c_rows = harness.power_var_campaign(exp)
+    blocks = harness.power_var_campaign(exp)
     out = Path(exp.out_dir)
-    p1 = harness.write_csv(out / "power_var_gamma.csv", g_header, g_rows)
-    p2 = harness.write_csv(out / "power_var_cdf.csv", c_header, c_rows)
+    gamma, cdf = harness.PowerVarBlock.gamma_header, harness.PowerVarBlock.cdf_header
+    p1 = harness.write_csv(out / "power_var_gamma.csv", gamma, (b.gamma_rows() for b in blocks))
+    p2 = harness.write_csv(out / "power_var_cdf.csv", cdf, (b.cdf_rows() for b in blocks))
     print(f"wrote {p1}")
     print(f"wrote {p2}")
     return 0
@@ -130,8 +131,8 @@ def cmd_power_var(args: argparse.Namespace) -> int:
 
 def cmd_quant_sweep(args: argparse.Namespace) -> int:
     exp = _load_experiment(args)
-    header, rows = harness.quant_sweep_campaign(exp)
-    path = harness.write_csv(Path(exp.out_dir) / "quant_sweep.csv", header, rows)
+    header, block = harness.quant_sweep_campaign(exp)
+    path = harness.write_csv(Path(exp.out_dir) / "quant_sweep.csv", header, [block])
     print(f"wrote {path}")
     return 0
 
@@ -140,8 +141,8 @@ def cmd_overhead(args: argparse.Namespace) -> int:
     counts = _parse_list(args.beams, "--beams", int)
     if not counts or min(counts) < 1:
         raise ConfigError(f"--beams takes beam counts of at least 1, got {args.beams!r}")
-    header, rows = harness.overhead_rows(counts)
-    path = harness.write_csv(Path(args.out) / "overhead.csv", header, rows)
+    header, block = harness.overhead_rows(counts)
+    path = harness.write_csv(Path(args.out) / "overhead.csv", header, [block])
     print(f"wrote {path}")
     return 0
 
@@ -155,10 +156,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"unknown scheme {args.scheme!r}; pick one of "
             + ", ".join(s.value for s in Scheme)
         ) from None
-    summary, (header, rows) = harness.train_once(
+    summary, (header, block) = harness.train_once(
         exp, scheme, seed=exp.master_seed, toy=args.toy
     )
-    path = harness.write_csv(Path(exp.out_dir) / "train_trace.csv", header, rows)
+    path = harness.write_csv(Path(exp.out_dir) / "train_trace.csv", header, [block])
     for key, value in summary.items():
         print(f"{key}: {value}")
     print(f"wrote {path}")

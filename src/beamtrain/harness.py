@@ -11,12 +11,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
-from operator import itemgetter
+from itertools import accumulate
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +52,8 @@ from .packets import (
 from .protocols import ProtocolConfig, Scheme, run
 
 __all__ = [
+    "CsvBlock",
+    "PowerVarBlock",
     "write_csv",
     "overhead_rows",
     "pattern_rows",
@@ -68,57 +71,54 @@ _TRAIN_STREAM = 3
 log = logging.getLogger(__name__)
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+@dataclass(frozen=True)
+class CsvBlock:
+    """CSV rows formatted by one printf template.
+
+    ``template`` is the text of one or more whole rows, each ending in a
+    newline, with a slot for every cell that varies: ``%s`` for text,
+    ``%d`` for an integer and ``%.12g`` for a float (12 significant
+    digits, as ``f"{v:.12g}"`` prints it).  Cells that never vary are
+    written into its text, with any ``%`` doubled.  Each tuple of
+    ``values`` fills the slots, in order, with one ``%``.
+    """
+
+    template: str
+    values: Iterable[tuple]
 
 
-# The printf spec of a column whose cells all have one of these exact types;
-# each formats a cell as _fmt_cell does ("%.12g" % v == f"{v:.12g}" for every
-# float, inf, nan and -0.0 included).
-_SPECS = {str: "%s", int: "%d", float: "%.12g"}
+def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[CsvBlock]) -> Path:
+    """Write a header line, then the rows of each block as it comes.
 
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write rows with a header, formatting floats to 12 significant digits.
-
-    Every row must have one cell per header column; a row of any other
-    width raises ValueError before anything is written.  Each column gets
-    one printf spec, found once from its set of cell types.  A column of
-    any other type, or of mixed types (bool and numpy scalars included),
-    is turned into text cell by cell with _fmt_cell first.  Each row is
-    then one ``template % row``.
+    A block's template must be whole lines of one cell per header column
+    (by its count of commas and newlines); one of any other width raises
+    ValueError.  Any failure removes the partly written file.  An existing
+    file is replaced by a new one rather than truncated, because ext4
+    writes a truncated file back to disk as it closes it, which costs more
+    than formatting a small campaign's rows.
     """
     path = Path(path)
-    rows = list(map(tuple, rows))
-    widths = set(map(len, rows)) - {len(header)}
-    if widths:
-        raise ValueError(f"row width {min(widths)} does not match the header's {len(header)}")
-    specs = []
-    text_columns = set()
-    for i, column in enumerate(zip(*rows)):
-        types = set(map(type, column))
-        spec = _SPECS.get(types.pop()) if len(types) == 1 else None
-        if spec is None:
-            spec = "%s"
-            text_columns.add(i)
-        specs.append(spec)
-    if text_columns:
-        rows = [
-            tuple(_fmt_cell(v) if i in text_columns else v for i, v in enumerate(row))
-            for row in rows
-        ]
-    body = "".join(map((",".join(specs) + "\n").__mod__, rows))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + body)
+    path.unlink(missing_ok=True)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for block in blocks:
+                template = block.template
+                commas = template.count("\n") * (len(header) - 1)
+                if not template.endswith("\n") or template.count(",") != commas:
+                    raise ValueError(
+                        f"template {template[:80]!r} is not whole lines of the header's "
+                        f"{len(header)} cells"
+                    )
+                fh.write("".join(map(template.__mod__, block.values)))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
-def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], list[tuple]]:
+def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], CsvBlock]:
     """Per-beam and total training bits for both layouts, exact integers.
 
     The per-beam delta is 3840 bits; narrative summaries sometimes round
@@ -138,7 +138,7 @@ def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], list
         ad, coded = training_bits("80211ad", k), training_bits("beamcoding", k)
         rows.append((k, "80211ad", PER_BEAM_BITS_80211AD, ad, 0, 0))
         rows.append((k, "beamcoding", PER_BEAM_BITS_BEAM_CODING, coded, saving, ad - coded))
-    return header, rows
+    return header, CsvBlock("%d,%s,%d,%d,%d,%d\n", rows)
 
 
 def pattern_rows(
@@ -150,7 +150,7 @@ def pattern_rows(
     uniform: bool = False,
     step_deg: float = 0.1,
     floor_db: float = -200.0,
-) -> tuple[list[str], list[tuple]]:
+) -> tuple[list[str], CsvBlock]:
     """Beam pattern of a (possibly coded, projected, quantized) weight vector.
 
     Gains are normalized to the pattern peak; zeros clip at ``floor_db``.
@@ -173,8 +173,8 @@ def pattern_rows(
         raise ConfigError("all-zero pattern: the beams cancel under these signs")
     with np.errstate(divide="ignore"):
         gain_db = np.maximum(10.0 * np.log10(power / peak), floor_db)
-    rows = [(float(a), float(g)) for a, g in zip(grid, gain_db)]
-    return ["angle_deg", "gain_db"], rows
+    rows = list(zip(grid.tolist(), gain_db.tolist()))
+    return ["angle_deg", "gain_db"], CsvBlock("%.12g,%.12g\n", rows)
 
 
 def _beam_groups(num_beams: int, per_packet: int) -> list[list[int]]:
@@ -363,12 +363,124 @@ def _validate_channel_and_link(exp: ExperimentConfig) -> None:
             f"channel.cluster_loss_mean_db: with channel.cluster_loss_rms_db = {rms!r}, only "
             f"{passing:.3g} of the draws pass channel.cluster_loss_truncation_db (need 1e-4)"
         )
+    _validate_amplitudes(exp)
 
 
-def power_var_campaign(
-    exp: ExperimentConfig,
-) -> tuple[list[str], list[tuple], list[str], list[tuple]]:
-    """Power-ratio samples and their CDFs per (scheme, beams-per-packet, env).
+def _overflow_to_inf(value) -> float:
+    """``value()``, or inf where float arithmetic raises OverflowError."""
+    try:
+        return value()
+    except OverflowError:
+        return math.inf
+
+
+def _validate_amplitudes(exp: ExperimentConfig) -> None:
+    """Ray amplitudes whose powers float arithmetic can hold.
+
+    The line-of-sight amplitude, a cluster ray's at the loss cap (the
+    largest it can draw) and the peak tap amplitude must each square to a
+    positive normal float.  The peak sums every ray's largest amplitude,
+    times array responses of at most sqrt(antennas) per end.
+    """
+    ch = exp.channel
+    keys = "channel.distance_m, channel.path_loss_exponent, channel.carrier_hz"
+    los = _overflow_to_inf(ch.los_amplitude)
+    checks = [(keys, "line-of-sight amplitude", los)]
+    rays, cluster = ch.num_clusters * ch.rays_per_cluster, 0.0
+    if rays:
+        cap_db = ch.cluster_loss_truncation_db
+        cluster = _overflow_to_inf(
+            lambda: los * 10.0 ** (cap_db / 20.0) / math.sqrt(ch.rays_per_cluster)
+        )
+        keys += ", channel.cluster_loss_truncation_db"
+        checks.append((keys, "cluster ray amplitude at the loss cap", cluster))
+        keys += ", channel.num_clusters, channel.rays_per_cluster"
+    keys += ", array.tx_antennas, array.rx_antennas"
+    antennas = exp.tx_antennas * exp.rx_antennas
+    peak = _overflow_to_inf(lambda: (los + rays * cluster) * math.sqrt(antennas))
+    checks.append((keys, "peak tap amplitude", peak))
+    for keys, what, amplitude in checks:
+        if not sys.float_info.min <= amplitude * amplitude < math.inf:
+            raise ConfigError(
+                f"{keys}: the {what} is {amplitude!r}; its square must be a positive normal float"
+            )
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_template(lead: str, packets: tuple[int, ...], fields: tuple[int, ...]) -> str:
+    """The template of one run's rows of a gamma block; repeated configs,
+    as in a sweep of seeds, reuse it."""
+    return "".join(f"{lead}%d,{p},{f},%.12g\n" for p, f in zip(packets, fields))
+
+
+@dataclass(frozen=True, eq=False)
+class PowerVarBlock:
+    """The gammas of one (environment, cell) of a power-var campaign.
+
+    ``gammas`` is the read-only (runs, F) matrix of the cell's F entries on
+    each run's channel, its columns in (packet, field) order and labelled
+    by ``packets`` and ``fields``.  The label cells lead every CSV row of
+    the block.
+    """
+
+    gamma_header: ClassVar[tuple[str, ...]] = (
+        "experiment",
+        "scheme",
+        "environment",
+        "beams_per_packet",
+        "seed_index",
+        "packet",
+        "field",
+        "gamma",
+    )
+    cdf_header: ClassVar[tuple[str, ...]] = (
+        "experiment",
+        "scheme",
+        "environment",
+        "beams_per_packet",
+        "value",
+        "cum_fraction",
+    )
+
+    label: str
+    scheme: str
+    environment: str
+    beams_per_packet: int
+    gammas: np.ndarray
+    packets: tuple[int, ...]
+    fields: tuple[int, ...]
+
+    def _lead(self) -> str:
+        """The label cells as printf template text."""
+        cells = (self.label, self.scheme, self.environment, str(self.beams_per_packet))
+        return ",".join(cells).replace("%", "%%") + ","
+
+    def gamma_rows(self) -> CsvBlock:
+        """The block's rows of the gamma CSV, in run order.
+
+        One template holds a run's F rows with their label, packet and
+        field cells; its slots take the run index and the gamma of each
+        row, interleaved.
+        """
+        template = _gamma_template(self._lead(), self.packets, self.fields)
+        runs, width = self.gammas.shape
+        slots = np.empty((runs, 2 * width))
+        # Run indices ride as exact floats, which %d prints as integers.
+        slots[:, 0::2] = np.arange(runs)[:, None]
+        slots[:, 1::2] = self.gammas
+        return CsvBlock(template, map(tuple, slots.tolist()))
+
+    def cdf_rows(self) -> CsvBlock:
+        """The block's rows of the CDF CSV, one per jump point in value
+        order, formatted with one ``%``."""
+        values, fractions = empirical_cdf(self.gammas.ravel()).points()
+        slots = np.empty(2 * len(values))
+        slots[0::2], slots[1::2] = values, fractions
+        return CsvBlock((self._lead() + "%.12g,%.12g\n") * len(values), [tuple(slots.tolist())])
+
+
+def power_var_campaign(exp: ExperimentConfig) -> list[PowerVarBlock]:
+    """Power-ratio samples per (scheme, beams-per-packet, env), one block each.
 
     The receiver is a single antenna, the worst case for coded training
     since it hears every path; the transmitter trains all its beams in
@@ -381,10 +493,12 @@ def power_var_campaign(
     channel, one :func:`~beamtrain.channel.cascade_gains` call gives every
     weight's taps; a field's gamma is its power over three times its
     preamble's sigma.  Sigma, the mean sample power of the Golay CE field
-    heard through a preamble weight's taps, comes from
-    :func:`~beamtrain.beam_coding.ce_field_powers` once per distinct
-    preamble weight.  It convolves only the chip windows that differ, up
-    to sign, at the channel's nonzero taps, and gives bit for bit what
+    heard through a preamble weight's taps, comes from one
+    :func:`~beamtrain.beam_coding.ce_field_powers` call per channel for
+    every distinct preamble weight at once.  It computes only the dot
+    products that differ, up to sign, at the channel's nonzero taps, with
+    stacked ``np.matmul`` calls whose vector dot is the one
+    ``np.convolve`` uses, so every sigma is bit for bit what
     :func:`~beamtrain.beam_coding.encode_ce_field` synthesis of the whole
     field gives.  Sigma is averaged over the weights of a multi-weight
     preamble, one array operation per preamble length.  Golay
@@ -395,11 +509,11 @@ def power_var_campaign(
     :func:`~beamtrain.packets.preamble_samples` and
     :func:`~beamtrain.metrics.power_ratio` gives the same gammas.
 
-    Rows are emitted in their final order and nothing is sorted.  The plan
-    lays each cell's entries out in (packet, field) order; the blocks of one
-    (environment, cell) come in the order of their label strings, each
-    with its runs in index order, and each block's CDF points come out of
-    :meth:`~beamtrain.metrics.EmpiricalCdf.points` in value order.
+    The blocks come in the order of their label strings, so their CSV
+    rows come out in their final order and nothing is sorted: each block's
+    runs in index order, each run's entries in (packet, field) order, and
+    each block's CDF points in value order.  A block's ``gammas`` is a
+    view of its environment's (runs, entries) matrix.
     """
     started = time.perf_counter()
     _validate_campaign(exp)
@@ -415,20 +529,6 @@ def power_var_campaign(
     rx_w = np.ones(1, dtype=np.complex128)
     rx_cfg = ArrayConfig(1, exp.spacing)
 
-    gamma_header = [
-        "experiment",
-        "scheme",
-        "environment",
-        "beams_per_packet",
-        "seed_index",
-        "packet",
-        "field",
-        "gamma",
-    ]
-    cdf_header = ["experiment", "scheme", "environment", "beams_per_packet", "value", "cum_fraction"]
-    gamma_rows: list[tuple] = []
-    cdf_rows: list[tuple] = []
-
     gammas_of: dict[str, np.ndarray] = {}
     for env_idx, env in enumerate(exp.environments):
         env_started = time.perf_counter()
@@ -438,45 +538,34 @@ def power_var_campaign(
         for i in range(exp.runs):
             ch = sample_channel(ch_cfg, derive_seed(env_master, i))
             gammas[i] = _channel_gammas(plan, _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg))
+        gammas.setflags(write=False)
         log.debug("power-var: %s done in %.3f s", env, time.perf_counter() - env_started)
 
-    # Blocks in label order, runs in index order, entries in (packet, field)
-    # order: the order a sort by (label, run, packet, field) would give.
     blocks = sorted(
         (
-            (f"power_var/{scheme}/{env}/K{k}", env, scheme, k, entries, packets, fields)
+            PowerVarBlock(
+                label=f"power_var/{scheme}/{env}/K{k}",
+                scheme=scheme,
+                environment=env,
+                beams_per_packet=k,
+                gammas=gammas_of[env][:, entries],
+                packets=packets,
+                fields=fields,
+            )
             for scheme, k, entries, packets, fields in plan.cells
             for env in exp.environments
         ),
-        key=itemgetter(0),
+        key=attrgetter("label"),
     )
-    for label, env, scheme, k, entries, packets, fields in blocks:
-        cell_gammas = gammas_of[env][:, entries]
-        for i, run_gammas in enumerate(cell_gammas.tolist()):
-            gamma_rows.extend(
-                zip(
-                    repeat(label),
-                    repeat(scheme),
-                    repeat(env),
-                    repeat(k),
-                    repeat(i),
-                    packets,
-                    fields,
-                    run_gammas,
-                )
-            )
-        points = empirical_cdf(cell_gammas.ravel()).points()
-        cdf_rows.extend((label, scheme, env, k, value, frac) for value, frac in points)
-
     log.info(
-        "power-var: %d runs, %d environments, %d gamma and %d CDF rows in %.3f s",
+        "power-var: %d runs, %d environments, %d blocks of %d gamma rows in %.3f s",
         exp.runs,
         len(exp.environments),
-        len(gamma_rows),
-        len(cdf_rows),
+        len(blocks),
+        sum(block.gammas.size for block in blocks),
         time.perf_counter() - started,
     )
-    return gamma_header, gamma_rows, cdf_header, cdf_rows
+    return blocks
 
 
 def _linear_snrs(
@@ -486,7 +575,7 @@ def _linear_snrs(
     return [10.0 ** (run(cfg, ch, seed).snr_db / 10.0) for cfg in cfgs]
 
 
-def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]:
+def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], CsvBlock]:
     """Aggregate SNR versus phase-quantization bits, coded training against
     the exhaustive packet-by-packet upper bound.
 
@@ -562,7 +651,7 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], list[tuple]]
         len(rows),
         time.perf_counter() - started,
     )
-    return header, rows
+    return header, CsvBlock("%s,%s,%s,%s,%d,%.12g\n", rows)
 
 
 def train_once(
@@ -570,7 +659,7 @@ def train_once(
     scheme: Scheme,
     seed: int,
     toy: bool = False,
-) -> tuple[dict, tuple[list[str], list[tuple]]]:
+) -> tuple[dict, tuple[list[str], CsvBlock]]:
     """Single training run with a full trace dump, for debugging.
 
     With ``toy=True`` the run uses the classic 4-beam two-path scene
@@ -607,4 +696,4 @@ def train_once(
     for packet_idx, trace in enumerate(outcome.power_traces):
         for field_idx, value in enumerate(np.asarray(trace).ravel()):
             rows.append((outcome.scheme.value, seed, packet_idx, field_idx, float(value)))
-    return summary, (header, rows)
+    return summary, (header, CsvBlock("%s,%d,%d,%d,%.12g\n", rows))

@@ -53,16 +53,19 @@ class EmpiricalCdf:
         arr.setflags(write=False)
         object.__setattr__(self, "sorted_values", arr)
 
-    def points(self) -> list[tuple[float, float]]:
-        """(value, cumulative fraction) pairs at the jump points.
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The jump points as two arrays: values and cumulative fractions.
 
         Each value is the first of its run of equal sorted values, and its
         fraction counts the samples up to the end of the run.
         """
         v = self.sorted_values
-        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-        ends = np.append(starts[1:], v.size)
-        return list(zip(v[starts].tolist(), (ends / v.size).tolist()))
+        # Run bounds: where a value differs from the one before, and the end.
+        changes = np.empty(v.size + 1, dtype=bool)
+        changes[0] = changes[-1] = True
+        np.not_equal(v[1:], v[:-1], out=changes[1:-1])
+        bounds = np.flatnonzero(changes)
+        return v[bounds[:-1]], bounds[1:] / v.size
 
 
 def empirical_cdf(samples: Sequence[float]) -> EmpiricalCdf:

@@ -1,0 +1,16 @@
+"""Hypothesis profiles, picked by the HYPOTHESIS_PROFILE environment variable.
+
+A property test that sets no ``max_examples`` of its own takes the
+profile's: 300 examples in the default ``local`` profile and 2,000 in the
+``ci`` profile that CI runs.  The bit-exact sigma oracle is one of them:
+its bit-exactness rests on an empirical property of numpy's dot kernel,
+so CI probes it harder than a local run does.
+"""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("local", max_examples=300)
+settings.register_profile("ci", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "local"))

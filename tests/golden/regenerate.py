@@ -49,8 +49,9 @@ def train_toy_summaries() -> dict[str, dict]:
     number of rows of its trace dump."""
     out = {}
     for scheme in Scheme:
-        summary, (_, rows) = train_once(ExperimentConfig(), scheme, TRAIN_SEED, toy=True)
-        out[scheme.value] = {**summary, "best_pair": list(summary["best_pair"]), "trace_rows": len(rows)}
+        summary, (_, block) = train_once(ExperimentConfig(), scheme, TRAIN_SEED, toy=True)
+        trace_rows = len(block.values)
+        out[scheme.value] = {**summary, "best_pair": list(summary["best_pair"]), "trace_rows": trace_rows}
     return out
 
 

@@ -26,7 +26,12 @@ from beamtrain.channel import (
     toy_codebooks,
 )
 from beamtrain.experiment import ExperimentConfig
-from beamtrain.harness import power_var_campaign, quant_sweep_campaign, write_csv
+from beamtrain.harness import (
+    PowerVarBlock,
+    power_var_campaign,
+    quant_sweep_campaign,
+    write_csv,
+)
 from beamtrain.protocols import (
     ProtocolConfig,
     Scheme,
@@ -100,10 +105,10 @@ def test_criterion_2_power_flatness():
 def test_criterion_3_power_ratio_separation():
     start = time.perf_counter()
     exp = ExperimentConfig(runs=1000, master_seed=1)
-    _, gamma_rows, _, _ = power_var_campaign(exp)
-    cells: dict = {}
-    for row in gamma_rows:
-        cells.setdefault((row[1], row[2], row[3]), []).append(row[7])
+    cells = {
+        (b.scheme, b.environment, b.beams_per_packet): b.gammas.ravel()
+        for b in power_var_campaign(exp)
+    }
 
     coded_nlos = [
         np.array(cells[("beamcoding", "nlos", k)]) for k in exp.beams_per_packet
@@ -186,8 +191,8 @@ def test_criterion_6_quantization_convergence():
     exp = ExperimentConfig(
         runs=1000, master_seed=1, environments=("nlos",), quant_bits=(2, 3, 4)
     )
-    _, rows = quant_sweep_campaign(exp)
-    values = {(r[2], r[3]): r[5] for r in rows}
+    _, block = quant_sweep_campaign(exp)
+    values = {(r[2], r[3]): r[5] for r in block.values}
     nbf = values[("3", "nbf")]
     gap = {b: abs(values[(b, "beamcoding")] - nbf) for b in ("2", "3", "4")}
     elapsed = time.perf_counter() - start
@@ -226,16 +231,22 @@ def test_criterion_8_determinism(tmp_path):
     digests = []
     for name in ("first", "second"):
         out = tmp_path / name
-        g_header, g_rows, c_header, c_rows = power_var_campaign(exp)
-        q_header, q_rows = quant_sweep_campaign(exp)
+        blocks = power_var_campaign(exp)
+        q_header, q_block = quant_sweep_campaign(exp)
         paths = [
-            write_csv(out / "power_var_gamma.csv", g_header, g_rows),
-            write_csv(out / "power_var_cdf.csv", c_header, c_rows),
-            write_csv(out / "quant_sweep.csv", q_header, q_rows),
+            write_csv(
+                out / "power_var_gamma.csv",
+                PowerVarBlock.gamma_header,
+                (b.gamma_rows() for b in blocks),
+            ),
+            write_csv(
+                out / "power_var_cdf.csv", PowerVarBlock.cdf_header, (b.cdf_rows() for b in blocks)
+            ),
+            write_csv(out / "quant_sweep.csv", q_header, [q_block]),
         ]
         digests.append(tuple(p.read_bytes() for p in paths))
     changed = power_var_campaign(replace(exp, master_seed=99))
-    ok = digests[0] == digests[1] and changed[1] != []
+    ok = digests[0] == digests[1] and changed[0].gammas.size > 0
     report(8, ok, "re-running identical configs produced byte-identical CSV files")
 
 

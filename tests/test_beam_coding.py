@@ -407,37 +407,95 @@ class TestCeFieldPowers:
         guard = taps.shape[1] - 1
         return [np.mean(np.abs(encode_ce_field(h, golay, guard)) ** 2) for h in taps]
 
-    @settings(max_examples=300, deadline=None)
+    # As many examples as the Hypothesis profile asks for (see conftest.py).
+    @settings(deadline=None)
     @given(ce_tap_rows())
     def test_equals_encode_ce_field_bit_for_bit(self, case):
         golay, taps = case
         assert ce_field_powers(taps, golay).tolist() == self.oracle(taps, golay)
 
-    def test_rows_across_blocks_and_both_layouts(self):
-        rng = np.random.default_rng(5)
-        golay = golay_pair(9)
-        for support in ([0, 4, 9, 16], range(17)):
-            taps = np.zeros((37, 17), dtype=np.complex128)
-            taps[:, support] = rng.standard_normal((37, len(support))) + 1j * rng.standard_normal(
-                (37, len(support))
-            )
+    @staticmethod
+    def random_taps(rng, rows, t, support):
+        taps = np.zeros((rows, t), dtype=np.complex128)
+        taps[:, support] = rng.standard_normal((rows, len(support))) + 1j * rng.standard_normal(
+            (rows, len(support))
+        )
+        return taps
+
+    @pytest.mark.parametrize("t", [8, 11])
+    def test_taps_as_long_as_the_sequence_or_longer(self, t):
+        # T == L and T > L, where np.convolve swaps its operands: always the
+        # whole field.
+        golay = golay_pair(3)
+        rng = np.random.default_rng(t)
+        for support in ([0], [0, t - 1], range(t)):
+            taps = self.random_taps(rng, 5, t, list(support))
+            assert beam_coding._ce_frame(golay, t, np.array(list(support))) is None
             assert ce_field_powers(taps, golay).tolist() == self.oracle(taps, golay)
+
+    def test_rows_across_blocks_and_both_layouts(self):
+        # Row counts that are not multiples of _CE_BLOCK, each with an
+        # all-zero row; five nonzero taps of 17 are the most the windows take.
+        golay = golay_pair(9)
+        for support in ([0, 4, 9, 16], [0, 3, 7, 12, 16], list(range(17))):
+            windowed = beam_coding._ce_frame(golay, 17, np.array(support)) is not None
+            assert windowed == (len(support) < 6)
+            for rows in (1, beam_coding._CE_BLOCK + 1, 37, 5 * beam_coding._CE_BLOCK - 3):
+                taps = self.random_taps(np.random.default_rng(rows), rows, 17, support)
+                taps[rows // 2] = 0.0
+                got = ce_field_powers(taps, golay)
+                assert got.tolist() == self.oracle(taps, golay)
+                assert got[rows // 2] == 0.0
+
+    @pytest.mark.parametrize("support", [[0, 4, 9, 16], [0, 3, 7, 12, 16], [0, 1, 2, 3]])
+    def test_windowed_samples_equal_the_field_bit_for_bit(self, support):
+        # Sample by sample, not only through the mean: a dot product that
+        # rounds differently often leaves the mean as it was.
+        golay = golay_pair(9)
+        taps = self.random_taps(np.random.default_rng(len(support)), 80, 17, support)
+        windows, index = beam_coding._ce_frame(golay, 17, np.array(support))
+        got = np.abs(beam_coding._frame_dots(taps, golay, windows)[:, index])
+        want = np.abs([encode_ce_field(h, golay, 16) for h in taps])
+        assert np.array_equal(got, want)
+
+    def test_windowed_kernel_calls_do_not_grow_with_rows(self, monkeypatch):
+        # One stacked matmul for the windows and one per edge length, for
+        # any number of rows; no per-row convolution.
+        golay = golay_pair(9)
+        cases = [self.random_taps(np.random.default_rng(r), r, 17, [0, 4, 9, 16]) for r in (16, 160)]
+        want = [self.oracle(taps, golay) for taps in cases]
+        calls = []
+        for name in ("matmul", "convolve", "dot", "einsum"):
+            kernel = getattr(np, name)
+            counted = lambda *args, _kernel=kernel, _name=name, **kwargs: (
+                calls.append(_name) or _kernel(*args, **kwargs)
+            )
+            monkeypatch.setattr(np, name, counted)
+        got, counts = [], []
+        for taps in cases:
+            calls.clear()
+            got.append(ce_field_powers(taps, golay).tolist())
+            counts.append(list(calls))
+        monkeypatch.undo()
+        assert got == want
+        assert counts[0] == counts[1] == ["matmul"] * 17
 
     def test_layout_choice(self):
         golay = golay_pair(9)
-        # Four nonzero taps of 17: at most 8 windows up to sign, one sequence.
-        seqs, index = beam_coding._ce_frame(golay, 17, np.array([0, 4, 9, 16]))
-        assert len(seqs) == 1 and len(seqs[0]) <= 2 * 16 + 8 * 17
+        # Four nonzero taps of 17: at most 8 windows up to sign, and 16
+        # edge dot products on each side.
+        windows, index = beam_coding._ce_frame(golay, 17, np.array([0, 4, 9, 16]))
+        assert windows.shape[1] == 17 and len(windows) <= 8
         assert len(index) == 2 * (512 + 16)
+        assert set(index.tolist()) == set(range(2 * 16 + len(windows)))
         # Six of 17: 32 windows of 17 chips are no fewer than the 512 of a.
-        seqs, index = beam_coding._ce_frame(golay, 17, np.arange(6))
-        assert index is None and seqs is golay
+        assert beam_coding._ce_frame(golay, 17, np.arange(6)) is None
         # Far past int64 pattern ids, still the full field.
-        assert beam_coding._ce_frame(golay, 70, np.arange(70))[1] is None
+        assert beam_coding._ce_frame(golay, 70, np.arange(70)) is None
         # Edges of b that are not those of a up to sign.
         odd = golay.copy()
         odd[1, -1] *= -1
-        assert beam_coding._ce_frame(odd, 3, np.array([0, 2]))[1] is None
+        assert beam_coding._ce_frame(odd, 3, np.array([0, 2])) is None
 
     def test_shapes(self):
         golay = golay_pair(4)

@@ -106,9 +106,9 @@ def test_train_toy_summaries_match_golden():
     golden = json.loads((GOLDEN_DIR / "train_toy.json").read_text())
     assert sorted(golden) == sorted(s.value for s in Scheme)
     for scheme in Scheme:
-        summary, (_, rows) = train_once(ExperimentConfig(), scheme, 1, toy=True)
+        summary, (_, block) = train_once(ExperimentConfig(), scheme, 1, toy=True)
         want = golden[scheme.value]
-        assert len(rows) == want["trace_rows"], scheme
+        assert len(block.values) == want["trace_rows"], scheme
         for key, value in summary.items():
             value = list(value) if isinstance(value, tuple) else value
             assert _values_match(value, want[key]), (scheme, key)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import logging
 import math
 import tempfile
@@ -16,8 +18,10 @@ from beamtrain import cli, harness
 from beamtrain.array_model import ArrayConfig, dft_codebook
 from beamtrain.beam_coding import encode_ce_field, golay_pair
 from beamtrain.channel import ChannelConfig, derive_seed, sample_channel
-from beamtrain.experiment import ExperimentConfig, serialize_config
+from beamtrain.experiment import ExperimentConfig, parse_config, serialize_config
 from beamtrain.harness import (
+    CsvBlock,
+    PowerVarBlock,
     overhead_rows,
     pattern_rows,
     power_var_campaign,
@@ -25,9 +29,45 @@ from beamtrain.harness import (
     train_once,
     write_csv,
 )
-from beamtrain.metrics import power_ratio
+from beamtrain.metrics import empirical_cdf, power_ratio
 from beamtrain.packets import LAYOUTS, _tap_rows, power_trace, preamble_samples
 from beamtrain.protocols import Scheme
+
+
+def gamma_rows(blocks):
+    """The gamma CSV rows of power-var blocks as tuples, in block order."""
+    return [
+        (b.label, b.scheme, b.environment, b.beams_per_packet, i, p, f, g)
+        for b in blocks
+        for i, run_gammas in enumerate(b.gammas.tolist())
+        for p, f, g in zip(b.packets, b.fields, run_gammas)
+    ]
+
+
+def cdf_rows(blocks):
+    """The CDF CSV rows of power-var blocks as tuples, in block order."""
+    return [
+        (b.label, b.scheme, b.environment, b.beams_per_packet, v, f)
+        for b in blocks
+        for v, f in zip(*(a.tolist() for a in empirical_cdf(b.gammas.ravel()).points()))
+    ]
+
+
+def fmt_cell(value) -> str:
+    """One CSV cell as the writer must print it: floats to 12 significant
+    digits, integers (bool and numpy scalars included) in full, anything
+    else as its str."""
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def joined_csv(header, rows) -> bytes:
+    """The bytes of a CSV of ``rows``, joined cell by cell with fmt_cell."""
+    lines = [",".join(header)] + [",".join(map(fmt_cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def small_experiment(**kwargs):
@@ -49,8 +89,8 @@ NOISE_RATIO_KEYS = "link.tx_power_dbm, link.noise_figure_plus_impl_db"
 
 class TestOverheadRows:
     def test_exact_integers(self):
-        header, rows = overhead_rows([1, 16])
-        table = {(r[0], r[1]): r for r in rows}
+        header, block = overhead_rows([1, 16])
+        table = {(r[0], r[1]): r for r in block.values}
         assert table[(1, "80211ad")][2] == 4864
         assert table[(1, "beamcoding")][2] == 1024
         assert table[(1, "beamcoding")][4] == 3840
@@ -59,15 +99,16 @@ class TestOverheadRows:
         assert table[(16, "beamcoding")][5] == 77824 - 16384
 
     def test_single_beam_saving_equals_per_beam(self):
-        _, rows = overhead_rows([1])
-        coded = [r for r in rows if r[1] == "beamcoding"][0]
+        _, block = overhead_rows([1])
+        coded = [r for r in block.values if r[1] == "beamcoding"][0]
         assert coded[4] == coded[5] == 3840
 
 
 class TestPatternRows:
     def test_single_beam_peak_and_sidelobe(self):
-        header, rows = pattern_rows(num_antennas=16, angles_deg=[90.0])
+        header, block = pattern_rows(num_antennas=16, angles_deg=[90.0])
         assert header == ["angle_deg", "gain_db"]
+        rows = block.values
         angles = np.array([r[0] for r in rows])
         gains = np.array([r[1] for r in rows])
         assert angles[np.argmax(gains)] == pytest.approx(90.0, abs=0.1)
@@ -83,8 +124,8 @@ class TestPatternRows:
         beam_cos = (0.75, 0.25, -0.25, -0.75)
         angles = [math.degrees(math.acos(c)) for c in beam_cos]
         kwargs = dict(num_antennas=16, angles_deg=angles, signs=[1, -1, 1, -1])
-        _, ref_rows = pattern_rows(**kwargs)
-        _, quant_rows = pattern_rows(quant_bits=2, **kwargs)
+        ref_rows = pattern_rows(**kwargs)[1].values
+        quant_rows = pattern_rows(quant_bits=2, **kwargs)[1].values
         ref = np.array([r[1] for r in ref_rows])
         quant = np.array([r[1] for r in quant_rows])
         grid = np.array([r[0] for r in ref_rows])
@@ -102,15 +143,15 @@ class TestPatternRows:
             pattern_rows(num_antennas=0, angles_deg=[90.0])
 
     def test_uniform_projection_flag(self):
-        _, rows = pattern_rows(num_antennas=16, angles_deg=[60.0, 90.0], uniform=True)
-        assert max(r[1] for r in rows) == pytest.approx(0.0, abs=1e-9)
+        _, block = pattern_rows(num_antennas=16, angles_deg=[60.0, 90.0], uniform=True)
+        assert max(r[1] for r in block.values) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestPowerVarCampaign:
     def test_rows_structure_and_sorting(self):
         exp = small_experiment()
-        g_header, g_rows, c_header, c_rows = power_var_campaign(exp)
-        assert g_header[0] == "experiment"
+        g_rows = gamma_rows(power_var_campaign(exp))
+        assert PowerVarBlock.gamma_header[0] == "experiment"
         keys = [(r[0], r[4], r[5], r[6]) for r in g_rows]
         assert keys == sorted(keys)
         # every scheme/K cell present
@@ -119,7 +160,7 @@ class TestPowerVarCampaign:
 
     def test_cdf_rows_end_at_one(self):
         exp = small_experiment()
-        _, _, _, c_rows = power_var_campaign(exp)
+        c_rows = cdf_rows(power_var_campaign(exp))
         by_cell = {}
         for r in c_rows:
             by_cell.setdefault(r[0], []).append(r)
@@ -130,10 +171,10 @@ class TestPowerVarCampaign:
 
     def test_deterministic_under_master_seed(self):
         exp = small_experiment()
-        first = power_var_campaign(exp)
-        second = power_var_campaign(exp)
+        first = gamma_rows(power_var_campaign(exp))
+        second = gamma_rows(power_var_campaign(exp))
         assert first == second
-        moved = power_var_campaign(replace(exp, master_seed=2))
+        moved = gamma_rows(power_var_campaign(replace(exp, master_seed=2)))
         assert moved != first
 
     @pytest.mark.parametrize("environments", [("los", "nlos"), ("nlos", "los")])
@@ -148,7 +189,8 @@ class TestPowerVarCampaign:
             environments=environments,
             channel=ChannelConfig(intra_cluster_tap_spread=4),
         )
-        _, g_rows, _, c_rows = power_var_campaign(exp)
+        blocks = power_var_campaign(exp)
+        g_rows, c_rows = gamma_rows(blocks), cdf_rows(blocks)
         plan = harness._power_var_plan(16, 0.5, exp.beams_per_packet, exp.schemes)
         assert len(g_rows) == 2 * 3 * len(plan.fields)
         assert g_rows == sorted(g_rows)
@@ -181,8 +223,7 @@ class TestPowerVarOracle:
 
     @pytest.fixture(scope="class")
     def campaign(self):
-        _, g_rows, _, _ = power_var_campaign(self.exp)
-        return g_rows, campaign_channels(self.exp)
+        return gamma_rows(power_var_campaign(self.exp)), campaign_channels(self.exp)
 
     def test_gammas_match_per_layout_path(self, campaign):
         g_rows, channels = campaign
@@ -293,20 +334,21 @@ class TestCampaignLogging:
     def test_power_var_logs_start_end_and_environments(self, caplog):
         caplog.set_level(logging.DEBUG, logger="beamtrain.harness")
         exp = small_experiment(runs=2, environments=("los", "nlos"))
-        _, g_rows, _, c_rows = power_var_campaign(exp)
+        blocks = power_var_campaign(exp)
         start, end = self.records(caplog, logging.INFO)
         assert start.startswith("power-var: 2 runs in los, nlos")
-        assert end.startswith(f"power-var: 2 runs, 2 environments, {len(g_rows)} gamma and {len(c_rows)} CDF rows in ")
+        head = f"power-var: 2 runs, 2 environments, {len(blocks)} blocks of "
+        assert end.startswith(f"{head}{len(gamma_rows(blocks))} gamma rows in ")
         assert end.endswith(" s")
         los, nlos = self.records(caplog, logging.DEBUG)
         assert los.startswith("power-var: los done in ") and nlos.startswith("power-var: nlos done in ")
 
     def test_quant_sweep_logs_start_end_and_environments(self, caplog):
         caplog.set_level(logging.DEBUG, logger="beamtrain.harness")
-        _, rows = quant_sweep_campaign(small_experiment(runs=1))
+        _, block = quant_sweep_campaign(small_experiment(runs=1))
         start, end = self.records(caplog, logging.INFO)
         assert start.startswith("quant-sweep: 1 runs in nlos")
-        assert end.startswith(f"quant-sweep: 1 runs, 1 environments, {len(rows)} rows in ")
+        assert end.startswith(f"quant-sweep: 1 runs, 1 environments, {len(block.values)} rows in ")
         (env,) = self.records(caplog, logging.DEBUG)
         assert env.startswith("quant-sweep: nlos done in ")
 
@@ -334,9 +376,9 @@ class TestCampaignLogging:
 class TestQuantSweepCampaign:
     def test_rows_and_baseline_equality_at_inf(self):
         exp = small_experiment()
-        header, rows = quant_sweep_campaign(exp)
+        header, block = quant_sweep_campaign(exp)
         assert header[-1] == "snr_db"
-        by_bits = {(r[2], r[3]): r[5] for r in rows}
+        by_bits = {(r[2], r[3]): r[5] for r in block.values}
         assert by_bits[("inf", "beamcoding")] == pytest.approx(by_bits[("inf", "nbf")])
         # the unquantized baseline repeats across the bits axis
         assert by_bits[("2", "nbf")] == pytest.approx(by_bits[("inf", "nbf")])
@@ -360,11 +402,11 @@ class TestQuantSweepCampaign:
 class TestTrainOnce:
     def test_toy_summary(self):
         exp = small_experiment()
-        summary, (header, rows) = train_once(exp, Scheme.EXHAUSTIVE_BEAMCODING, 0, toy=True)
+        summary, (header, block) = train_once(exp, Scheme.EXHAUSTIVE_BEAMCODING, 0, toy=True)
         assert summary["best_pair"] == (1, 2)
         assert summary["packets_sent"] == 4
         assert summary["success"]
-        assert rows, "trace dump should not be empty"
+        assert block.values, "trace dump should not be empty"
 
     def test_sampled_channel_deterministic(self):
         exp = small_experiment()
@@ -375,16 +417,17 @@ class TestTrainOnce:
 
 class TestWriteCsv:
     def test_header_and_formatting(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 0.5), (2, 1.0 / 3.0)])
+        block = CsvBlock("%d,%.12g\n", [(1, 0.5), (2, 1.0 / 3.0)])
+        path = write_csv(tmp_path / "t.csv", ["a", "b"], [block])
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "1,0.5"
         assert lines[2] == "2,0.333333333333"
 
     def test_byte_identical_rewrite(self, tmp_path):
-        rows = [(i, i * 0.1) for i in range(20)]
-        p1 = write_csv(tmp_path / "one.csv", ["x", "y"], rows)
-        p2 = write_csv(tmp_path / "two.csv", ["x", "y"], rows)
+        block = CsvBlock("%d,%.12g\n", [(i, i * 0.1) for i in range(20)])
+        p1 = write_csv(tmp_path / "one.csv", ["x", "y"], [block])
+        p2 = write_csv(tmp_path / "two.csv", ["x", "y"], [block])
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize(
@@ -406,46 +449,66 @@ class TestWriteCsv:
         ids=lambda v: type(v).__name__ if not isinstance(v, str) else None,
     )
     def test_cell_formats_as_fmt_cell(self, tmp_path, value, text):
-        path = write_csv(tmp_path / "t.csv", ["x"], [(value,)])
+        floating = isinstance(value, (float, np.floating))
+        spec = "%s" if isinstance(value, str) else "%.12g" if floating else "%d"
+        path = write_csv(tmp_path / "t.csv", ["x"], [CsvBlock(spec + "\n", [(value,)])])
         assert path.read_bytes() == f"x\n{text}\n".encode()
-        assert harness._fmt_cell(value) == text
+        assert fmt_cell(value) == text
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.lists(st.floats(), min_size=4, max_size=4), max_size=6))
+    @given(st.lists(st.tuples(*[st.floats()] * 4), max_size=6))
     def test_float_rows_write_twelve_significant_digits(self, rows):
         header = ["a", "b", "c", "d"]
         want = "a,b,c,d\n"
         want += "".join(",".join(f"{float(v):.12g}" for v in row) + "\n" for row in rows)
         with tempfile.TemporaryDirectory() as tmp:
-            path = write_csv(Path(tmp) / "t.csv", header, rows)
+            path = write_csv(Path(tmp) / "t.csv", header, [CsvBlock("%.12g,%.12g,%.12g,%.12g\n", rows)])
             assert path.read_bytes() == want.encode()
 
     def test_rejects_a_row_wider_than_the_header(self, tmp_path):
+        # Or narrower, or a template that is not whole lines.
         path = tmp_path / "out" / "t.csv"
-        with pytest.raises(ValueError, match="row width 3 does not match the header's 2"):
-            write_csv(path, ["a", "b"], [(1, 2), (1, 2, 3)])
-        with pytest.raises(ValueError, match="row width 1 does not match the header's 2"):
-            write_csv(path, ["a", "b"], [(1, 2), (1,)])
-        assert not path.parent.exists()
+        for template in ("%d,%d,%d\n", "%d\n", "%d,%d", "%d,%d\n%d\n"):
+            blocks = [CsvBlock("%d,%d\n", [(1, 2)]), CsvBlock(template, [(1, 2, 3)])]
+            with pytest.raises(ValueError, match="is not whole lines of the header's 2 cells"):
+                write_csv(path, ["a", "b"], blocks)
+            assert not path.exists()
+
+    def test_streams_block_by_block_and_removes_a_failed_file(self, tmp_path):
+        events = []
+
+        def values(name):
+            yield (1,)
+            events.append(f"{name} formatted")
+
+        def blocks():
+            yield CsvBlock("%d\n", values("first"))
+            events.append("second asked for")
+            yield CsvBlock("%d\n", values("second"))
+            raise RuntimeError("broken campaign")
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="broken campaign"):
+            write_csv(path, ["a"], blocks())
+        assert events == ["first formatted", "second asked for", "second formatted"]
+        assert not path.exists()
 
 
 _PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)
-# Cells by column kind: the first three give columns of one exact type, the
-# last any mix of types, numpy scalars, bool and None among them.
+# Cells by printf spec: text, integers (bool and numpy scalars among them)
+# and floats (numpy float32 and every special value among them).
 _CELLS = {
-    "str": st.text(_PRINTABLE, max_size=8),
-    "int": st.one_of(st.integers(), st.integers(min_value=10**12), st.integers(max_value=-(10**12))),
-    "float": st.one_of(
+    "%s": st.text(_PRINTABLE, max_size=8),
+    "%d": st.one_of(
+        st.integers(),
+        st.integers(min_value=10**12),
+        st.integers(max_value=-(10**12)),
+        st.booleans(),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    ),
+    "%.12g": st.one_of(
         st.floats(),
         st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.2250738585072e-308]),
-    ),
-    "mixed": st.one_of(
-        st.integers(),
-        st.floats(),
-        st.booleans(),
-        st.none(),
-        st.text(_PRINTABLE, max_size=4),
-        st.integers(-(2**63), 2**63 - 1).map(np.int64),
         st.floats(width=32).map(np.float32),
     ),
 }
@@ -453,33 +516,55 @@ _CELLS = {
 
 @st.composite
 def _tables(draw):
-    """A header and equal-width rows, column by column."""
+    """A header, the template of one row, and rows filled column by column."""
     num_rows = draw(st.integers(0, 6))
-    columns = []
-    for kind in draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5)):
-        cells = draw(st.lists(_CELLS[kind], min_size=num_rows, max_size=num_rows))
-        if kind == "int" and cells and draw(st.booleans()):
-            # an int column with one float in it
-            cells[draw(st.integers(0, num_rows - 1))] = draw(_CELLS["float"])
-        columns.append(cells)
-    return [f"c{i}" for i in range(len(columns))], list(zip(*columns))
+    specs = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    columns = [draw(st.lists(_CELLS[spec], min_size=num_rows, max_size=num_rows)) for spec in specs]
+    return [f"c{i}" for i in range(len(specs))], ",".join(specs) + "\n", list(zip(*columns))
 
 
 class TestWriteCsvTemplates:
     @settings(max_examples=300, deadline=None)
     @given(_tables())
     def test_bytes_equal_a_per_cell_join(self, table):
-        header, rows = table
-        want = ",".join(header) + "\n"
-        want += "".join(",".join(map(harness._fmt_cell, row)) + "\n" for row in rows)
+        header, template, rows = table
         with tempfile.TemporaryDirectory() as tmp:
-            path = write_csv(Path(tmp) / "t.csv", header, rows)
-            assert path.read_bytes() == want.encode()
+            path = write_csv(Path(tmp) / "t.csv", header, [CsvBlock(template, rows)])
+            assert path.read_bytes() == joined_csv(header, rows)
 
-    def test_row_lists_and_percent_signs(self, tmp_path):
-        rows = [["5%d", 1, 0.5], ["%s%%", 2, 1e300]]
-        path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+    def test_percent_signs(self, tmp_path):
+        rows = [("5%d", 1, 0.5), ("%s%%", 2, 1e300)]
+        path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], [CsvBlock("%s,%d,%.12g\n", rows)])
         assert path.read_bytes() == b"a,b,c\n5%d,1,0.5\n%s%%,2,1e+300\n"
+
+    def test_label_cells_are_literal_text(self, tmp_path):
+        block = PowerVarBlock("%d%%", "%s", "los", 1, np.full((2, 1), 0.25), (0,), (3,))
+        gamma = write_csv(tmp_path / "g.csv", PowerVarBlock.gamma_header, [block.gamma_rows()])
+        cdf = write_csv(tmp_path / "c.csv", PowerVarBlock.cdf_header, [block.cdf_rows()])
+        assert gamma.read_bytes() == joined_csv(PowerVarBlock.gamma_header, gamma_rows([block]))
+        assert gamma.read_text().splitlines()[1:] == ["%d%%,%s,los,1,0,0,3,0.25", "%d%%,%s,los,1,1,0,3,0.25"]
+        assert cdf.read_text().splitlines()[1:] == ["%d%%,%s,los,1,0.25,1"]
+
+
+class TestPowerVarCsvBytes:
+    """Both power-var CSVs against a cell-by-cell join of the blocks' rows."""
+
+    @pytest.mark.parametrize("golden_case", [None, "power_var_k3_spread4"])
+    def test_csvs_equal_a_per_cell_join(self, tmp_path, golden_case):
+        flags = ["--runs", "3", "--out", str(tmp_path)]
+        exp = replace(ExperimentConfig(), runs=3)
+        if golden_case is not None:
+            config = Path(__file__).resolve().parent / "golden" / golden_case / "config.txt"
+            flags += ["--config", str(config)]
+            exp = replace(parse_config(config.read_text()), runs=3)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["power-var", *flags]) == 0
+        blocks = power_var_campaign(exp)
+        assert all(b.gammas.shape == (3, len(b.fields)) for b in blocks)
+        gamma = (tmp_path / "power_var_gamma.csv").read_bytes()
+        cdf = (tmp_path / "power_var_cdf.csv").read_bytes()
+        assert gamma == joined_csv(PowerVarBlock.gamma_header, gamma_rows(blocks))
+        assert cdf == joined_csv(PowerVarBlock.cdf_header, cdf_rows(blocks))
 
 
 class TestCli:
@@ -666,6 +751,24 @@ class TestCli:
                     "channel.cluster_loss_rms_db = 0\nchannel.cluster_loss_mean_db = -1",
                     "channel.cluster_loss_mean_db",
                 ),
+                # Ray amplitudes that overflow, overflow when squared or
+                # underflow to zero.
+                (WITH_CHANNEL, "channel.path_loss_exponent = -1e6", "channel.path_loss_exponent"),
+                (WITH_CHANNEL, "channel.distance_m = 1e-300", "channel.distance_m"),
+                (WITH_CHANNEL, "channel.path_loss_exponent = 1e6", "channel.path_loss_exponent"),
+                (
+                    WITH_CHANNEL,
+                    "channel.cluster_loss_truncation_db = 1e4",
+                    "channel.cluster_loss_truncation_db",
+                ),
+                (
+                    WITH_CHANNEL,
+                    "channel.cluster_loss_truncation_db = -1e4\nchannel.cluster_loss_mean_db = -10010",
+                    "channel.cluster_loss_truncation_db",
+                ),
+                # Each amplitude squares, but the peak through both arrays
+                # does not.
+                (WITH_CHANNEL, "channel.distance_m = 8e-158", "array.rx_antennas"),
                 (
                     WITH_CHANNEL,
                     "channel.cluster_loss_rms_db = 0.001\nchannel.cluster_loss_mean_db = -1",

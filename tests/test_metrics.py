@@ -40,23 +40,29 @@ class TestPowerRatio:
             assert np.allclose(power_ratio(c**2 * powers, c * samples), base, rtol=1e-12)
 
 
+def pairs(cdf):
+    """The CDF's jump points as (value, fraction) pairs of Python floats."""
+    values, fractions = cdf.points()
+    return list(zip(values.tolist(), fractions.tolist()))
+
+
 class TestEmpiricalCdf:
     def test_three_samples(self):
         cdf = empirical_cdf([3.0, 1.0, 2.0])
-        assert cdf.points() == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
+        assert pairs(cdf) == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
 
     def test_all_equal_jump(self):
         # one jump, straight from 0 to 1
-        assert empirical_cdf([4.0] * 10).points() == [(4.0, 1.0)]
+        assert pairs(empirical_cdf([4.0] * 10)) == [(4.0, 1.0)]
 
     def test_right_continuity(self):
         # the fraction at a jump counts the samples equal to its value
-        assert empirical_cdf([2.0, 1.0]).points() == [(1.0, 0.5), (2.0, 1.0)]
-        assert empirical_cdf([1.0, 1.0 - 1e-12]).points() == [(1.0 - 1e-12, 0.5), (1.0, 1.0)]
+        assert pairs(empirical_cdf([2.0, 1.0])) == [(1.0, 0.5), (2.0, 1.0)]
+        assert pairs(empirical_cdf([1.0, 1.0 - 1e-12])) == [(1.0 - 1e-12, 0.5), (1.0, 1.0)]
 
     def test_nondecreasing_limits(self):
         rng = np.random.default_rng(11)
-        values, fracs = map(np.array, zip(*empirical_cdf(rng.standard_normal(500)).points()))
+        values, fracs = empirical_cdf(rng.standard_normal(500)).points()
         assert np.all(np.diff(values) > 0)
         assert np.all(np.diff(fracs) > 0)
         assert fracs[0] > 0.0
@@ -64,7 +70,7 @@ class TestEmpiricalCdf:
 
     def test_points_table(self):
         cdf = empirical_cdf([2.0, 1.0, 2.0])
-        assert cdf.points() == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(1.0))]
+        assert pairs(cdf) == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(1.0))]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -94,9 +100,8 @@ class TestEmpiricalCdf:
         values, counts = np.unique(cdf.sorted_values, return_counts=True)
         fracs = np.cumsum(counts) / cdf.sorted_values.size
         want = [(float(v), float(f)) for v, f in zip(values, fracs)]
-        got = cdf.points()
-        assert got == want
-        assert all(type(v) is float and type(f) is float for v, f in got)
+        assert pairs(cdf) == want
+        assert all(a.dtype == np.float64 and a.ndim == 1 for a in cdf.points())
 
 
 class TestAggregateSnr:
