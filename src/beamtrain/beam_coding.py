@@ -98,6 +98,9 @@ def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.nd
     * fields[.., t, ..].  It is one matrix product: ``chips @ fields``
     with the field axis moved second to last.
     """
+    fields = np.asarray(fields)
+    if fields.ndim >= 2 and axis in (-2, fields.ndim - 2):
+        return chips @ fields
     return np.moveaxis(chips @ np.moveaxis(fields, axis, -2), -2, axis)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ class NormalStream:
             if self._rng is None:
                 self._rng = np.random.default_rng(self._seed)
             more = self._rng.standard_normal(end - drawn)
-            self._normals = _readonly(np.concatenate([self._normals, more]))
+            self._normals = _readonly(np.concatenate([self._normals, more]) if drawn else more)
         return self._normals[start:end]
 
 
@@ -96,9 +97,9 @@ class ChannelRealization:
     rays is computed on first use and kept, read-only, for every later use
     of the same realization: the tap count, the steering matrices, the
     gain table of every pair of weight matrices passed to
-    :meth:`gain_table`, and the noise streams of :meth:`normal_stream`.
-    Training runs on one realization therefore share their cascades and
-    their noise draws.
+    :meth:`gain_table`, the noise streams of :meth:`normal_stream` and what
+    callers keep through :meth:`memo`.  Training runs on one realization
+    therefore share their cascades and their noise draws.
     """
 
     aods_deg: np.ndarray
@@ -126,20 +127,26 @@ class ChannelRealization:
 
     @functools.cached_property
     def _cache(self) -> dict[tuple, object]:
-        """Steering matrices, gain tables and noise streams, each keyed by
-        its kind first."""
+        """Everything kept by :meth:`memo`, keyed by kind first."""
         return {}
+
+    def memo(self, key: tuple, make: Callable[[], object]) -> object:
+        """The value kept under ``key``, a tuple that starts with its kind,
+        made by ``make()`` on the key's first use."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = make()
+        return value
 
     def steering_matrix(self, end: str, cfg: ArrayConfig) -> np.ndarray:
         """Read-only responses of an array at one end of the link ("tx" at
         the departure angles, "rx" at the arrival angles), shape
         (antennas, rays); built once per (end, antennas, spacing)."""
-        key = ("steering", end, cfg.num_antennas, cfg.spacing)
-        matrix = self._cache.get(key)
-        if matrix is None:
+        def build() -> np.ndarray:
             angles = {"tx": self.aods_deg, "rx": self.aoas_deg}[end]
-            matrix = self._cache[key] = _readonly(_steering_matrix(angles, cfg))
-        return matrix
+            return _readonly(_steering_matrix(angles, cfg))
+
+        return self.memo(("steering", end, cfg.num_antennas, cfg.spacing), build)
 
     def gain_table(
         self,
@@ -149,22 +156,35 @@ class ChannelRealization:
         rx_cfg: ArrayConfig,
     ) -> np.ndarray:
         """Read-only :func:`cascade_gains` of two weight matrices through
-        this realization, computed once per (weight bytes, array configs)."""
+        this realization, computed once per (weight bytes, array configs).
+
+        Weights that are read-only and own their data (``base`` is None) are
+        taken as never written, so a pair of them is found again by the ids
+        of the four arguments before any bytes are hashed; that entry holds
+        the arguments, so no id in its key can pass to another object.
+        """
+        args = (tx_weights, rx_weights, tx_cfg, rx_cfg)
+        by_id = ("gains by id", *map(id, args))
+        fixed = _fixed(tx_weights) and _fixed(rx_weights)
+        if fixed and by_id in self._cache:
+            return self._cache[by_id][-1]
         tx = np.ascontiguousarray(tx_weights, dtype=np.complex128)
         rx = np.ascontiguousarray(rx_weights, dtype=np.complex128)
-        key = ("gains", tx.tobytes(), rx.tobytes(), tx_cfg, rx_cfg)
-        table = self._cache.get(key)
-        if table is None:
-            table = self._cache[key] = _readonly(cascade_gains(tx, rx, self, tx_cfg, rx_cfg))
+        table = self.memo(
+            ("gains", tx.tobytes(), rx.tobytes(), tx_cfg, rx_cfg),
+            lambda: _readonly(cascade_gains(tx, rx, self, tx_cfg, rx_cfg)),
+        )
+        if fixed:
+            self._cache[by_id] = (*args, table)
         return table
 
     def normal_stream(self, seed: int) -> NormalStream:
         """The one :class:`NormalStream` of ``seed`` on this realization."""
-        key = ("normals", seed)
-        stream = self._cache.get(key)
-        if stream is None:
-            stream = self._cache[key] = NormalStream(seed)
-        return stream
+        return self.memo(("normals", seed), lambda: NormalStream(seed))
+
+
+def _fixed(w: object) -> bool:
+    return isinstance(w, np.ndarray) and w.base is None and not w.flags.writeable
 
 
 @dataclass(frozen=True)
@@ -363,11 +383,16 @@ def cascade_gains(
     ``tx_weights`` is (F, tx antennas) and ``rx_weights`` (G, rx antennas);
     the result has shape (num_taps, F, G).  Each ray adds gain *
     tx response(aod) * rx response(aoa) at its tap, in ray order.  The
-    steering matrices come from the channel, which builds each one once.
+    steering matrices and bin indices come from the channel, which builds
+    each one once.
+
+    The scatter is one ``np.bincount``: part k of the float64 parts of ray
+    r's (F, G) terms goes to bin taps[r] * 2FG + k.  It adds in input order
+    from +0.0, so each tap holds its rays' sum in ray order, real and
+    imaginary parts apart, bit for bit as ``np.add.at`` would (and unlike
+    ``np.add.reduceat``, which does not add in order).
     """
-    out = np.zeros((ch.num_taps, len(tx_weights), len(rx_weights)), dtype=np.complex128)
-    if not len(ch.gains):
-        return out
+    num_taps, f, g = ch.num_taps, len(tx_weights), len(rx_weights)
     tx = _responses(tx_weights, ch.steering_matrix("tx", tx_cfg))
     rx = _responses(rx_weights, ch.steering_matrix("rx", rx_cfg))
     # Every factor is laid out in full, ray-major, contiguous and of one
@@ -375,12 +400,15 @@ def cascade_gains(
     # product over one pair's rays.  Broadcast factors can take another
     # loop, which rounds some products (one transmit weight and one ray,
     # say) differently.
-    shape = (len(ch.gains), len(tx_weights), len(rx_weights))
+    shape = (len(ch.gains), f, g)
     gains, tx, rx = (
         _filled(x, shape) for x in (ch.gains[:, None, None], tx[:, :, None], rx[:, None, :])
     )
-    np.add.at(out, ch.taps, gains * tx * rx)
-    return out
+    width = 2 * f * g
+    bins = ch.memo(("bins", width), lambda: _readonly(ch.taps[:, None] * width + np.arange(width)))
+    parts = (gains * tx * rx).view(np.float64)
+    sums = np.bincount(bins.ravel(), weights=parts.ravel(), minlength=num_taps * width)
+    return sums.view(np.complex128).reshape(num_taps, f, g)
 
 
 def _filled(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

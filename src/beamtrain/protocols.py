@@ -20,11 +20,13 @@ codebook table, feedback in-packet training reads its best row, and the
 SNR of every scheme reads its pair's entry of the clean-codebook table,
 which is that same table when no transform is set.  The multilevel fine
 stage keeps a cascade of its own, because entries sliced out of the
-whole table round differently in the last bit.  Measurement noise comes
-from the realization's one stream per seed: every run reads its stages
-as consecutive slices from the start of the stream, just as if it drew
-them from a fresh generator.  Every stage of every scheme runs through
-one routine: it adds the noise, decodes coded fields with
+whole table round differently in the last bit.  Packet-by-packet and
+in-packet search share more: one noisy estimate of the codebook table,
+its power and its pair, kept per (table, seed, noise sigma).  Measurement
+noise comes from the realization's one stream per seed: every run reads
+its stages as consecutive slices from the start of the stream, just as
+if it drew them from a fresh generator.  Every stage of every scheme
+runs through one routine: it adds the noise, decodes coded fields with
 :func:`~beamtrain.beam_coding.walsh_decode`, sums power over taps and
 tests detection.
 
@@ -157,6 +159,15 @@ class ProtocolConfig:
     def _rx_plan(self) -> _TrainingPlan:
         return _TrainingPlan(self, self.rx_codebook)
 
+    @functools.cached_property
+    def _noise_std(self) -> float:
+        """Standard deviation of the noise on one field estimate."""
+        if self.noise is None:
+            return 0.0
+        n_tx = self.tx_codebook.cfg.num_antennas
+        n_rx = self.rx_codebook.cfg.num_antennas
+        return math.sqrt(self.noise.noise_to_signal / self.ce_chips) / math.sqrt(n_tx * n_rx)
+
 
 @dataclass(frozen=True)
 class TrainingOutcome:
@@ -240,14 +251,6 @@ class _TrainingPlan:
         return _readonly(superpose_beams(beams, [1] * len(beams))[None, :])
 
 
-def _field_noise_std(cfg: ProtocolConfig) -> float:
-    if cfg.noise is None:
-        return 0.0
-    n_tx = cfg.tx_codebook.cfg.num_antennas
-    n_rx = cfg.rx_codebook.cfg.num_antennas
-    return math.sqrt(cfg.noise.noise_to_signal / cfg.ce_chips) / math.sqrt(n_tx * n_rx)
-
-
 def _table(
     cfg: ProtocolConfig, ch: ChannelRealization, tx_weights: np.ndarray, rx_weights: np.ndarray
 ) -> np.ndarray:
@@ -275,14 +278,14 @@ def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] |
     if budget is None or pair is None:
         return float("nan") if pair is not None else -math.inf
     taps = _table(cfg, ch, cfg._tx_plan.clean, cfg._rx_plan.clean)[:, pair[0], pair[1]]
-    p_rel = float(np.sum(np.abs(taps) ** 2))
+    p_rel = float((np.abs(taps) ** 2).sum())
     if p_rel <= 0.0:
         return -math.inf
     return 10.0 * math.log10(p_rel / budget.noise_to_signal)
 
 
 def _argmax_pair(power: np.ndarray) -> tuple[int, int]:
-    flat = int(np.argmax(power))
+    flat = int(power.argmax())
     p, q = np.unravel_index(flat, power.shape)
     return int(p), int(q)
 
@@ -306,7 +309,7 @@ def _stage(
     strictly positive peak.
     """
     est = table / math.sqrt(cfg.tx_codebook.cfg.num_antennas * cfg.rx_codebook.cfg.num_antennas)
-    sigma = _field_noise_std(cfg)
+    sigma = cfg._noise_std
     if sigma > 0.0:
         # One draw holds the real parts, then the imaginary parts.
         normals = noise.next((2, *est.shape)) * (sigma / math.sqrt(2.0))
@@ -315,8 +318,9 @@ def _stage(
     r, gain = est, 1.0
     if chips is not None:
         r, gain = walsh_decode(chips, est, axis), math.sqrt(chips.shape[1])
-    power = np.sum(np.abs(r) ** 2, axis=0)
-    detected = float(np.max(np.abs(r))) > _DETECTION_SIGMA * sigma * gain
+    magnitude = np.abs(r)
+    power = (magnitude**2).sum(axis=0)
+    detected = float(magnitude.max()) > _DETECTION_SIGMA * sigma * gain
     return est, r, power, detected
 
 
@@ -351,27 +355,31 @@ def _outcome(
     )
 
 
-def _traces_per_rx(est: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-packet traces for schemes with one receive dwell per packet."""
-    power = np.sum(np.abs(est) ** 2, axis=0)
-    return tuple(power[:, q].copy() for q in range(power.shape[1]))
+def _traces_per_rx(power: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-packet traces, one per receive column of the field power, for
+    schemes with one receive dwell per packet: the rows of one copy."""
+    return tuple(power.T.copy())
 
 
 def _exhaustive(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
-    """The whole codebook table's estimates, their power and the pair they
-    select: packet-by-packet and in-packet search measure the same."""
+) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The whole codebook table's read-only power and the pair it selects,
+    kept on the realization: packet-by-packet and in-packet search share it."""
     table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
-    est, _, power, detected = _stage(cfg, table, _Noise(ch, seed))
-    return est, power, _argmax_pair(power) if detected else None
+
+    def estimate() -> tuple[np.ndarray, tuple[int, int] | None]:
+        _, _, power, detected = _stage(cfg, table, _Noise(ch, seed))
+        return _readonly(power), _argmax_pair(power) if detected else None
+
+    return ch.memo(("exhaustive", id(table), seed, cfg._noise_std), estimate)
 
 
 def run_exhaustive_pbp(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> TrainingOutcome:
     """One packet per beam pair, (p, q) ordered; the performance yardstick."""
-    _, power, pair = _exhaustive(cfg, ch, seed)
+    power, pair = _exhaustive(cfg, ch, seed)
     p, q = power.shape
     # One single-field trace per packet: the rows of one (p * q, 1) copy.
     traces = tuple(power.reshape(p * q, 1).copy())
@@ -437,11 +445,11 @@ def run_exhaustive_inpacket(
     Recovers the full beam-pair gain table, so noiselessly it agrees with
     packet-by-packet search entry for entry.
     """
-    est, power, pair = _exhaustive(cfg, ch, seed)
+    power, pair = _exhaustive(cfg, ch, seed)
     p, q = power.shape
     bits = q * p * _SWEPT_BEAM_BITS
     return _outcome(
-        Scheme.EXHAUSTIVE_INPACKET, cfg, ch, seed, pair, _traces_per_rx(est), q, bits, power
+        Scheme.EXHAUSTIVE_INPACKET, cfg, ch, seed, pair, _traces_per_rx(power), q, bits, power
     )
 
 
@@ -453,11 +461,11 @@ def run_feedback_inpacket(
     noise = _Noise(ch, seed)
     tx_ws, rx_ws = cfg._tx_plan.weights, cfg._rx_plan.weights
     _, _, power1, detected1 = _stage(cfg, _table(cfg, ch, tx_ws, cfg._rx_plan.composite), noise)
-    best_tx = int(np.argmax(power1[:, 0]))
+    best_tx = int(power1[:, 0].argmax())
 
     table = _table(cfg, ch, tx_ws, rx_ws)
     _, _, power2, detected2 = _stage(cfg, table[:, best_tx : best_tx + 1, :], noise)
-    pair = (best_tx, int(np.argmax(power2[0, :]))) if detected1 and detected2 else None
+    pair = (best_tx, int(power2[0, :].argmax())) if detected1 and detected2 else None
 
     traces = (power1[:, 0], power2[0, :])
     bits = (len(cfg.tx_codebook) + len(cfg.rx_codebook)) * _SWEPT_BEAM_BITS
@@ -477,9 +485,9 @@ def run_exhaustive_beamcoding(
     est, r, power, detected = _stage(cfg, table, _Noise(ch, seed), chips)
     pair = _argmax_pair(power) if detected else None
 
-    dominant = np.take_along_axis(r, np.argmax(np.abs(r), axis=0)[None, ...], axis=0)[0]
+    dominant = np.take_along_axis(r, np.abs(r).argmax(axis=0)[None, ...], axis=0)[0]
     q = est.shape[2]
-    traces = _traces_per_rx(est)
+    traces = _traces_per_rx((np.abs(est) ** 2).sum(axis=0))
     bits = q * len(tx_fields) * _CODED_FIELD_BITS
     scheme = Scheme.EXHAUSTIVE_BEAMCODING
     return _outcome(scheme, cfg, ch, seed, pair, traces, q, bits, power, _readonly(dominant))
@@ -494,7 +502,7 @@ def run_feedback_beamcoding(
     tx_fields, tx_chips = cfg._tx_plan.coded
     table1 = _table(cfg, ch, tx_fields, cfg._rx_plan.composite)
     _, _, power1, detected1 = _stage(cfg, table1, noise, tx_chips)
-    best_tx = int(np.argmax(power1[:, 0]))
+    best_tx = int(power1[:, 0].argmax())
 
     rx_fields, rx_chips = cfg._rx_plan.coded
     tx_best = cfg._tx_plan.weights[best_tx : best_tx + 1]
@@ -502,7 +510,7 @@ def run_feedback_beamcoding(
     # the receive axis.
     table2 = _table(cfg, ch, tx_best, rx_fields)
     _, _, power2, detected2 = _stage(cfg, table2, noise, rx_chips, axis=2)
-    pair = (best_tx, int(np.argmax(power2[0, :]))) if detected1 and detected2 else None
+    pair = (best_tx, int(power2[0, :].argmax())) if detected1 and detected2 else None
 
     traces = (power1[:, 0], power2[0, :])
     bits = (len(tx_fields) + len(rx_fields)) * _CODED_FIELD_BITS

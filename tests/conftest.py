@@ -2,9 +2,11 @@
 
 A property test that sets no ``max_examples`` of its own takes the
 profile's: 300 examples in the default ``local`` profile and 2,000 in the
-``ci`` profile that CI runs.  The bit-exact sigma oracle is one of them:
-its bit-exactness rests on an empirical property of numpy's dot kernel,
-so CI probes it harder than a local run does.
+``ci`` profile that CI runs.  Two bit-exact properties are among them, so
+CI probes them harder than a local run does: the sigma oracle, whose
+bit-exactness rests on an empirical property of numpy's dot kernel, and
+the cascade scatter, which rests on the order in which ``np.bincount``
+adds.
 """
 
 import os

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from beamtrain import channel
 from beamtrain.array_model import ArrayConfig, array_factor_many, dft_codebook
 from beamtrain.channel import (
     TOY_BEAM_ANGLES_DEG,
@@ -333,6 +334,23 @@ def cascade_inputs(draw):
     return tx, rx, ch, cfgs
 
 
+# Signed zeros, so that terms of both signs of zero reach the scatter.
+_signed = st.one_of(st.sampled_from([0.0, -0.0]), _unit)
+_signed_complex = st.builds(complex, _signed, _signed)
+
+
+@st.composite
+def scatter_inputs(draw):
+    """Weights of 1 to 16 rows on small arrays and up to 20 rays on at
+    most four taps, so that many rays share a tap."""
+    n_tx, n_rx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    f, g = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    tx = draw(hnp.arrays(np.complex128, (f, n_tx), elements=_signed_complex))
+    rx = draw(hnp.arrays(np.complex128, (g, n_rx), elements=_signed_complex))
+    ch = draw(realizations(_signed_complex, max_tap=3, max_rays=20))
+    return tx, rx, ch, ArrayConfig(n_tx), ArrayConfig(n_rx)
+
+
 class TestCascadeGains:
     @settings(max_examples=60, deadline=None)
     @given(cascade_inputs())
@@ -356,6 +374,28 @@ class TestCascadeGains:
                     for tap, c in zip(ch.taps, contributions):
                         per_pair[tap] += c
                 assert np.array_equal(got[:, f, g], per_pair)
+
+    # No max_examples of its own: the ci profile runs it on 2,000 examples
+    # (tests/conftest.py), because its bit-exactness rests on the order in
+    # which np.bincount adds.
+    @settings(deadline=None)
+    @given(scatter_inputs())
+    @example((np.ones((1, 2)), np.ones((3, 1)), from_rays([]), ArrayConfig(2), ArrayConfig(1)))
+    def test_scatter_equals_a_ray_order_loop_bit_for_bit(self, inputs):
+        tx, rx, ch, tx_cfg, rx_cfg = inputs
+        got = cascade_gains(tx, rx, ch, tx_cfg, rx_cfg)
+        want = np.zeros((ch.num_taps, len(tx), len(rx)), dtype=np.complex128)
+        if len(ch.gains):
+            # The terms as the cascade forms them: full contiguous factors.
+            shape = (len(ch.gains), len(tx), len(rx))
+            tx_resp = np.stack([array_factor_many(w, ch.aods_deg, tx_cfg) for w in tx], axis=1)
+            rx_resp = np.stack([array_factor_many(w, ch.aoas_deg, rx_cfg) for w in rx], axis=1)
+            factors = (ch.gains[:, None, None], tx_resp[:, :, None], rx_resp[:, None, :])
+            gains, tx_f, rx_f = (np.broadcast_to(x, shape).copy() for x in factors)
+            term = gains * tx_f * rx_f
+            for r, t in enumerate(ch.taps):
+                want[t] += term[r]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_rejects_weights_of_the_wrong_length(self):
         ch = toy_channel(0.5)
@@ -419,6 +459,56 @@ class TestPairGainTable:
                 tx_w, rx_w = cb.matrix[p], cb.matrix[q]
                 direct = pair_taps(tx_w, rx_w, ch, cb.cfg, cb.cfg)
                 assert np.allclose(table[:, p, q], direct, atol=1e-10)
+
+
+class TestGainTableMemo:
+    cfg = ArrayConfig(8)
+
+    def weights(self):
+        return dft_codebook(self.cfg).matrix.copy()
+
+    def fresh_table(self, ch, tx, rx):
+        return cascade_gains(tx, rx, dataclasses.replace(ch), self.cfg, self.cfg)
+
+    def test_a_read_only_view_of_a_writeable_base_is_looked_up_by_its_bytes(self):
+        ch = sample_channel(ChannelConfig(), 41)
+        base, rx = self.weights(), self.weights()
+        view = base[:]
+        view.setflags(write=False)
+        first = ch.gain_table(view, rx, self.cfg, self.cfg)
+        base[0] *= -1
+        second = ch.gain_table(view, rx, self.cfg, self.cfg)
+        assert second is not first
+        assert second.tobytes() == self.fresh_table(ch, base, rx).tobytes()
+
+    def test_a_writeable_array_is_looked_up_by_its_bytes(self):
+        ch = sample_channel(ChannelConfig(), 42)
+        tx, rx = self.weights(), self.weights()
+        first = ch.gain_table(tx, rx, self.cfg, self.cfg)
+        tx[1] = 0
+        second = ch.gain_table(tx, rx, self.cfg, self.cfg)
+        assert second is not first
+        assert second.tobytes() == self.fresh_table(ch, tx, rx).tobytes()
+
+    def test_equal_fixed_arrays_share_one_cascade(self, monkeypatch):
+        cascades = []
+        cascade = channel.cascade_gains
+
+        def counting_cascade(*args):
+            cascades.append(1)
+            return cascade(*args)
+
+        monkeypatch.setattr(channel, "cascade_gains", counting_cascade)
+        ch = sample_channel(ChannelConfig(), 43)
+        a, b, rx = self.weights(), self.weights(), self.weights()
+        for w in (a, b, rx):
+            w.setflags(write=False)
+        table = ch.gain_table(a, rx, self.cfg, self.cfg)
+        assert ch.gain_table(a, rx, self.cfg, self.cfg) is table
+        assert ch.gain_table(b, rx, self.cfg, self.cfg) is table
+        assert ch.gain_table(b, rx, ArrayConfig(8), ArrayConfig(8)) is table
+        assert len(cascades) == 1
+        assert table.tobytes() == self.fresh_table(ch, a, rx).tobytes()
 
 
 class TestPathLoss:

@@ -608,7 +608,7 @@ class TestChannelGeometryCache:
             ch = sample_channel(ChannelConfig(), derive_seed(707, i))
             for cfg in cfgs:
                 run(cfg, ch, i)
-            # six schemes, 9 training stages and 6 SNR reports: one
+            # six schemes, 8 training stages and 6 SNR reports: one
             # transmit and one receive matrix
             assert len(calls) == 2 * (i + 1)
 
@@ -666,6 +666,39 @@ class TestSharedRealization:
                     tx_p, rx_q = tx_w[p : p + 1], rx_w[q : q + 1]
                     taps = cascade_gains(tx_p, rx_q, ch, tx_cb.cfg, rx_cb.cfg)[:, 0, 0]
                     assert _bits(table[:, p, q]) == _bits(taps)
+
+    @pytest.mark.parametrize("first", [Scheme.EXHAUSTIVE_PBP, Scheme.EXHAUSTIVE_INPACKET])
+    def test_exhaustive_schemes_share_one_estimate(self, monkeypatch, first):
+        stages = []
+        stage = protocols._stage
+
+        def counting_stage(*args, **kwargs):
+            stages.append(1)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "_stage", counting_stage)
+        by_scheme = {cfg.scheme: cfg for cfg in self.configs()}
+        pbp, inpacket = by_scheme[Scheme.EXHAUSTIVE_PBP], by_scheme[Scheme.EXHAUSTIVE_INPACKET]
+        order = (pbp, inpacket) if first is Scheme.EXHAUSTIVE_PBP else (inpacket, pbp)
+        for i in range(4):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1212, i))
+            stages.clear()
+            shared = {cfg.scheme: run(cfg, ch, i) for cfg in order}
+            assert len(stages) == 1
+            for cfg in order:
+                assert_outcomes_equal(shared[cfg.scheme], run(cfg, dataclasses.replace(ch), i))
+            power = shared[Scheme.EXHAUSTIVE_PBP].pair_power
+            assert shared[Scheme.EXHAUSTIVE_INPACKET].pair_power is power
+            assert not power.flags.writeable
+
+    def test_shared_estimate_is_kept_per_seed_and_noise(self):
+        quiet = LinkBudget(tx_power_dbm=10.0)
+        cfgs = [cfg for cfg in self.configs() if cfg.scheme is Scheme.EXHAUSTIVE_PBP]
+        cfgs.append(dataclasses.replace(cfgs[0], noise=quiet, scheme=Scheme.EXHAUSTIVE_INPACKET))
+        ch = sample_channel(ChannelConfig(los=False), derive_seed(1313, 0))
+        for cfg in cfgs:
+            for seed in (0, 1):
+                assert_outcomes_equal(run(cfg, ch, seed), run(cfg, dataclasses.replace(ch), seed))
 
     def test_scheme_mix_operation_makes_seven_cascades(self, monkeypatch):
         cascades, generators = [], []
