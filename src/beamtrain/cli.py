@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``pattern``, ``power-var``, ``quant-sweep``, ``overhead`` and
-``train``.  All outputs are CSV files under ``--out``; plotting is left to
-external tools.  Exit status is 0 on success, 2 on configuration errors
-(bad flags or config values, checked before any work is done) and 1 on
-any other failure, which is reported in one line; its traceback is logged
-at BEAMTRAIN_LOG=debug.  Set the BEAMTRAIN_LOG environment variable
-(debug/info/warning) to control log verbosity.
+``train``.  All outputs are CSV files under ``--out``.  Exit status is 0 on
+success, 2 on configuration errors (bad flags, config values or ``--out``,
+checked before any work is done) and 1 on any other failure, reported in
+one line with its traceback logged at BEAMTRAIN_LOG=debug.  The
+BEAMTRAIN_LOG environment variable (debug/info/warning) sets the log
+verbosity.
 """
 
 from __future__ import annotations
@@ -41,13 +41,21 @@ def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
         exp = parse_config(text)
     else:
         exp = ExperimentConfig()
-    if getattr(args, "runs", None) is not None:
-        exp = replace(exp, runs=args.runs)
-    if getattr(args, "seed", None) is not None:
-        exp = replace(exp, master_seed=args.seed)
-    if getattr(args, "out", None) is not None:
-        exp = replace(exp, out_dir=args.out)
+    flags = {"runs": "runs", "master_seed": "seed", "out_dir": "out"}
+    given = {k: v for k, flag in flags.items() if (v := getattr(args, flag, None)) is not None}
+    exp = replace(exp, **given)
+    _check_out(exp.out_dir, "--out" if "out_dir" in given else "output.dir")
     return exp
+
+
+def _check_out(out: str, key: str = "--out") -> Path:
+    """``out`` as a path; ConfigError naming ``key`` when the nearest part
+    of it that exists is not a directory.  Creates nothing."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{key}: {existing} exists and is not a directory")
+    return path
 
 
 def _parse_list(raw: str, flag: str, kind: type) -> list:
@@ -73,6 +81,7 @@ def _parse_sign_list(raw: str) -> list[int]:
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
+    out = _check_out(args.out)
     if (args.angles is None) == (args.dft_beams is None):
         raise ConfigError("pass exactly one of --angles or --dft-beams")
     if args.antennas < 1:
@@ -112,18 +121,18 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         uniform=args.uniform,
         step_deg=args.step,
     )
-    path = harness.write_csv(Path(args.out) / "pattern.csv", header, [block])
+    path = harness.write_csv(out / "pattern.csv", header, [block])
     print(f"wrote {path}")
     return 0
 
 
 def cmd_power_var(args: argparse.Namespace) -> int:
     exp = _load_experiment(args)
-    blocks = harness.power_var_campaign(exp)
+    result = harness.power_var_campaign(exp)
     out = Path(exp.out_dir)
     gamma, cdf = harness.PowerVarBlock.gamma_header, harness.PowerVarBlock.cdf_header
-    p1 = harness.write_csv(out / "power_var_gamma.csv", gamma, (b.gamma_rows() for b in blocks))
-    p2 = harness.write_csv(out / "power_var_cdf.csv", cdf, (b.cdf_rows() for b in blocks))
+    p1 = harness.write_csv(out / "power_var_gamma.csv", gamma, result.gamma_rows())
+    p2 = harness.write_csv(out / "power_var_cdf.csv", cdf, result.cdf_rows())
     print(f"wrote {p1}")
     print(f"wrote {p2}")
     return 0
@@ -138,11 +147,12 @@ def cmd_quant_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
+    out = _check_out(args.out)
     counts = _parse_list(args.beams, "--beams", int)
     if not counts or min(counts) < 1:
         raise ConfigError(f"--beams takes beam counts of at least 1, got {args.beams!r}")
     header, block = harness.overhead_rows(counts)
-    path = harness.write_csv(Path(args.out) / "overhead.csv", header, [block])
+    path = harness.write_csv(out / "overhead.csv", header, [block])
     print(f"wrote {path}")
     return 0
 

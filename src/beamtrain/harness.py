@@ -15,9 +15,9 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from operator import attrgetter, itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .channel import (
     toy_codebooks,
 )
 from .experiment import ConfigError, ExperimentConfig
-from .metrics import aggregate_snr, empirical_cdf
+from .metrics import aggregate_snr, grouped_cdf
 from .packets import (
     LAYOUTS,
     PER_BEAM_BITS_80211AD,
@@ -54,6 +54,7 @@ from .protocols import ProtocolConfig, Scheme, run
 __all__ = [
     "CsvBlock",
     "PowerVarBlock",
+    "PowerVarResult",
     "write_csv",
     "overhead_rows",
     "pattern_rows",
@@ -73,14 +74,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CsvBlock:
-    """CSV rows formatted by one printf template.
-
-    ``template`` is the text of one or more whole rows, each ending in a
-    newline, with a slot for every cell that varies: ``%s`` for text,
-    ``%d`` for an integer and ``%.12g`` for a float (12 significant
-    digits, as ``f"{v:.12g}"`` prints it).  Cells that never vary are
-    written into its text, with any ``%`` doubled.  Each tuple of
-    ``values`` fills the slots, in order, with one ``%``.
+    """CSV rows formatted by one printf template: the text of whole rows
+    with a slot for each cell that varies (``%s`` text, ``%d`` integer,
+    ``%.12g`` float, as ``f"{v:.12g}"`` prints it) and any other cell, its
+    ``%`` doubled, in its text.  Each tuple of ``values`` fills the slots
+    with one ``%``.
     """
 
     template: str
@@ -88,17 +86,17 @@ class CsvBlock:
 
 
 def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[CsvBlock]) -> Path:
-    """Write a header line, then the rows of each block as it comes.
+    """Write a header line, then the rows of each block as it comes, so the
+    size of its blocks bounds the memory a file takes.
 
     A block's template must be whole lines of one cell per header column
-    (by its count of commas and newlines); one of any other width raises
-    ValueError.  Any failure removes the partly written file.  An existing
-    file is replaced by a new one rather than truncated, because ext4
-    writes a truncated file back to disk as it closes it, which costs more
-    than formatting a small campaign's rows.
+    (by its counts of commas and newlines), or ValueError is raised.  Any
+    failure removes the partly written file.  An existing file is replaced,
+    not truncated: ext4 writes a truncated file back to disk on close.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True)
     path.unlink(missing_ok=True)
     try:
         with open(path, "w", newline="\n") as fh:
@@ -178,12 +176,9 @@ def pattern_rows(
 
 
 def _beam_groups(num_beams: int, per_packet: int) -> list[list[int]]:
-    """Strided beam groups: each packet's beams are maximally spread in angle.
-
-    Interleaving keeps any single scattering cluster (a few degrees wide)
-    inside at most one beam of a packet, which is what keeps coded
-    per-field powers flat; contiguous grouping would hand one cluster to
-    several beams of the same packet.
+    """Strided beam groups: each packet's beams are maximally spread in
+    angle, so that a scattering cluster (a few degrees wide) stays inside
+    one beam of a packet, which keeps coded per-field powers flat.
     """
     num_groups = max(1, math.ceil(num_beams / per_packet))
     return [list(range(g, num_beams, num_groups)) for g in range(num_groups)]
@@ -202,15 +197,14 @@ _POWER_VAR_SCHEMES = tuple(LAYOUTS)
 _ENVIRONMENTS = ("los", "nlos")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PowerVarPlan:
     """Everything in a power-var campaign that does not depend on the channel.
 
-    The gammas of one channel form a vector laid out cell by cell, with the
-    (scheme, beams per packet) cells in config order, then packet by packet
-    and field by field.  ``fields`` and ``packet_of`` give each entry's
-    weight row and packet.  Packets are numbered through ``preambles``,
-    which holds one (packets, P) matrix of preamble weight rows per
+    A channel's gammas form a vector of (scheme, beams per packet) cells in
+    config order, each packet by packet and field by field.  ``fields`` and
+    ``packet_of`` give each entry's weight row and packet, numbered through
+    ``preambles``: one (packets, P) matrix of preamble weight rows per
     preamble length P.  ``cells`` gives each cell's (scheme, K, slice of
     the vector, packet labels, field labels).
     """
@@ -288,33 +282,30 @@ def _channel_gammas(plan: _PowerVarPlan, taps: np.ndarray) -> np.ndarray:
     sigmas[plan.preamble_rows] = ce_field_powers(taps[plan.preamble_rows], plan.golay)
     if np.any(sigmas[plan.preamble_rows] <= 0.0):
         raise ValueError("undefined ratio: preamble has zero variance")
-    packet_sigmas = np.concatenate([np.mean(sigmas[p], axis=1) for p in plan.preambles])
+    # The sum over P and a division by P, as np.mean computes it.
+    packet_sigmas = np.concatenate([sigmas[p].sum(axis=1) / p.shape[1] for p in plan.preambles])
     return powers[plan.fields] / (3.0 * packet_sigmas[plan.packet_of])
 
 
 def _validate_campaign(exp: ExperimentConfig) -> None:
     """Checks shared by the campaigns, made before any channel is drawn."""
-    lists = (("experiment.environments", exp.environments), ("experiment.schemes", exp.schemes))
-    for key, values in lists:
+    for what, values, known in (
+        ("environment", exp.environments, _ENVIRONMENTS),
+        ("scheme", exp.schemes, _POWER_VAR_SCHEMES),
+    ):
         if not values:
-            raise ConfigError(f"{key}: the list is empty")
-    unknown = [e for e in exp.environments if e not in _ENVIRONMENTS]
-    if unknown:
-        raise ConfigError(
-            f"experiment.environments: unknown environment(s) {', '.join(unknown)}; "
-            f"pick from {', '.join(_ENVIRONMENTS)}"
-        )
+            raise ConfigError(f"experiment.{what}s: the list is empty")
+        unknown = [v for v in values if v not in known]
+        if unknown:
+            raise ConfigError(
+                f"experiment.{what}s: unknown {what}(s) {', '.join(unknown)}; "
+                f"pick from {', '.join(known)}"
+            )
     repeated = sorted({e for e in exp.environments if exp.environments.count(e) > 1})
     if repeated:
         raise ConfigError(
             f"experiment.environments: {', '.join(repeated)} listed more than once; "
             "their rows would share one label"
-        )
-    unknown = [s for s in exp.schemes if s not in _POWER_VAR_SCHEMES]
-    if unknown:
-        raise ConfigError(
-            f"experiment.schemes: unknown scheme(s) {', '.join(unknown)}; "
-            f"pick from {', '.join(_POWER_VAR_SCHEMES)}"
         )
     if exp.runs < 1:
         raise ConfigError(f"experiment.runs must be at least 1, got {exp.runs}")
@@ -324,15 +315,13 @@ def _validate_campaign(exp: ExperimentConfig) -> None:
 def _validate_channel_and_link(exp: ExperimentConfig) -> None:
     """Checks of the array, channel and link settings, made before any
     channel is drawn or any run is trained."""
-    antennas = (("array.tx_antennas", exp.tx_antennas), ("array.rx_antennas", exp.rx_antennas))
-    for key, count in antennas:
-        if count < 1:
-            raise ConfigError(f"{key} must be at least 1, got {count}")
-    ch = exp.channel
+    ch, tx, rx = exp.channel, exp.tx_antennas, exp.rx_antennas
     spread, rms, carrier = ch.intra_cluster_tap_spread, ch.cluster_loss_rms_db, ch.carrier_hz
     std, bandwidth = ch.intra_cluster_angle_std_deg, exp.budget.bandwidth_hz
-    # Values the channel sampler or the link budget cannot work with.
+    # Values the arrays, the channel sampler or the link budget cannot work with.
     for key, value, valid, rule in (
+        ("array.tx_antennas", tx, tx >= 1, "at least 1"),
+        ("array.rx_antennas", rx, rx >= 1, "at least 1"),
         ("channel.intra_cluster_tap_spread", spread, spread >= 0, "nonnegative"),
         ("channel.cluster_loss_rms_db", rms, rms >= 0, "nonnegative"),
         ("channel.intra_cluster_angle_std_deg", std, 0 <= std < math.inf, "nonnegative and finite"),
@@ -375,13 +364,11 @@ def _overflow_to_inf(value) -> float:
 
 
 def _validate_amplitudes(exp: ExperimentConfig) -> None:
-    """Ray amplitudes whose powers float arithmetic can hold.
-
-    The line-of-sight amplitude, a cluster ray's at the loss cap (the
-    largest it can draw) and the peak tap amplitude must each square to a
-    positive normal float.  The peak sums every ray's largest amplitude,
-    times array responses of at most sqrt(antennas) per end.
-    """
+    """Ray amplitudes whose powers float arithmetic can hold: the
+    line-of-sight amplitude, a cluster ray's at the loss cap (the largest
+    it can draw) and the peak tap amplitude (every ray's largest, times at
+    most sqrt(antennas) per end) must each square to a positive normal
+    float."""
     ch = exp.channel
     keys = "channel.distance_m, channel.path_loss_exponent, channel.carrier_hz"
     los = _overflow_to_inf(ch.los_amplitude)
@@ -406,41 +393,19 @@ def _validate_amplitudes(exp: ExperimentConfig) -> None:
             )
 
 
-@functools.lru_cache(maxsize=64)
-def _gamma_template(lead: str, packets: tuple[int, ...], fields: tuple[int, ...]) -> str:
-    """The template of one run's rows of a gamma block; repeated configs,
-    as in a sweep of seeds, reuse it."""
-    return "".join(f"{lead}%d,{p},{f},%.12g\n" for p, f in zip(packets, fields))
-
-
 @dataclass(frozen=True, eq=False)
 class PowerVarBlock:
-    """The gammas of one (environment, cell) of a power-var campaign.
-
-    ``gammas`` is the read-only (runs, F) matrix of the cell's F entries on
-    each run's channel, its columns in (packet, field) order and labelled
-    by ``packets`` and ``fields``.  The label cells lead every CSV row of
-    the block.
+    """The gammas of one (environment, cell) of a power-var campaign: the
+    read-only (runs, F) matrix of the cell's F entries on each run's
+    channel, its columns in (packet, field) order, labelled by ``packets``
+    and ``fields``.  The label cells lead every CSV row of the block.
     """
 
     gamma_header: ClassVar[tuple[str, ...]] = (
-        "experiment",
-        "scheme",
-        "environment",
-        "beams_per_packet",
-        "seed_index",
-        "packet",
-        "field",
-        "gamma",
+        "experiment", "scheme", "environment", "beams_per_packet",
+        "seed_index", "packet", "field", "gamma",
     )
-    cdf_header: ClassVar[tuple[str, ...]] = (
-        "experiment",
-        "scheme",
-        "environment",
-        "beams_per_packet",
-        "value",
-        "cum_fraction",
-    )
+    cdf_header: ClassVar[tuple[str, ...]] = (*gamma_header[:4], "value", "cum_fraction")
 
     label: str
     scheme: str
@@ -450,70 +415,121 @@ class PowerVarBlock:
     packets: tuple[int, ...]
     fields: tuple[int, ...]
 
-    def _lead(self) -> str:
-        """The label cells as printf template text."""
-        cells = (self.label, self.scheme, self.environment, str(self.beams_per_packet))
-        return ",".join(cells).replace("%", "%%") + ","
 
-    def gamma_rows(self) -> CsvBlock:
-        """The block's rows of the gamma CSV, in run order.
+class _PowerVarRows:
+    """Power-var row text but the numbers, per block of ``cells`` (label
+    cells, packet and field labels) in label order: the entries per run
+    before it (``bounds``, the total last), its label cells as printf text
+    and, after "", the rest of a run's rows, which its leading cells join."""
 
-        One template holds a run's F rows with their label, packet and
-        field cells; its slots take the run index and the gamma of each
-        row, interleaved.
-        """
-        template = _gamma_template(self._lead(), self.packets, self.fields)
-        runs, width = self.gammas.shape
-        slots = np.empty((runs, 2 * width))
-        # Run indices ride as exact floats, which %d prints as integers.
-        slots[:, 0::2] = np.arange(runs)[:, None]
-        slots[:, 1::2] = self.gammas
-        return CsvBlock(template, map(tuple, slots.tolist()))
-
-    def cdf_rows(self) -> CsvBlock:
-        """The block's rows of the CDF CSV, one per jump point in value
-        order, formatted with one ``%``."""
-        values, fractions = empirical_cdf(self.gammas.ravel()).points()
-        slots = np.empty(2 * len(values))
-        slots[0::2], slots[1::2] = values, fractions
-        return CsvBlock((self._lead() + "%.12g,%.12g\n") * len(values), [tuple(slots.tolist())])
+    def __init__(self, cells: tuple[tuple, ...]) -> None:
+        self.cells = cells
+        self.bounds = _readonly(np.cumsum([0, *(len(c[4]) for c in cells)]))
+        self.leads = tuple(",".join(map(str, c[:4])).replace("%", "%%") + "," for c in cells)
+        self.tails = tuple(("", *(f"{p},{f},%.12g\n" for p, f in zip(c[4], c[5]))) for c in cells)
 
 
-def power_var_campaign(exp: ExperimentConfig) -> list[PowerVarBlock]:
-    """Power-ratio samples per (scheme, beams-per-packet, env), one block each.
+@functools.lru_cache(maxsize=8)
+def _power_var_rows(plan: _PowerVarPlan, environments: tuple[str, ...]):
+    """The rows of a config, and the gamma that entry j of run i's channel
+    in environment e goes to: ``runs * at[e, 0, j] + at[e, 1, j] + i *
+    at[e, 2, j]`` (its block's first entry, place in a run, width)."""
+    cells = sorted(
+        (
+            (f"power_var/{scheme}/{env}/K{k}", scheme, env, k, packets, fields, e, entries)
+            for scheme, k, entries, packets, fields in plan.cells
+            for e, env in enumerate(environments)
+        ),
+        key=itemgetter(0),
+    )
+    rows = _PowerVarRows(tuple(c[:6] for c in cells))
+    at = np.empty((len(environments), 3, len(plan.fields)), np.intp)
+    for first, (*_, e, entries) in zip(rows.bounds.tolist(), cells):
+        width = entries.stop - entries.start
+        at[e, 0, entries], at[e, 1, entries], at[e, 2, entries] = first, range(width), width
+    return rows, _readonly(at)
+
+
+# A chunk of blocks holds fewer gamma rows than this plus its last block's.
+_CHUNK_ROWS = 4096
+
+
+@functools.lru_cache(maxsize=8)
+def _chunks(rows: _PowerVarRows, runs: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Each chunk's first and end block and gamma: a block starts a chunk
+    when its first gamma is in a later span of _CHUNK_ROWS than the last's."""
+    bounds = runs * rows.bounds
+    starts = np.flatnonzero(np.diff(bounds[:-1] // _CHUNK_ROWS, prepend=-1))
+    cuts = [*starts.tolist(), len(rows.cells)]
+    ends = bounds[cuts].tolist()
+    return tuple(zip(cuts, cuts[1:], ends, ends[1:]))
+
+
+@functools.lru_cache(maxsize=1)
+def _gamma_template(rows: _PowerVarRows, runs: int, first: int, end: int) -> str:
+    """The gamma rows of blocks [first, end), a slot for each gamma; the
+    last is kept for a sweep of seeds, as a long run's are large."""
+    return "".join(
+        f"{lead}{i},".join(tails)
+        for lead, tails in zip(rows.leads[first:end], rows.tails[first:end])
+        for i in range(runs)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class PowerVarResult:
+    """The gammas of a power-var campaign in the order of their CSV rows:
+    block by block in label order, each block's runs in index order, each
+    run's entries in (packet, field) order.  Each CSV takes one ``%`` per
+    chunk of blocks."""
+
+    rows: _PowerVarRows
+    runs: int
+    gammas: np.ndarray
+
+    @property
+    def blocks(self) -> list[PowerVarBlock]:
+        """One block per (environment, cell), viewing the result's gammas."""
+        bounds = (self.runs * self.rows.bounds).tolist()
+        return [
+            PowerVarBlock(*cell[:4], self.gammas[lo:hi].reshape(self.runs, -1), *cell[4:])
+            for cell, lo, hi in zip(self.rows.cells, bounds, bounds[1:])
+        ]
+
+    def gamma_rows(self) -> Iterator[CsvBlock]:
+        """The gamma CSV's rows, one block per chunk."""
+        for first, end, lo, hi in _chunks(self.rows, self.runs):
+            template = _gamma_template(self.rows, self.runs, first, end)
+            yield CsvBlock(template, [tuple(self.gammas[lo:hi].tolist())])
+
+    def cdf_rows(self) -> Iterator[CsvBlock]:
+        """Each block's jump points in value order, from one
+        :func:`grouped_cdf` call per chunk."""
+        sizes = self.runs * np.diff(self.rows.bounds)
+        for first, end, lo, hi in _chunks(self.rows, self.runs):
+            values, fractions, counts = grouped_cdf(self.gammas[lo:hi], sizes[first:end])
+            slots = np.empty(2 * len(values))
+            slots[0::2], slots[1::2] = values, fractions
+            leads = (lead + "%.12g,%.12g\n" for lead in self.rows.leads[first:end])
+            yield CsvBlock("".join(map(mul, leads, counts.tolist())), [tuple(slots.tolist())])
+
+
+def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
+    """Power-ratio samples per (scheme, beams-per-packet, env) cell.
 
     The receiver is a single antenna, the worst case for coded training
     since it hears every path; the transmitter trains all its beams in
     groups of ``beams_per_packet`` per packet.  The config is checked
     before any channel is drawn; a bad value raises :class:`ConfigError`.
 
-    The layouts depend only on the config, so once per config their
-    distinct field and preamble weights are stacked into one matrix and
-    their packets' preambles are grouped by preamble length.  Per
-    channel, one :func:`~beamtrain.channel.cascade_gains` call gives every
-    weight's taps; a field's gamma is its power over three times its
-    preamble's sigma.  Sigma, the mean sample power of the Golay CE field
-    heard through a preamble weight's taps, comes from one
-    :func:`~beamtrain.beam_coding.ce_field_powers` call per channel for
-    every distinct preamble weight at once.  It computes only the dot
-    products that differ, up to sign, at the channel's nonzero taps, with
-    stacked ``np.matmul`` calls whose vector dot is the one
-    ``np.convolve`` uses, so every sigma is bit for bit what
-    :func:`~beamtrain.beam_coding.encode_ce_field` synthesis of the whole
-    field gives.  Sigma is averaged over the weights of a multi-weight
-    preamble, one array operation per preamble length.  Golay
-    complementarity gives sigma in closed form, but not bit for bit, and
-    the K=1 CDFs count distinct doubles, so the synthesis stays until the
-    reference outputs are re-recorded.  The per-layout path
-    :func:`~beamtrain.packets.power_trace`,
-    :func:`~beamtrain.packets.preamble_samples` and
-    :func:`~beamtrain.metrics.power_ratio` gives the same gammas.
-
-    The blocks come in the order of their label strings, so their CSV
-    rows come out in their final order and nothing is sorted: each block's
-    runs in index order, each run's entries in (packet, field) order, and
-    each block's CDF points in value order.  A block's ``gammas`` is a
-    view of its environment's (runs, entries) matrix.
+    Per channel, one cascade gives the taps of every distinct weight of
+    the config's layouts, and a field's gamma is its power over three
+    times its preamble's sigma from
+    :func:`~beamtrain.beam_coding.ce_field_powers`: bit for bit the
+    per-layout path's (:func:`~beamtrain.packets.power_trace`).  Golay
+    complementarity gives sigma in closed form, but not bit for bit, so
+    the synthesis stays until the reference outputs are re-recorded.  The
+    gammas go straight to their places in the CSV row order.
     """
     started = time.perf_counter()
     _validate_campaign(exp)
@@ -524,48 +540,34 @@ def power_var_campaign(exp: ExperimentConfig) -> list[PowerVarBlock]:
     plan = _power_var_plan(
         exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes)
     )
+    rows, at = _power_var_rows(plan, tuple(exp.environments))
     log.info("power-var: %d runs in %s", exp.runs, ", ".join(exp.environments))
     tx_cfg = ArrayConfig(exp.tx_antennas, exp.spacing)
     rx_w = np.ones(1, dtype=np.complex128)
     rx_cfg = ArrayConfig(1, exp.spacing)
 
-    gammas_of: dict[str, np.ndarray] = {}
+    gammas = np.empty(exp.runs * int(rows.bounds[-1]))
     for env_idx, env in enumerate(exp.environments):
         env_started = time.perf_counter()
         ch_cfg = replace(exp.channel, los=(env == "los"))
         env_master = derive_seed(derive_seed(exp.master_seed, _POWER_VAR_STREAM), env_idx)
-        gammas = gammas_of[env] = np.empty((exp.runs, len(plan.fields)))
+        first, place, width = at[env_idx]
+        start = exp.runs * first + place
         for i in range(exp.runs):
             ch = sample_channel(ch_cfg, derive_seed(env_master, i))
-            gammas[i] = _channel_gammas(plan, _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg))
-        gammas.setflags(write=False)
+            taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
+            gammas[start + i * width] = _channel_gammas(plan, taps)
         log.debug("power-var: %s done in %.3f s", env, time.perf_counter() - env_started)
-
-    blocks = sorted(
-        (
-            PowerVarBlock(
-                label=f"power_var/{scheme}/{env}/K{k}",
-                scheme=scheme,
-                environment=env,
-                beams_per_packet=k,
-                gammas=gammas_of[env][:, entries],
-                packets=packets,
-                fields=fields,
-            )
-            for scheme, k, entries, packets, fields in plan.cells
-            for env in exp.environments
-        ),
-        key=attrgetter("label"),
-    )
+    gammas.setflags(write=False)
     log.info(
         "power-var: %d runs, %d environments, %d blocks of %d gamma rows in %.3f s",
         exp.runs,
         len(exp.environments),
-        len(blocks),
-        sum(block.gammas.size for block in blocks),
+        len(rows.cells),
+        gammas.size,
         time.perf_counter() - started,
     )
-    return blocks
+    return PowerVarResult(rows, exp.runs, gammas)
 
 
 def _linear_snrs(
@@ -579,21 +581,14 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], CsvBlock]:
     """Aggregate SNR versus phase-quantization bits, coded training against
     the exhaustive packet-by-packet upper bound.
 
-    Training runs noiselessly (the comparison isolates quantization);
-    the link budget only scales the reported SNR at the selected pair,
-    which always uses clean steering.  The baseline is unquantized, so its
-    row repeats across the bits axis.  The config is checked before any
-    channel is drawn; a bad value raises :class:`ConfigError`.  The
-    protocol configs, and with them their training weights, are shared by
-    both environments.  Every training run, the baseline's included, goes
-    through :func:`~beamtrain.protocols.run`.
-
-    The loop is channel-major: each channel is drawn, trained by the
-    baseline and then at every bit width, and dropped before the next is
-    drawn, so only one realization and its cached gain tables is alive at
-    a time.  The coded runs report their SNR from the baseline's table of
-    the clean codebooks.  Each config's SNRs are aggregated in channel
-    order, as a config-major loop would.
+    Training runs noiselessly, to isolate quantization; the link budget
+    only scales the SNR reported at the selected pair, with clean
+    steering.  The unquantized baseline's row repeats across the bits
+    axis.  The config is checked before any channel is drawn; a bad value
+    raises :class:`ConfigError`.  Every run goes through
+    :func:`~beamtrain.protocols.run`.  Each channel is trained by the
+    baseline, then at every bit width, and dropped before the next is
+    drawn; each config's SNRs are aggregated in channel order.
     """
     started = time.perf_counter()
     _validate_campaign(exp)
@@ -681,16 +676,8 @@ def train_once(
         tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=scheme, snr_budget=exp.budget
     )
     outcome = run(cfg, ch, seed)
-    summary = {
-        "scheme": outcome.scheme.value,
-        "seed": outcome.seed,
-        "success": outcome.success,
-        "best_pair": outcome.best_pair,
-        "packets_sent": outcome.packets_sent,
-        "training_bits": outcome.training_bits,
-        "feedback_bits": outcome.feedback_bits,
-        "snr_db": outcome.snr_db,
-    }
+    keys = "seed success best_pair packets_sent training_bits feedback_bits snr_db".split()
+    summary = {"scheme": outcome.scheme.value, **{k: getattr(outcome, k) for k in keys}}
     header = ["scheme", "seed", "packet", "field", "measured_power"]
     rows: list[tuple] = []
     for packet_idx, trace in enumerate(outcome.power_traces):

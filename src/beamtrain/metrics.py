@@ -3,7 +3,6 @@ the geometric-mean style SNR aggregate used across Monte-Carlo runs."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +12,7 @@ __all__ = [
     "EmpiricalCdf",
     "power_ratio",
     "empirical_cdf",
+    "grouped_cdf",
     "aggregate_snr",
 ]
 
@@ -20,11 +20,10 @@ __all__ = [
 def power_ratio(field_powers: Sequence[float], preamble_samples: Sequence[complex]) -> np.ndarray:
     """Per-field power ratios gamma = P_train / (3 sigma_prem).
 
-    The 3x factor reflects the AGC's habit of budgeting for three standard
-    deviations of preamble signal; gamma above one means the field would
-    stress the gain setting the preamble established.  ``sigma_prem`` is
-    the population mean squared magnitude of the preamble samples
-    (variance about zero; no sample-mean subtraction, no n-1).
+    The AGC budgets for three standard deviations of preamble signal, so
+    gamma above one means the field would stress the gain the preamble
+    set.  ``sigma_prem`` is the mean squared magnitude of the preamble
+    samples (variance about zero, no n-1).
     """
     samples = np.asarray(preamble_samples)
     if samples.size == 0:
@@ -45,11 +44,8 @@ class EmpiricalCdf:
     sorted_values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.sort(np.asarray(self.sorted_values, dtype=float))
-        # np.sort puts every NaN last.
-        if arr.size and math.isnan(arr[-1]):
-            nans = np.count_nonzero(np.isnan(arr))
-            raise ValueError(f"cannot build a CDF from NaN samples: {nans} of {arr.size} are NaN")
+        arr = np.sort(np.asarray(self.sorted_values, dtype=float), kind="stable")
+        _reject_nans(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "sorted_values", arr)
 
@@ -59,13 +55,40 @@ class EmpiricalCdf:
         Each value is the first of its run of equal sorted values, and its
         fraction counts the samples up to the end of the run.
         """
-        v = self.sorted_values
-        # Run bounds: where a value differs from the one before, and the end.
-        changes = np.empty(v.size + 1, dtype=bool)
-        changes[0] = changes[-1] = True
-        np.not_equal(v[1:], v[:-1], out=changes[1:-1])
-        bounds = np.flatnonzero(changes)
-        return v[bounds[:-1]], bounds[1:] / v.size
+        values, fractions, _ = grouped_cdf(self.sorted_values, [self.sorted_values.size])
+        return values, fractions
+
+
+def _reject_nans(arr: np.ndarray) -> None:
+    nans = np.count_nonzero(np.isnan(arr))
+    if nans:
+        raise ValueError(f"cannot build a CDF from NaN samples: {nans} of {arr.size} are NaN")
+
+
+def grouped_cdf(
+    samples: Sequence[float], sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every group's :meth:`EmpiricalCdf.points`, group after group, and
+    each group's count of points, for groups of ``sizes`` consecutive
+    samples.  One stable sort orders the samples by group, then value; a
+    run of equal values ends at each group's start.  NaN raises ValueError.
+    """
+    v = np.asarray(samples, dtype=float)
+    _reject_nans(v)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    v = v[np.lexsort((v, group))]
+    # Run bounds: where a value differs from the one before, every group
+    # start and the end.
+    changes = np.empty(v.size + 1, dtype=bool)
+    changes[-1] = True
+    np.not_equal(v[1:], v[:-1], out=changes[1:-1])
+    starts = np.cumsum(sizes) - sizes
+    changes[starts] = True
+    bounds = np.flatnonzero(changes)
+    owner = group[bounds[:-1]]
+    fractions = (bounds[1:] - starts[owner]) / sizes[owner]
+    return v[bounds[:-1]], fractions, np.bincount(owner, minlength=sizes.size)
 
 
 def empirical_cdf(samples: Sequence[float]) -> EmpiricalCdf:

@@ -5,30 +5,16 @@ Every runner is a pure function of (config, channel, seed) and returns a
 correlation table, packet and bit costs, per-field power traces and the
 post-selection SNR.
 
-Every weight a runner trains with depends on the config alone: the
-transformed codebooks, the Walsh-coded field weights with their chips,
-the sector beams, the receive composite and the clean codebooks the SNR
-is reported with.  A config builds each of them once, on first use, into
-a read-only plan per end of the link and reuses it for every channel.
-
+Every weight a runner trains with depends on the config alone, and a
+config builds each once, into a read-only plan per end of the link.
 Everything else depends on the channel alone, and the realization keeps
-it for every run on it (see
-:class:`~beamtrain.channel.ChannelRealization`).  A stage's estimates come
-from the realization's gain table of its two weight matrices, computed
-once per pair of matrices: the exhaustive schemes read the whole
-codebook table, feedback in-packet training reads its best row, and the
-SNR of every scheme reads its pair's entry of the clean-codebook table,
-which is that same table when no transform is set.  The multilevel fine
-stage keeps a cascade of its own, because entries sliced out of the
-whole table round differently in the last bit.  Packet-by-packet and
-in-packet search share more: one noisy estimate of the codebook table,
-its power and its pair, kept per (table, seed, noise sigma).  Measurement
-noise comes from the realization's one stream per seed: every run reads
-its stages as consecutive slices from the start of the stream, just as
-if it drew them from a fresh generator.  Every stage of every scheme
-runs through one routine: it adds the noise, decodes coded fields with
-:func:`~beamtrain.beam_coding.walsh_decode`, sums power over taps and
-tests detection.
+it for every run on it (see :class:`~beamtrain.channel.ChannelRealization`):
+the gain table of each pair of weight matrices, the tap power of each
+reported pair, the noisy codebook table that packet-by-packet and
+in-packet search share, and one noise stream per seed, which every run
+reads from its start.  The multilevel fine stage keeps a cascade of its
+own: entries sliced out of the whole table round differently in the last
+bit.  Every stage of every scheme runs through :func:`_stage`.
 
 Measurement model: each training field yields one channel estimate per
 delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
@@ -116,11 +102,9 @@ class ProtocolConfig:
     reported post-selection SNR (and falls back to ``noise``).  The weight
     transforms model hardware limits: ``project_phase_only`` forces uniform
     magnitudes, ``quantize_bits`` snaps phases to a digital phase shifter.
-    Transforms apply to training weights only; the reported SNR always uses
-    clean steering at the chosen pair, since data transmission happens
-    after training refines the weights.  The training weights are built on
-    a config's first run and reused by every later one, so reuse one
-    config across channels.
+    They apply to training weights only; the SNR uses clean steering at the
+    chosen pair, as data follows training.  The training weights are built
+    on a config's first run, so reuse one config across channels.
     """
 
     tx_codebook: BeamCodebook
@@ -277,8 +261,13 @@ def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] |
     budget = cfg.snr_budget if cfg.snr_budget is not None else cfg.noise
     if budget is None or pair is None:
         return float("nan") if pair is not None else -math.inf
-    taps = _table(cfg, ch, cfg._tx_plan.clean, cfg._rx_plan.clean)[:, pair[0], pair[1]]
-    p_rel = float((np.abs(taps) ** 2).sum())
+    table = _table(cfg, ch, cfg._tx_plan.clean, cfg._rx_plan.clean)
+    # A power, as the budget differs per config; the realization holds the
+    # table, so its id stays the table's.
+    p_rel = ch.memo(
+        ("pair power", id(table), pair),
+        lambda: float((np.abs(table[:, pair[0], pair[1]]) ** 2).sum()),
+    )
     if p_rel <= 0.0:
         return -math.inf
     return 10.0 * math.log10(p_rel / budget.noise_to_signal)
@@ -302,11 +291,9 @@ def _stage(
     Returns the noisy per-tap field estimates (a new array), the per-beam
     table (the estimates Walsh-decoded along ``axis`` when ``chips`` is
     given, else the estimates themselves), its power summed over taps, and
-    whether its peak passes detection.  The peak must clear 5x the decoded
-    noise standard deviation, which decoding T fields raises by sqrt(T).
-    There is no failure path in an idealized description, but degenerate
-    inputs (a dead channel) need one; noiseless runs just require a
-    strictly positive peak.
+    whether its peak passes detection: it must clear 5x the decoded noise
+    standard deviation, which decoding T fields raises by sqrt(T), or be
+    positive when noiseless, so that a dead channel fails.
     """
     est = table / math.sqrt(cfg.tx_codebook.cfg.num_antennas * cfg.rx_codebook.cfg.num_antennas)
     sigma = cfg._noise_std
@@ -546,14 +533,11 @@ def sector_trap_channel(
     """Adversarial channel where sector-first search picks a weak path.
 
     Two equal-strength rays depart on the two center-most fine beams of one
-    sector and arrive on a single fine beam, with gains phased so their sum
-    under that sector's wide transmit beam cancels exactly: the wide beam
-    cannot resolve the two departures, so every sector pair involving the
-    trap sector looks dead (the arrival factor multiplies a zero).  A
-    weaker distractor ray in another sector then wins the sector stage.
-    Fine-resolution search (exhaustive or coded) resolves the two strong
-    departures individually and beats the two-level result by
-    1 / distractor_gain**2.
+    sector and arrive on one fine beam, phased to cancel exactly under that
+    sector's wide transmit beam, so every sector pair of the trap sector
+    looks dead.  A weaker distractor ray in another sector wins the sector
+    stage; fine-resolution search resolves the two strong departures and
+    beats the two-level result by 1 / distractor_gain**2.
     """
     if not 0.0 < distractor_gain < 1.0:
         raise ValueError("distractor gain must lie in (0, 1)")

@@ -107,7 +107,7 @@ def test_criterion_3_power_ratio_separation():
     exp = ExperimentConfig(runs=1000, master_seed=1)
     cells = {
         (b.scheme, b.environment, b.beams_per_packet): b.gammas.ravel()
-        for b in power_var_campaign(exp)
+        for b in power_var_campaign(exp).blocks
     }
 
     coded_nlos = [
@@ -231,21 +231,15 @@ def test_criterion_8_determinism(tmp_path):
     digests = []
     for name in ("first", "second"):
         out = tmp_path / name
-        blocks = power_var_campaign(exp)
+        result = power_var_campaign(exp)
         q_header, q_block = quant_sweep_campaign(exp)
         paths = [
-            write_csv(
-                out / "power_var_gamma.csv",
-                PowerVarBlock.gamma_header,
-                (b.gamma_rows() for b in blocks),
-            ),
-            write_csv(
-                out / "power_var_cdf.csv", PowerVarBlock.cdf_header, (b.cdf_rows() for b in blocks)
-            ),
+            write_csv(out / "power_var_gamma.csv", PowerVarBlock.gamma_header, result.gamma_rows()),
+            write_csv(out / "power_var_cdf.csv", PowerVarBlock.cdf_header, result.cdf_rows()),
             write_csv(out / "quant_sweep.csv", q_header, [q_block]),
         ]
         digests.append(tuple(p.read_bytes() for p in paths))
-    changed = power_var_campaign(replace(exp, master_seed=99))
+    changed = power_var_campaign(replace(exp, master_seed=99)).blocks
     ok = digests[0] == digests[1] and changed[0].gammas.size > 0
     report(8, ok, "re-running identical configs produced byte-identical CSV files")
 

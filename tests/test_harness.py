@@ -22,6 +22,7 @@ from beamtrain.experiment import ExperimentConfig, parse_config, serialize_confi
 from beamtrain.harness import (
     CsvBlock,
     PowerVarBlock,
+    PowerVarResult,
     overhead_rows,
     pattern_rows,
     power_var_campaign,
@@ -150,7 +151,7 @@ class TestPatternRows:
 class TestPowerVarCampaign:
     def test_rows_structure_and_sorting(self):
         exp = small_experiment()
-        g_rows = gamma_rows(power_var_campaign(exp))
+        g_rows = gamma_rows(power_var_campaign(exp).blocks)
         assert PowerVarBlock.gamma_header[0] == "experiment"
         keys = [(r[0], r[4], r[5], r[6]) for r in g_rows]
         assert keys == sorted(keys)
@@ -160,7 +161,7 @@ class TestPowerVarCampaign:
 
     def test_cdf_rows_end_at_one(self):
         exp = small_experiment()
-        c_rows = cdf_rows(power_var_campaign(exp))
+        c_rows = cdf_rows(power_var_campaign(exp).blocks)
         by_cell = {}
         for r in c_rows:
             by_cell.setdefault(r[0], []).append(r)
@@ -171,10 +172,10 @@ class TestPowerVarCampaign:
 
     def test_deterministic_under_master_seed(self):
         exp = small_experiment()
-        first = gamma_rows(power_var_campaign(exp))
-        second = gamma_rows(power_var_campaign(exp))
+        first = gamma_rows(power_var_campaign(exp).blocks)
+        second = gamma_rows(power_var_campaign(exp).blocks)
         assert first == second
-        moved = gamma_rows(power_var_campaign(replace(exp, master_seed=2)))
+        moved = gamma_rows(power_var_campaign(replace(exp, master_seed=2)).blocks)
         assert moved != first
 
     @pytest.mark.parametrize("environments", [("los", "nlos"), ("nlos", "los")])
@@ -189,7 +190,7 @@ class TestPowerVarCampaign:
             environments=environments,
             channel=ChannelConfig(intra_cluster_tap_spread=4),
         )
-        blocks = power_var_campaign(exp)
+        blocks = power_var_campaign(exp).blocks
         g_rows, c_rows = gamma_rows(blocks), cdf_rows(blocks)
         plan = harness._power_var_plan(16, 0.5, exp.beams_per_packet, exp.schemes)
         assert len(g_rows) == 2 * 3 * len(plan.fields)
@@ -223,7 +224,7 @@ class TestPowerVarOracle:
 
     @pytest.fixture(scope="class")
     def campaign(self):
-        return gamma_rows(power_var_campaign(self.exp)), campaign_channels(self.exp)
+        return gamma_rows(power_var_campaign(self.exp).blocks), campaign_channels(self.exp)
 
     def test_gammas_match_per_layout_path(self, campaign):
         g_rows, channels = campaign
@@ -334,7 +335,7 @@ class TestCampaignLogging:
     def test_power_var_logs_start_end_and_environments(self, caplog):
         caplog.set_level(logging.DEBUG, logger="beamtrain.harness")
         exp = small_experiment(runs=2, environments=("los", "nlos"))
-        blocks = power_var_campaign(exp)
+        blocks = power_var_campaign(exp).blocks
         start, end = self.records(caplog, logging.INFO)
         assert start.startswith("power-var: 2 runs in los, nlos")
         head = f"power-var: 2 runs, 2 environments, {len(blocks)} blocks of "
@@ -538,9 +539,11 @@ class TestWriteCsvTemplates:
         assert path.read_bytes() == b"a,b,c\n5%d,1,0.5\n%s%%,2,1e+300\n"
 
     def test_label_cells_are_literal_text(self, tmp_path):
-        block = PowerVarBlock("%d%%", "%s", "los", 1, np.full((2, 1), 0.25), (0,), (3,))
-        gamma = write_csv(tmp_path / "g.csv", PowerVarBlock.gamma_header, [block.gamma_rows()])
-        cdf = write_csv(tmp_path / "c.csv", PowerVarBlock.cdf_header, [block.cdf_rows()])
+        cells = (("%d%%", "%s", "los", 1, (0,), (3,)),)
+        result = PowerVarResult(harness._PowerVarRows(cells), 2, np.full(2, 0.25))
+        (block,) = result.blocks
+        gamma = write_csv(tmp_path / "g.csv", PowerVarBlock.gamma_header, result.gamma_rows())
+        cdf = write_csv(tmp_path / "c.csv", PowerVarBlock.cdf_header, result.cdf_rows())
         assert gamma.read_bytes() == joined_csv(PowerVarBlock.gamma_header, gamma_rows([block]))
         assert gamma.read_text().splitlines()[1:] == ["%d%%,%s,los,1,0,0,3,0.25", "%d%%,%s,los,1,1,0,3,0.25"]
         assert cdf.read_text().splitlines()[1:] == ["%d%%,%s,los,1,0.25,1"]
@@ -549,18 +552,19 @@ class TestWriteCsvTemplates:
 class TestPowerVarCsvBytes:
     """Both power-var CSVs against a cell-by-cell join of the blocks' rows."""
 
+    @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("golden_case", [None, "power_var_k3_spread4"])
-    def test_csvs_equal_a_per_cell_join(self, tmp_path, golden_case):
-        flags = ["--runs", "3", "--out", str(tmp_path)]
-        exp = replace(ExperimentConfig(), runs=3)
+    def test_csvs_equal_a_per_cell_join(self, tmp_path, golden_case, runs):
+        flags = ["--runs", str(runs), "--out", str(tmp_path)]
+        exp = replace(ExperimentConfig(), runs=runs)
         if golden_case is not None:
             config = Path(__file__).resolve().parent / "golden" / golden_case / "config.txt"
             flags += ["--config", str(config)]
-            exp = replace(parse_config(config.read_text()), runs=3)
+            exp = replace(parse_config(config.read_text()), runs=runs)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["power-var", *flags]) == 0
-        blocks = power_var_campaign(exp)
-        assert all(b.gammas.shape == (3, len(b.fields)) for b in blocks)
+        blocks = power_var_campaign(exp).blocks
+        assert all(b.gammas.shape == (runs, len(b.fields)) for b in blocks)
         gamma = (tmp_path / "power_var_gamma.csv").read_bytes()
         cdf = (tmp_path / "power_var_cdf.csv").read_bytes()
         assert gamma == joined_csv(PowerVarBlock.gamma_header, gamma_rows(blocks))
@@ -847,6 +851,50 @@ class TestCli:
         for beams in ("0", "x"):
             assert cli.main(["overhead", "--beams", beams, "--out", str(tmp_path)]) == 2
             assert "--beams" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power-var", "--runs", "1"],
+            ["quant-sweep", "--runs", "1"],
+            ["train", "--scheme", "exhaustive_pbp"],
+            ["pattern", "--antennas", "4", "--angles", "90"],
+            ["overhead"],
+        ],
+        ids=itemgetter(0),
+    )
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_through_a_file_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, below
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before --out was checked")
+
+        for name in ("sample_channel", "pattern_rows", "overhead_rows"):
+            monkeypatch.setattr(harness, name, no_work)
+        file = tmp_path / "file"
+        file.write_text("kept")
+        out = file / "sub" if below else file
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --out: {file} exists and is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert file.read_text() == "kept"
+
+    def test_output_dir_through_a_file_names_its_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "sample_channel", None)
+        file = tmp_path / "file"
+        file.write_text("kept")
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"output.dir = {file}/sub\n")
+        assert cli.main(["power-var", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: output.dir: {file} ")
+
+    def test_out_is_created_only_by_the_writer(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["overhead", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["overhead.csv"]
 
     @staticmethod
     def quant_sweep_on(tmp_path, monkeypatch, sample_channel):

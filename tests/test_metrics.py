@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamtrain.metrics import EmpiricalCdf, aggregate_snr, empirical_cdf, power_ratio
+from beamtrain.metrics import (
+    EmpiricalCdf,
+    aggregate_snr,
+    empirical_cdf,
+    grouped_cdf,
+    power_ratio,
+)
 
 
 class TestPowerRatio:
@@ -38,6 +44,12 @@ class TestPowerRatio:
         base = power_ratio(powers, samples)
         for c in (1e-3, 7.2, 1e4):
             assert np.allclose(power_ratio(c**2 * powers, c * samples), base, rtol=1e-12)
+
+
+# Ten distinct values, two of them equal zeros, for heavy ties.
+_TIED = st.sampled_from(
+    [-math.inf, -2.5, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, 1e300, math.inf]
+)
 
 
 def pairs(cdf):
@@ -83,15 +95,7 @@ class TestEmpiricalCdf:
             EmpiricalCdf(np.array([math.nan]))
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.sampled_from(
-                [-math.inf, -2.5, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, 1e300, math.inf]
-            ),
-            min_size=1,
-            max_size=80,
-        )
-    )
+    @given(st.lists(_TIED, min_size=1, max_size=80))
     def test_points_equal_unique_and_cumsum(self, samples):
         # Heavy ties: ten distinct values (two of them equal zeros) over up
         # to 80 samples.  A run holding both zeros may report either sign,
@@ -102,6 +106,46 @@ class TestEmpiricalCdf:
         want = [(float(v), float(f)) for v, f in zip(values, fracs)]
         assert pairs(cdf) == want
         assert all(a.dtype == np.float64 and a.ndim == 1 for a in cdf.points())
+
+
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestGroupedCdf:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(_TIED | st.floats(allow_nan=False), min_size=1, max_size=12),
+                # all-equal groups
+                st.tuples(_TIED, st.integers(1, 6)).map(lambda t: [t[0]] * t[1]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example([[5.0]])
+    @example([[4.0, 4.0], [4.0], [4.0, 4.0, 4.0]])
+    @example([[1.0, 2.0], [2.0, 1.0], [-0.0], [0.0, -0.0]])
+    def test_each_group_is_its_own_cdf_bit_for_bit(self, groups):
+        samples = [x for g in groups for x in g]
+        values, fractions, counts = grouped_cdf(samples, list(map(len, groups)))
+        own = [empirical_cdf(g).points() for g in groups]
+        assert counts.tolist() == [len(v) for v, _ in own]
+        want = [np.concatenate(column) for column in zip(*own)]
+        assert _bits(values, fractions) == _bits(*want)
+        assert counts.dtype == np.intp
+
+    def test_equal_values_do_not_merge_across_groups(self):
+        values, fractions, counts = grouped_cdf([4.0, 4.0, 4.0], [2, 1])
+        assert values.tolist() == [4.0, 4.0]
+        assert fractions.tolist() == [1.0, 1.0]
+        assert counts.tolist() == [1, 1]
+
+    def test_nan_rejected_with_its_count(self):
+        with pytest.raises(ValueError, match="1 of 4 are NaN"):
+            grouped_cdf([1.0, 2.0, math.nan, 3.0], [2, 2])
 
 
 class TestAggregateSnr:

@@ -727,6 +727,31 @@ class TestSharedRealization:
             assert len(cascades) == 7 * (i + 1)
             assert generators == [derive_seed(i, protocols._NOISE_STREAM)]
 
+    def test_pair_power_summed_once_per_realization(self, monkeypatch):
+        made = []
+        memo = ChannelRealization.memo
+
+        def counting_memo(self, key, make):
+            def counted():
+                made.append(key)
+                return make()
+
+            return memo(self, key, counted)
+
+        monkeypatch.setattr(ChannelRealization, "memo", counting_memo)
+        cfgs, shared_pairs = self.configs(), 0
+        for i in range(6):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1414, i))
+            made.clear()
+            shared = [run(cfg, ch, i) for cfg in cfgs]
+            pairs = [o.best_pair for o in shared if o.best_pair is not None]
+            summed = [key[2] for key in made if key[0] == "pair power"]
+            assert sorted(summed) == sorted(set(pairs))
+            shared_pairs += len(pairs) - len(summed)
+            for cfg, out in zip(cfgs, shared):
+                assert_outcomes_equal(out, run(cfg, dataclasses.replace(ch), i))
+        assert shared_pairs > 0
+
     def test_noiseless_runs_draw_nothing(self, monkeypatch):
         ch = sample_channel(ChannelConfig(), derive_seed(1212, 0))
         # making a generator would now raise TypeError
