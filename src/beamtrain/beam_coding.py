@@ -96,12 +96,9 @@ def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.nd
     ``chips`` is (K, T); ``fields`` holds T observations along ``axis``,
     where the output holds the K beams: out[.., p, ..] = sum_t chips[p, t]
     * fields[.., t, ..].  It is one matrix product: ``chips @ fields``
-    with the field axis moved second to last.
+    with the field axis swapped with the second to last.
     """
-    fields = np.asarray(fields)
-    if fields.ndim >= 2 and axis in (-2, fields.ndim - 2):
-        return chips @ fields
-    return np.moveaxis(chips @ np.moveaxis(fields, axis, -2), -2, axis)
+    return (chips @ np.swapaxes(fields, axis, -2)).swapaxes(axis, -2)
 
 
 def encode_ce_field(tap_gains: Sequence[complex], golay: np.ndarray, guard: int) -> np.ndarray:

@@ -395,27 +395,16 @@ def cascade_gains(
     num_taps, f, g = ch.num_taps, len(tx_weights), len(rx_weights)
     tx = _responses(tx_weights, ch.steering_matrix("tx", tx_cfg))
     rx = _responses(rx_weights, ch.steering_matrix("rx", rx_cfg))
-    # Every factor is laid out in full, ray-major, contiguous and of one
-    # shape, so that numpy multiplies with the same contiguous loop as a
-    # product over one pair's rays.  Broadcast factors can take another
-    # loop, which rounds some products (one transmit weight and one ray,
-    # say) differently.
-    shape = (len(ch.gains), f, g)
-    gains, tx, rx = (
-        _filled(x, shape) for x in (ch.gains[:, None, None], tx[:, :, None], rx[:, None, :])
-    )
+    # (gain * tx response) * rx response, in that operand order and into a
+    # buffer of its own (a commuted product rounds differently); broadcast,
+    # the factors round as full contiguous ones do.
+    terms = np.empty((len(ch.gains), f, g), dtype=np.complex128)
+    np.multiply((ch.gains[:, None] * tx)[:, :, None], rx[:, None, :], out=terms)
     width = 2 * f * g
     bins = ch.memo(("bins", width), lambda: _readonly(ch.taps[:, None] * width + np.arange(width)))
-    parts = (gains * tx * rx).view(np.float64)
+    parts = terms.view(np.float64)
     sums = np.bincount(bins.ravel(), weights=parts.ravel(), minlength=num_taps * width)
     return sums.view(np.complex128).reshape(num_taps, f, g)
-
-
-def _filled(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A new contiguous complex array of ``shape`` holding ``x`` broadcast."""
-    out = np.empty(shape, dtype=np.complex128)
-    out[...] = x
-    return out
 
 
 def add_noise(samples: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:

@@ -103,8 +103,7 @@ def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[CsvBlock
             fh.write(",".join(header) + "\n")
             for block in blocks:
                 template = block.template
-                commas = template.count("\n") * (len(header) - 1)
-                if not template.endswith("\n") or template.count(",") != commas:
+                if not _whole_lines(template, len(header)):
                     raise ValueError(
                         f"template {template[:80]!r} is not whole lines of the header's "
                         f"{len(header)} cells"
@@ -114,6 +113,14 @@ def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[CsvBlock
         path.unlink(missing_ok=True)
         raise
     return path
+
+
+@functools.lru_cache(maxsize=2)
+def _whole_lines(template: str, cells: int) -> bool:
+    """Whether ``template`` is whole lines of ``cells`` cells by its counts of
+    commas and newlines, kept for the last two templates: a power-var
+    operation writes its cached gamma template and then a new CDF one."""
+    return template.endswith("\n") and template.count(",") == template.count("\n") * (cells - 1)
 
 
 def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], CsvBlock]:
@@ -232,6 +239,7 @@ def _power_var_plan(
             f"packet.beams_per_packet: {', '.join(map(str, out_of_range))} outside "
             f"[1, {tx_antennas}] (array.tx_antennas)"
         )
+    _check_distinct("packet.beams_per_packet", [str(k) for k in beams_per_packet])
     tx_cb = _dft_codebook("array.tx_antennas", tx_antennas, spacing)
     row_of: dict[bytes, int] = {}
 
@@ -301,15 +309,19 @@ def _validate_campaign(exp: ExperimentConfig) -> None:
                 f"experiment.{what}s: unknown {what}(s) {', '.join(unknown)}; "
                 f"pick from {', '.join(known)}"
             )
-    repeated = sorted({e for e in exp.environments if exp.environments.count(e) > 1})
-    if repeated:
-        raise ConfigError(
-            f"experiment.environments: {', '.join(repeated)} listed more than once; "
-            "their rows would share one label"
-        )
+        _check_distinct(f"experiment.{what}s", values)
     if exp.runs < 1:
         raise ConfigError(f"experiment.runs must be at least 1, got {exp.runs}")
     _validate_channel_and_link(exp)
+
+
+def _check_distinct(key: str, labels: Sequence[str]) -> None:
+    """ConfigError naming ``key`` and its values listed more than once."""
+    if repeated := [v for v in dict.fromkeys(labels) if labels.count(v) > 1]:
+        raise ConfigError(
+            f"{key}: {', '.join(repeated)} listed more than once; "
+            "their rows would share one label"
+        )
 
 
 def _validate_channel_and_link(exp: ExperimentConfig) -> None:
@@ -602,6 +614,7 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], CsvBlock]:
     bad_bits = [b for b in exp.quant_bits if b is not None and b < 1]
     if bad_bits:
         raise ConfigError(f"quant.bits: a phase shifter needs at least 1 bit, got {bad_bits}")
+    _check_distinct("quant.bits", ["inf" if b is None else str(b) for b in exp.quant_bits])
     tx_cb = _dft_codebook("array.tx_antennas", exp.tx_antennas, exp.spacing)
     rx_cb = _dft_codebook("array.rx_antennas", exp.rx_antennas, exp.spacing)
     log.info("quant-sweep: %d runs in %s", exp.runs, ", ".join(exp.environments))

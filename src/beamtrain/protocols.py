@@ -12,9 +12,9 @@ it for every run on it (see :class:`~beamtrain.channel.ChannelRealization`):
 the gain table of each pair of weight matrices, the tap power of each
 reported pair, the noisy codebook table that packet-by-packet and
 in-packet search share, and one noise stream per seed, which every run
-reads from its start.  The multilevel fine stage keeps a cascade of its
-own: entries sliced out of the whole table round differently in the last
-bit.  Every stage of every scheme runs through :func:`_stage`.
+reads from its start.  The multilevel fine stage and feedback in-packet's
+second stage slice their tables out of the whole codebook table.  Every
+stage of every scheme runs through :func:`_stage`.
 
 Measurement model: each training field yields one channel estimate per
 delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
@@ -160,7 +160,9 @@ class TrainingOutcome:
     ``feedback_bits`` counts the piggybacked feedback messages and is kept
     out of ``training_bits``, which covers training sections only.
     ``correlation`` is the read-only decoded table of exhaustive coded
-    training, r[p, q] at each pair's strongest tap.
+    training, r[p, q] at each pair's strongest tap.  The single-field traces
+    of exhaustive packet-by-packet search are read-only views of the rows of
+    ``pair_power``.
     """
 
     scheme: Scheme
@@ -295,7 +297,10 @@ def _stage(
     standard deviation, which decoding T fields raises by sqrt(T), or be
     positive when noiseless, so that a dead channel fails.
     """
-    est = table / math.sqrt(cfg.tx_codebook.cfg.num_antennas * cfg.rx_codebook.cfg.num_antennas)
+    n_tx, n_rx = cfg.tx_codebook.cfg.num_antennas, cfg.rx_codebook.cfg.num_antennas
+    # Times the reciprocal, which is how numpy divides a complex by a real;
+    # the two differ only on -0.0, which no cascade table holds.
+    est = table * (1.0 / math.sqrt(n_tx * n_rx))
     sigma = cfg._noise_std
     if sigma > 0.0:
         # One draw holds the real parts, then the imaginary parts.
@@ -342,12 +347,6 @@ def _outcome(
     )
 
 
-def _traces_per_rx(power: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-packet traces, one per receive column of the field power, for
-    schemes with one receive dwell per packet: the rows of one copy."""
-    return tuple(power.T.copy())
-
-
 def _exhaustive(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -368,8 +367,8 @@ def run_exhaustive_pbp(
     """One packet per beam pair, (p, q) ordered; the performance yardstick."""
     power, pair = _exhaustive(cfg, ch, seed)
     p, q = power.shape
-    # One single-field trace per packet: the rows of one (p * q, 1) copy.
-    traces = tuple(power.reshape(p * q, 1).copy())
+    # One single-field trace per packet: the rows of a (p * q, 1) view.
+    traces = tuple(power.reshape(p * q, 1))
     bits = p * q * _SWEPT_BEAM_BITS
     return _outcome(Scheme.EXHAUSTIVE_PBP, cfg, ch, seed, pair, traces, p * q, bits, power)
 
@@ -411,9 +410,10 @@ def run_multilevel_pbp(
     s_tx, s_rx = _argmax_pair(power1)
 
     fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
-    # A cascade of its own: the same entries sliced out of the whole
-    # codebook table differ in the last bit.
-    fine = _table(cfg, ch, cfg._tx_plan.weights[fine_tx], cfg._rx_plan.weights[fine_rx])
+    # take keeps the slice C-ordered, so its tap sums add as a cascade of
+    # the fine weights would; a fancy index lays it out F-ordered.
+    whole = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
+    fine = whole.take(fine_tx, axis=1).take(fine_rx, axis=2)
     _, _, power2, detected = _stage(cfg, fine, noise)
     local = _argmax_pair(power2)
     pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if detected else None
@@ -435,9 +435,9 @@ def run_exhaustive_inpacket(
     power, pair = _exhaustive(cfg, ch, seed)
     p, q = power.shape
     bits = q * p * _SWEPT_BEAM_BITS
-    return _outcome(
-        Scheme.EXHAUSTIVE_INPACKET, cfg, ch, seed, pair, _traces_per_rx(power), q, bits, power
-    )
+    # One trace per packet, i.e. per receive beam: the rows of one copy.
+    traces = tuple(power.T.copy())
+    return _outcome(Scheme.EXHAUSTIVE_INPACKET, cfg, ch, seed, pair, traces, q, bits, power)
 
 
 def run_feedback_inpacket(
@@ -472,9 +472,9 @@ def run_exhaustive_beamcoding(
     est, r, power, detected = _stage(cfg, table, _Noise(ch, seed), chips)
     pair = _argmax_pair(power) if detected else None
 
-    dominant = np.take_along_axis(r, np.abs(r).argmax(axis=0)[None, ...], axis=0)[0]
+    dominant = r[(np.abs(r).argmax(axis=0), *np.indices(r.shape[1:], sparse=True))]
     q = est.shape[2]
-    traces = _traces_per_rx((np.abs(est) ** 2).sum(axis=0))
+    traces = tuple((np.abs(est) ** 2).sum(axis=0).T.copy())
     bits = q * len(tx_fields) * _CODED_FIELD_BITS
     scheme = Scheme.EXHAUSTIVE_BEAMCODING
     return _outcome(scheme, cfg, ch, seed, pair, traces, q, bits, power, _readonly(dominant))

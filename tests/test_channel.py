@@ -339,14 +339,41 @@ _signed = st.one_of(st.sampled_from([0.0, -0.0]), _unit)
 _signed_complex = st.builds(complex, _signed, _signed)
 
 
+def _as_view(w: np.ndarray, layout: str) -> np.ndarray:
+    """``w`` as a matrix of the given layout: its own contiguous data, every
+    other row of a larger array, a read-only view, a row of a larger
+    matrix raised to (1, antennas), or Fortran-ordered."""
+    if layout == "strided":
+        big = np.zeros((2 * len(w), w.shape[1]), dtype=np.complex128)
+        big[::2] = w
+        return big[::2]
+    if layout == "read-only view":
+        view = w[:]
+        view.setflags(write=False)
+        return view
+    if layout == "raised row":
+        # The shape of a composite beam and of _tap_rows' receive weights.
+        return np.vstack([w[0], w[0]])[1][None, :]
+    if layout == "fortran":
+        return np.asfortranarray(w)
+    return w
+
+
+_LAYOUTS = st.sampled_from(["own", "strided", "read-only view", "raised row", "fortran"])
+# One row as often as any other count: F = 1 is the shape of _tap_rows and
+# of a coded feedback stage's best beam, G = 1 of a composite receiver.
+_ROWS = st.one_of(st.just(1), st.integers(1, 16))
+
+
 @st.composite
 def scatter_inputs(draw):
-    """Weights of 1 to 16 rows on small arrays and up to 20 rays on at
-    most four taps, so that many rays share a tap."""
+    """Weights of 1 to 16 rows on small arrays, in any layout, and up to 20
+    rays on at most four taps, so that many rays share a tap."""
     n_tx, n_rx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    f, g = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    f, g = draw(_ROWS), draw(_ROWS)
     tx = draw(hnp.arrays(np.complex128, (f, n_tx), elements=_signed_complex))
     rx = draw(hnp.arrays(np.complex128, (g, n_rx), elements=_signed_complex))
+    tx, rx = _as_view(tx, draw(_LAYOUTS)), _as_view(rx, draw(_LAYOUTS))
     ch = draw(realizations(_signed_complex, max_tap=3, max_rays=20))
     return tx, rx, ch, ArrayConfig(n_tx), ArrayConfig(n_rx)
 
@@ -381,15 +408,40 @@ class TestCascadeGains:
     @settings(deadline=None)
     @given(scatter_inputs())
     @example((np.ones((1, 2)), np.ones((3, 1)), from_rays([]), ArrayConfig(2), ArrayConfig(1)))
+    @example(
+        (
+            np.array([[0.5 - 0.25j, -1j, 0.75]]),
+            np.array([[1.0, -0.5j], [-0.0, 0.25 + 1j]]).T[:1],
+            from_rays([(30.0, 95.0, 0.5j, 0), (131.0, 12.5, -0.75 + 0.5j, 2), (60.0, 60.0, 1, 2)]),
+            ArrayConfig(3),
+            ArrayConfig(2),
+        )
+    )
+    @example(
+        (
+            np.eye(3, dtype=np.complex128)[::2],
+            np.array([[1.0, 1j, -1.0]])[:, ::-1],
+            from_rays([(10.0, 170.0, -0.5, 1), (90.0, 45.0, 1j, 0), (75.0, 80.0, -0.0j, 1)]),
+            ArrayConfig(3),
+            ArrayConfig(3),
+        )
+    )
     def test_scatter_equals_a_ray_order_loop_bit_for_bit(self, inputs):
         tx, rx, ch, tx_cfg, rx_cfg = inputs
         got = cascade_gains(tx, rx, ch, tx_cfg, rx_cfg)
+        # Summed from +0.0, so no entry is -0.0, which the training stages'
+        # scaling by a reciprocal relies on.
+        parts = got.view(np.float64)
+        assert not np.any(np.signbit(parts) & (parts == 0.0))
         want = np.zeros((ch.num_taps, len(tx), len(rx)), dtype=np.complex128)
         if len(ch.gains):
-            # The terms as the cascade forms them: full contiguous factors.
+            # The terms from full contiguous factors, each response from a
+            # contiguous copy of its weights (array_factor_many rounds a
+            # strided row differently).
             shape = (len(ch.gains), len(tx), len(rx))
-            tx_resp = np.stack([array_factor_many(w, ch.aods_deg, tx_cfg) for w in tx], axis=1)
-            rx_resp = np.stack([array_factor_many(w, ch.aoas_deg, rx_cfg) for w in rx], axis=1)
+            tx_rows, rx_rows = np.ascontiguousarray(tx), np.ascontiguousarray(rx)
+            tx_resp = np.stack([array_factor_many(w, ch.aods_deg, tx_cfg) for w in tx_rows], axis=1)
+            rx_resp = np.stack([array_factor_many(w, ch.aoas_deg, rx_cfg) for w in rx_rows], axis=1)
             factors = (ch.gains[:, None, None], tx_resp[:, :, None], rx_resp[:, None, :])
             gains, tx_f, rx_f = (np.broadcast_to(x, shape).copy() for x in factors)
             term = gains * tx_f * rx_f

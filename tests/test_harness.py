@@ -475,6 +475,38 @@ class TestWriteCsv:
                 write_csv(path, ["a", "b"], blocks)
             assert not path.exists()
 
+    def test_a_kept_template_is_counted_once(self, tmp_path):
+        counted = []
+
+        class Template(str):
+            def count(self, *args):
+                counted.append(self)
+                return super().count(*args)
+
+        template = Template("".join(f"{i},%.12g\n" for i in range(3)))
+        block = CsvBlock(template, [(0.5, 1.5, 2.5)])
+        for header in (["i", "x"], ["i", "x"], ["j", "y"]):
+            path = write_csv(tmp_path / "t.csv", header, [block])
+            assert path.read_text() == f"{header[0]},{header[1]}\n0,0.5\n1,1.5\n2,2.5\n"
+        # its commas and its newlines, once
+        assert counted == [template] * 2
+        # two other templates push it out, and it is counted again
+        for other in ("%d,%d\n", "%d,%d,%d\n"):
+            write_csv(tmp_path / "t.csv", other.count(",") * ["c"] + ["c"], [CsvBlock(other, [])])
+        write_csv(tmp_path / "t.csv", ["i", "x"], [block])
+        assert counted == [template] * 4
+
+    def test_a_bad_template_fails_after_a_good_one_passed(self, tmp_path):
+        path, good = tmp_path / "t.csv", CsvBlock("%d,%d\n", [(1, 2)])
+        write_csv(path, ["a", "b"], [good])
+        with pytest.raises(ValueError, match="is not whole lines of the header's 2 cells"):
+            write_csv(path, ["a", "b"], [good, CsvBlock("%d,%d,%d\n", [(1, 2, 3)])])
+        assert not path.exists()
+        # the bad template was not kept as passed
+        with pytest.raises(ValueError, match="is not whole lines"):
+            write_csv(path, ["a", "b"], [CsvBlock("%d\n", [(1,)])])
+        assert not path.exists()
+
     def test_streams_block_by_block_and_removes_a_failed_file(self, tmp_path):
         events = []
 
@@ -798,6 +830,34 @@ class TestCli:
             command, f"{key} = 0", key, tmp_path, capsys, monkeypatch
         )
         assert err == f"config error: {key} must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("power-var", "experiment.environments = los,nlos,los", "experiment.environments: los"),
+            # Reproduced with one environment: it wrote 64 gamma rows under
+            # power_var/80211ad/los/K2, every one with seed_index 0.
+            (
+                "power-var",
+                "experiment.schemes = 80211ad,80211ad\npacket.beams_per_packet = 2,2\n"
+                "experiment.environments = los",
+                "experiment.schemes: 80211ad",
+            ),
+            ("power-var", "packet.beams_per_packet = 2,4,2,4,8", "packet.beams_per_packet: 2, 4"),
+            ("quant-sweep", "quant.bits = 3,3", "quant.bits: 3"),
+            ("quant-sweep", "quant.bits = 1,inf,none", "quant.bits: inf"),
+        ],
+    )
+    def test_repeated_list_entries_rejected_before_drawing(
+        self, tmp_path, capsys, monkeypatch, command, line, message
+    ):
+        key = message.split(":")[0]
+        err = self.assert_rejected_before_drawing(
+            command, line + "\nexperiment.runs = 1", key, tmp_path, capsys, monkeypatch
+        )
+        assert err == (
+            f"config error: {message} listed more than once; their rows would share one label\n"
+        )
 
     @staticmethod
     def assert_rejected_before_drawing(command, line, key, tmp_path, capsys, monkeypatch):

@@ -667,6 +667,66 @@ class TestSharedRealization:
                     taps = cascade_gains(tx_p, rx_q, ch, tx_cb.cfg, rx_cb.cfg)[:, 0, 0]
                     assert _bits(table[:, p, q]) == _bits(taps)
 
+    @staticmethod
+    def multilevel_on_its_own_fine_cascade(cfg, ch, seed):
+        """run_multilevel_pbp with the fine stage on a cascade of the fine
+        weights, not on a slice of the codebook table."""
+        noise = protocols._Noise(ch, seed)
+        tx_cfg, rx_cfg = cfg.tx_codebook.cfg, cfg.rx_codebook.cfg
+        (tx_wide, tx_groups), (rx_wide, rx_groups) = cfg._tx_plan.sectors, cfg._rx_plan.sectors
+        wide = cascade_gains(tx_wide, rx_wide, ch, tx_cfg, rx_cfg)
+        _, _, power1, _ = protocols._stage(cfg, wide, noise)
+        s_tx, s_rx = protocols._argmax_pair(power1)
+        fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
+        tx_w, rx_w = cfg._tx_plan.weights[fine_tx], cfg._rx_plan.weights[fine_rx]
+        fine = cascade_gains(tx_w, rx_w, ch, tx_cfg, rx_cfg)
+        _, _, power2, detected = protocols._stage(cfg, fine, noise)
+        local = protocols._argmax_pair(power2)
+        pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if detected else None
+        packets = len(tx_wide) * len(rx_wide) + len(fine_tx) * len(fine_rx)
+        bits = packets * PER_BEAM_BITS_80211AD
+        traces = (power1.ravel(), power2.ravel())
+        scheme = Scheme.MULTILEVEL_PBP
+        return protocols._outcome(scheme, cfg, ch, seed, pair, traces, packets, bits, power2)
+
+    @pytest.mark.parametrize("spread", [0, 4])
+    @pytest.mark.parametrize("quantize_bits", [None, 3])
+    @pytest.mark.parametrize("antennas", [4, 8, 16])
+    def test_fine_stage_slice_equals_its_own_cascade(self, antennas, quantize_bits, spread):
+        cb = dft_codebook(ArrayConfig(antennas))
+        cfg = ProtocolConfig(
+            tx_codebook=cb,
+            rx_codebook=cb,
+            scheme=Scheme.MULTILEVEL_PBP,
+            noise=self.budget,
+            quantize_bits=quantize_bits,
+        )
+        for i in range(8):
+            ch_cfg = ChannelConfig(los=i % 2 == 0, intra_cluster_tap_spread=spread)
+            ch = sample_channel(ch_cfg, derive_seed(1616, i))
+            own = self.multilevel_on_its_own_fine_cascade(cfg, dataclasses.replace(ch), i)
+            assert_outcomes_equal(run(cfg, ch, i), own)
+
+    @pytest.mark.parametrize("n_tx, n_rx", [(4, 4), (8, 16), (16, 4), (2, 3), (32, 32)])
+    def test_stage_scales_as_a_division_by_the_root(self, n_tx, n_rx):
+        # numpy divides a complex by a real as a product with the
+        # reciprocal, which differs only on -0.0 and no table holds one, so
+        # even a root that is not exact (sqrt(8 * 16)) leaves every bit.
+        tx_cb, rx_cb = dft_codebook(ArrayConfig(n_tx)), dft_codebook(ArrayConfig(n_rx))
+        cfg = ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=Scheme.EXHAUSTIVE_PBP)
+        root = math.sqrt(n_tx * n_rx)
+        rng = np.random.default_rng(n_tx * 100 + n_rx)
+        channels = [ChannelRealization([], [], [], [])]
+        for i in range(8):
+            ch_cfg = ChannelConfig(los=i % 2 == 0, intra_cluster_tap_spread=i % 3)
+            channels.append(sample_channel(ch_cfg, derive_seed(1717, i)))
+        for ch in channels:
+            random_tx = rng.standard_normal((3, n_tx)) + 1j * rng.standard_normal((3, n_tx))
+            for tx_w in (tx_cb.matrix, random_tx):
+                table = cascade_gains(tx_w, rx_cb.matrix, ch, tx_cb.cfg, rx_cb.cfg)
+                est, *_ = protocols._stage(cfg, table, protocols._Noise(ch, 0))
+                assert _bits(est) == _bits(table / root)
+
     @pytest.mark.parametrize("first", [Scheme.EXHAUSTIVE_PBP, Scheme.EXHAUSTIVE_INPACKET])
     def test_exhaustive_schemes_share_one_estimate(self, monkeypatch, first):
         stages = []
@@ -700,7 +760,7 @@ class TestSharedRealization:
             for seed in (0, 1):
                 assert_outcomes_equal(run(cfg, ch, seed), run(cfg, dataclasses.replace(ch), seed))
 
-    def test_scheme_mix_operation_makes_seven_cascades(self, monkeypatch):
+    def test_scheme_mix_operation_makes_six_cascades(self, monkeypatch):
         cascades, generators = [], []
         cascade, default_rng = channel.cascade_gains, np.random.default_rng
 
@@ -720,11 +780,12 @@ class TestSharedRealization:
             generators.clear()
             for cfg in cfgs:
                 run(cfg, ch, i)
-            # the codebook table serves both exhaustive schemes, feedback
-            # in-packet's second stage and every SNR; the other stages are
-            # the two multilevel stages, feedback in-packet's first, coded
-            # exhaustive and both coded feedback stages
-            assert len(cascades) == 7 * (i + 1)
+            # the codebook table serves both exhaustive schemes, the
+            # multilevel fine stage, feedback in-packet's second stage and
+            # every SNR; the other stages are the multilevel sector stage,
+            # feedback in-packet's first, coded exhaustive and both coded
+            # feedback stages
+            assert len(cascades) == 6 * (i + 1)
             assert generators == [derive_seed(i, protocols._NOISE_STREAM)]
 
     def test_pair_power_summed_once_per_realization(self, monkeypatch):
