@@ -55,12 +55,22 @@ def train_toy_summaries() -> dict[str, dict]:
     return out
 
 
-# Noisy outcomes: 8x8 DFT codebooks at -10 dBm, where some runs fail
+# Noisy outcomes: DFT codebooks at -10 dBm, where some runs fail
 # detection; realization i of an environment has seed derive_seed(11, i)
-# and is trained with run seed i.
+# and is trained with run seed i.  Each case is a key prefix -> (transmit
+# antennas, receive antennas, weight transforms): plain 8x8 links, a
+# 16 tx x 4 rx link whose tables are not square, and 8x8 links with 3-bit
+# phases and with phase-only weights, whose SNR tables differ from their
+# training tables.
 OUTCOME_BUDGET = LinkBudget(tx_power_dbm=-10.0)
 OUTCOME_MASTER_SEED = 11
 OUTCOME_REALIZATIONS = 3
+OUTCOME_CASES = {
+    "": (8, 8, {}),
+    "16x4/": (16, 4, {}),
+    "quantize3/": (8, 8, {"quantize_bits": 3}),
+    "phase_only/": (8, 8, {"project_phase_only": True}),
+}
 
 
 def _outcome_record(out: TrainingOutcome) -> dict:
@@ -86,16 +96,22 @@ def _outcome_record(out: TrainingOutcome) -> dict:
 
 
 def scheme_outcomes() -> dict[str, dict[str, dict]]:
-    """Every scheme's outcome record on each noisy realization, keyed by
-    ``<environment>/<index>`` and scheme name."""
-    cb = dft_codebook(ArrayConfig(8))
-    cfgs = [ProtocolConfig(cb, cb, scheme, noise=OUTCOME_BUDGET) for scheme in Scheme]
+    """Every scheme's outcome record on each noisy realization of each
+    case, keyed by ``<case prefix><environment>/<index>`` and scheme name."""
     out = {}
-    for env in ("los", "nlos"):
-        for i in range(OUTCOME_REALIZATIONS):
-            seed = derive_seed(OUTCOME_MASTER_SEED, i)
-            ch = sample_channel(ChannelConfig(los=env == "los"), seed)
-            out[f"{env}/{i}"] = {cfg.scheme.value: _outcome_record(run(cfg, ch, i)) for cfg in cfgs}
+    for prefix, (n_tx, n_rx, transforms) in OUTCOME_CASES.items():
+        tx_cb, rx_cb = dft_codebook(ArrayConfig(n_tx)), dft_codebook(ArrayConfig(n_rx))
+        cfgs = [
+            ProtocolConfig(tx_cb, rx_cb, scheme, noise=OUTCOME_BUDGET, **transforms)
+            for scheme in Scheme
+        ]
+        for env in ("los", "nlos"):
+            for i in range(OUTCOME_REALIZATIONS):
+                seed = derive_seed(OUTCOME_MASTER_SEED, i)
+                ch = sample_channel(ChannelConfig(los=env == "los"), seed)
+                out[f"{prefix}{env}/{i}"] = {
+                    cfg.scheme.value: _outcome_record(run(cfg, ch, i)) for cfg in cfgs
+                }
     return out
 
 
