@@ -96,16 +96,31 @@ def steering_vector(cfg: ArrayConfig, angle_deg: float) -> np.ndarray:
     return _readonly(np.exp(1j * phase) / math.sqrt(cfg.num_antennas))
 
 
-def array_factor_many(w: np.ndarray, angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Pattern responses x(angle) = sum_n w_n exp(+j 2 pi n spacing cos(angle))
-    of the (N,) weights ``w`` over a grid of angles."""
-    weights = np.asarray(w, dtype=np.complex128)
-    if weights.shape != (cfg.num_antennas,):
-        raise ValueError(f"weights of shape {weights.shape} for {cfg.num_antennas} antennas")
+def _steering_matrix(angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Responses exp(+j 2 pi n spacing cos(angle)) of every antenna at every
+    angle, shape (antennas, angles).
+
+    A C-ordered weight row times this matrix is its pattern at those
+    angles; :func:`array_factor_many` and
+    :func:`~beamtrain.channel.cascade_gains` both compute it so, and agree
+    bit for bit.
+    """
     n = np.arange(cfg.num_antennas)
     cosines = np.cos(np.radians(np.asarray(angles_deg, dtype=float)))
-    phases = 2.0 * np.pi * cfg.spacing * np.outer(n, cosines)
-    return weights @ np.exp(1j * phases)
+    return np.exp(1j * (2.0 * np.pi * cfg.spacing * (n[:, None] * cosines)))
+
+
+def array_factor_many(w: np.ndarray, angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Pattern responses x(angle) = sum_n w_n exp(+j 2 pi n spacing cos(angle))
+    of the (N,) weights ``w`` over a grid of angles.
+
+    The weights are copied to C order first: a strided vector takes
+    another matmul path, which rounds differently.
+    """
+    weights = np.ascontiguousarray(w, dtype=np.complex128)
+    if weights.shape != (cfg.num_antennas,):
+        raise ValueError(f"weights of shape {weights.shape} for {cfg.num_antennas} antennas")
+    return weights @ _steering_matrix(angles_deg, cfg)
 
 
 def superpose_beams(beams: np.ndarray, signs: Sequence[int]) -> np.ndarray:

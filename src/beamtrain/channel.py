@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig, BeamCodebook, _readonly, codebook_from_cosines
+from .array_model import (
+    ArrayConfig,
+    BeamCodebook,
+    _readonly,
+    _steering_matrix,
+    codebook_from_cosines,
+)
 
 __all__ = [
     "ChannelRealization",
@@ -344,17 +350,6 @@ def sample_channel(cfg: ChannelConfig, seed: int) -> ChannelRealization:
             taps[ray] = cluster_tap + (int(rng.integers(0, spread + 1)) if spread else 0)
             ray += 1
     return ChannelRealization(aods, aoas, gains, taps)
-
-
-def _steering_matrix(angles_deg: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Responses exp(+j 2 pi n spacing cos(angle)), shape (antennas, angles).
-
-    Same phase expression as :func:`~beamtrain.array_model.array_factor_many`,
-    so that a weight row times this matrix reproduces its values bit for bit.
-    """
-    n = np.arange(cfg.num_antennas)
-    cosines = np.cos(np.radians(angles_deg))
-    return np.exp(1j * (2.0 * np.pi * cfg.spacing * np.outer(n, cosines)))
 
 
 def _responses(weights: np.ndarray, steering: np.ndarray) -> np.ndarray:

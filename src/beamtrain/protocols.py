@@ -5,16 +5,19 @@ Every runner is a pure function of (config, channel, seed) and returns a
 correlation table, packet and bit costs, per-field power traces and the
 post-selection SNR.
 
-Every weight a runner trains with depends on the config alone, and a
-config builds each once, into a read-only plan per end of the link.
-Everything else depends on the channel alone, and the realization keeps
-it for every run on it (see :class:`~beamtrain.channel.ChannelRealization`):
-the gain table of each pair of weight matrices, the tap power of each
-reported pair, the noisy codebook table that packet-by-packet and
-in-packet search share, and one noise stream per seed, which every run
-reads from its start.  The multilevel fine stage and feedback in-packet's
-second stage slice their tables out of the whole codebook table.  Every
-stage of every scheme runs through :func:`_stage`.
+Every weight a runner trains with depends on its config's codebooks,
+transforms and sector count, and configs that agree on those share one
+read-only plan per end of the link.  A plan's receive stack is its
+codebook with the composite beam as one more row, so one cascade serves a
+receive sweep and reception on the composite alike; the six schemes make
+four cascades per realization.  Everything else depends on the channel
+alone, and the realization keeps it for every run on it (see
+:class:`~beamtrain.channel.ChannelRealization`): the gain table of each
+pair of weight matrices, the tap power of each reported pair, the noisy
+codebook table that packet-by-packet and in-packet search share, and one
+noise stream per seed, which every run reads from its start.  Stages
+slice their tables out of these.  Every stage of every scheme runs
+through :func:`_stage`.
 
 Measurement model: each training field yields one channel estimate per
 delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
@@ -30,7 +33,10 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import threading
 import warnings
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,7 +110,8 @@ class ProtocolConfig:
     magnitudes, ``quantize_bits`` snaps phases to a digital phase shifter.
     They apply to training weights only; the SNR uses clean steering at the
     chosen pair, as data follows training.  The training weights are built
-    on a config's first run, so reuse one config across channels.
+    on first use and shared by every live config with the same codebook
+    objects, transforms and sector count.
     """
 
     tx_codebook: BeamCodebook
@@ -133,15 +140,15 @@ class ProtocolConfig:
             )
 
     # cached_property stores into the instance __dict__, past the frozen
-    # __setattr__; dataclasses.replace makes a new instance, which builds
-    # its own plans.
+    # __setattr__; dataclasses.replace makes a new instance, which looks
+    # its plans up again.
     @functools.cached_property
     def _tx_plan(self) -> _TrainingPlan:
-        return _TrainingPlan(self, self.tx_codebook)
+        return _plan(self, self.tx_codebook)
 
     @functools.cached_property
     def _rx_plan(self) -> _TrainingPlan:
-        return _TrainingPlan(self, self.rx_codebook)
+        return _plan(self, self.rx_codebook)
 
     @functools.cached_property
     def _noise_std(self) -> float:
@@ -160,9 +167,10 @@ class TrainingOutcome:
     ``feedback_bits`` counts the piggybacked feedback messages and is kept
     out of ``training_bits``, which covers training sections only.
     ``correlation`` is the read-only decoded table of exhaustive coded
-    training, r[p, q] at each pair's strongest tap.  The single-field traces
-    of exhaustive packet-by-packet search are read-only views of the rows of
-    ``pair_power``.
+    training, r[p, q] at each pair's strongest tap.  ``power_traces`` is a
+    sequence of per-packet 1-D arrays; the three exhaustive schemes, whose
+    packets all have equally many fields, give one read-only (packets,
+    fields) array (packet-by-packet search's is a view of ``pair_power``).
     """
 
     scheme: Scheme
@@ -173,38 +181,39 @@ class TrainingOutcome:
     correlation: np.ndarray | None
     packets_sent: int
     training_bits: int
-    power_traces: tuple[np.ndarray, ...]
+    power_traces: Sequence[np.ndarray]
     snr_db: float
     feedback_messages: int = 0
     feedback_bits: int = 0
 
 
-def _transform(cfg: ProtocolConfig, matrix: np.ndarray) -> np.ndarray:
-    """The config's hardware transforms applied to a weight matrix, read-only;
-    ``matrix`` itself when none is set."""
-    if cfg.project_phase_only:
-        matrix = project_uniform(matrix)
-    if cfg.quantize_bits is not None:
-        matrix = quantize_phases(matrix, cfg.quantize_bits)
-    return _readonly(matrix)
-
-
 class _TrainingPlan:
     """The training weights of one end of the link, shared by every run of
-    a config.
+    every config that trains ``codebook`` with these transforms and sector
+    count.
 
     None of them depends on the channel, so each is built on first use,
     one row per beam or field, and kept read-only.
     """
 
-    def __init__(self, cfg: ProtocolConfig, codebook: BeamCodebook) -> None:
-        self._cfg = cfg
+    def __init__(self, codebook: BeamCodebook, settings: tuple[bool, int | None, int]) -> None:
         self._codebook = codebook
+        # project_phase_only, quantize_bits and num_sectors of the configs
+        self._phase_only, self._bits, self._num_sectors = settings
+
+    def _transform(self, matrix: np.ndarray) -> np.ndarray:
+        """The hardware transforms applied to a weight matrix, read-only;
+        ``matrix`` itself when none is set."""
+        if self._phase_only:
+            matrix = project_uniform(matrix)
+        if self._bits is not None:
+            matrix = quantize_phases(matrix, self._bits)
+        return _readonly(matrix)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
         """Transformed codebook, (beams, antennas)."""
-        return _transform(self._cfg, self._codebook.matrix)
+        return self._transform(self._codebook.matrix)
 
     @functools.cached_property
     def clean(self) -> np.ndarray:
@@ -219,13 +228,13 @@ class _TrainingPlan:
         k = len(self._codebook)
         chips = walsh_codes(max(0, (k - 1).bit_length()))[:k]
         fields = coded_fields(self._codebook.matrix, chips)
-        return _transform(self._cfg, fields), _readonly(chips.astype(np.complex128))
+        return self._transform(fields), _readonly(chips.astype(np.complex128))
 
     @functools.cached_property
     def sectors(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Sector beams (untransformed), (S, antennas), and the fine beams
         each one covers."""
-        beams, groups = sector_beams(self._codebook, self._cfg.num_sectors)
+        beams, groups = sector_beams(self._codebook, self._num_sectors)
         return _readonly(beams), tuple(_readonly(np.array(g, dtype=np.intp)) for g in groups)
 
     @functools.cached_property
@@ -235,6 +244,40 @@ class _TrainingPlan:
         ProtocolConfig)."""
         beams = self._codebook.matrix
         return _readonly(superpose_beams(beams, [1] * len(beams))[None, :])
+
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        """``weights`` with ``composite`` as a last row: a table received
+        through it holds each column as a cascade of that row alone would."""
+        return _readonly(np.concatenate([self.weights, self.composite]))
+
+    @functools.cached_property
+    def clean_stack(self) -> np.ndarray:
+        """``clean`` with ``composite`` as a last row, for the SNR report;
+        it is ``stack`` when no transform is set."""
+        if self.clean is self.weights:
+            return self.stack
+        return _readonly(np.concatenate([self.clean, self.composite]))
+
+
+# Every live plan, by the id of its codebook, its transforms and its sector
+# count.  A plan holds its codebook, so no id in a key can pass to another
+# codebook while the entry lasts, and the entry goes with the last config
+# that holds the plan.
+_PLANS: weakref.WeakValueDictionary[tuple, _TrainingPlan] = weakref.WeakValueDictionary()
+_PLANS_LOCK = threading.Lock()
+
+
+def _plan(cfg: ProtocolConfig, codebook: BeamCodebook) -> _TrainingPlan:
+    """The one live plan of ``codebook`` under ``cfg``'s transforms and
+    sector count."""
+    settings = (cfg.project_phase_only, cfg.quantize_bits, cfg.num_sectors)
+    key = (id(codebook), *settings)
+    with _PLANS_LOCK:
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = _PLANS[key] = _TrainingPlan(codebook, settings)
+    return plan
 
 
 def _table(
@@ -263,9 +306,9 @@ def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] |
     budget = cfg.snr_budget if cfg.snr_budget is not None else cfg.noise
     if budget is None or pair is None:
         return float("nan") if pair is not None else -math.inf
-    table = _table(cfg, ch, cfg._tx_plan.clean, cfg._rx_plan.clean)
+    table = _table(cfg, ch, cfg._tx_plan.clean, cfg._rx_plan.clean_stack)
     # A power, as the budget differs per config; the realization holds the
-    # table, so its id stays the table's.
+    # whole table, so its id stays the table's.
     p_rel = ch.memo(
         ("pair power", id(table), pair),
         lambda: float((np.abs(table[:, pair[0], pair[1]]) ** 2).sum()),
@@ -287,15 +330,15 @@ def _stage(
     noise: _Noise,
     chips: np.ndarray | None = None,
     axis: int = -2,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
     """One training stage over a raw gain table (num_taps, tx, rx).
 
     Returns the noisy per-tap field estimates (a new array), the per-beam
     table (the estimates Walsh-decoded along ``axis`` when ``chips`` is
-    given, else the estimates themselves), its power summed over taps, and
-    whether its peak passes detection: it must clear 5x the decoded noise
-    standard deviation, which decoding T fields raises by sqrt(T), or be
-    positive when noiseless, so that a dead channel fails.
+    given, else the estimates themselves), its magnitudes, its power
+    summed over taps, and whether its peak passes detection: it must clear
+    5x the decoded noise standard deviation, which decoding T fields raises
+    by sqrt(T), or be positive when noiseless, so that a dead channel fails.
     """
     n_tx, n_rx = cfg.tx_codebook.cfg.num_antennas, cfg.rx_codebook.cfg.num_antennas
     # Times the reciprocal, which is how numpy divides a complex by a real;
@@ -313,7 +356,7 @@ def _stage(
     magnitude = np.abs(r)
     power = (magnitude**2).sum(axis=0)
     detected = float(magnitude.max()) > _DETECTION_SIGMA * sigma * gain
-    return est, r, power, detected
+    return est, r, magnitude, power, detected
 
 
 def _outcome(
@@ -322,7 +365,7 @@ def _outcome(
     ch: ChannelRealization,
     seed: int,
     pair: tuple[int, int] | None,
-    traces: tuple[np.ndarray, ...],
+    traces: Sequence[np.ndarray],
     packets: int,
     bits: int,
     pair_power: np.ndarray | None = None,
@@ -352,10 +395,10 @@ def _exhaustive(
 ) -> tuple[np.ndarray, tuple[int, int] | None]:
     """The whole codebook table's read-only power and the pair it selects,
     kept on the realization: packet-by-packet and in-packet search share it."""
-    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
+    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.stack)
 
     def estimate() -> tuple[np.ndarray, tuple[int, int] | None]:
-        _, _, power, detected = _stage(cfg, table, _Noise(ch, seed))
+        *_, power, detected = _stage(cfg, table[:, :, :-1], _Noise(ch, seed))
         return _readonly(power), _argmax_pair(power) if detected else None
 
     return ch.memo(("exhaustive", id(table), seed, cfg._noise_std), estimate)
@@ -367,8 +410,8 @@ def run_exhaustive_pbp(
     """One packet per beam pair, (p, q) ordered; the performance yardstick."""
     power, pair = _exhaustive(cfg, ch, seed)
     p, q = power.shape
-    # One single-field trace per packet: the rows of a (p * q, 1) view.
-    traces = tuple(power.reshape(p * q, 1))
+    # One single-field trace per packet: a read-only (p * q, 1) view.
+    traces = power.reshape(p * q, 1)
     bits = p * q * _SWEPT_BEAM_BITS
     return _outcome(Scheme.EXHAUSTIVE_PBP, cfg, ch, seed, pair, traces, p * q, bits, power)
 
@@ -406,15 +449,15 @@ def run_multilevel_pbp(
     tx_wide, tx_groups = cfg._tx_plan.sectors
     rx_wide, rx_groups = cfg._rx_plan.sectors
 
-    _, _, power1, _ = _stage(cfg, _table(cfg, ch, tx_wide, rx_wide), noise)
+    *_, power1, _ = _stage(cfg, _table(cfg, ch, tx_wide, rx_wide), noise)
     s_tx, s_rx = _argmax_pair(power1)
 
     fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
     # take keeps the slice C-ordered, so its tap sums add as a cascade of
     # the fine weights would; a fancy index lays it out F-ordered.
-    whole = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.weights)
+    whole = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.stack)
     fine = whole.take(fine_tx, axis=1).take(fine_rx, axis=2)
-    _, _, power2, detected = _stage(cfg, fine, noise)
+    *_, power2, detected = _stage(cfg, fine, noise)
     local = _argmax_pair(power2)
     pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if detected else None
 
@@ -436,7 +479,7 @@ def run_exhaustive_inpacket(
     p, q = power.shape
     bits = q * p * _SWEPT_BEAM_BITS
     # One trace per packet, i.e. per receive beam: the rows of one copy.
-    traces = tuple(power.T.copy())
+    traces = _readonly(power.T.copy())
     return _outcome(Scheme.EXHAUSTIVE_INPACKET, cfg, ch, seed, pair, traces, q, bits, power)
 
 
@@ -446,12 +489,12 @@ def run_feedback_inpacket(
     """Two-packet training: transmit sweep into a composite receiver, then a
     receive sweep at the fed-back transmit beam."""
     noise = _Noise(ch, seed)
-    tx_ws, rx_ws = cfg._tx_plan.weights, cfg._rx_plan.weights
-    _, _, power1, detected1 = _stage(cfg, _table(cfg, ch, tx_ws, cfg._rx_plan.composite), noise)
+    # The codebook columns and then the composite column.
+    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.stack)
+    *_, power1, detected1 = _stage(cfg, table[:, :, -1:], noise)
     best_tx = int(power1[:, 0].argmax())
 
-    table = _table(cfg, ch, tx_ws, rx_ws)
-    _, _, power2, detected2 = _stage(cfg, table[:, best_tx : best_tx + 1, :], noise)
+    *_, power2, detected2 = _stage(cfg, table[:, best_tx : best_tx + 1, :-1], noise)
     pair = (best_tx, int(power2[0, :].argmax())) if detected1 and detected2 else None
 
     traces = (power1[:, 0], power2[0, :])
@@ -468,13 +511,14 @@ def run_exhaustive_beamcoding(
     of the beam-pair gain, so the two-path toy decodes to exactly 2 and 2a.
     """
     tx_fields, chips = cfg._tx_plan.coded
-    table = _table(cfg, ch, tx_fields, cfg._rx_plan.weights)
-    est, r, power, detected = _stage(cfg, table, _Noise(ch, seed), chips)
+    # Shared with coded feedback's first stage, which reads the last column.
+    table = _table(cfg, ch, tx_fields, cfg._rx_plan.stack)
+    est, r, magnitude, power, detected = _stage(cfg, table[:, :, :-1], _Noise(ch, seed), chips)
     pair = _argmax_pair(power) if detected else None
 
-    dominant = r[(np.abs(r).argmax(axis=0), *np.indices(r.shape[1:], sparse=True))]
+    dominant = r[(magnitude.argmax(axis=0), *np.indices(r.shape[1:], sparse=True))]
     q = est.shape[2]
-    traces = tuple((np.abs(est) ** 2).sum(axis=0).T.copy())
+    traces = _readonly((np.abs(est) ** 2).sum(axis=0).T.copy())
     bits = q * len(tx_fields) * _CODED_FIELD_BITS
     scheme = Scheme.EXHAUSTIVE_BEAMCODING
     return _outcome(scheme, cfg, ch, seed, pair, traces, q, bits, power, _readonly(dominant))
@@ -487,8 +531,8 @@ def run_feedback_beamcoding(
     receiver, feedback, then coded receive beams at the chosen transmit beam."""
     noise = _Noise(ch, seed)
     tx_fields, tx_chips = cfg._tx_plan.coded
-    table1 = _table(cfg, ch, tx_fields, cfg._rx_plan.composite)
-    _, _, power1, detected1 = _stage(cfg, table1, noise, tx_chips)
+    table1 = _table(cfg, ch, tx_fields, cfg._rx_plan.stack)[:, :, -1:]
+    *_, power1, detected1 = _stage(cfg, table1, noise, tx_chips)
     best_tx = int(power1[:, 0].argmax())
 
     rx_fields, rx_chips = cfg._rx_plan.coded
@@ -496,7 +540,7 @@ def run_feedback_beamcoding(
     # Receive-side coding: fields vary the receiver weights, so decode along
     # the receive axis.
     table2 = _table(cfg, ch, tx_best, rx_fields)
-    _, _, power2, detected2 = _stage(cfg, table2, noise, rx_chips, axis=2)
+    *_, power2, detected2 = _stage(cfg, table2, noise, rx_chips, axis=2)
     pair = (best_tx, int(power2[0, :].argmax())) if detected1 and detected2 else None
 
     traces = (power1[:, 0], power2[0, :])

@@ -20,6 +20,7 @@ from beamtrain.array_model import (
     subarray_beam,
     superpose_beams,
 )
+from beamtrain.channel import ChannelRealization, cascade_gains
 
 
 def brute_inner(a, b):
@@ -116,6 +117,31 @@ class TestArrayFactor:
                 for n, wn in enumerate(w)
             )
             assert value == pytest.approx(scalar, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_row_layout_leaves_every_bit(self, n):
+        # A strided vector takes another matmul path; the weights are copied
+        # to C order first, so a view row rounds as its contiguous copy and
+        # as the matching cascade row.
+        cfg = ArrayConfig(n)
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        angles = rng.uniform(0.0, 180.0, 24)
+        # One unit ray per angle, each at a tap of its own, into a single
+        # antenna of weight 1: tap t holds the transmit pattern at angle t.
+        taps = np.arange(len(angles))
+        ch = ChannelRealization(angles, np.full(len(angles), 90.0), np.ones(len(angles)), taps)
+        cascade = cascade_gains(matrix, np.ones((1, 1)), ch, cfg, ArrayConfig(1))[:, :, 0]
+        fortran = np.asfortranarray(matrix)
+        spaced = np.zeros((5, 2 * n), dtype=np.complex128)
+        spaced[:, ::2] = matrix
+        reversed_ = matrix[:, ::-1].copy()[:, ::-1]
+        for k, row in enumerate(matrix):
+            want = array_factor_many(row.copy(), angles, cfg)
+            assert want.tobytes() == cascade[:, k].tobytes()
+            for view in (fortran[k], spaced[k, ::2], reversed_[k]):
+                assert not view.flags.c_contiguous and np.array_equal(view, row)
+                assert array_factor_many(view, angles, cfg).tobytes() == want.tobytes()
 
 
 class TestSuperposeBeams:

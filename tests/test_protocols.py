@@ -1,6 +1,9 @@
 import dataclasses
 import logging
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -473,11 +476,15 @@ class TestTrainingPlan:
         for plan in (cfg._tx_plan, cfg._rx_plan):
             beams, groups = plan.sectors
             arrays += [plan.weights, *plan.coded, beams, *groups, plan.composite]
+            arrays += [plan.stack, plan.clean_stack]
         return arrays
 
-    def test_matrices_are_read_only(self):
+    @pytest.mark.parametrize("quantize_bits", [None, 3])
+    def test_matrices_are_read_only(self, quantize_bits):
         cb = dft_codebook(ArrayConfig(8))
-        cfg = ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=Scheme.EXHAUSTIVE_PBP)
+        cfg = ProtocolConfig(
+            tx_codebook=cb, rx_codebook=cb, scheme=Scheme.EXHAUSTIVE_PBP, quantize_bits=quantize_bits
+        )
         for arr in self.plan_arrays(cfg):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -520,6 +527,10 @@ class TestTrainingPlan:
             composite = superpose_beams(book.matrix, [1] * len(book))
             assert np.array_equal(plan.composite, composite[None, :])
 
+            # the receive stacks: the codebook, then the composite
+            assert np.array_equal(plan.stack, np.vstack([plan.weights, composite]))
+            assert np.array_equal(plan.clean_stack, np.vstack([book.matrix, composite]))
+
     def test_reused_config_matches_fresh_config_per_channel(self):
         cb = dft_codebook(ArrayConfig(16))
         budget = LinkBudget(tx_power_dbm=-10.0)
@@ -553,15 +564,91 @@ class TestTrainingPlan:
             return coded_fields(*args, **kwargs)
 
         monkeypatch.setattr(protocols, "coded_fields", counting_coded_fields)
-        cb = dft_codebook(ArrayConfig(16))
-        cfgs = [ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=s) for s in Scheme]
-        for i in range(5):
-            ch = sample_channel(ChannelConfig(), derive_seed(9, i))
+        cb, narrow = dft_codebook(ArrayConfig(16)), dft_codebook(ArrayConfig(8))
+        # one schedule per plan: configs that train one codebook with the
+        # same transforms and sectors share its plan, at either end
+        for tx_cb, rx_cb, schedules in ((cb, cb, 1), (cb, narrow, 2)):
+            calls.clear()
+            cfgs = [ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=s) for s in Scheme]
+            for i in range(5):
+                ch = sample_channel(ChannelConfig(), derive_seed(9, i))
+                for cfg in cfgs:
+                    run(cfg, ch, i)
+            assert len(calls) == schedules
+
+    def test_configs_share_plans_by_codebook_transforms_and_sectors(self):
+        cb = dft_codebook(ArrayConfig(8))
+        base = ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=Scheme.EXHAUSTIVE_PBP)
+        assert base._tx_plan is base._rx_plan
+        for cfg in (
+            dataclasses.replace(base, scheme=Scheme.FEEDBACK_BEAMCODING),
+            dataclasses.replace(base, noise=LinkBudget(), snr_budget=LinkBudget()),
+            dataclasses.replace(base, ce_chips=256, feedback_bits=8),
+            dataclasses.replace(base, quantize_bits=None, project_phase_only=False),
+        ):
+            assert cfg._tx_plan is base._tx_plan and cfg._rx_plan is base._rx_plan
+        # equal beams in another codebook object, or any one setting changed
+        twin = dft_codebook(ArrayConfig(8))
+        plans = [base._tx_plan]
+        for cfg in (
+            dataclasses.replace(base, tx_codebook=twin, rx_codebook=twin),
+            dataclasses.replace(base, quantize_bits=3),
+            dataclasses.replace(base, project_phase_only=True),
+            dataclasses.replace(base, num_sectors=2),
+        ):
+            plans += [cfg._tx_plan]
+            assert cfg._rx_plan is cfg._tx_plan
+        assert len({id(plan) for plan in plans}) == len(plans)
+        narrow = dataclasses.replace(base, rx_codebook=dft_codebook(ArrayConfig(4)))
+        assert narrow._tx_plan is base._tx_plan and narrow._rx_plan is not base._rx_plan
+
+    def test_configs_made_on_many_threads_share_one_plan(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for _ in range(1000):
+                    cb = dft_codebook(ArrayConfig(8))
+                    barrier = threading.Barrier(workers, timeout=10)
+
+                    def plan_of(i):
+                        scheme = list(Scheme)[i % len(Scheme)]
+                        cfg = ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=scheme)
+                        barrier.wait()
+                        # each end's cached property has a lock of its own
+                        return cfg._tx_plan if i % 2 else cfg._rx_plan
+
+                    futures = [pool.submit(plan_of, i) for i in range(workers)]
+                    plans = [f.result(timeout=10) for f in futures]
+                    assert all(plan is plans[0] for plan in plans)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_plans_go_with_their_configs(self):
+        ch = toy_channel(0.5)
+
+        def campaign():
+            """Quant-sweep-style configs over fresh codebooks: the baseline
+            and coded training at each bit width, each run once; weak
+            references to their plans."""
+            tx_cb, rx_cb = toy_codebooks()
+            base = ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=Scheme.EXHAUSTIVE_PBP)
+            cfgs = [base] + [
+                dataclasses.replace(base, scheme=Scheme.EXHAUSTIVE_BEAMCODING, quantize_bits=bits)
+                for bits in (None, 1, 2, 3, 4)
+            ]
             for cfg in cfgs:
-                run(cfg, ch, i)
-        # one transmit schedule for each coded scheme, one receive schedule
-        # for feedback coding
-        assert len(calls) == 3
+                run(cfg, ch, 0)
+            return [weakref.ref(plan) for cfg in cfgs for plan in (cfg._tx_plan, cfg._rx_plan)]
+
+        before = len(protocols._PLANS)
+        refs = [ref for _ in range(1000 // 6 + 1) for ref in campaign()]
+        assert len(refs) >= 2 * 1000
+        assert all(ref() is None for ref in refs)
+        assert len(protocols._PLANS) == before
 
 
 class TestChannelGeometryCache:
@@ -667,6 +754,62 @@ class TestSharedRealization:
                     taps = cascade_gains(tx_p, rx_q, ch, tx_cb.cfg, rx_cb.cfg)[:, 0, 0]
                     assert _bits(table[:, p, q]) == _bits(taps)
 
+    @pytest.mark.parametrize("spread", [0, 4])
+    def test_receive_stack_blocks_equal_their_own_cascades(self, spread):
+        tx_cb, rx_cb = dft_codebook(ArrayConfig(16)), dft_codebook(ArrayConfig(4))
+        q = len(rx_cb)
+        for quantize_bits in (None, 3):
+            cfg = ProtocolConfig(
+                tx_codebook=tx_cb,
+                rx_codebook=rx_cb,
+                scheme=Scheme.FEEDBACK_BEAMCODING,
+                quantize_bits=quantize_bits,
+            )
+            tx, rx = cfg._tx_plan, cfg._rx_plan
+            blocks = ((rx.stack, rx.weights), (rx.clean_stack, rx.clean))
+            for i in range(4):
+                ch_cfg = ChannelConfig(los=i % 2 == 0, intra_cluster_tap_spread=spread)
+                ch = sample_channel(ch_cfg, derive_seed(1818, i))
+                for tx_w in (tx.weights, tx.coded[0], tx.clean):
+                    for stack, rx_w in blocks:
+                        table = ch.gain_table(tx_w, stack, tx_cb.cfg, rx_cb.cfg)
+                        for block, own in ((table[:, :, :q], rx_w), (table[:, :, q:], rx.composite)):
+                            fresh = dataclasses.replace(ch)
+                            direct = cascade_gains(tx_w, own, fresh, tx_cb.cfg, rx_cb.cfg)
+                            assert _bits(block.copy()) == _bits(direct)
+
+    def test_exhaustive_traces_are_one_read_only_array(self):
+        by_scheme = {cfg.scheme: cfg for cfg in self.configs(quantize_bits=3)}
+        pbp, inpacket, coded = (
+            Scheme.EXHAUSTIVE_PBP,
+            Scheme.EXHAUSTIVE_INPACKET,
+            Scheme.EXHAUSTIVE_BEAMCODING,
+        )
+        cfg = by_scheme[coded]
+        tx_fields, chips = cfg._tx_plan.coded
+        n_cfg = cfg.tx_codebook.cfg
+        for i in range(4):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1919, i))
+            outs = {s: run(by_scheme[s], ch, i) for s in (pbp, inpacket, coded)}
+            for out in outs.values():
+                traces = out.power_traces
+                assert isinstance(traces, np.ndarray) and not traces.flags.writeable
+                assert traces.ndim == 2 and len(traces) == out.packets_sent
+            power = outs[pbp].pair_power
+            assert np.shares_memory(outs[pbp].power_traces, power)
+            # the per-packet arrays each runner used to return
+            fresh = dataclasses.replace(ch)
+            table = cascade_gains(tx_fields, cfg._rx_plan.weights, fresh, n_cfg, n_cfg)
+            est, *_ = protocols._stage(cfg, table, protocols._Noise(fresh, i), chips)
+            old = {
+                pbp: tuple(power.reshape(power.size, 1)),
+                inpacket: tuple(power.T.copy()),
+                coded: tuple((np.abs(est) ** 2).sum(axis=0).T.copy()),
+            }
+            for scheme, rows in old.items():
+                got = outs[scheme].power_traces
+                assert [_bits(row) for row in got] == [_bits(row) for row in rows], scheme
+
     @staticmethod
     def multilevel_on_its_own_fine_cascade(cfg, ch, seed):
         """run_multilevel_pbp with the fine stage on a cascade of the fine
@@ -675,12 +818,12 @@ class TestSharedRealization:
         tx_cfg, rx_cfg = cfg.tx_codebook.cfg, cfg.rx_codebook.cfg
         (tx_wide, tx_groups), (rx_wide, rx_groups) = cfg._tx_plan.sectors, cfg._rx_plan.sectors
         wide = cascade_gains(tx_wide, rx_wide, ch, tx_cfg, rx_cfg)
-        _, _, power1, _ = protocols._stage(cfg, wide, noise)
+        *_, power1, _ = protocols._stage(cfg, wide, noise)
         s_tx, s_rx = protocols._argmax_pair(power1)
         fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
         tx_w, rx_w = cfg._tx_plan.weights[fine_tx], cfg._rx_plan.weights[fine_rx]
         fine = cascade_gains(tx_w, rx_w, ch, tx_cfg, rx_cfg)
-        _, _, power2, detected = protocols._stage(cfg, fine, noise)
+        *_, power2, detected = protocols._stage(cfg, fine, noise)
         local = protocols._argmax_pair(power2)
         pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if detected else None
         packets = len(tx_wide) * len(rx_wide) + len(fine_tx) * len(fine_rx)
@@ -760,7 +903,7 @@ class TestSharedRealization:
             for seed in (0, 1):
                 assert_outcomes_equal(run(cfg, ch, seed), run(cfg, dataclasses.replace(ch), seed))
 
-    def test_scheme_mix_operation_makes_six_cascades(self, monkeypatch):
+    def test_scheme_mix_operation_makes_four_cascades(self, monkeypatch):
         cascades, generators = [], []
         cascade, default_rng = channel.cascade_gains, np.random.default_rng
 
@@ -780,12 +923,13 @@ class TestSharedRealization:
             generators.clear()
             for cfg in cfgs:
                 run(cfg, ch, i)
-            # the codebook table serves both exhaustive schemes, the
-            # multilevel fine stage, feedback in-packet's second stage and
-            # every SNR; the other stages are the multilevel sector stage,
-            # feedback in-packet's first, coded exhaustive and both coded
-            # feedback stages
-            assert len(cascades) == 6 * (i + 1)
+            # the codebook's receive-stack table serves both exhaustive
+            # schemes, the multilevel fine stage, both feedback in-packet
+            # stages and every SNR; the coded fields' serves coded
+            # exhaustive and the first coded feedback stage; the other two
+            # are the multilevel sector stage and the second coded
+            # feedback stage
+            assert len(cascades) == 4 * (i + 1)
             assert generators == [derive_seed(i, protocols._NOISE_STREAM)]
 
     def test_pair_power_summed_once_per_realization(self, monkeypatch):
