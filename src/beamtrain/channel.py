@@ -102,7 +102,7 @@ class ChannelRealization:
     passed in do not reach the realization.  Everything derived from the
     rays is computed on first use and kept, read-only, for every later use
     of the same realization: the tap count, the steering matrices, the
-    gain table of every pair of weight matrices passed to
+    gain table of every pair of fixed weight matrices passed to
     :meth:`gain_table`, the noise streams of :meth:`normal_stream` and what
     callers keep through :meth:`memo`.  Training runs on one realization
     therefore share their cascades and their noise draws.
@@ -162,27 +162,21 @@ class ChannelRealization:
         rx_cfg: ArrayConfig,
     ) -> np.ndarray:
         """Read-only :func:`cascade_gains` of two weight matrices through
-        this realization, computed once per (weight bytes, array configs).
+        this realization.
 
         Weights that are read-only and own their data (``base`` is None) are
-        taken as never written, so a pair of them is found again by the ids
-        of the four arguments before any bytes are hashed; that entry holds
-        the arguments, so no id in its key can pass to another object.
+        taken as never written: the table of a pair of them is kept under
+        the ids of the four arguments, in an entry that holds them, so no id
+        in its key can pass to another object.  Any other pair's table is
+        computed on every call and not kept.
         """
+        def table() -> np.ndarray:
+            return _readonly(cascade_gains(tx_weights, rx_weights, self, tx_cfg, rx_cfg))
+
+        if not (_fixed(tx_weights) and _fixed(rx_weights)):
+            return table()
         args = (tx_weights, rx_weights, tx_cfg, rx_cfg)
-        by_id = ("gains by id", *map(id, args))
-        fixed = _fixed(tx_weights) and _fixed(rx_weights)
-        if fixed and by_id in self._cache:
-            return self._cache[by_id][-1]
-        tx = np.ascontiguousarray(tx_weights, dtype=np.complex128)
-        rx = np.ascontiguousarray(rx_weights, dtype=np.complex128)
-        table = self.memo(
-            ("gains", tx.tobytes(), rx.tobytes(), tx_cfg, rx_cfg),
-            lambda: _readonly(cascade_gains(tx, rx, self, tx_cfg, rx_cfg)),
-        )
-        if fixed:
-            self._cache[by_id] = (*args, table)
-        return table
+        return self.memo(("gains", *map(id, args)), lambda: (*args, table()))[-1]
 
     def normal_stream(self, seed: int) -> NormalStream:
         """The one :class:`NormalStream` of ``seed`` on this realization."""
@@ -378,8 +372,7 @@ def cascade_gains(
     ``tx_weights`` is (F, tx antennas) and ``rx_weights`` (G, rx antennas);
     the result has shape (num_taps, F, G).  Each ray adds gain *
     tx response(aod) * rx response(aoa) at its tap, in ray order.  The
-    steering matrices and bin indices come from the channel, which builds
-    each one once.
+    steering matrices come from the channel, which builds each one once.
 
     The scatter is one ``np.bincount``: part k of the float64 parts of ray
     r's (F, G) terms goes to bin taps[r] * 2FG + k.  It adds in input order
@@ -396,7 +389,7 @@ def cascade_gains(
     terms = np.empty((len(ch.gains), f, g), dtype=np.complex128)
     np.multiply((ch.gains[:, None] * tx)[:, :, None], rx[:, None, :], out=terms)
     width = 2 * f * g
-    bins = ch.memo(("bins", width), lambda: _readonly(ch.taps[:, None] * width + np.arange(width)))
+    bins = ch.taps[:, None] * width + np.arange(width)
     parts = terms.view(np.float64)
     sums = np.bincount(bins.ravel(), weights=parts.ravel(), minlength=num_taps * width)
     return sums.view(np.complex128).reshape(num_taps, f, g)

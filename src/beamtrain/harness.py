@@ -103,7 +103,8 @@ def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[CsvBlock
             fh.write(",".join(header) + "\n")
             for block in blocks:
                 template = block.template
-                if not _whole_lines(template, len(header)):
+                lines, commas = template.count("\n"), template.count(",")
+                if not template.endswith("\n") or commas != lines * (len(header) - 1):
                     raise ValueError(
                         f"template {template[:80]!r} is not whole lines of the header's "
                         f"{len(header)} cells"
@@ -113,14 +114,6 @@ def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[CsvBlock
         path.unlink(missing_ok=True)
         raise
     return path
-
-
-@functools.lru_cache(maxsize=2)
-def _whole_lines(template: str, cells: int) -> bool:
-    """Whether ``template`` is whole lines of ``cells`` cells by its counts of
-    commas and newlines, kept for the last two templates: a power-var
-    operation writes its cached gamma template and then a new CDF one."""
-    return template.endswith("\n") and template.count(",") == template.count("\n") * (cells - 1)
 
 
 def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], CsvBlock]:
@@ -312,7 +305,7 @@ def _validate_campaign(exp: ExperimentConfig) -> None:
         _check_distinct(f"experiment.{what}s", values)
     if exp.runs < 1:
         raise ConfigError(f"experiment.runs must be at least 1, got {exp.runs}")
-    _validate_channel_and_link(exp)
+    _validate_channel_and_link(exp, nlos="nlos" in exp.environments)
 
 
 def _check_distinct(key: str, labels: Sequence[str]) -> None:
@@ -324,9 +317,10 @@ def _check_distinct(key: str, labels: Sequence[str]) -> None:
         )
 
 
-def _validate_channel_and_link(exp: ExperimentConfig) -> None:
+def _validate_channel_and_link(exp: ExperimentConfig, nlos: bool) -> None:
     """Checks of the array, channel and link settings, made before any
-    channel is drawn or any run is trained."""
+    channel is drawn or any run is trained; ``nlos`` says whether some run
+    draws a channel without line of sight."""
     ch, tx, rx = exp.channel, exp.tx_antennas, exp.rx_antennas
     spread, rms, carrier = ch.intra_cluster_tap_spread, ch.cluster_loss_rms_db, ch.carrier_hz
     std, bandwidth = ch.intra_cluster_angle_std_deg, exp.budget.bandwidth_hz
@@ -343,6 +337,10 @@ def _validate_channel_and_link(exp: ExperimentConfig) -> None:
     ):
         if not valid:
             raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    if nlos and ch.num_clusters == 0:
+        raise ConfigError(
+            "channel.num_clusters: an NLOS channel without clusters has no rays to train on"
+        )
     # Every SNR divides by the noise-to-signal ratio, and every noise draw
     # scales with it.
     try:
@@ -477,10 +475,8 @@ def _chunks(rows: _PowerVarRows, runs: int) -> tuple[tuple[int, int, int, int], 
     return tuple(zip(cuts, cuts[1:], ends, ends[1:]))
 
 
-@functools.lru_cache(maxsize=1)
 def _gamma_template(rows: _PowerVarRows, runs: int, first: int, end: int) -> str:
-    """The gamma rows of blocks [first, end), a slot for each gamma; the
-    last is kept for a sweep of seeds, as a long run's are large."""
+    """The gamma rows of blocks [first, end), a slot for each gamma."""
     return "".join(
         f"{lead}{i},".join(tails)
         for lead, tails in zip(rows.leads[first:end], rows.tails[first:end])
@@ -545,10 +541,6 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
     """
     started = time.perf_counter()
     _validate_campaign(exp)
-    if "nlos" in exp.environments and exp.channel.num_clusters == 0:
-        raise ConfigError(
-            "channel.num_clusters: an NLOS channel without clusters has no rays to train on"
-        )
     plan = _power_var_plan(
         exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes)
     )
@@ -675,7 +667,7 @@ def train_once(
     and link settings are checked first, as the campaigns check them; a
     bad value raises :class:`ConfigError`.
     """
-    _validate_channel_and_link(exp)
+    _validate_channel_and_link(exp, nlos=not (toy or exp.channel.los))
     if toy:
         tx_cb, rx_cb = toy_codebooks()
         ch = toy_channel(0.5)

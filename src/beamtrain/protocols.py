@@ -10,14 +10,15 @@ transforms and sector count, and configs that agree on those share one
 read-only plan per end of the link.  A plan's receive stack is its
 codebook with the composite beam as one more row, so one cascade serves a
 receive sweep and reception on the composite alike; the six schemes make
-four cascades per realization.  Everything else depends on the channel
-alone, and the realization keeps it for every run on it (see
+four cascades per realization.  A plan with transforms holds its
+codebook's untransformed plan, whose codebook table every SNR report
+reads.  Everything else depends on the channel alone, and the
+realization keeps it for every run on it (see
 :class:`~beamtrain.channel.ChannelRealization`): the gain table of each
-pair of weight matrices, the tap power of each reported pair, the noisy
-codebook table that packet-by-packet and in-packet search share, and one
-noise stream per seed, which every run reads from its start.  Stages
-slice their tables out of these.  Every stage of every scheme runs
-through :func:`_stage`.
+pair of plan matrices, the noisy codebook table that packet-by-packet
+and in-packet search share, and one noise stream per seed, which every
+run reads from its start.  Stages slice their tables out of these.
+Every stage of every scheme runs through :func:`_stage`.
 
 Measurement model: each training field yields one channel estimate per
 delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
@@ -144,11 +145,13 @@ class ProtocolConfig:
     # its plans up again.
     @functools.cached_property
     def _tx_plan(self) -> _TrainingPlan:
-        return _plan(self, self.tx_codebook)
+        settings = (self.project_phase_only, self.quantize_bits, self.num_sectors)
+        return _plan(self.tx_codebook, *settings)
 
     @functools.cached_property
     def _rx_plan(self) -> _TrainingPlan:
-        return _plan(self, self.rx_codebook)
+        settings = (self.project_phase_only, self.quantize_bits, self.num_sectors)
+        return _plan(self.rx_codebook, *settings)
 
     @functools.cached_property
     def _noise_std(self) -> float:
@@ -193,13 +196,26 @@ class _TrainingPlan:
     count.
 
     None of them depends on the channel, so each is built on first use,
-    one row per beam or field, and kept read-only.
+    one row per beam or field, and kept read-only.  A plan with transforms
+    holds the plan of its codebook and sector count without them, which
+    every SNR report reads.
     """
 
-    def __init__(self, codebook: BeamCodebook, settings: tuple[bool, int | None, int]) -> None:
+    def __init__(
+        self,
+        codebook: BeamCodebook,
+        settings: tuple[bool, int | None, int],
+        untransformed: _TrainingPlan | None,
+    ) -> None:
         self._codebook = codebook
         # project_phase_only, quantize_bits and num_sectors of the configs
         self._phase_only, self._bits, self._num_sectors = settings
+        self._untransformed = untransformed
+
+    @property
+    def untransformed(self) -> _TrainingPlan:
+        """The plan without transforms: this one when none is set."""
+        return self._untransformed or self
 
     def _transform(self, matrix: np.ndarray) -> np.ndarray:
         """The hardware transforms applied to a weight matrix, read-only;
@@ -214,12 +230,6 @@ class _TrainingPlan:
     def weights(self) -> np.ndarray:
         """Transformed codebook, (beams, antennas)."""
         return self._transform(self._codebook.matrix)
-
-    @functools.cached_property
-    def clean(self) -> np.ndarray:
-        """Untransformed codebook, (beams, antennas), for the SNR report; it
-        is ``weights`` when no transform is set."""
-        return self._codebook.matrix
 
     @functools.cached_property
     def coded(self) -> tuple[np.ndarray, np.ndarray]:
@@ -251,32 +261,29 @@ class _TrainingPlan:
         through it holds each column as a cascade of that row alone would."""
         return _readonly(np.concatenate([self.weights, self.composite]))
 
-    @functools.cached_property
-    def clean_stack(self) -> np.ndarray:
-        """``clean`` with ``composite`` as a last row, for the SNR report;
-        it is ``stack`` when no transform is set."""
-        if self.clean is self.weights:
-            return self.stack
-        return _readonly(np.concatenate([self.clean, self.composite]))
-
 
 # Every live plan, by the id of its codebook, its transforms and its sector
 # count.  A plan holds its codebook, so no id in a key can pass to another
 # codebook while the entry lasts, and the entry goes with the last config
-# that holds the plan.
+# or plan that holds the plan.
 _PLANS: weakref.WeakValueDictionary[tuple, _TrainingPlan] = weakref.WeakValueDictionary()
 _PLANS_LOCK = threading.Lock()
 
 
-def _plan(cfg: ProtocolConfig, codebook: BeamCodebook) -> _TrainingPlan:
-    """The one live plan of ``codebook`` under ``cfg``'s transforms and
-    sector count."""
-    settings = (cfg.project_phase_only, cfg.quantize_bits, cfg.num_sectors)
+def _plan(
+    codebook: BeamCodebook, phase_only: bool, bits: int | None, sectors: int
+) -> _TrainingPlan:
+    """The one live plan of ``codebook`` under these transforms and sector
+    count; one with transforms holds the plan without them."""
+    settings = (phase_only, bits, sectors)
+    untransformed = None
+    if phase_only or bits is not None:
+        untransformed = _plan(codebook, False, None, sectors)
     key = (id(codebook), *settings)
     with _PLANS_LOCK:
         plan = _PLANS.get(key)
         if plan is None:
-            plan = _PLANS[key] = _TrainingPlan(codebook, settings)
+            plan = _PLANS[key] = _TrainingPlan(codebook, settings, untransformed)
     return plan
 
 
@@ -306,13 +313,9 @@ def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] |
     budget = cfg.snr_budget if cfg.snr_budget is not None else cfg.noise
     if budget is None or pair is None:
         return float("nan") if pair is not None else -math.inf
-    table = _table(cfg, ch, cfg._tx_plan.clean, cfg._rx_plan.clean_stack)
-    # A power, as the budget differs per config; the realization holds the
-    # whole table, so its id stays the table's.
-    p_rel = ch.memo(
-        ("pair power", id(table), pair),
-        lambda: float((np.abs(table[:, pair[0], pair[1]]) ** 2).sum()),
-    )
+    tx, rx = cfg._tx_plan.untransformed, cfg._rx_plan.untransformed
+    table = _table(cfg, ch, tx.weights, rx.stack)
+    p_rel = float((np.abs(table[:, pair[0], pair[1]]) ** 2).sum())
     if p_rel <= 0.0:
         return -math.inf
     return 10.0 * math.log10(p_rel / budget.noise_to_signal)

@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -519,48 +521,71 @@ class TestGainTableMemo:
     def weights(self):
         return dft_codebook(self.cfg).matrix.copy()
 
+    def fixed_weights(self):
+        w = self.weights()
+        w.setflags(write=False)
+        return w
+
     def fresh_table(self, ch, tx, rx):
         return cascade_gains(tx, rx, dataclasses.replace(ch), self.cfg, self.cfg)
 
-    def test_a_read_only_view_of_a_writeable_base_is_looked_up_by_its_bytes(self):
+    @pytest.fixture
+    def cascades(self, monkeypatch):
+        calls = []
+        cascade = channel.cascade_gains
+
+        def counting_cascade(*args):
+            calls.append(1)
+            return cascade(*args)
+
+        monkeypatch.setattr(channel, "cascade_gains", counting_cascade)
+        return calls
+
+    def test_a_read_only_view_is_never_kept(self, cascades):
         ch = sample_channel(ChannelConfig(), 41)
-        base, rx = self.weights(), self.weights()
+        base, rx = self.weights(), self.fixed_weights()
         view = base[:]
         view.setflags(write=False)
         first = ch.gain_table(view, rx, self.cfg, self.cfg)
         base[0] *= -1
         second = ch.gain_table(view, rx, self.cfg, self.cfg)
-        assert second is not first
+        assert second is not first and not second.flags.writeable
         assert second.tobytes() == self.fresh_table(ch, base, rx).tobytes()
+        # a view of a read-only array that owns its data is not kept either
+        ch.gain_table(rx[:], rx, self.cfg, self.cfg)
+        ch.gain_table(rx[:], rx, self.cfg, self.cfg)
+        assert len(cascades) == 4
 
-    def test_a_writeable_array_is_looked_up_by_its_bytes(self):
+    def test_a_writeable_array_is_never_kept(self, cascades):
         ch = sample_channel(ChannelConfig(), 42)
-        tx, rx = self.weights(), self.weights()
+        tx, rx = self.weights(), self.fixed_weights()
         first = ch.gain_table(tx, rx, self.cfg, self.cfg)
+        again = ch.gain_table(tx, rx, self.cfg, self.cfg)
+        assert again is not first and again.tobytes() == first.tobytes()
         tx[1] = 0
         second = ch.gain_table(tx, rx, self.cfg, self.cfg)
-        assert second is not first
+        assert not second.flags.writeable
         assert second.tobytes() == self.fresh_table(ch, tx, rx).tobytes()
+        assert len(cascades) == 3
 
-    def test_equal_fixed_arrays_share_one_cascade(self, monkeypatch):
-        cascades = []
-        cascade = channel.cascade_gains
-
-        def counting_cascade(*args):
-            cascades.append(1)
-            return cascade(*args)
-
-        monkeypatch.setattr(channel, "cascade_gains", counting_cascade)
+    def test_a_fixed_pair_is_kept_by_identity(self, cascades):
         ch = sample_channel(ChannelConfig(), 43)
-        a, b, rx = self.weights(), self.weights(), self.weights()
-        for w in (a, b, rx):
-            w.setflags(write=False)
+        a, b, rx = self.fixed_weights(), self.fixed_weights(), self.fixed_weights()
         table = ch.gain_table(a, rx, self.cfg, self.cfg)
         assert ch.gain_table(a, rx, self.cfg, self.cfg) is table
-        assert ch.gain_table(b, rx, self.cfg, self.cfg) is table
-        assert ch.gain_table(b, rx, ArrayConfig(8), ArrayConfig(8)) is table
         assert len(cascades) == 1
         assert table.tobytes() == self.fresh_table(ch, a, rx).tobytes()
+        # equal weights in another array are another entry, with equal bits
+        other = ch.gain_table(b, rx, self.cfg, self.cfg)
+        assert other is not table and other.tobytes() == table.tobytes()
+        assert len(cascades) == 2
+        # the entry holds its arrays, so no id in its key is reused; no
+        # weight bytes go into a key
+        refs = [weakref.ref(w) for w in (a, b, rx)]
+        del a, b, rx
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        assert not any(isinstance(part, bytes) for key in ch._cache for part in key)
 
 
 class TestPathLoss:

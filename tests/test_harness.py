@@ -475,27 +475,6 @@ class TestWriteCsv:
                 write_csv(path, ["a", "b"], blocks)
             assert not path.exists()
 
-    def test_a_kept_template_is_counted_once(self, tmp_path):
-        counted = []
-
-        class Template(str):
-            def count(self, *args):
-                counted.append(self)
-                return super().count(*args)
-
-        template = Template("".join(f"{i},%.12g\n" for i in range(3)))
-        block = CsvBlock(template, [(0.5, 1.5, 2.5)])
-        for header in (["i", "x"], ["i", "x"], ["j", "y"]):
-            path = write_csv(tmp_path / "t.csv", header, [block])
-            assert path.read_text() == f"{header[0]},{header[1]}\n0,0.5\n1,1.5\n2,2.5\n"
-        # its commas and its newlines, once
-        assert counted == [template] * 2
-        # two other templates push it out, and it is counted again
-        for other in ("%d,%d\n", "%d,%d,%d\n"):
-            write_csv(tmp_path / "t.csv", other.count(",") * ["c"] + ["c"], [CsvBlock(other, [])])
-        write_csv(tmp_path / "t.csv", ["i", "x"], [block])
-        assert counted == [template] * 4
-
     def test_a_bad_template_fails_after_a_good_one_passed(self, tmp_path):
         path, good = tmp_path / "t.csv", CsvBlock("%d,%d\n", [(1, 2)])
         write_csv(path, ["a", "b"], [good])
@@ -663,6 +642,19 @@ class TestCli:
         assert cli.main(["power-var", "--config", str(config_path), "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "power_var_gamma.csv").read_text().splitlines()) == 1 + 2 * 16
 
+    def test_train_rejects_nlos_without_clusters_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        line = "channel.los = false\nchannel.num_clusters = 0"
+        err = self.assert_rejected_before_drawing(
+            "train", line, "channel.num_clusters", tmp_path, capsys, monkeypatch
+        )
+        assert "NLOS channel without clusters" in err
+        # the toy scene does not draw from the channel settings
+        config_path = tmp_path / "bad.cfg"
+        flags = ["--scheme", "exhaustive_pbp", "--toy", "--config", str(config_path)]
+        assert cli.main(["train", *flags, "--out", str(tmp_path / "toy")]) == 0
+
     def test_train_unknown_scheme_is_config_error(self, tmp_path):
         code = cli.main(["train", "--scheme", "psychic", "--out", str(tmp_path)])
         assert code == 2
@@ -729,6 +721,7 @@ class TestCli:
             ("experiment.environments = nlos, nlos", "experiment.environments"),
             ("experiment.environments =", "experiment.environments"),
             ("quant.bits =", "quant.bits"),
+            ("channel.num_clusters = 0", "channel.num_clusters"),
         ],
     )
     def test_quant_sweep_rejects_bad_values_before_drawing(

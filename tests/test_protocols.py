@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -354,6 +354,12 @@ class TestNoiselessEquivalence:
             )
         ),
     )
+    # Powers of about 3e-315 are subnormal: the two sides may differ by one
+    # subnormal step, which 1e-12 times the bound does not reach.
+    @example(
+        beams=(2, {0, 1}),
+        ch=ChannelRealization(aods_deg=[0.0], aoas_deg=[1.0], gains=[5.5324121e-158j], taps=[0]),
+    )
     def test_coded_decode_equals_exhaustive_table(self, beams, ch):
         n, indices = beams
         cb = dft_codebook(ArrayConfig(n))
@@ -368,7 +374,8 @@ class TestNoiselessEquivalence:
         k = len(tx_cb)
         t = 1 << (k - 1).bit_length()
         bound = np.abs(ch.gains).sum() ** 2
-        np.testing.assert_allclose(coded.pair_power * k / t**2, table, rtol=0, atol=1e-12 * bound)
+        atol = max(1e-12 * bound, 4 * np.finfo(float).smallest_subnormal)
+        np.testing.assert_allclose(coded.pair_power * k / t**2, table, rtol=0, atol=atol)
 
 
 class TestFeedbackAgainstExhaustive:
@@ -476,7 +483,7 @@ class TestTrainingPlan:
         for plan in (cfg._tx_plan, cfg._rx_plan):
             beams, groups = plan.sectors
             arrays += [plan.weights, *plan.coded, beams, *groups, plan.composite]
-            arrays += [plan.stack, plan.clean_stack]
+            arrays += [plan.stack, plan.untransformed.weights, plan.untransformed.stack]
         return arrays
 
     @pytest.mark.parametrize("quantize_bits", [None, 3])
@@ -527,9 +534,12 @@ class TestTrainingPlan:
             composite = superpose_beams(book.matrix, [1] * len(book))
             assert np.array_equal(plan.composite, composite[None, :])
 
-            # the receive stacks: the codebook, then the composite
+            # the receive stacks: the codebook, then the composite; the SNR
+            # reads the untransformed plan's, on the codebook itself
+            clean = plan.untransformed
+            assert clean.untransformed is clean and clean.weights is book.matrix
             assert np.array_equal(plan.stack, np.vstack([plan.weights, composite]))
-            assert np.array_equal(plan.clean_stack, np.vstack([book.matrix, composite]))
+            assert np.array_equal(clean.stack, np.vstack([book.matrix, composite]))
 
     def test_reused_config_matches_fresh_config_per_channel(self):
         cb = dft_codebook(ArrayConfig(16))
@@ -599,6 +609,9 @@ class TestTrainingPlan:
             plans += [cfg._tx_plan]
             assert cfg._rx_plan is cfg._tx_plan
         assert len({id(plan) for plan in plans}) == len(plans)
+        # a plan with transforms holds the plan without them
+        for cfg in (dataclasses.replace(base, quantize_bits=3, project_phase_only=True), base):
+            assert cfg._tx_plan.untransformed is base._tx_plan
         narrow = dataclasses.replace(base, rx_codebook=dft_codebook(ArrayConfig(4)))
         assert narrow._tx_plan is base._tx_plan and narrow._rx_plan is not base._rx_plan
 
@@ -741,12 +754,12 @@ class TestSharedRealization:
             assert not table.flags.writeable
             direct = cascade_gains(tx_w, rx_w, dataclasses.replace(ch), tx_cb.cfg, rx_cb.cfg)
             assert _bits(table) == _bits(direct)
-            # keyed on the weights' bytes, so the clean codebooks of any
-            # config read the same entry
-            assert ch.gain_table(tx_w.copy(), rx_w.copy(), tx_cb.cfg, rx_cb.cfg) is table
+            # kept by identity, so the untransformed plan of any config
+            # reads the same entry
             for plan_cfg in (cfg, quantized):
-                clean = (plan_cfg._tx_plan.clean, plan_cfg._rx_plan.clean)
-                assert ch.gain_table(*clean, tx_cb.cfg, rx_cb.cfg) is table
+                tx_clean = plan_cfg._tx_plan.untransformed.weights
+                rx_clean = plan_cfg._rx_plan.untransformed.weights
+                assert ch.gain_table(tx_clean, rx_clean, tx_cb.cfg, rx_cb.cfg) is table
             for p in range(len(tx_cb)):
                 row = cascade_gains(tx_w[p : p + 1], rx_w, ch, tx_cb.cfg, rx_cb.cfg)
                 assert _bits(table[:, p : p + 1, :]) == _bits(row)
@@ -767,11 +780,12 @@ class TestSharedRealization:
                 quantize_bits=quantize_bits,
             )
             tx, rx = cfg._tx_plan, cfg._rx_plan
-            blocks = ((rx.stack, rx.weights), (rx.clean_stack, rx.clean))
+            clean = rx.untransformed
+            blocks = ((rx.stack, rx.weights), (clean.stack, clean.weights))
             for i in range(4):
                 ch_cfg = ChannelConfig(los=i % 2 == 0, intra_cluster_tap_spread=spread)
                 ch = sample_channel(ch_cfg, derive_seed(1818, i))
-                for tx_w in (tx.weights, tx.coded[0], tx.clean):
+                for tx_w in (tx.weights, tx.coded[0], tx.untransformed.weights):
                     for stack, rx_w in blocks:
                         table = ch.gain_table(tx_w, stack, tx_cb.cfg, rx_cb.cfg)
                         for block, own in ((table[:, :, :q], rx_w), (table[:, :, q:], rx.composite)):
@@ -932,31 +946,33 @@ class TestSharedRealization:
             # feedback stage
             assert len(cascades) == 4 * (i + 1)
             assert generators == [derive_seed(i, protocols._NOISE_STREAM)]
+            # tables are found by identity: no key holds weight bytes
+            assert not any(isinstance(part, bytes) for key in ch._cache for part in key)
 
-    def test_pair_power_summed_once_per_realization(self, monkeypatch):
-        made = []
-        memo = ChannelRealization.memo
+    def test_quant_sweep_channel_makes_six_cascades(self, monkeypatch):
+        cascades = []
+        cascade = channel.cascade_gains
 
-        def counting_memo(self, key, make):
-            def counted():
-                made.append(key)
-                return make()
+        def counting_cascade(*args):
+            cascades.append(1)
+            return cascade(*args)
 
-            return memo(self, key, counted)
-
-        monkeypatch.setattr(ChannelRealization, "memo", counting_memo)
-        cfgs, shared_pairs = self.configs(), 0
-        for i in range(6):
-            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1414, i))
-            made.clear()
-            shared = [run(cfg, ch, i) for cfg in cfgs]
-            pairs = [o.best_pair for o in shared if o.best_pair is not None]
-            summed = [key[2] for key in made if key[0] == "pair power"]
-            assert sorted(summed) == sorted(set(pairs))
-            shared_pairs += len(pairs) - len(summed)
-            for cfg, out in zip(cfgs, shared):
-                assert_outcomes_equal(out, run(cfg, dataclasses.replace(ch), i))
-        assert shared_pairs > 0
+        monkeypatch.setattr(channel, "cascade_gains", counting_cascade)
+        cb = dft_codebook(ArrayConfig(16))
+        base = ProtocolConfig(
+            tx_codebook=cb, rx_codebook=cb, scheme=Scheme.EXHAUSTIVE_PBP, snr_budget=self.budget
+        )
+        cfgs = [base] + [
+            dataclasses.replace(base, scheme=Scheme.EXHAUSTIVE_BEAMCODING, quantize_bits=bits)
+            for bits in (1, 2, 3, 4, None)
+        ]
+        for i in range(4):
+            ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1515, i))
+            for cfg in cfgs:
+                run(cfg, ch, i)
+            # one table per config; every SNR reads the baseline's, on the
+            # untransformed plans that the quantized plans hold
+            assert len(cascades) == 6 * (i + 1)
 
     def test_noiseless_runs_draw_nothing(self, monkeypatch):
         ch = sample_channel(ChannelConfig(), derive_seed(1212, 0))
