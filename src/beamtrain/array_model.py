@@ -1,6 +1,5 @@
 """Uniform linear array math: steering vectors, array factors, orthogonal
-beam codebooks, multi-beam superposition, phase quantization and sidelobe
-measurement.
+beam codebooks, multi-beam superposition and phase quantization.
 
 Angle convention: beam directions are measured in degrees from the array
 axis, so broadside sits at 90 deg and steering phases go with cos(angle).
@@ -30,7 +29,6 @@ __all__ = [
     "subarray_beam",
     "quantize_phases",
     "project_uniform",
-    "sidelobe_level",
 ]
 
 
@@ -211,54 +209,3 @@ def project_uniform(w: np.ndarray) -> np.ndarray:
     np.angle(0) is 0, so zero entries come back at phase zero.
     """
     return np.exp(1j * np.angle(w)) / math.sqrt(w.shape[-1])
-
-
-def sidelobe_level(
-    w: np.ndarray,
-    cfg: ArrayConfig,
-    *,
-    step_deg: float = 0.05,
-    main_threshold_db: float = 6.0,
-) -> float | None:
-    """Highest sidelobe relative to the main beam, in dB (always <= 0).
-
-    Scans |array_factor_many|^2 over (0, 180) at ``step_deg`` resolution, finds
-    local maxima by three-point comparison, treats every peak within
-    ``main_threshold_db`` of the global maximum as a main lobe (multi-beam
-    weights have several), masks each main lobe out to its first null on
-    both sides, and returns the strongest remaining peak relative to the
-    global maximum.  Returns None when no sidelobe exists (for example a
-    2-element array, whose pattern has a single lobe per period).
-    """
-    angles = np.arange(step_deg, 180.0, step_deg)
-    power = np.abs(array_factor_many(w, angles, cfg)) ** 2
-    peak = float(power.max())
-    if peak <= 0.0:
-        raise ValueError("undefined pattern: all-zero weights")
-
-    interior = np.zeros(power.size, dtype=bool)
-    interior[1:-1] = (power[1:-1] >= power[:-2]) & (power[1:-1] > power[2:])
-    interior[0] = power[0] > power[1]
-    interior[-1] = power[-1] > power[-2]
-    maxima = np.flatnonzero(interior)
-    if maxima.size == 0:
-        return None
-
-    main_floor = peak * 10.0 ** (-main_threshold_db / 10.0)
-    excluded = np.zeros(power.size, dtype=bool)
-    for m in maxima:
-        if power[m] < main_floor:
-            continue
-        lo = m
-        while lo > 0 and power[lo - 1] <= power[lo]:
-            lo -= 1
-        hi = m
-        while hi < power.size - 1 and power[hi + 1] <= power[hi]:
-            hi += 1
-        excluded[lo : hi + 1] = True
-
-    candidates = [i for i in maxima if not excluded[i]]
-    if not candidates:
-        return None
-    side = max(float(power[i]) for i in candidates)
-    return 10.0 * math.log10(side / peak)

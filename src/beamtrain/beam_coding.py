@@ -2,8 +2,9 @@
 
 Walsh codes tag the beams that are steered simultaneously; a Golay
 complementary pair forms the channel-estimation sequence inside each
-training field.  A receiver correlates what it heard against the codes to
-split the per-beam gains back apart, per delay tap when asked to.
+training field.  A receiver correlates its field estimates against the
+codes to split the per-beam gains back apart, and the mean power of a CE
+field heard through a tapped channel sets a preamble's sigma.
 
 Codes are plain read-only int64 chip matrices: the K Walsh codes of a
 beam group a (K, T) matrix, one code per row, and a Golay pair a (2, L)
@@ -13,8 +14,6 @@ matrix whose rows are its sequences a and b.
 from __future__ import annotations
 
 import functools
-import math
-from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +24,7 @@ __all__ = [
     "golay_pair",
     "coded_fields",
     "walsh_decode",
-    "encode_ce_field",
     "ce_field_powers",
-    "decode_per_tap",
 ]
 
 
@@ -101,27 +98,6 @@ def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.nd
     return (chips @ np.swapaxes(fields, axis, -2)).swapaxes(axis, -2)
 
 
-def encode_ce_field(tap_gains: Sequence[complex], golay: np.ndarray, guard: int) -> np.ndarray:
-    """One CE field as heard through a tapped channel.
-
-    The transmitted field is [a | guard zeros | b | guard zeros] for the
-    (2, L) Golay chip matrix ``golay`` = [a, b]; ``guard`` must be at least
-    the highest tap index so the two halves do not smear into each other.
-    """
-    h = np.asarray(tap_gains, dtype=np.complex128)
-    if h.ndim != 1 or h.size == 0:
-        raise ValueError("tap_gains must be a nonempty 1-D sequence")
-    if guard < h.size - 1:
-        raise ValueError(f"guard {guard} shorter than channel spread {h.size - 1}")
-    length = golay.shape[1]
-    width = length + guard
-    out = np.zeros(2 * width, dtype=np.complex128)
-    spread = length + h.size - 1
-    out[:spread] = np.convolve(golay[0], h)
-    out[width : width + spread] = np.convolve(golay[1], h)
-    return out
-
-
 # Rows whose gathered fields ce_field_powers holds at once; all 80 preamble
 # rows of the default power-var config at once would raise the peak memory.
 _CE_BLOCK = 16
@@ -182,11 +158,12 @@ def _edge_columns(num_taps: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns of a and of r for the edge dot products of :func:`_ce_frame`,
     one length after the other: the 2n entries from n(n - 1) on are
     a[:n], a[-n:] and r[-n:], r[:n]."""
-    chips, taps = [], []
-    for n in range(1, num_taps):
-        chips += [*range(n), *range(length - n, length)]
-        taps += [*range(num_taps - n, num_taps), *range(n)]
-    return _readonly(np.array(chips, dtype=np.intp)), _readonly(np.array(taps, dtype=np.intp))
+    n = np.repeat(np.arange(1, num_taps), 2 * np.arange(1, num_taps))
+    j = np.arange(n.size) - n * (n - 1)
+    left = j < n
+    chips = np.where(left, j, length - 2 * n + j)
+    taps = np.where(left, num_taps - n + j, j - n)
+    return _readonly(chips), _readonly(taps)
 
 
 def _frame_dots(taps: np.ndarray, golay: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -239,8 +216,10 @@ def _convolved_field_powers(taps: np.ndarray, golay: np.ndarray) -> np.ndarray:
 def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
     """Mean sample power of the CE field heard through each tap row.
 
-    For every row h of the (rows, T) matrix ``tap_rows`` the result equals
-    ``np.mean(np.abs(encode_ce_field(h, golay, T - 1)) ** 2)`` bit for bit.
+    For every row h of the (rows, T) matrix ``tap_rows`` the CE field is
+    [a * h | b * h], each Golay sequence of ``golay`` = [a, b] convolved
+    with h, and the result equals ``np.mean(np.abs(np.concatenate(
+    [np.convolve(a, h), np.convolve(b, h)])) ** 2)`` bit for bit.
     Each output of ``np.convolve(seq, h)`` is one dot product of up to T
     chips with h reversed.  Products with a zero tap are signed zeros, and
     negating the chips at the nonzero taps negates the output exactly.  So
@@ -277,45 +256,3 @@ def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
         block = np.take(power[start : start + _CE_BLOCK], index, axis=1)
         sigmas[start : start + len(block)] = np.mean(block, axis=1)
     return sigmas
-
-
-def decode_per_tap(
-    received_fields: np.ndarray,
-    golay: np.ndarray,
-    chips: np.ndarray,
-    num_taps: int | None = None,
-) -> np.ndarray:
-    """Per-beam, per-delay-tap gain estimates from coded CE fields.
-
-    ``received_fields[t]`` is the sample stream of field t in the
-    :func:`encode_ce_field` layout.  Golay correlation turns each field
-    into a tap-delay profile; correlating the profiles against the codes
-    across fields with the (K, T) chip matrix ``chips`` separates the
-    beams.  Output is (K, num_taps) and is fully normalized: gains injected
-    through a :func:`coded_fields` composite come back at their original
-    scale.
-    """
-    chips = _checked_chips(chips)
-    y = np.asarray(received_fields, dtype=np.complex128)
-    t = chips.shape[1]
-    if y.ndim != 2 or y.shape[0] != t:
-        raise ValueError(f"expected {t} fields of samples")
-    length = golay.shape[1]
-    if y.shape[1] < 2 * length:
-        raise ValueError(f"field of {y.shape[1]} samples is shorter than the CE pair")
-    width = y.shape[1] // 2
-    guard = width - length
-    if num_taps is None:
-        num_taps = guard + 1
-    if num_taps > guard + 1:
-        raise ValueError(f"cannot resolve {num_taps} taps from a guard of {guard}")
-
-    profiles = np.empty((t, num_taps), dtype=np.complex128)
-    a, b = golay.astype(np.complex128)
-    for d in range(num_taps):
-        profiles[:, d] = (
-            y[:, d : d + length] @ a + y[:, width + d : width + d + length] @ b
-        ) / (2.0 * length)
-
-    return (math.sqrt(len(chips)) / t) * walsh_decode(chips.astype(np.complex128), profiles)
-

@@ -1,5 +1,5 @@
 """Propagation models: the deterministic two-path toy scene, a seeded
-cluster channel, link budget bookkeeping and noise injection.
+cluster channel and link budget bookkeeping.
 
 A realization is four read-only 1-D arrays in ray order: departure and
 arrival angles in degrees, complex gains and delay taps.  Gains are linear
@@ -39,7 +39,6 @@ __all__ = [
     "draw_cluster_loss",
     "sample_channel",
     "cascade_gains",
-    "add_noise",
     "derive_seed",
 ]
 
@@ -393,20 +392,3 @@ def cascade_gains(
     parts = terms.view(np.float64)
     sums = np.bincount(bins.ravel(), weights=parts.ravel(), minlength=num_taps * width)
     return sums.view(np.complex128).reshape(num_taps, f, g)
-
-
-def add_noise(samples: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise at the budgeted level.
-
-    Samples are amplitudes in units where unit power equals the transmit
-    power, so the injected noise has linear power ``budget.noise_to_signal``.
-    Deterministic under ``seed``.
-    """
-    arr = np.asarray(samples, dtype=np.complex128)
-    power = budget.noise_to_signal
-    if power == 0.0:
-        return arr.copy()
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(power / 2.0)
-    noise = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
-    return arr + scale * noise

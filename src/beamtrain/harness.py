@@ -533,11 +533,11 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
     Per channel, one cascade gives the taps of every distinct weight of
     the config's layouts, and a field's gamma is its power over three
     times its preamble's sigma from
-    :func:`~beamtrain.beam_coding.ce_field_powers`: bit for bit the
-    per-layout path's (:func:`~beamtrain.packets.power_trace`).  Golay
-    complementarity gives sigma in closed form, but not bit for bit, so
-    the synthesis stays until the reference outputs are re-recorded.  The
-    gammas go straight to their places in the CSV row order.
+    :func:`~beamtrain.beam_coding.ce_field_powers`: bit for bit what a
+    sample-level synthesis of each layout gives.  Golay complementarity
+    gives sigma in closed form, but not bit for bit, so the synthesis
+    stays until the reference outputs are re-recorded.  The gammas go
+    straight to their places in the CSV row order.
     """
     started = time.perf_counter()
     _validate_campaign(exp)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .array_model import ArrayConfig, superpose_beams
-from .beam_coding import coded_fields, encode_ce_field, golay_pair, walsh_codes
+from .beam_coding import coded_fields, walsh_codes
 from .channel import ChannelRealization, cascade_gains
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "layout_80211ad",
     "layout_beam_coding",
     "LAYOUTS",
-    "power_trace",
-    "preamble_samples",
 ]
 
 AGC_SUBFIELD_BITS = 320
@@ -111,43 +109,3 @@ def _tap_rows(
     """
     taps = cascade_gains(tx, rx[None, :], ch, tx_cfg, rx_cfg)
     return np.ascontiguousarray(taps[:, :, 0].T)
-
-
-def power_trace(
-    layout: tuple[np.ndarray, np.ndarray],
-    ch: ChannelRealization,
-    rx_w: np.ndarray,
-    tx_cfg: ArrayConfig,
-    rx_cfg: ArrayConfig,
-) -> tuple[float, np.ndarray]:
-    """Mean received power of the preamble and of each TRN field of a
-    ``(preamble, fields)`` layout, as ``(preamble_power, field_powers)``.
-
-    The preamble power averages over the preamble's weight cycle; ``rx_w``
-    holds the (N,) receive weights.
-    """
-    preamble, fields = layout
-    taps = _tap_rows(np.vstack([preamble, fields]), rx_w, ch, tx_cfg, rx_cfg)
-    powers = np.sum(np.abs(taps) ** 2, axis=1)
-    return float(np.mean(powers[: len(preamble)])), powers[len(preamble) :]
-
-
-def preamble_samples(
-    layout: tuple[np.ndarray, np.ndarray],
-    ch: ChannelRealization,
-    rx_w: np.ndarray,
-    tx_cfg: ArrayConfig,
-    rx_cfg: ArrayConfig,
-) -> np.ndarray:
-    """Received baseband samples of the preamble sequence through ``ch``.
-
-    The preamble is modeled as a Golay pair of 512 chips each, sent once
-    per weight in the layout's preamble cycle; what comes back is each
-    chip stream convolved with the per-tap cascade gains, concatenated.
-    This models the preamble's signal statistics, not its bit-true
-    duration.
-    """
-    golay = golay_pair(9)
-    taps = _tap_rows(layout[0], rx_w, ch, tx_cfg, rx_cfg)
-    guard = taps.shape[1] - 1
-    return np.concatenate([encode_ce_field(h, golay, guard) for h in taps])

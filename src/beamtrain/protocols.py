@@ -25,8 +25,8 @@ delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
 array response divided by sqrt(N_tx * N_rx), so a ray aligned with both
 beams of an orthogonal pair reads back as its plain ray gain; that keeps
 the classic two-path numbers (2 and 2a) exact.  Correlating over the CE
-sequence buys a processing gain of ``ce_chips``, so additive noise enters
-each estimate with variance noise_power / (tx_power * ce_chips).
+sequence buys a processing gain of its ``CE_BITS`` chips, so additive
+noise enters each estimate with variance noise_power / (tx_power * CE_BITS).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .array_model import (
 )
 from .beam_coding import coded_fields, walsh_codes, walsh_decode
 from .channel import ChannelRealization, LinkBudget, derive_seed
-from .packets import training_bits
+from .packets import CE_BITS, training_bits
 
 __all__ = [
     "Scheme",
@@ -86,6 +86,9 @@ _DETECTION_SIGMA = 5.0
 # once so that training runs never call into the packets module.
 _SWEPT_BEAM_BITS = training_bits("80211ad", 1)
 _CODED_FIELD_BITS = training_bits("beamcoding", 1)
+
+# Bits of the one feedback message a feedback scheme piggybacks.
+_FEEDBACK_BITS = 512
 
 
 class Scheme(str, Enum):
@@ -123,8 +126,6 @@ class ProtocolConfig:
     quantize_bits: int | None = None
     project_phase_only: bool = False
     num_sectors: int = 4
-    ce_chips: int = 1024
-    feedback_bits: int = 512
 
     def __post_init__(self) -> None:
         if self.scheme in _CODED_SCHEMES and not self.tx_codebook.is_orthogonal:
@@ -160,7 +161,7 @@ class ProtocolConfig:
             return 0.0
         n_tx = self.tx_codebook.cfg.num_antennas
         n_rx = self.rx_codebook.cfg.num_antennas
-        return math.sqrt(self.noise.noise_to_signal / self.ce_chips) / math.sqrt(n_tx * n_rx)
+        return math.sqrt(self.noise.noise_to_signal / CE_BITS) / math.sqrt(n_tx * n_rx)
 
 
 @dataclass(frozen=True)
@@ -389,7 +390,7 @@ def _outcome(
         power_traces=traces,
         snr_db=_snr_db(cfg, ch, pair),
         feedback_messages=int(feedback),
-        feedback_bits=cfg.feedback_bits if feedback else 0,
+        feedback_bits=_FEEDBACK_BITS if feedback else 0,
     )
 
 

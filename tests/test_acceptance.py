@@ -12,7 +12,6 @@ from beamtrain.array_model import (
     ArrayConfig,
     dft_codebook,
     project_uniform,
-    sidelobe_level,
     steering_vector,
     superpose_beams,
 )
@@ -38,6 +37,7 @@ from beamtrain.protocols import (
     run,
     sector_trap_channel,
 )
+from oracles import sidelobe_level
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -15,12 +15,12 @@ from beamtrain.array_model import (
     dft_codebook,
     project_uniform,
     quantize_phases,
-    sidelobe_level,
     steering_vector,
     subarray_beam,
     superpose_beams,
 )
 from beamtrain.channel import ChannelRealization, cascade_gains
+from oracles import sidelobe_level
 
 
 def brute_inner(a, b):

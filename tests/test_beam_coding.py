@@ -12,14 +12,13 @@ from beamtrain.array_model import ArrayConfig, BeamCodebook, dft_codebook, steer
 from beamtrain.beam_coding import (
     ce_field_powers,
     coded_fields,
-    decode_per_tap,
-    encode_ce_field,
     golay_pair,
     walsh_codes,
     walsh_decode,
 )
 from beamtrain.channel import ChannelRealization, cascade_gains
 from beamtrain.protocols import _argmax_pair
+from oracles import decode_per_tap, encode_ce_field
 
 
 def aperiodic_autocorrelation(x):
@@ -479,6 +478,17 @@ class TestCeFieldPowers:
         monkeypatch.undo()
         assert got == want
         assert counts[0] == counts[1] == ["matmul"] * 17
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 17, 40])
+    def test_edge_columns_equal_the_loop_reference(self, t):
+        chips, taps = [], []
+        for n in range(1, t):
+            chips += [*range(n), *range(512 - n, 512)]
+            taps += [*range(t - n, t), *range(n)]
+        got = beam_coding._edge_columns(t, 512)
+        for array, want in zip(got, (chips, taps)):
+            assert array.dtype == np.intp and not array.flags.writeable
+            assert array.tolist() == want
 
     def test_layout_choice(self):
         golay = golay_pair(9)

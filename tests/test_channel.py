@@ -21,7 +21,6 @@ from beamtrain.channel import (
     LinkBudget,
     NormalStream,
     _fold_angle,
-    add_noise,
     cascade_gains,
     derive_seed,
     draw_cluster_loss,
@@ -29,6 +28,7 @@ from beamtrain.channel import (
     toy_channel,
     toy_codebooks,
 )
+from oracles import add_noise
 
 
 def rays_of(ch):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from beamtrain import cli, harness
 from beamtrain.array_model import ArrayConfig, dft_codebook
-from beamtrain.beam_coding import encode_ce_field, golay_pair
+from beamtrain.beam_coding import golay_pair
 from beamtrain.channel import ChannelConfig, derive_seed, sample_channel
 from beamtrain.experiment import ExperimentConfig, parse_config, serialize_config
 from beamtrain.harness import (
@@ -30,9 +30,9 @@ from beamtrain.harness import (
     train_once,
     write_csv,
 )
-from beamtrain.metrics import empirical_cdf, power_ratio
-from beamtrain.packets import LAYOUTS, _tap_rows, power_trace, preamble_samples
+from beamtrain.packets import LAYOUTS, _tap_rows
 from beamtrain.protocols import Scheme
+from oracles import encode_ce_field, power_trace, preamble_samples
 
 
 def gamma_rows(blocks):
@@ -46,12 +46,15 @@ def gamma_rows(blocks):
 
 
 def cdf_rows(blocks):
-    """The CDF CSV rows of power-var blocks as tuples, in block order."""
-    return [
-        (b.label, b.scheme, b.environment, b.beams_per_packet, v, f)
-        for b in blocks
-        for v, f in zip(*(a.tolist() for a in empirical_cdf(b.gammas.ravel()).points()))
-    ]
+    """The CDF CSV rows of power-var blocks as tuples, in block order: each
+    distinct gamma with the fraction of its block's gammas at or below it."""
+    rows = []
+    for b in blocks:
+        values, counts = np.unique(b.gammas, return_counts=True)
+        fractions = np.cumsum(counts) / b.gammas.size
+        label = (b.label, b.scheme, b.environment, b.beams_per_packet)
+        rows += [(*label, v, f) for v, f in zip(values.tolist(), fractions.tolist())]
+    return rows
 
 
 def fmt_cell(value) -> str:
@@ -242,7 +245,8 @@ class TestPowerVarOracle:
                         layout = layout_of(beams)
                         _, field_powers = power_trace(layout, ch, rx_w, cfg, rx_cfg)
                         samples = preamble_samples(layout, ch, rx_w, cfg, rx_cfg)
-                        gammas = power_ratio(field_powers, samples)
+                        sigma = float(np.mean(np.abs(samples) ** 2))
+                        gammas = field_powers / (3.0 * sigma)
                         for field, gamma in enumerate(gammas.tolist()):
                             want[(scheme, env, k, i, packet, field)] = gamma
         assert got.keys() == want.keys()
@@ -300,6 +304,13 @@ class TestPowerVarPlan:
             taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
             got = harness._channel_gammas(plan, taps)
             assert got.tolist() == self.per_packet_gammas(plan, taps)
+
+    @pytest.mark.parametrize("num_taps", [1, 4])
+    def test_zero_preamble_variance_rejected(self, num_taps):
+        plan = harness._power_var_plan(16, 0.5, (1, 4), ("80211ad", "beamcoding"))
+        taps = np.zeros((len(plan.weights), num_taps), dtype=complex)
+        with pytest.raises(ValueError, match="preamble has zero variance"):
+            harness._channel_gammas(plan, taps)
 
     @pytest.mark.parametrize("beams_per_packet", [(1, 2, 4, 8, 16), (16, 3, 1, 5)])
     def test_cells_tile_the_gammas_in_config_order(self, beams_per_packet):

@@ -21,10 +21,9 @@ from beamtrain.packets import (
     PER_BEAM_BITS_BEAM_CODING,
     layout_80211ad,
     layout_beam_coding,
-    power_trace,
-    preamble_samples,
     training_bits,
 )
+from oracles import power_trace, preamble_samples
 
 
 def coded_layout(beam_indices, codebook):

@@ -33,7 +33,12 @@ from beamtrain.channel import (
     toy_channel,
     toy_codebooks,
 )
-from beamtrain.packets import PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING, training_bits
+from beamtrain.packets import (
+    CE_BITS,
+    PER_BEAM_BITS_80211AD,
+    PER_BEAM_BITS_BEAM_CODING,
+    training_bits,
+)
 from beamtrain.protocols import (
     ProtocolConfig,
     Scheme,
@@ -48,6 +53,10 @@ from beamtrain.protocols import (
     sector_beams,
     sector_trap_channel,
 )
+
+# The CE correlation gain, 10 log10(CE_BITS) dB: noise this much louder puts
+# the per-field estimate noise where a single-chip correlation would.
+CE_GAIN_DB = 10.0 * math.log10(CE_BITS)
 
 
 def toy_config(scheme, **kwargs):
@@ -112,10 +121,9 @@ class TestToyScenario:
         assert out.feedback_messages == 1
         assert out.feedback_bits == 512
 
-    def test_feedback_cost_configurable_and_outside_training_bits(self):
-        cfg = toy_config(Scheme.FEEDBACK_BEAMCODING, feedback_bits=256)
-        out = run_feedback_beamcoding(cfg, toy_channel(0.5), 0)
-        assert out.feedback_bits == 256
+    def test_feedback_cost_fixed_and_outside_training_bits(self):
+        out = run_feedback_beamcoding(toy_config(Scheme.FEEDBACK_BEAMCODING), toy_channel(0.5), 0)
+        assert (out.feedback_messages, out.feedback_bits) == (1, 512)
         assert out.training_bits == (4 + 4) * PER_BEAM_BITS_BEAM_CODING
 
     def test_feedback_stage1_observation_structure(self):
@@ -235,8 +243,8 @@ class TestNoise:
         runs = 10_000
         accuracy = []
         for noise_dbm in (-4.0, 2.0, 8.0):
-            budget = LinkBudget(tx_power_dbm=10.0, noise_override_dbm=noise_dbm)
-            cfg = toy_config(Scheme.EXHAUSTIVE_BEAMCODING, noise=budget, ce_chips=1)
+            budget = LinkBudget(tx_power_dbm=10.0, noise_override_dbm=noise_dbm + CE_GAIN_DB)
+            cfg = toy_config(Scheme.EXHAUSTIVE_BEAMCODING, noise=budget)
             hits = sum(
                 run(cfg, ch, seed).best_pair == TOY_LOS_PAIR for seed in range(runs)
             )
@@ -249,8 +257,8 @@ class TestNoise:
         # with the two path gains nearly equal, stage-1 transmit selection is
         # noise limited and splits about evenly
         ch = toy_channel(0.999)
-        budget = LinkBudget(tx_power_dbm=10.0, noise_override_dbm=6.0)
-        cfg = toy_config(Scheme.FEEDBACK_INPACKET, noise=budget, ce_chips=1)
+        budget = LinkBudget(tx_power_dbm=10.0, noise_override_dbm=6.0 + CE_GAIN_DB)
+        cfg = toy_config(Scheme.FEEDBACK_INPACKET, noise=budget)
         picks = [run(cfg, ch, seed).best_pair for seed in range(2000)]
         tx_choices = [p[0] for p in picks if p is not None]
         frac_beam1 = np.mean([t == TOY_LOS_PAIR[0] for t in tx_choices])
@@ -593,7 +601,6 @@ class TestTrainingPlan:
         for cfg in (
             dataclasses.replace(base, scheme=Scheme.FEEDBACK_BEAMCODING),
             dataclasses.replace(base, noise=LinkBudget(), snr_budget=LinkBudget()),
-            dataclasses.replace(base, ce_chips=256, feedback_bits=8),
             dataclasses.replace(base, quantize_bits=None, project_phase_only=False),
         ):
             assert cfg._tx_plan is base._tx_plan and cfg._rx_plan is base._rx_plan
