@@ -116,7 +116,7 @@ _SCHEMA: dict[str, tuple[str, str, Callable, Callable]] = {
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse ``section.key = value`` lines; '#' starts a comment."""
-    values: dict[str, object] = {}
+    values: dict[str, tuple[int, object]] = {}  # key -> (line, value)
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -126,9 +126,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = (part.strip() for part in body.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {values[key][0]}")
         _, attr, parser, _ = _SCHEMA[key]
         try:
-            values[key] = parser(raw)
+            values[key] = lineno, parser(raw)
         except ConfigError:
             raise
         except ValueError as exc:
@@ -136,7 +138,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
     settings: dict[str, dict[str, object]] = {"self": {}, "channel": {}, "budget": {}}
-    for key, value in values.items():
+    for key, (_, value) in values.items():
         settings[_SCHEMA[key][0]][key] = value
     self_kwargs = {_SCHEMA[key][1]: value for key, value in settings.pop("self").items()}
     for target, nested in settings.items():

@@ -428,9 +428,11 @@ class PowerVarBlock:
 
 class _PowerVarRows:
     """Power-var row text but the numbers, per block of ``cells`` (label
-    cells, packet and field labels) in label order: the entries per run
-    before it (``bounds``, the total last), its label cells as printf text
-    and, after "", the rest of a run's rows, which its leading cells join."""
+    cells, packet and field labels, and where its gammas lie in a result's:
+    environment index, every run, entry slice) in label order: the entries
+    per run before it (``bounds``, the total last), its label cells as
+    printf text and, after "", the rest of a run's rows, which its leading
+    cells join."""
 
     def __init__(self, cells: tuple[tuple, ...]) -> None:
         self.cells = cells
@@ -440,24 +442,14 @@ class _PowerVarRows:
 
 
 @functools.lru_cache(maxsize=8)
-def _power_var_rows(plan: _PowerVarPlan, environments: tuple[str, ...]):
-    """The rows of a config, and the gamma that entry j of run i's channel
-    in environment e goes to: ``runs * at[e, 0, j] + at[e, 1, j] + i *
-    at[e, 2, j]`` (its block's first entry, place in a run, width)."""
-    cells = sorted(
-        (
-            (f"power_var/{scheme}/{env}/K{k}", scheme, env, k, packets, fields, e, entries)
-            for scheme, k, entries, packets, fields in plan.cells
-            for e, env in enumerate(environments)
-        ),
-        key=itemgetter(0),
+def _power_var_rows(plan: _PowerVarPlan, environments: tuple[str, ...]) -> _PowerVarRows:
+    """The rows of a config."""
+    cells = (
+        (f"power_var/{s}/{env}/K{k}", s, env, k, packets, fields, (e, slice(None), entries))
+        for s, k, entries, packets, fields in plan.cells
+        for e, env in enumerate(environments)
     )
-    rows = _PowerVarRows(tuple(c[:6] for c in cells))
-    at = np.empty((len(environments), 3, len(plan.fields)), np.intp)
-    for first, (*_, e, entries) in zip(rows.bounds.tolist(), cells):
-        width = entries.stop - entries.start
-        at[e, 0, entries], at[e, 1, entries], at[e, 2, entries] = first, range(width), width
-    return rows, _readonly(at)
+    return _PowerVarRows(tuple(sorted(cells, key=itemgetter(0))))
 
 
 # A chunk of blocks holds fewer gamma rows than this plus its last block's.
@@ -465,57 +457,56 @@ _CHUNK_ROWS = 4096
 
 
 @functools.lru_cache(maxsize=8)
-def _chunks(rows: _PowerVarRows, runs: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Each chunk's first and end block and gamma: a block starts a chunk
-    when its first gamma is in a later span of _CHUNK_ROWS than the last's."""
-    bounds = runs * rows.bounds
-    starts = np.flatnonzero(np.diff(bounds[:-1] // _CHUNK_ROWS, prepend=-1))
+def _chunks(rows: _PowerVarRows, runs: int) -> tuple[tuple[int, int], ...]:
+    """Each chunk's first and end block: a block starts a chunk when its
+    first gamma is in a later span of _CHUNK_ROWS than the last's."""
+    starts = np.flatnonzero(np.diff(runs * rows.bounds[:-1] // _CHUNK_ROWS, prepend=-1))
     cuts = [*starts.tolist(), len(rows.cells)]
-    ends = bounds[cuts].tolist()
-    return tuple(zip(cuts, cuts[1:], ends, ends[1:]))
-
-
-def _gamma_template(rows: _PowerVarRows, runs: int, first: int, end: int) -> str:
-    """The gamma rows of blocks [first, end), a slot for each gamma."""
-    return "".join(
-        f"{lead}{i},".join(tails)
-        for lead, tails in zip(rows.leads[first:end], rows.tails[first:end])
-        for i in range(runs)
-    )
+    return tuple(zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True, eq=False)
 class PowerVarResult:
-    """The gammas of a power-var campaign in the order of their CSV rows:
+    """The gammas of a power-var campaign: row ``[e, i]`` of the read-only
+    (environments, runs, entries) ``gammas`` holds the channel of run i in
+    environment e, in plan order.  ``rows`` alone knows the CSV row order:
     block by block in label order, each block's runs in index order, each
     run's entries in (packet, field) order.  Each CSV takes one ``%`` per
     chunk of blocks."""
 
     rows: _PowerVarRows
-    runs: int
     gammas: np.ndarray
 
     @property
     def blocks(self) -> list[PowerVarBlock]:
         """One block per (environment, cell), viewing the result's gammas."""
-        bounds = (self.runs * self.rows.bounds).tolist()
         return [
-            PowerVarBlock(*cell[:4], self.gammas[lo:hi].reshape(self.runs, -1), *cell[4:])
-            for cell, lo, hi in zip(self.rows.cells, bounds, bounds[1:])
+            PowerVarBlock(*cell[:4], self.gammas[place], *cell[4:])
+            for *cell, place in self.rows.cells
         ]
 
+    def _chunk_gammas(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Each chunk's first and end block, and its blocks' gammas in row order."""
+        cells = self.rows.cells
+        for first, end in _chunks(self.rows, self.gammas.shape[1]):
+            yield first, end, np.concatenate([self.gammas[c[6]].ravel() for c in cells[first:end]])
+
     def gamma_rows(self) -> Iterator[CsvBlock]:
-        """The gamma CSV's rows, one block per chunk."""
-        for first, end, lo, hi in _chunks(self.rows, self.runs):
-            template = _gamma_template(self.rows, self.runs, first, end)
-            yield CsvBlock(template, [tuple(self.gammas[lo:hi].tolist())])
+        """The gamma CSV's rows, one block per chunk, a slot for each gamma."""
+        for first, end, gammas in self._chunk_gammas():
+            template = "".join(
+                f"{lead}{i},".join(tails)
+                for lead, tails in zip(self.rows.leads[first:end], self.rows.tails[first:end])
+                for i in range(self.gammas.shape[1])
+            )
+            yield CsvBlock(template, [tuple(gammas.tolist())])
 
     def cdf_rows(self) -> Iterator[CsvBlock]:
         """Each block's jump points in value order, from one
         :func:`grouped_cdf` call per chunk."""
-        sizes = self.runs * np.diff(self.rows.bounds)
-        for first, end, lo, hi in _chunks(self.rows, self.runs):
-            values, fractions, counts = grouped_cdf(self.gammas[lo:hi], sizes[first:end])
+        sizes = self.gammas.shape[1] * np.diff(self.rows.bounds)
+        for first, end, gammas in self._chunk_gammas():
+            values, fractions, counts = grouped_cdf(gammas, sizes[first:end])
             slots = np.empty(2 * len(values))
             slots[0::2], slots[1::2] = values, fractions
             leads = (lead + "%.12g,%.12g\n" for lead in self.rows.leads[first:end])
@@ -536,31 +527,28 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
     :func:`~beamtrain.beam_coding.ce_field_powers`: bit for bit what a
     sample-level synthesis of each layout gives.  Golay complementarity
     gives sigma in closed form, but not bit for bit, so the synthesis
-    stays until the reference outputs are re-recorded.  The gammas go
-    straight to their places in the CSV row order.
+    stays until the reference outputs are re-recorded.
     """
     started = time.perf_counter()
     _validate_campaign(exp)
     plan = _power_var_plan(
         exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes)
     )
-    rows, at = _power_var_rows(plan, tuple(exp.environments))
+    rows = _power_var_rows(plan, tuple(exp.environments))
     log.info("power-var: %d runs in %s", exp.runs, ", ".join(exp.environments))
     tx_cfg = ArrayConfig(exp.tx_antennas, exp.spacing)
     rx_w = np.ones(1, dtype=np.complex128)
     rx_cfg = ArrayConfig(1, exp.spacing)
 
-    gammas = np.empty(exp.runs * int(rows.bounds[-1]))
+    gammas = np.empty((len(exp.environments), exp.runs, len(plan.fields)))
     for env_idx, env in enumerate(exp.environments):
         env_started = time.perf_counter()
         ch_cfg = replace(exp.channel, los=(env == "los"))
         env_master = derive_seed(derive_seed(exp.master_seed, _POWER_VAR_STREAM), env_idx)
-        first, place, width = at[env_idx]
-        start = exp.runs * first + place
         for i in range(exp.runs):
             ch = sample_channel(ch_cfg, derive_seed(env_master, i))
             taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
-            gammas[start + i * width] = _channel_gammas(plan, taps)
+            gammas[env_idx, i] = _channel_gammas(plan, taps)
         log.debug("power-var: %s done in %.3f s", env, time.perf_counter() - env_started)
     gammas.setflags(write=False)
     log.info(
@@ -571,7 +559,7 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
         gammas.size,
         time.perf_counter() - started,
     )
-    return PowerVarResult(rows, exp.runs, gammas)
+    return PowerVarResult(rows, gammas)
 
 
 def _linear_snrs(

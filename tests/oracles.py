@@ -4,9 +4,10 @@ The library works at field level: a field is its mean power, a preamble
 its sigma, a coded stage its decoded table.  The functions here build the
 same things sample by sample, the slow and plain way: the CE field as
 heard through a tapped channel, a Golay-correlation receiver per delay
-tap, complex Gaussian noise, the per-layout power trace and preamble
-stream of a packet, and the sidelobe level of an array pattern.  No
-campaign or subcommand calls them.
+tap, complex Gaussian noise, the taps of a weight row through a channel
+ray by ray, the per-layout power trace and preamble stream of a packet,
+and the sidelobe level of an array pattern.  No campaign or subcommand
+calls them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "encode_ce_field",
     "decode_per_tap",
     "add_noise",
+    "ray_taps",
     "power_trace",
     "preamble_samples",
     "sidelobe_level",
@@ -108,6 +110,29 @@ def add_noise(samples: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:
     scale = math.sqrt(power / 2.0)
     noise = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
     return arr + scale * noise
+
+
+def ray_taps(
+    tx: np.ndarray,
+    rx_w: np.ndarray,
+    ch: ChannelRealization,
+    tx_cfg: ArrayConfig,
+    rx_cfg: ArrayConfig,
+) -> np.ndarray:
+    """Taps of each transmit weight row through the (N,) receive weights
+    ``rx_w``, shape (rows, num_taps), ray by ray: each ray's gain times
+    every row's array factor (``w @ steering``) at its departure angle
+    times the receiver's at its arrival angle, added into its tap in ray
+    order.  Neither :func:`~beamtrain.channel.cascade_gains` nor the
+    channel's steering matrices take part.  A ray's products run over all
+    rows at once: numpy's array multiply rounds unlike a scalar product.
+    """
+    taps = np.zeros((len(tx), ch.num_taps), dtype=np.complex128)
+    rx_response = array_factor_many(rx_w, ch.aoas_deg, rx_cfg)
+    tx_responses = np.stack([array_factor_many(w, ch.aods_deg, tx_cfg) for w in tx], axis=1)
+    for gain, tap, t, r in zip(ch.gains, ch.taps.tolist(), tx_responses, rx_response):
+        taps[:, tap] += gain * t * r
+    return taps
 
 
 def power_trace(

@@ -76,6 +76,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("experiment.runs\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("experiment.runs = 2\nexperiment.runs = 3\n", "line 2: experiment.runs"),
+            # The same value twice, a nested key, comments and blanks between.
+            ("channel.los = no\n# again\n\nchannel.los = no\n", "line 4: channel.los"),
+            ("quant.bits = 1\narray.spacing = 0.5\nquant.bits =\n", "line 3: quant.bits"),
+        ],
+    )
+    def test_repeated_key(self, text, message):
+        # The last value used to win silently.
+        with pytest.raises(ConfigError, match=f"^{message} is already set on line 1$"):
+            parse_config(text)
+
     def test_bool_forms(self):
         assert parse_config("channel.los = yes\n").channel.los is True
         assert parse_config("channel.los = 0\n").channel.los is False

@@ -561,8 +561,8 @@ class TestWriteCsvTemplates:
         assert path.read_bytes() == b"a,b,c\n5%d,1,0.5\n%s%%,2,1e+300\n"
 
     def test_label_cells_are_literal_text(self, tmp_path):
-        cells = (("%d%%", "%s", "los", 1, (0,), (3,)),)
-        result = PowerVarResult(harness._PowerVarRows(cells), 2, np.full(2, 0.25))
+        cells = (("%d%%", "%s", "los", 1, (0,), (3,), (0, slice(None), slice(0, 1))),)
+        result = PowerVarResult(harness._PowerVarRows(cells), np.full((1, 2, 1), 0.25))
         (block,) = result.blocks
         gamma = write_csv(tmp_path / "g.csv", PowerVarBlock.gamma_header, result.gamma_rows())
         cdf = write_csv(tmp_path / "c.csv", PowerVarBlock.cdf_header, result.cdf_rows())
@@ -574,7 +574,9 @@ class TestWriteCsvTemplates:
 class TestPowerVarCsvBytes:
     """Both power-var CSVs against a cell-by-cell join of the blocks' rows."""
 
-    @pytest.mark.parametrize("runs", [1, 3])
+    # At 14 runs the default config's last block starts at gamma row 4,256,
+    # in a second chunk.
+    @pytest.mark.parametrize("runs", [1, 3, 14])
     @pytest.mark.parametrize("golden_case", [None, "power_var_k3_spread4"])
     def test_csvs_equal_a_per_cell_join(self, tmp_path, golden_case, runs):
         flags = ["--runs", str(runs), "--out", str(tmp_path)]
@@ -585,8 +587,10 @@ class TestPowerVarCsvBytes:
             exp = replace(parse_config(config.read_text()), runs=runs)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["power-var", *flags]) == 0
-        blocks = power_var_campaign(exp).blocks
+        result = power_var_campaign(exp)
+        blocks = result.blocks
         assert all(b.gammas.shape == (runs, len(b.fields)) for b in blocks)
+        assert (len(list(result.gamma_rows())) > 1) == (golden_case is None and runs == 14)
         gamma = (tmp_path / "power_var_gamma.csv").read_bytes()
         cdf = (tmp_path / "power_var_cdf.csv").read_bytes()
         assert gamma == joined_csv(PowerVarBlock.gamma_header, gamma_rows(blocks))
@@ -862,6 +866,15 @@ class TestCli:
         assert err == (
             f"config error: {message} listed more than once; their rows would share one label\n"
         )
+
+    @pytest.mark.parametrize("command", ["power-var", "quant-sweep", "train"])
+    def test_repeated_key_rejected_before_drawing(self, tmp_path, capsys, monkeypatch, command):
+        # The last value used to win: this config ran 3 runs and exited 0.
+        lines = "experiment.runs = 2\nexperiment.runs = 3"
+        err = self.assert_rejected_before_drawing(
+            command, lines, "experiment.runs", tmp_path, capsys, monkeypatch
+        )
+        assert err == "config error: line 2: experiment.runs is already set on line 1\n"
 
     @staticmethod
     def assert_rejected_before_drawing(command, line, key, tmp_path, capsys, monkeypatch):

@@ -14,16 +14,18 @@ from beamtrain.channel import (
     toy_codebooks,
 )
 from beamtrain.experiment import ExperimentConfig
+from beamtrain.harness import _power_var_plan
 from beamtrain.packets import (
     CE_BITS,
     LAYOUTS,
     PER_BEAM_BITS_80211AD,
     PER_BEAM_BITS_BEAM_CODING,
+    _tap_rows,
     layout_80211ad,
     layout_beam_coding,
     training_bits,
 )
-from oracles import power_trace, preamble_samples
+from oracles import power_trace, preamble_samples, ray_taps
 
 
 def coded_layout(beam_indices, codebook):
@@ -123,6 +125,24 @@ class TestLayouts:
         for name in LAYOUTS:
             assert training_bits(name, 2) > 0
         assert ExperimentConfig().schemes == tuple(LAYOUTS) == ("80211ad", "beamcoding")
+
+
+class TestTapRows:
+    """The power-var campaign's taps against a ray-by-ray sum that does not
+    go through ``cascade_gains``: the per-layout oracles read their taps
+    from ``_tap_rows`` itself, so a fault in it would pass them."""
+
+    @pytest.mark.parametrize("spread", [0, 4])
+    @pytest.mark.parametrize("los", [True, False])
+    def test_taps_equal_a_ray_by_ray_sum(self, los, spread):
+        exp = ExperimentConfig()
+        weights = _power_var_plan(16, 0.5, exp.beams_per_packet, exp.schemes).weights
+        tx_cfg, rx_cfg, rx_w = ArrayConfig(16), ArrayConfig(1), np.ones(1, dtype=np.complex128)
+        cfg = ChannelConfig(los=los, intra_cluster_tap_spread=spread)
+        for i in range(5):
+            ch = sample_channel(cfg, derive_seed(31, i))
+            got = _tap_rows(weights, rx_w, ch, tx_cfg, rx_cfg)
+            assert got.tobytes() == ray_taps(weights, rx_w, ch, tx_cfg, rx_cfg).tobytes()
 
 
 class TestPowerTrace:
