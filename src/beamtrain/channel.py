@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -46,6 +47,10 @@ SPEED_OF_LIGHT = 299792458.0
 
 _MASK64 = (1 << 64) - 1
 
+# Held by every stream draw and memo miss, on any thread; reentrant, as a
+# memo value may ask for another; one for all, so realizations pickle.
+_LOCK = threading.RLock()
+
 
 def derive_seed(master: int, index: int) -> int:
     """Child seed i = splitmix64_mix((master XOR i) + golden gamma).
@@ -77,13 +82,14 @@ class NormalStream:
     def read(self, start: int, count: int) -> np.ndarray:
         """Normals ``start`` to ``start + count - 1`` of the stream, read-only."""
         end = start + count
-        drawn = len(self._normals)
-        if end > drawn:
-            if self._rng is None:
-                self._rng = np.random.default_rng(self._seed)
-            more = self._rng.standard_normal(end - drawn)
-            self._normals = _readonly(np.concatenate([self._normals, more]) if drawn else more)
-        return self._normals[start:end]
+        with _LOCK:
+            drawn = len(self._normals)
+            if end > drawn:
+                if self._rng is None:
+                    self._rng = np.random.default_rng(self._seed)
+                more = self._rng.standard_normal(end - drawn)
+                self._normals = _readonly(np.concatenate([self._normals, more]) if drawn else more)
+            return self._normals[start:end]
 
 
 # The dtype of each ray array of a realization, in field order.
@@ -98,13 +104,11 @@ class ChannelRealization:
     departure and arrival angles in degrees, complex gains and delay taps.
 
     The constructor keeps its own copies, so later writes to the arrays
-    passed in do not reach the realization.  Everything derived from the
-    rays is computed on first use and kept, read-only, for every later use
-    of the same realization: the tap count, the steering matrices, the
-    gain table of every pair of fixed weight matrices passed to
-    :meth:`gain_table`, the noise streams of :meth:`normal_stream` and what
-    callers keep through :meth:`memo`.  Training runs on one realization
-    therefore share their cascades and their noise draws.
+    passed in do not reach the realization.  The tap count is computed on
+    first use and kept, and so is whatever callers keep through
+    :meth:`memo`: the training sessions of :mod:`beamtrain.protocols`,
+    through which every run on one realization shares its cascades and
+    its noise draws.
     """
 
     aods_deg: np.ndarray
@@ -122,68 +126,27 @@ class ChannelRealization:
             raise ValueError(f"need four 1-D ray arrays of one length, got shapes {shapes}")
         for name, arr in arrays.items():
             object.__setattr__(self, name, _readonly(arr))
+        # Everything kept by memo.
+        object.__setattr__(self, "_cache", {})
 
     # cached_property stores into the instance __dict__, past the frozen
-    # __setattr__; dataclasses.replace makes a new instance, which derives
-    # its own tables and streams.
+    # __setattr__; dataclasses.replace makes a new instance, which keeps
+    # nothing of this one's.
     @functools.cached_property
     def num_taps(self) -> int:
         return int(self.taps.max()) + 1 if len(self.taps) else 1
 
-    @functools.cached_property
-    def _cache(self) -> dict[tuple, object]:
-        """Everything kept by :meth:`memo`, keyed by kind first."""
-        return {}
-
     def memo(self, key: tuple, make: Callable[[], object]) -> object:
-        """The value kept under ``key``, a tuple that starts with its kind,
-        made by ``make()`` on the key's first use."""
+        """The value kept under ``key``, made by ``make()`` on the key's
+        first use, once however many threads ask at once; ``make`` may ask
+        for another key."""
         value = self._cache.get(key)
         if value is None:
-            value = self._cache[key] = make()
+            with _LOCK:
+                value = self._cache.get(key)
+                if value is None:
+                    value = self._cache[key] = make()
         return value
-
-    def steering_matrix(self, end: str, cfg: ArrayConfig) -> np.ndarray:
-        """Read-only responses of an array at one end of the link ("tx" at
-        the departure angles, "rx" at the arrival angles), shape
-        (antennas, rays); built once per (end, antennas, spacing)."""
-        def build() -> np.ndarray:
-            angles = {"tx": self.aods_deg, "rx": self.aoas_deg}[end]
-            return _readonly(_steering_matrix(angles, cfg))
-
-        return self.memo(("steering", end, cfg.num_antennas, cfg.spacing), build)
-
-    def gain_table(
-        self,
-        tx_weights: np.ndarray,
-        rx_weights: np.ndarray,
-        tx_cfg: ArrayConfig,
-        rx_cfg: ArrayConfig,
-    ) -> np.ndarray:
-        """Read-only :func:`cascade_gains` of two weight matrices through
-        this realization.
-
-        Weights that are read-only and own their data (``base`` is None) are
-        taken as never written: the table of a pair of them is kept under
-        the ids of the four arguments, in an entry that holds them, so no id
-        in its key can pass to another object.  Any other pair's table is
-        computed on every call and not kept.
-        """
-        def table() -> np.ndarray:
-            return _readonly(cascade_gains(tx_weights, rx_weights, self, tx_cfg, rx_cfg))
-
-        if not (_fixed(tx_weights) and _fixed(rx_weights)):
-            return table()
-        args = (tx_weights, rx_weights, tx_cfg, rx_cfg)
-        return self.memo(("gains", *map(id, args)), lambda: (*args, table()))[-1]
-
-    def normal_stream(self, seed: int) -> NormalStream:
-        """The one :class:`NormalStream` of ``seed`` on this realization."""
-        return self.memo(("normals", seed), lambda: NormalStream(seed))
-
-
-def _fixed(w: object) -> bool:
-    return isinstance(w, np.ndarray) and w.base is None and not w.flags.writeable
 
 
 @dataclass(frozen=True)
@@ -370,8 +333,7 @@ def cascade_gains(
 
     ``tx_weights`` is (F, tx antennas) and ``rx_weights`` (G, rx antennas);
     the result has shape (num_taps, F, G).  Each ray adds gain *
-    tx response(aod) * rx response(aoa) at its tap, in ray order.  The
-    steering matrices come from the channel, which builds each one once.
+    tx response(aod) * rx response(aoa) at its tap, in ray order.
 
     The scatter is one ``np.bincount``: part k of the float64 parts of ray
     r's (F, G) terms goes to bin taps[r] * 2FG + k.  It adds in input order
@@ -379,16 +341,25 @@ def cascade_gains(
     imaginary parts apart, bit for bit as ``np.add.at`` would (and unlike
     ``np.add.reduceat``, which does not add in order).
     """
-    num_taps, f, g = ch.num_taps, len(tx_weights), len(rx_weights)
-    tx = _responses(tx_weights, ch.steering_matrix("tx", tx_cfg))
-    rx = _responses(rx_weights, ch.steering_matrix("rx", rx_cfg))
+    steering = (_steering_matrix(ch.aods_deg, tx_cfg), _steering_matrix(ch.aoas_deg, rx_cfg))
+    return _cascade(tx_weights, rx_weights, steering, (ch.gains, ch.taps, ch.num_taps))
+
+
+def _cascade(
+    tx_weights: np.ndarray, rx_weights: np.ndarray, steering: tuple, rays: tuple
+) -> np.ndarray:
+    """:func:`cascade_gains` through the transmit and receive steering
+    matrices and the (gains, taps, num_taps) of the rays."""
+    (gains, taps, num_taps), f, g = rays, len(tx_weights), len(rx_weights)
+    tx = _responses(tx_weights, steering[0])
+    rx = _responses(rx_weights, steering[1])
     # (gain * tx response) * rx response, in that operand order and into a
     # buffer of its own (a commuted product rounds differently); broadcast,
     # the factors round as full contiguous ones do.
-    terms = np.empty((len(ch.gains), f, g), dtype=np.complex128)
-    np.multiply((ch.gains[:, None] * tx)[:, :, None], rx[:, None, :], out=terms)
+    terms = np.empty((len(gains), f, g), dtype=np.complex128)
+    np.multiply((gains[:, None] * tx)[:, :, None], rx[:, None, :], out=terms)
     width = 2 * f * g
-    bins = ch.taps[:, None] * width + np.arange(width)
+    bins = taps[:, None] * width + np.arange(width)
     parts = terms.view(np.float64)
     sums = np.bincount(bins.ravel(), weights=parts.ravel(), minlength=num_taps * width)
     return sums.view(np.complex128).reshape(num_taps, f, g)

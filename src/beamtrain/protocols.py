@@ -5,20 +5,16 @@ Every runner is a pure function of (config, channel, seed) and returns a
 correlation table, packet and bit costs, per-field power traces and the
 post-selection SNR.
 
-Every weight a runner trains with depends on its config's codebooks,
-transforms and sector count, and configs that agree on those share one
-read-only plan per end of the link.  A plan's receive stack is its
-codebook with the composite beam as one more row, so one cascade serves a
-receive sweep and reception on the composite alike; the six schemes make
-four cascades per realization.  A plan with transforms holds its
-codebook's untransformed plan, whose codebook table every SNR report
-reads.  Everything else depends on the channel alone, and the
-realization keeps it for every run on it (see
-:class:`~beamtrain.channel.ChannelRealization`): the gain table of each
-pair of plan matrices, the noisy codebook table that packet-by-packet
-and in-packet search share, and one noise stream per seed, which every
-run reads from its start.  Stages slice their tables out of these.
-Every stage of every scheme runs through :func:`_stage`.
+Every weight a runner trains with comes from its config's read-only plan
+of each end of the link.  A run trains through a session: the training
+of one seed on one realization, through one pair of plans, at one noise
+level.  The realization keeps it for every run that agrees on the
+codebooks, transforms, sector count, seed and noise level, and those runs
+share its steering, its noise stream (each reads it from its start) and
+its gain tables.  A plan's receive stack is its codebook with the
+composite beam as one more row, so one cascade serves a receive sweep and
+reception on the composite alike; the six schemes make four cascades per
+realization.  Every stage of every scheme runs through :func:`_stage`.
 
 Measurement model: each training field yields one channel estimate per
 delay tap.  Estimates are expressed in beam-pair gain units, i.e. the raw
@@ -34,9 +30,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import threading
 import warnings
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +40,7 @@ import numpy as np
 from .array_model import (
     BeamCodebook,
     _readonly,
+    _steering_matrix,
     array_factor_many,
     project_uniform,
     quantize_phases,
@@ -53,7 +48,7 @@ from .array_model import (
     superpose_beams,
 )
 from .beam_coding import coded_fields, walsh_codes, walsh_decode
-from .channel import ChannelRealization, LinkBudget, derive_seed
+from .channel import ChannelRealization, LinkBudget, NormalStream, _cascade, derive_seed
 from .packets import CE_BITS, training_bits
 
 __all__ = [
@@ -113,9 +108,10 @@ class ProtocolConfig:
     transforms model hardware limits: ``project_phase_only`` forces uniform
     magnitudes, ``quantize_bits`` snaps phases to a digital phase shifter.
     They apply to training weights only; the SNR uses clean steering at the
-    chosen pair, as data follows training.  The training weights are built
-    on first use and shared by every live config with the same codebook
-    objects, transforms and sector count.
+    chosen pair, as data follows training.  Each config builds its
+    training weights on first use.  Runs on one realization that agree on
+    the codebook objects, transforms, sector count, seed and noise level
+    train through one session, made with the first such config's weights.
     """
 
     tx_codebook: BeamCodebook
@@ -142,17 +138,19 @@ class ProtocolConfig:
             )
 
     # cached_property stores into the instance __dict__, past the frozen
-    # __setattr__; dataclasses.replace makes a new instance, which looks
-    # its plans up again.
+    # __setattr__; dataclasses.replace makes a new instance, which builds
+    # its own plans.
     @functools.cached_property
     def _tx_plan(self) -> _TrainingPlan:
         settings = (self.project_phase_only, self.quantize_bits, self.num_sectors)
-        return _plan(self.tx_codebook, *settings)
+        return _TrainingPlan(self.tx_codebook, settings)
 
     @functools.cached_property
     def _rx_plan(self) -> _TrainingPlan:
-        settings = (self.project_phase_only, self.quantize_bits, self.num_sectors)
-        return _plan(self.rx_codebook, *settings)
+        """The transmit plan when both ends train one codebook object."""
+        if self.rx_codebook is self.tx_codebook:
+            return self._tx_plan
+        return _TrainingPlan(self.rx_codebook, self._tx_plan.settings)
 
     @functools.cached_property
     def _noise_std(self) -> float:
@@ -192,26 +190,20 @@ class TrainingOutcome:
 
 
 class _TrainingPlan:
-    """The training weights of one end of the link, shared by every run of
-    every config that trains ``codebook`` with these transforms and sector
-    count.
+    """The training weights of one end of the link: ``codebook`` under one
+    config's transforms and sector count.
 
     None of them depends on the channel, so each is built on first use,
     one row per beam or field, and kept read-only.  A plan with transforms
-    holds the plan of its codebook and sector count without them, which
-    every SNR report reads.
+    holds the plan of its codebook and sector count without them.
     """
 
-    def __init__(
-        self,
-        codebook: BeamCodebook,
-        settings: tuple[bool, int | None, int],
-        untransformed: _TrainingPlan | None,
-    ) -> None:
-        self._codebook = codebook
-        # project_phase_only, quantize_bits and num_sectors of the configs
-        self._phase_only, self._bits, self._num_sectors = settings
-        self._untransformed = untransformed
+    def __init__(self, codebook: BeamCodebook, settings: tuple[bool, int | None, int]) -> None:
+        self.codebook = codebook
+        # project_phase_only, quantize_bits and num_sectors of the config
+        self.settings = settings
+        plain = (False, None, settings[2])
+        self._untransformed = None if settings == plain else _TrainingPlan(codebook, plain)
 
     @property
     def untransformed(self) -> _TrainingPlan:
@@ -221,31 +213,32 @@ class _TrainingPlan:
     def _transform(self, matrix: np.ndarray) -> np.ndarray:
         """The hardware transforms applied to a weight matrix, read-only;
         ``matrix`` itself when none is set."""
-        if self._phase_only:
+        phase_only, bits, _ = self.settings
+        if phase_only:
             matrix = project_uniform(matrix)
-        if self._bits is not None:
-            matrix = quantize_phases(matrix, self._bits)
+        if bits is not None:
+            matrix = quantize_phases(matrix, bits)
         return _readonly(matrix)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
         """Transformed codebook, (beams, antennas)."""
-        return self._transform(self._codebook.matrix)
+        return self._transform(self.codebook.matrix)
 
     @functools.cached_property
     def coded(self) -> tuple[np.ndarray, np.ndarray]:
         """Transformed field weights (T, antennas) of the Walsh-coded
         codebook, and the chips (K, T) that tag its beams."""
-        k = len(self._codebook)
+        k = len(self.codebook)
         chips = walsh_codes(max(0, (k - 1).bit_length()))[:k]
-        fields = coded_fields(self._codebook.matrix, chips)
+        fields = coded_fields(self.codebook.matrix, chips)
         return self._transform(fields), _readonly(chips.astype(np.complex128))
 
     @functools.cached_property
     def sectors(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Sector beams (untransformed), (S, antennas), and the fine beams
         each one covers."""
-        beams, groups = sector_beams(self._codebook, self._num_sectors)
+        beams, groups = sector_beams(self.codebook, self.settings[2])
         return _readonly(beams), tuple(_readonly(np.array(g, dtype=np.intp)) for g in groups)
 
     @functools.cached_property
@@ -253,7 +246,7 @@ class _TrainingPlan:
         """Equal-power all-beams weights, (1, antennas), for the feedback
         stages' reception; deliberately left untransformed (see
         ProtocolConfig)."""
-        beams = self._codebook.matrix
+        beams = self.codebook.matrix
         return _readonly(superpose_beams(beams, [1] * len(beams))[None, :])
 
     @functools.cached_property
@@ -263,44 +256,95 @@ class _TrainingPlan:
         return _readonly(np.concatenate([self.weights, self.composite]))
 
 
-# Every live plan, by the id of its codebook, its transforms and its sector
-# count.  A plan holds its codebook, so no id in a key can pass to another
-# codebook while the entry lasts, and the entry goes with the last config
-# or plan that holds the plan.
-_PLANS: weakref.WeakValueDictionary[tuple, _TrainingPlan] = weakref.WeakValueDictionary()
-_PLANS_LOCK = threading.Lock()
+class _Session:
+    """The training of one seed on one realization, through one pair of
+    plans, at one noise level.
+
+    Its read-only steering and its noise stream are made with it; the
+    read-only tables ``whole`` (the codebook through the receive stack),
+    ``coded`` (the coded fields through it) and ``sectors``, and the
+    ``exhaustive`` estimate, on first use.  A session with transforms
+    holds the one without them and reads its steering, noise stream and
+    sector table; every SNR report reads the untransformed ``whole``.  A
+    session keeps the rays, not the realization that keeps it, so that no
+    reference cycle outlives the realization.
+    """
+
+    def __init__(
+        self, ch: ChannelRealization, tx: _TrainingPlan, rx: _TrainingPlan, seed: int, sigma: float
+    ) -> None:
+        # sigma is the standard deviation of the noise on one field
+        # estimate; scale puts a raw table in beam-pair gain units.
+        self.tx, self.rx, self.sigma = tx, rx, sigma
+        self.scale = 1.0 / math.sqrt(tx.codebook.cfg.num_antennas * rx.codebook.cfg.num_antennas)
+        self._rays = (ch.gains, ch.taps, ch.num_taps)
+        self._untransformed = None
+        if tx.untransformed is not tx:
+            base = _find_session(ch, tx.untransformed, rx.untransformed, seed, sigma)
+            self._untransformed, self.steering, self.noise = base, base.steering, base.noise
+        else:
+            tx_steering = _readonly(_steering_matrix(ch.aods_deg, tx.codebook.cfg))
+            rx_steering = _readonly(_steering_matrix(ch.aoas_deg, rx.codebook.cfg))
+            self.steering = (tx_steering, rx_steering)
+            self.noise = NormalStream(derive_seed(seed, _NOISE_STREAM))
+
+    @property
+    def untransformed(self) -> _Session:
+        """The session without transforms: this one when none is set."""
+        return self._untransformed or self
+
+    def table(self, tx_weights: np.ndarray, rx_weights: np.ndarray) -> np.ndarray:
+        """The read-only cascade of two weight matrices through the rays,
+        (num_taps, len(tx_weights), len(rx_weights)); not kept."""
+        return _readonly(_cascade(tx_weights, rx_weights, self.steering, self._rays))
+
+    @functools.cached_property
+    def whole(self) -> np.ndarray:
+        """The codebook's table: its columns, then the composite column."""
+        return self.table(self.tx.weights, self.rx.stack)
+
+    @functools.cached_property
+    def coded(self) -> np.ndarray:
+        """The coded fields' table, laid out as ``whole``."""
+        return self.table(self.tx.coded[0], self.rx.stack)
+
+    @functools.cached_property
+    def sectors(self) -> np.ndarray:
+        """The sector stage's table; sector beams take no transforms."""
+        if self._untransformed is not None:
+            return self._untransformed.sectors
+        return self.table(self.tx.sectors[0], self.rx.sectors[0])
+
+    @functools.cached_property
+    def exhaustive(self) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """The codebook table's noisy power, read-only, and the pair it
+        selects: packet-by-packet and in-packet search share them."""
+        *_, power, detected = _stage(self, self.whole[:, :, :-1], _Noise(self.noise))
+        return _readonly(power), _argmax_pair(power) if detected else None
 
 
-def _plan(
-    codebook: BeamCodebook, phase_only: bool, bits: int | None, sectors: int
-) -> _TrainingPlan:
-    """The one live plan of ``codebook`` under these transforms and sector
-    count; one with transforms holds the plan without them."""
-    settings = (phase_only, bits, sectors)
-    untransformed = None
-    if phase_only or bits is not None:
-        untransformed = _plan(codebook, False, None, sectors)
-    key = (id(codebook), *settings)
-    with _PLANS_LOCK:
-        plan = _PLANS.get(key)
-        if plan is None:
-            plan = _PLANS[key] = _TrainingPlan(codebook, settings, untransformed)
-    return plan
+def _session(cfg: ProtocolConfig, ch: ChannelRealization, seed: int) -> _Session:
+    """The realization's session of ``cfg``'s plans, ``seed`` and noise level."""
+    return _find_session(ch, cfg._tx_plan, cfg._rx_plan, seed, cfg._noise_std)
 
 
-def _table(
-    cfg: ProtocolConfig, ch: ChannelRealization, tx_weights: np.ndarray, rx_weights: np.ndarray
-) -> np.ndarray:
-    """The realization's read-only gain table, (num_taps, len(tx), len(rx))."""
-    return ch.gain_table(tx_weights, rx_weights, cfg.tx_codebook.cfg, cfg.rx_codebook.cfg)
+def _find_session(
+    ch: ChannelRealization, tx: _TrainingPlan, rx: _TrainingPlan, seed: int, sigma: float
+) -> _Session:
+    """The one session of these plans' codebooks and settings at ``seed``
+    and ``sigma`` on ``ch``, made with these plans on first use.  They hold
+    the codebooks, so no id in its key can pass to another codebook while
+    the session lasts."""
+    key = (id(tx.codebook), id(rx.codebook), tx.settings, seed, sigma)
+    return ch.memo(key, lambda: _Session(ch, tx, rx, seed, sigma))
 
 
 class _Noise:
-    """One run's reader of the realization's measurement-noise stream: the
-    run's stages read consecutive slices, from the start of the stream."""
+    """One run's reader of its session's noise stream: the run's stages
+    read consecutive slices, from the start of the stream."""
 
-    def __init__(self, ch: ChannelRealization, seed: int) -> None:
-        self._stream = ch.normal_stream(derive_seed(seed, _NOISE_STREAM))
+    def __init__(self, stream: NormalStream) -> None:
+        self._stream = stream
         self._offset = 0
 
     def next(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -310,12 +354,11 @@ class _Noise:
         return normals.reshape(shape)
 
 
-def _snr_db(cfg: ProtocolConfig, ch: ChannelRealization, pair: tuple[int, int] | None) -> float:
+def _snr_db(cfg: ProtocolConfig, s: _Session, pair: tuple[int, int] | None) -> float:
     budget = cfg.snr_budget if cfg.snr_budget is not None else cfg.noise
     if budget is None or pair is None:
         return float("nan") if pair is not None else -math.inf
-    tx, rx = cfg._tx_plan.untransformed, cfg._rx_plan.untransformed
-    table = _table(cfg, ch, tx.weights, rx.stack)
+    table = s.untransformed.whole
     p_rel = float((np.abs(table[:, pair[0], pair[1]]) ** 2).sum())
     if p_rel <= 0.0:
         return -math.inf
@@ -329,7 +372,7 @@ def _argmax_pair(power: np.ndarray) -> tuple[int, int]:
 
 
 def _stage(
-    cfg: ProtocolConfig,
+    s: _Session,
     table: np.ndarray,
     noise: _Noise,
     chips: np.ndarray | None = None,
@@ -344,11 +387,10 @@ def _stage(
     5x the decoded noise standard deviation, which decoding T fields raises
     by sqrt(T), or be positive when noiseless, so that a dead channel fails.
     """
-    n_tx, n_rx = cfg.tx_codebook.cfg.num_antennas, cfg.rx_codebook.cfg.num_antennas
     # Times the reciprocal, which is how numpy divides a complex by a real;
     # the two differ only on -0.0, which no cascade table holds.
-    est = table * (1.0 / math.sqrt(n_tx * n_rx))
-    sigma = cfg._noise_std
+    est = table * s.scale
+    sigma = s.sigma
     if sigma > 0.0:
         # One draw holds the real parts, then the imaginary parts.
         normals = noise.next((2, *est.shape)) * (sigma / math.sqrt(2.0))
@@ -366,7 +408,7 @@ def _stage(
 def _outcome(
     scheme: Scheme,
     cfg: ProtocolConfig,
-    ch: ChannelRealization,
+    s: _Session,
     seed: int,
     pair: tuple[int, int] | None,
     traces: Sequence[np.ndarray],
@@ -388,36 +430,23 @@ def _outcome(
         packets_sent=packets,
         training_bits=bits,
         power_traces=traces,
-        snr_db=_snr_db(cfg, ch, pair),
+        snr_db=_snr_db(cfg, s, pair),
         feedback_messages=int(feedback),
         feedback_bits=_FEEDBACK_BITS if feedback else 0,
     )
-
-
-def _exhaustive(
-    cfg: ProtocolConfig, ch: ChannelRealization, seed: int
-) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The whole codebook table's read-only power and the pair it selects,
-    kept on the realization: packet-by-packet and in-packet search share it."""
-    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.stack)
-
-    def estimate() -> tuple[np.ndarray, tuple[int, int] | None]:
-        *_, power, detected = _stage(cfg, table[:, :, :-1], _Noise(ch, seed))
-        return _readonly(power), _argmax_pair(power) if detected else None
-
-    return ch.memo(("exhaustive", id(table), seed, cfg._noise_std), estimate)
 
 
 def run_exhaustive_pbp(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> TrainingOutcome:
     """One packet per beam pair, (p, q) ordered; the performance yardstick."""
-    power, pair = _exhaustive(cfg, ch, seed)
+    s = _session(cfg, ch, seed)
+    power, pair = s.exhaustive
     p, q = power.shape
     # One single-field trace per packet: a read-only (p * q, 1) view.
     traces = power.reshape(p * q, 1)
     bits = p * q * _SWEPT_BEAM_BITS
-    return _outcome(Scheme.EXHAUSTIVE_PBP, cfg, ch, seed, pair, traces, p * q, bits, power)
+    return _outcome(Scheme.EXHAUSTIVE_PBP, cfg, s, seed, pair, traces, p * q, bits, power)
 
 
 def sector_beams(
@@ -449,26 +478,26 @@ def run_multilevel_pbp(
     cfg: ProtocolConfig, ch: ChannelRealization, seed: int
 ) -> TrainingOutcome:
     """Two-level search: wide sector beams first, fine beams inside the winner."""
-    noise = _Noise(ch, seed)
-    tx_wide, tx_groups = cfg._tx_plan.sectors
-    rx_wide, rx_groups = cfg._rx_plan.sectors
+    s = _session(cfg, ch, seed)
+    noise = _Noise(s.noise)
+    tx_wide, tx_groups = s.tx.sectors
+    rx_wide, rx_groups = s.rx.sectors
 
-    *_, power1, _ = _stage(cfg, _table(cfg, ch, tx_wide, rx_wide), noise)
+    *_, power1, _ = _stage(s, s.sectors, noise)
     s_tx, s_rx = _argmax_pair(power1)
 
     fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
     # take keeps the slice C-ordered, so its tap sums add as a cascade of
     # the fine weights would; a fancy index lays it out F-ordered.
-    whole = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.stack)
-    fine = whole.take(fine_tx, axis=1).take(fine_rx, axis=2)
-    *_, power2, detected = _stage(cfg, fine, noise)
+    fine = s.whole.take(fine_tx, axis=1).take(fine_rx, axis=2)
+    *_, power2, detected = _stage(s, fine, noise)
     local = _argmax_pair(power2)
     pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if detected else None
 
     packets = len(tx_wide) * len(rx_wide) + len(fine_tx) * len(fine_rx)
     traces = (power1.ravel(), power2.ravel())
     bits = packets * _SWEPT_BEAM_BITS
-    return _outcome(Scheme.MULTILEVEL_PBP, cfg, ch, seed, pair, traces, packets, bits, power2)
+    return _outcome(Scheme.MULTILEVEL_PBP, cfg, s, seed, pair, traces, packets, bits, power2)
 
 
 def run_exhaustive_inpacket(
@@ -479,12 +508,13 @@ def run_exhaustive_inpacket(
     Recovers the full beam-pair gain table, so noiselessly it agrees with
     packet-by-packet search entry for entry.
     """
-    power, pair = _exhaustive(cfg, ch, seed)
+    s = _session(cfg, ch, seed)
+    power, pair = s.exhaustive
     p, q = power.shape
     bits = q * p * _SWEPT_BEAM_BITS
     # One trace per packet, i.e. per receive beam: the rows of one copy.
     traces = _readonly(power.T.copy())
-    return _outcome(Scheme.EXHAUSTIVE_INPACKET, cfg, ch, seed, pair, traces, q, bits, power)
+    return _outcome(Scheme.EXHAUSTIVE_INPACKET, cfg, s, seed, pair, traces, q, bits, power)
 
 
 def run_feedback_inpacket(
@@ -492,18 +522,17 @@ def run_feedback_inpacket(
 ) -> TrainingOutcome:
     """Two-packet training: transmit sweep into a composite receiver, then a
     receive sweep at the fed-back transmit beam."""
-    noise = _Noise(ch, seed)
-    # The codebook columns and then the composite column.
-    table = _table(cfg, ch, cfg._tx_plan.weights, cfg._rx_plan.stack)
-    *_, power1, detected1 = _stage(cfg, table[:, :, -1:], noise)
+    s = _session(cfg, ch, seed)
+    noise = _Noise(s.noise)
+    *_, power1, detected1 = _stage(s, s.whole[:, :, -1:], noise)
     best_tx = int(power1[:, 0].argmax())
 
-    *_, power2, detected2 = _stage(cfg, table[:, best_tx : best_tx + 1, :-1], noise)
+    *_, power2, detected2 = _stage(s, s.whole[:, best_tx : best_tx + 1, :-1], noise)
     pair = (best_tx, int(power2[0, :].argmax())) if detected1 and detected2 else None
 
     traces = (power1[:, 0], power2[0, :])
     bits = (len(cfg.tx_codebook) + len(cfg.rx_codebook)) * _SWEPT_BEAM_BITS
-    return _outcome(Scheme.FEEDBACK_INPACKET, cfg, ch, seed, pair, traces, 2, bits)
+    return _outcome(Scheme.FEEDBACK_INPACKET, cfg, s, seed, pair, traces, 2, bits)
 
 
 def run_exhaustive_beamcoding(
@@ -514,10 +543,10 @@ def run_exhaustive_beamcoding(
     The correlation r[p, q] carries the documented T/sqrt(K) scale on top
     of the beam-pair gain, so the two-path toy decodes to exactly 2 and 2a.
     """
-    tx_fields, chips = cfg._tx_plan.coded
-    # Shared with coded feedback's first stage, which reads the last column.
-    table = _table(cfg, ch, tx_fields, cfg._rx_plan.stack)
-    est, r, magnitude, power, detected = _stage(cfg, table[:, :, :-1], _Noise(ch, seed), chips)
+    s = _session(cfg, ch, seed)
+    tx_fields, chips = s.tx.coded
+    # Coded feedback's first stage reads the last column of this table.
+    est, r, magnitude, power, detected = _stage(s, s.coded[:, :, :-1], _Noise(s.noise), chips)
     pair = _argmax_pair(power) if detected else None
 
     dominant = r[(magnitude.argmax(axis=0), *np.indices(r.shape[1:], sparse=True))]
@@ -525,7 +554,7 @@ def run_exhaustive_beamcoding(
     traces = _readonly((np.abs(est) ** 2).sum(axis=0).T.copy())
     bits = q * len(tx_fields) * _CODED_FIELD_BITS
     scheme = Scheme.EXHAUSTIVE_BEAMCODING
-    return _outcome(scheme, cfg, ch, seed, pair, traces, q, bits, power, _readonly(dominant))
+    return _outcome(scheme, cfg, s, seed, pair, traces, q, bits, power, _readonly(dominant))
 
 
 def run_feedback_beamcoding(
@@ -533,23 +562,22 @@ def run_feedback_beamcoding(
 ) -> TrainingOutcome:
     """Two-packet coded training: coded transmit beams into a composite
     receiver, feedback, then coded receive beams at the chosen transmit beam."""
-    noise = _Noise(ch, seed)
-    tx_fields, tx_chips = cfg._tx_plan.coded
-    table1 = _table(cfg, ch, tx_fields, cfg._rx_plan.stack)[:, :, -1:]
-    *_, power1, detected1 = _stage(cfg, table1, noise, tx_chips)
+    s = _session(cfg, ch, seed)
+    noise = _Noise(s.noise)
+    tx_fields, tx_chips = s.tx.coded
+    *_, power1, detected1 = _stage(s, s.coded[:, :, -1:], noise, tx_chips)
     best_tx = int(power1[:, 0].argmax())
 
-    rx_fields, rx_chips = cfg._rx_plan.coded
-    tx_best = cfg._tx_plan.weights[best_tx : best_tx + 1]
+    rx_fields, rx_chips = s.rx.coded
     # Receive-side coding: fields vary the receiver weights, so decode along
     # the receive axis.
-    table2 = _table(cfg, ch, tx_best, rx_fields)
-    *_, power2, detected2 = _stage(cfg, table2, noise, rx_chips, axis=2)
+    table2 = s.table(s.tx.weights[best_tx : best_tx + 1], rx_fields)
+    *_, power2, detected2 = _stage(s, table2, noise, rx_chips, axis=2)
     pair = (best_tx, int(power2[0, :].argmax())) if detected1 and detected2 else None
 
     traces = (power1[:, 0], power2[0, :])
     bits = (len(tx_fields) + len(rx_fields)) * _CODED_FIELD_BITS
-    return _outcome(Scheme.FEEDBACK_BEAMCODING, cfg, ch, seed, pair, traces, 2, bits)
+    return _outcome(Scheme.FEEDBACK_BEAMCODING, cfg, s, seed, pair, traces, 2, bits)
 
 
 _RUNNERS = {

@@ -123,8 +123,8 @@ def ray_taps(
     ``rx_w``, shape (rows, num_taps), ray by ray: each ray's gain times
     every row's array factor (``w @ steering``) at its departure angle
     times the receiver's at its arrival angle, added into its tap in ray
-    order.  Neither :func:`~beamtrain.channel.cascade_gains` nor the
-    channel's steering matrices take part.  A ray's products run over all
+    order.  Neither :func:`~beamtrain.channel.cascade_gains` nor its
+    steering matrices take part.  A ray's products run over all
     rows at once: numpy's array multiply rounds unlike a scalar product.
     """
     taps = np.zeros((len(tx), ch.num_taps), dtype=np.complex128)

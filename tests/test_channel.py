@@ -1,8 +1,8 @@
 import cmath
 import dataclasses
-import gc
 import math
-import weakref
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -10,8 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beamtrain import channel
-from beamtrain.array_model import ArrayConfig, array_factor_many, dft_codebook
+from beamtrain import protocols
+from beamtrain.array_model import (
+    ArrayConfig,
+    array_factor_many,
+    codebook_from_cosines,
+    dft_codebook,
+)
 from beamtrain.channel import (
     TOY_BEAM_ANGLES_DEG,
     TOY_LOS_PAIR,
@@ -28,6 +33,7 @@ from beamtrain.channel import (
     toy_channel,
     toy_codebooks,
 )
+from beamtrain.protocols import ProtocolConfig, Scheme
 from oracles import add_noise
 
 
@@ -40,6 +46,12 @@ def rays_of(ch):
 def from_rays(rays):
     """A realization from (aod, aoa, gain, tap) tuples, one per ray."""
     return ChannelRealization(*(list(zip(*rays)) or [()] * 4))
+
+
+def session(ch, tx_cb, rx_cb, seed=0, scheme=Scheme.EXHAUSTIVE_PBP, **kwargs):
+    """The realization's training session of a fresh config."""
+    cfg = ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=scheme, **kwargs)
+    return protocols._session(cfg, ch, seed)
 
 
 def brute_force_gain(tx_w, rx_w, ch, tx_cfg, rx_cfg):
@@ -471,35 +483,44 @@ class TestChannelGeometry:
 
     def test_derived_arrays_are_read_only(self):
         ch = toy_channel(0.5, nlos_excess_tap=2)
-        cfg = ArrayConfig(4)
-        arrays = [ch.aods_deg, ch.aoas_deg, ch.gains, ch.taps]
-        arrays += [ch.steering_matrix("tx", cfg), ch.steering_matrix("rx", cfg)]
-        for arr in arrays:
+        for arr in (ch.aods_deg, ch.aoas_deg, ch.gains, ch.taps):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
 
     def test_steering_matrix_once_per_end_and_array(self):
+        # a session steers each end through that end's array, once; a
+        # session with transforms reads the matrices of the one without
         ch = sample_channel(ChannelConfig(), 32)
-        half, quarter = ArrayConfig(8, 0.5), ArrayConfig(8, 0.25)
-        tx = ch.steering_matrix("tx", half)
-        assert ch.steering_matrix("tx", ArrayConfig(8, 0.5)) is tx
-        assert ch.steering_matrix("rx", half) is not tx
-        assert ch.steering_matrix("tx", quarter) is not tx
-        assert ch.steering_matrix("tx", ArrayConfig(16)).shape == (16, len(ch.gains))
-        for end, angles in (("tx", ch.aods_deg), ("rx", ch.aoas_deg)):
-            for cfg in (half, quarter):
-                n = np.arange(cfg.num_antennas)[:, None]
-                want = np.exp(2j * np.pi * cfg.spacing * n * np.cos(np.radians(angles)))
-                np.testing.assert_allclose(ch.steering_matrix(end, cfg), want, rtol=0, atol=1e-12)
+        half = dft_codebook(ArrayConfig(8, 0.5))
+        # orthogonal beams on the 8-antenna quarter-wavelength grid
+        quarter = codebook_from_cosines(ArrayConfig(8, 0.25), (0.5, 0.0, -0.5))
+        for tx_cb, rx_cb in ((half, quarter), (quarter, half), (half, half)):
+            s = session(ch, tx_cb, rx_cb)
+            assert session(ch, tx_cb, rx_cb).steering is s.steering
+            assert session(ch, tx_cb, rx_cb, quantize_bits=3).steering is s.steering
+            assert s.steering[0] is not s.steering[1]
+            for steering, cb, angles in zip(s.steering, (tx_cb, rx_cb), (ch.aods_deg, ch.aoas_deg)):
+                assert not steering.flags.writeable
+                n = np.arange(cb.cfg.num_antennas)[:, None]
+                want = np.exp(2j * np.pi * cb.cfg.spacing * n * np.cos(np.radians(angles)))
+                np.testing.assert_allclose(steering, want, rtol=0, atol=1e-12)
+        wide = dft_codebook(ArrayConfig(16))
+        tx_steering, rx_steering = session(ch, wide, half).steering
+        assert tx_steering.shape == (16, len(ch.gains)) and rx_steering.shape == (8, len(ch.gains))
 
     def test_replace_derives_its_own_geometry(self):
         ch = sample_channel(ChannelConfig(), 33)
-        tx = ch.steering_matrix("tx", ArrayConfig(16))
+        cb = dft_codebook(ArrayConfig(16))
+        s = session(ch, cb, cb)
         fresh = dataclasses.replace(ch)
         assert ray_bits(fresh) == ray_bits(ch)
-        assert fresh.steering_matrix("tx", ArrayConfig(16)) is not tx
-        assert np.array_equal(fresh.steering_matrix("tx", ArrayConfig(16)), tx)
+        own = session(fresh, cb, cb)
+        assert own is not s and session(ch, cb, cb) is s
+        # a used realization still pickles, sessions and all
+        assert ray_bits(pickle.loads(pickle.dumps(ch))) == ray_bits(ch)
+        for mine, theirs in zip(own.steering, s.steering):
+            assert mine is not theirs and np.array_equal(mine, theirs)
 
 
 class TestPairGainTable:
@@ -513,79 +534,6 @@ class TestPairGainTable:
                 tx_w, rx_w = cb.matrix[p], cb.matrix[q]
                 direct = pair_taps(tx_w, rx_w, ch, cb.cfg, cb.cfg)
                 assert np.allclose(table[:, p, q], direct, atol=1e-10)
-
-
-class TestGainTableMemo:
-    cfg = ArrayConfig(8)
-
-    def weights(self):
-        return dft_codebook(self.cfg).matrix.copy()
-
-    def fixed_weights(self):
-        w = self.weights()
-        w.setflags(write=False)
-        return w
-
-    def fresh_table(self, ch, tx, rx):
-        return cascade_gains(tx, rx, dataclasses.replace(ch), self.cfg, self.cfg)
-
-    @pytest.fixture
-    def cascades(self, monkeypatch):
-        calls = []
-        cascade = channel.cascade_gains
-
-        def counting_cascade(*args):
-            calls.append(1)
-            return cascade(*args)
-
-        monkeypatch.setattr(channel, "cascade_gains", counting_cascade)
-        return calls
-
-    def test_a_read_only_view_is_never_kept(self, cascades):
-        ch = sample_channel(ChannelConfig(), 41)
-        base, rx = self.weights(), self.fixed_weights()
-        view = base[:]
-        view.setflags(write=False)
-        first = ch.gain_table(view, rx, self.cfg, self.cfg)
-        base[0] *= -1
-        second = ch.gain_table(view, rx, self.cfg, self.cfg)
-        assert second is not first and not second.flags.writeable
-        assert second.tobytes() == self.fresh_table(ch, base, rx).tobytes()
-        # a view of a read-only array that owns its data is not kept either
-        ch.gain_table(rx[:], rx, self.cfg, self.cfg)
-        ch.gain_table(rx[:], rx, self.cfg, self.cfg)
-        assert len(cascades) == 4
-
-    def test_a_writeable_array_is_never_kept(self, cascades):
-        ch = sample_channel(ChannelConfig(), 42)
-        tx, rx = self.weights(), self.fixed_weights()
-        first = ch.gain_table(tx, rx, self.cfg, self.cfg)
-        again = ch.gain_table(tx, rx, self.cfg, self.cfg)
-        assert again is not first and again.tobytes() == first.tobytes()
-        tx[1] = 0
-        second = ch.gain_table(tx, rx, self.cfg, self.cfg)
-        assert not second.flags.writeable
-        assert second.tobytes() == self.fresh_table(ch, tx, rx).tobytes()
-        assert len(cascades) == 3
-
-    def test_a_fixed_pair_is_kept_by_identity(self, cascades):
-        ch = sample_channel(ChannelConfig(), 43)
-        a, b, rx = self.fixed_weights(), self.fixed_weights(), self.fixed_weights()
-        table = ch.gain_table(a, rx, self.cfg, self.cfg)
-        assert ch.gain_table(a, rx, self.cfg, self.cfg) is table
-        assert len(cascades) == 1
-        assert table.tobytes() == self.fresh_table(ch, a, rx).tobytes()
-        # equal weights in another array are another entry, with equal bits
-        other = ch.gain_table(b, rx, self.cfg, self.cfg)
-        assert other is not table and other.tobytes() == table.tobytes()
-        assert len(cascades) == 2
-        # the entry holds its arrays, so no id in its key is reused; no
-        # weight bytes go into a key
-        refs = [weakref.ref(w) for w in (a, b, rx)]
-        del a, b, rx
-        gc.collect()
-        assert all(ref() is not None for ref in refs)
-        assert not any(isinstance(part, bytes) for key in ch._cache for part in key)
 
 
 class TestPathLoss:
@@ -650,11 +598,35 @@ class TestNormalStream:
                 assert got.tobytes() == draw.tobytes()
                 assert not got.flags.writeable
 
+    def test_readers_on_threads_see_one_stream(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = 6
+        want = np.random.default_rng(11).standard_normal(100_000 + 10_000 * workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in range(10):
+                stream, barrier = NormalStream(11), threading.Barrier(workers, timeout=10)
+
+                def read(k, stream=stream, barrier=barrier):
+                    barrier.wait()
+                    return stream.read(0, 100_000 + 10_000 * k)
+
+                for got in pool.map(read, range(workers)):
+                    assert got.tobytes() == want[: len(got)].tobytes()
+
     def test_one_stream_per_seed_per_realization(self):
         ch = sample_channel(ChannelConfig(), 3)
-        assert ch.normal_stream(5) is ch.normal_stream(5)
-        assert ch.normal_stream(6) is not ch.normal_stream(5)
-        assert dataclasses.replace(ch).normal_stream(5) is not ch.normal_stream(5)
+        cb = dft_codebook(ArrayConfig(8))
+
+        def stream(ch, seed, **kwargs):
+            return session(ch, cb, cb, seed, noise=LinkBudget(), **kwargs).noise
+
+        assert stream(ch, 5) is stream(ch, 5)
+        assert stream(ch, 6) is not stream(ch, 5)
+        assert stream(dataclasses.replace(ch), 5) is not stream(ch, 5)
+        # every scheme and transform of one codebook reads one stream
+        assert stream(ch, 5, scheme=Scheme.FEEDBACK_BEAMCODING) is stream(ch, 5)
+        assert stream(ch, 5, quantize_bits=3, project_phase_only=True) is stream(ch, 5)
 
 
 class TestDeriveSeed:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import logging
 import math
 import sys
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beamtrain import channel, protocols
+from beamtrain import protocols
 from beamtrain.array_model import (
     ArrayConfig,
     BeamCodebook,
@@ -485,6 +486,18 @@ def assert_outcomes_equal(a, b):
             assert _bits(x) == _bits(y), f.name
 
 
+def calls_to(monkeypatch, module, name):
+    """The arguments of every later call of ``module.name``, in order."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestTrainingPlan:
     def plan_arrays(self, cfg):
         arrays = []
@@ -575,16 +588,11 @@ class TestTrainingPlan:
         assert cfg._tx_plan.weights is plain
 
     def test_schedules_built_once_per_config(self, monkeypatch):
-        calls = []
-
-        def counting_coded_fields(*args, **kwargs):
-            calls.append(1)
-            return coded_fields(*args, **kwargs)
-
-        monkeypatch.setattr(protocols, "coded_fields", counting_coded_fields)
+        calls = calls_to(monkeypatch, protocols, "coded_fields")
         cb, narrow = dft_codebook(ArrayConfig(16)), dft_codebook(ArrayConfig(8))
-        # one schedule per plan: configs that train one codebook with the
-        # same transforms and sectors share its plan, at either end
+        # one schedule per plan: every run on a realization trains through
+        # the plans of the first config, which has one plan for both ends
+        # when they train one codebook
         for tx_cb, rx_cb, schedules in ((cb, cb, 1), (cb, narrow, 2)):
             calls.clear()
             cfgs = [ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=s) for s in Scheme]
@@ -595,32 +603,50 @@ class TestTrainingPlan:
             assert len(calls) == schedules
 
     def test_configs_share_plans_by_codebook_transforms_and_sectors(self):
+        # each config builds its own plans, one for both ends when they
+        # train one codebook object; on a realization, every config of one
+        # codebook pair, transforms, sectors, seed and noise level trains
+        # through one session, made with the plans of the first
         cb = dft_codebook(ArrayConfig(8))
         base = ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=Scheme.EXHAUSTIVE_PBP)
         assert base._tx_plan is base._rx_plan
+        ch = sample_channel(ChannelConfig(), derive_seed(2121, 0))
+        session = protocols._session(base, ch, 0)
+        assert session.tx is base._tx_plan and session.rx is base._tx_plan
         for cfg in (
             dataclasses.replace(base, scheme=Scheme.FEEDBACK_BEAMCODING),
-            dataclasses.replace(base, noise=LinkBudget(), snr_budget=LinkBudget()),
+            dataclasses.replace(base, snr_budget=LinkBudget()),
             dataclasses.replace(base, quantize_bits=None, project_phase_only=False),
         ):
-            assert cfg._tx_plan is base._tx_plan and cfg._rx_plan is base._rx_plan
-        # equal beams in another codebook object, or any one setting changed
+            assert cfg._tx_plan is not base._tx_plan
+            assert protocols._session(cfg, ch, 0) is session
+        # another seed; equal beams in another codebook object, any one
+        # setting changed or another noise level: a session of its own,
+        # made with the config's plans
         twin = dft_codebook(ArrayConfig(8))
-        plans = [base._tx_plan]
+        sessions = [session, protocols._session(base, ch, 1)]
         for cfg in (
             dataclasses.replace(base, tx_codebook=twin, rx_codebook=twin),
             dataclasses.replace(base, quantize_bits=3),
             dataclasses.replace(base, project_phase_only=True),
             dataclasses.replace(base, num_sectors=2),
+            dataclasses.replace(base, noise=LinkBudget()),
         ):
-            plans += [cfg._tx_plan]
-            assert cfg._rx_plan is cfg._tx_plan
-        assert len({id(plan) for plan in plans}) == len(plans)
-        # a plan with transforms holds the plan without them
-        for cfg in (dataclasses.replace(base, quantize_bits=3, project_phase_only=True), base):
-            assert cfg._tx_plan.untransformed is base._tx_plan
+            sessions.append(protocols._session(cfg, ch, 0))
+            assert sessions[-1].tx is cfg._tx_plan and sessions[-1].rx is cfg._tx_plan
+        assert len({id(s) for s in sessions}) == len(sessions)
+        # a plan with transforms holds the plan without them, and its
+        # session the session without them, whose sector table it reads
+        both = dataclasses.replace(base, quantize_bits=3, project_phase_only=True)
+        clean = both._tx_plan.untransformed
+        assert clean.codebook is cb and clean.settings == base._tx_plan.settings
+        assert clean.untransformed is clean and base._tx_plan.untransformed is base._tx_plan
+        transformed = protocols._session(both, ch, 0)
+        assert transformed.untransformed is session and session.untransformed is session
+        assert transformed.sectors is session.sectors
         narrow = dataclasses.replace(base, rx_codebook=dft_codebook(ArrayConfig(4)))
-        assert narrow._tx_plan is base._tx_plan and narrow._rx_plan is not base._rx_plan
+        s = protocols._session(narrow, ch, 0)
+        assert s.tx is narrow._tx_plan and s.rx is narrow._rx_plan and s.rx is not s.tx
 
     def test_configs_made_on_many_threads_share_one_plan(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -630,27 +656,31 @@ class TestTrainingPlan:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for _ in range(1000):
+                for i in range(300):
                     cb = dft_codebook(ArrayConfig(8))
+                    ch = sample_channel(ChannelConfig(), derive_seed(2525, i))
                     barrier = threading.Barrier(workers, timeout=10)
 
-                    def plan_of(i):
-                        scheme = list(Scheme)[i % len(Scheme)]
-                        cfg = ProtocolConfig(tx_codebook=cb, rx_codebook=cb, scheme=scheme)
+                    def plans_of(k, cb=cb, ch=ch, barrier=barrier):
+                        scheme = list(Scheme)[k % len(Scheme)]
+                        # every other config quantizes: its session holds
+                        # the plain one, made by whichever thread is first
+                        bits = 3 if k % 2 else None
+                        cfg = ProtocolConfig(
+                            tx_codebook=cb, rx_codebook=cb, scheme=scheme, quantize_bits=bits
+                        )
                         barrier.wait()
-                        # each end's cached property has a lock of its own
-                        return cfg._tx_plan if i % 2 else cfg._rx_plan
+                        s = protocols._session(cfg, ch, 0).untransformed
+                        return s.tx, s.rx
 
-                    futures = [pool.submit(plan_of, i) for i in range(workers)]
-                    plans = [f.result(timeout=10) for f in futures]
+                    plans = [plan for pair in pool.map(plans_of, range(workers)) for plan in pair]
                     assert all(plan is plans[0] for plan in plans)
+                    assert len(ch._cache) == 2
         finally:
             sys.setswitchinterval(interval)
 
     def test_plans_go_with_their_configs(self):
-        ch = toy_channel(0.5)
-
-        def campaign():
+        def campaign(ch):
             """Quant-sweep-style configs over fresh codebooks: the baseline
             and coded training at each bit width, each run once; weak
             references to their plans."""
@@ -664,12 +694,19 @@ class TestTrainingPlan:
                 run(cfg, ch, 0)
             return [weakref.ref(plan) for cfg in cfgs for plan in (cfg._tx_plan, cfg._rx_plan)]
 
-        before = len(protocols._PLANS)
-        refs = [ref for _ in range(1000 // 6 + 1) for ref in campaign()]
+        # with the configs gone, the plans that the realization's sessions
+        # train through stay as long as the realization
+        ch = toy_channel(0.5)
+        refs = campaign(ch)
+        alive = {id(ref()) for ref in refs if ref() is not None}
+        assert alive == {id(plan) for s in ch._cache.values() for plan in (s.tx, s.rx)}
+        # the baseline's session and one per bit width
+        assert len(ch._cache) == 5 and alive
+        del ch
+        assert all(ref() is None for ref in refs)
+        refs = [ref for _ in range(1000 // 6 + 1) for ref in campaign(toy_channel(0.5))]
         assert len(refs) >= 2 * 1000
         assert all(ref() is None for ref in refs)
-        # other tests' configs may go meanwhile, but none of these stays
-        assert len(protocols._PLANS) <= before
 
 
 class TestChannelGeometryCache:
@@ -702,14 +739,7 @@ class TestChannelGeometryCache:
                     assert_outcomes_equal(run(cfg, ch, i), run(cfg, dataclasses.replace(ch), i))
 
     def test_steering_built_once_per_end_per_channel(self, monkeypatch):
-        calls = []
-
-        def counting_steering_matrix(angles_deg, cfg):
-            calls.append(cfg)
-            return steering_matrix(angles_deg, cfg)
-
-        steering_matrix = channel._steering_matrix
-        monkeypatch.setattr(channel, "_steering_matrix", counting_steering_matrix)
+        calls = calls_to(monkeypatch, protocols, "_steering_matrix")
         cb = dft_codebook(ArrayConfig(16))
         cfgs = self.configs(cb, cb)
         for i in range(4):
@@ -752,21 +782,14 @@ class TestSharedRealization:
     def test_table_slices_equal_direct_cascades(self, spread):
         tx_cb, rx_cb = dft_codebook(ArrayConfig(16)), dft_codebook(ArrayConfig(4))
         cfg = ProtocolConfig(tx_codebook=tx_cb, rx_codebook=rx_cb, scheme=Scheme.FEEDBACK_INPACKET)
-        quantized = dataclasses.replace(cfg, quantize_bits=3)
         tx_w, rx_w = cfg._tx_plan.weights, cfg._rx_plan.weights
         for i in range(6):
             ch_cfg = ChannelConfig(los=i % 2 == 0, intra_cluster_tap_spread=spread)
             ch = sample_channel(ch_cfg, derive_seed(1010, i))
-            table = ch.gain_table(tx_w, rx_w, tx_cb.cfg, rx_cb.cfg)
+            table = protocols._session(cfg, ch, i).table(tx_w, rx_w)
             assert not table.flags.writeable
             direct = cascade_gains(tx_w, rx_w, dataclasses.replace(ch), tx_cb.cfg, rx_cb.cfg)
             assert _bits(table) == _bits(direct)
-            # kept by identity, so the untransformed plan of any config
-            # reads the same entry
-            for plan_cfg in (cfg, quantized):
-                tx_clean = plan_cfg._tx_plan.untransformed.weights
-                rx_clean = plan_cfg._rx_plan.untransformed.weights
-                assert ch.gain_table(tx_clean, rx_clean, tx_cb.cfg, rx_cb.cfg) is table
             for p in range(len(tx_cb)):
                 row = cascade_gains(tx_w[p : p + 1], rx_w, ch, tx_cb.cfg, rx_cb.cfg)
                 assert _bits(table[:, p : p + 1, :]) == _bits(row)
@@ -787,18 +810,20 @@ class TestSharedRealization:
                 quantize_bits=quantize_bits,
             )
             tx, rx = cfg._tx_plan, cfg._rx_plan
-            clean = rx.untransformed
-            blocks = ((rx.stack, rx.weights), (clean.stack, clean.weights))
             for i in range(4):
                 ch_cfg = ChannelConfig(los=i % 2 == 0, intra_cluster_tap_spread=spread)
                 ch = sample_channel(ch_cfg, derive_seed(1818, i))
-                for tx_w in (tx.weights, tx.coded[0], tx.untransformed.weights):
-                    for stack, rx_w in blocks:
-                        table = ch.gain_table(tx_w, stack, tx_cb.cfg, rx_cb.cfg)
-                        for block, own in ((table[:, :, :q], rx_w), (table[:, :, q:], rx.composite)):
-                            fresh = dataclasses.replace(ch)
-                            direct = cascade_gains(tx_w, own, fresh, tx_cb.cfg, rx_cb.cfg)
-                            assert _bits(block.copy()) == _bits(direct)
+                s = protocols._session(cfg, ch, i)
+                clean = s.untransformed
+                for table, tx_w, rx_w in (
+                    (s.whole, tx.weights, rx.weights),
+                    (s.coded, tx.coded[0], rx.weights),
+                    (clean.whole, tx.untransformed.weights, rx.untransformed.weights),
+                ):
+                    for block, own in ((table[:, :, :q], rx_w), (table[:, :, q:], rx.composite)):
+                        fresh = dataclasses.replace(ch)
+                        direct = cascade_gains(tx_w, own, fresh, tx_cb.cfg, rx_cb.cfg)
+                        assert _bits(block.copy()) == _bits(direct)
 
     def test_exhaustive_traces_are_one_read_only_array(self):
         by_scheme = {cfg.scheme: cfg for cfg in self.configs(quantize_bits=3)}
@@ -822,7 +847,8 @@ class TestSharedRealization:
             # the per-packet arrays each runner used to return
             fresh = dataclasses.replace(ch)
             table = cascade_gains(tx_fields, cfg._rx_plan.weights, fresh, n_cfg, n_cfg)
-            est, *_ = protocols._stage(cfg, table, protocols._Noise(fresh, i), chips)
+            s = protocols._session(cfg, fresh, i)
+            est, *_ = protocols._stage(s, table, protocols._Noise(s.noise), chips)
             old = {
                 pbp: tuple(power.reshape(power.size, 1)),
                 inpacket: tuple(power.T.copy()),
@@ -836,23 +862,24 @@ class TestSharedRealization:
     def multilevel_on_its_own_fine_cascade(cfg, ch, seed):
         """run_multilevel_pbp with the fine stage on a cascade of the fine
         weights, not on a slice of the codebook table."""
-        noise = protocols._Noise(ch, seed)
+        s = protocols._session(cfg, ch, seed)
+        noise = protocols._Noise(s.noise)
         tx_cfg, rx_cfg = cfg.tx_codebook.cfg, cfg.rx_codebook.cfg
         (tx_wide, tx_groups), (rx_wide, rx_groups) = cfg._tx_plan.sectors, cfg._rx_plan.sectors
         wide = cascade_gains(tx_wide, rx_wide, ch, tx_cfg, rx_cfg)
-        *_, power1, _ = protocols._stage(cfg, wide, noise)
+        *_, power1, _ = protocols._stage(s, wide, noise)
         s_tx, s_rx = protocols._argmax_pair(power1)
         fine_tx, fine_rx = tx_groups[s_tx], rx_groups[s_rx]
         tx_w, rx_w = cfg._tx_plan.weights[fine_tx], cfg._rx_plan.weights[fine_rx]
         fine = cascade_gains(tx_w, rx_w, ch, tx_cfg, rx_cfg)
-        *_, power2, detected = protocols._stage(cfg, fine, noise)
+        *_, power2, detected = protocols._stage(s, fine, noise)
         local = protocols._argmax_pair(power2)
         pair = (int(fine_tx[local[0]]), int(fine_rx[local[1]])) if detected else None
         packets = len(tx_wide) * len(rx_wide) + len(fine_tx) * len(fine_rx)
         bits = packets * PER_BEAM_BITS_80211AD
         traces = (power1.ravel(), power2.ravel())
         scheme = Scheme.MULTILEVEL_PBP
-        return protocols._outcome(scheme, cfg, ch, seed, pair, traces, packets, bits, power2)
+        return protocols._outcome(scheme, cfg, s, seed, pair, traces, packets, bits, power2)
 
     @pytest.mark.parametrize("spread", [0, 4])
     @pytest.mark.parametrize("quantize_bits", [None, 3])
@@ -889,27 +916,24 @@ class TestSharedRealization:
             random_tx = rng.standard_normal((3, n_tx)) + 1j * rng.standard_normal((3, n_tx))
             for tx_w in (tx_cb.matrix, random_tx):
                 table = cascade_gains(tx_w, rx_cb.matrix, ch, tx_cb.cfg, rx_cb.cfg)
-                est, *_ = protocols._stage(cfg, table, protocols._Noise(ch, 0))
+                s = protocols._session(cfg, ch, 0)
+                est, *_ = protocols._stage(s, table, protocols._Noise(s.noise))
                 assert _bits(est) == _bits(table / root)
 
     @pytest.mark.parametrize("first", [Scheme.EXHAUSTIVE_PBP, Scheme.EXHAUSTIVE_INPACKET])
     def test_exhaustive_schemes_share_one_estimate(self, monkeypatch, first):
-        stages = []
-        stage = protocols._stage
-
-        def counting_stage(*args, **kwargs):
-            stages.append(1)
-            return stage(*args, **kwargs)
-
-        monkeypatch.setattr(protocols, "_stage", counting_stage)
+        stages = calls_to(monkeypatch, protocols, "_stage")
+        cascades = calls_to(monkeypatch, protocols, "_cascade")
         by_scheme = {cfg.scheme: cfg for cfg in self.configs()}
         pbp, inpacket = by_scheme[Scheme.EXHAUSTIVE_PBP], by_scheme[Scheme.EXHAUSTIVE_INPACKET]
         order = (pbp, inpacket) if first is Scheme.EXHAUSTIVE_PBP else (inpacket, pbp)
         for i in range(4):
             ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1212, i))
             stages.clear()
+            cascades.clear()
             shared = {cfg.scheme: run(cfg, ch, i) for cfg in order}
-            assert len(stages) == 1
+            # one stage and one cascade, that of the codebook's receive stack
+            assert len(stages) == 1 and len(cascades) == 1
             for cfg in order:
                 assert_outcomes_equal(shared[cfg.scheme], run(cfg, dataclasses.replace(ch), i))
             power = shared[Scheme.EXHAUSTIVE_PBP].pair_power
@@ -926,19 +950,8 @@ class TestSharedRealization:
                 assert_outcomes_equal(run(cfg, ch, seed), run(cfg, dataclasses.replace(ch), seed))
 
     def test_scheme_mix_operation_makes_four_cascades(self, monkeypatch):
-        cascades, generators = [], []
-        cascade, default_rng = channel.cascade_gains, np.random.default_rng
-
-        def counting_cascade(*args):
-            cascades.append(1)
-            return cascade(*args)
-
-        def counting_default_rng(seed):
-            generators.append(seed)
-            return default_rng(seed)
-
-        monkeypatch.setattr(channel, "cascade_gains", counting_cascade)
-        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        cascades = calls_to(monkeypatch, protocols, "_cascade")
+        generators = calls_to(monkeypatch, np.random, "default_rng")
         cfgs = self.configs()
         for i in range(4):
             ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1111, i))
@@ -952,19 +965,13 @@ class TestSharedRealization:
             # are the multilevel sector stage and the second coded
             # feedback stage
             assert len(cascades) == 4 * (i + 1)
-            assert generators == [derive_seed(i, protocols._NOISE_STREAM)]
-            # tables are found by identity: no key holds weight bytes
-            assert not any(isinstance(part, bytes) for key in ch._cache for part in key)
+            assert generators == [(derive_seed(i, protocols._NOISE_STREAM),)]
+            # all six configs train through one session
+            assert len(ch._cache) == 1
 
     def test_quant_sweep_channel_makes_six_cascades(self, monkeypatch):
-        cascades = []
-        cascade = channel.cascade_gains
-
-        def counting_cascade(*args):
-            cascades.append(1)
-            return cascade(*args)
-
-        monkeypatch.setattr(channel, "cascade_gains", counting_cascade)
+        cascades = calls_to(monkeypatch, protocols, "_cascade")
+        steering = calls_to(monkeypatch, protocols, "_steering_matrix")
         cb = dft_codebook(ArrayConfig(16))
         base = ProtocolConfig(
             tx_codebook=cb, rx_codebook=cb, scheme=Scheme.EXHAUSTIVE_PBP, snr_budget=self.budget
@@ -977,9 +984,50 @@ class TestSharedRealization:
             ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(1515, i))
             for cfg in cfgs:
                 run(cfg, ch, i)
-            # one table per config; every SNR reads the baseline's, on the
-            # untransformed plans that the quantized plans hold
+            # one table per config; every SNR reads the baseline's, through
+            # the untransformed session that each quantized session holds,
+            # and so do its steering matrices
             assert len(cascades) == 6 * (i + 1)
+            assert len(steering) == 2 * (i + 1)
+
+    def test_threads_on_one_realization_match_serial_runs(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfgs = self.configs()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
+                for i in range(200):
+                    ch = sample_channel(ChannelConfig(los=i % 2 == 0), derive_seed(2323, i))
+                    barrier = threading.Barrier(len(cfgs), timeout=10)
+
+                    def train(cfg, ch=ch, i=i, barrier=barrier):
+                        barrier.wait()
+                        return run(cfg, ch, i)
+
+                    for cfg, out in zip(cfgs, list(pool.map(train, cfgs))):
+                        assert_outcomes_equal(out, run(cfg, dataclasses.replace(ch), i))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_realization_is_freed_without_the_cyclic_collector(self):
+        cfgs = self.configs()
+        cfgs.append(dataclasses.replace(cfgs[-1], quantize_bits=3))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ch = sample_channel(ChannelConfig(), derive_seed(2424, 0))
+            for cfg in cfgs:
+                run(cfg, ch, 0)
+            # the realization and its two sessions
+            refs = [weakref.ref(ch)] + [weakref.ref(s) for s in ch._cache.values()]
+            assert len(refs) == 3
+            del ch
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_noiseless_runs_draw_nothing(self, monkeypatch):
         ch = sample_channel(ChannelConfig(), derive_seed(1212, 0))
