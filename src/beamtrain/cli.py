@@ -130,9 +130,8 @@ def cmd_power_var(args: argparse.Namespace) -> int:
     exp = _load_experiment(args)
     result = harness.power_var_campaign(exp)
     out = Path(exp.out_dir)
-    gamma, cdf = harness.PowerVarBlock.gamma_header, harness.PowerVarBlock.cdf_header
-    p1 = harness.write_csv(out / "power_var_gamma.csv", gamma, result.gamma_rows())
-    p2 = harness.write_csv(out / "power_var_cdf.csv", cdf, result.cdf_rows())
+    p1 = harness.write_csv(out / "power_var_gamma.csv", harness.GAMMA_HEADER, result.gamma_rows())
+    p2 = harness.write_csv(out / "power_var_cdf.csv", harness.CDF_HEADER, result.cdf_rows())
     print(f"wrote {p1}")
     print(f"wrote {p2}")
     return 0

@@ -15,9 +15,9 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .array_model import (
 from .beam_coding import ce_field_powers, golay_pair
 from .channel import (
     ChannelRealization,
+    cascade_gains,
     derive_seed,
     sample_channel,
     toy_channel,
@@ -42,18 +43,13 @@ from .channel import (
 )
 from .experiment import ConfigError, ExperimentConfig
 from .metrics import aggregate_snr, grouped_cdf
-from .packets import (
-    LAYOUTS,
-    PER_BEAM_BITS_80211AD,
-    PER_BEAM_BITS_BEAM_CODING,
-    _tap_rows,
-    training_bits,
-)
+from .packets import LAYOUTS, PER_BEAM_BITS_80211AD, PER_BEAM_BITS_BEAM_CODING, training_bits
 from .protocols import ProtocolConfig, Scheme, run
 
 __all__ = [
     "CsvBlock",
-    "PowerVarBlock",
+    "GAMMA_HEADER",
+    "CDF_HEADER",
     "PowerVarResult",
     "write_csv",
     "overhead_rows",
@@ -116,7 +112,7 @@ def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[CsvBlock
     return path
 
 
-def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], CsvBlock]:
+def overhead_rows(beam_counts: Sequence[int]) -> tuple[list[str], CsvBlock]:
     """Per-beam and total training bits for both layouts, exact integers.
 
     The per-beam delta is 3840 bits; narrative summaries sometimes round
@@ -139,6 +135,10 @@ def overhead_rows(beam_counts: Sequence[int] = (1, 16)) -> tuple[list[str], CsvB
     return header, CsvBlock("%d,%s,%d,%d,%d,%d\n", rows)
 
 
+# The gain, in dB below the peak, that a pattern's nulls print as.
+_PATTERN_FLOOR_DB = -200.0
+
+
 def pattern_rows(
     num_antennas: int,
     spacing: float = 0.5,
@@ -147,11 +147,10 @@ def pattern_rows(
     quant_bits: int | None = None,
     uniform: bool = False,
     step_deg: float = 0.1,
-    floor_db: float = -200.0,
 ) -> tuple[list[str], CsvBlock]:
     """Beam pattern of a (possibly coded, projected, quantized) weight vector.
 
-    Gains are normalized to the pattern peak; zeros clip at ``floor_db``.
+    Gains are normalized to the pattern peak; zeros clip at _PATTERN_FLOOR_DB.
     """
     if num_antennas < 1:
         raise ValueError("need at least one antenna")
@@ -170,7 +169,7 @@ def pattern_rows(
     if peak <= 0.0:
         raise ConfigError("all-zero pattern: the beams cancel under these signs")
     with np.errstate(divide="ignore"):
-        gain_db = np.maximum(10.0 * np.log10(power / peak), floor_db)
+        gain_db = np.maximum(10.0 * np.log10(power / peak), _PATTERN_FLOOR_DB)
     rows = list(zip(grid.tolist(), gain_db.tolist()))
     return ["angle_deg", "gain_db"], CsvBlock("%.12g,%.12g\n", rows)
 
@@ -195,6 +194,31 @@ def _dft_codebook(key: str, num_antennas: int, spacing: float) -> BeamCodebook:
 
 _POWER_VAR_SCHEMES = tuple(LAYOUTS)
 _ENVIRONMENTS = ("los", "nlos")
+_CE_GOLAY_LOG2 = 9  # each Golay half of the CE field has 2**9 = 512 chips
+
+
+class _Block(NamedTuple):
+    """One (environment, cell) block of power-var rows: its label cells,
+    where its gammas lie in a result's (environment index, entry slice of
+    every run), each entry's packet and field label, and the text of its
+    rows but the numbers: the label cells as printf text (``lead``) and,
+    after "", the rest of each of a run's rows (``tails``), which the lead
+    and a run index join."""
+
+    label: str
+    scheme: str
+    environment: str
+    beams_per_packet: int
+    env_index: int
+    entries: slice
+    packets: tuple[int, ...]
+    fields: tuple[int, ...]
+    lead: str
+    tails: tuple[str, ...]
+
+
+# A chunk of blocks holds fewer gamma rows than this plus its last block's.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +229,8 @@ class _PowerVarPlan:
     config order, each packet by packet and field by field.  ``fields`` and
     ``packet_of`` give each entry's weight row and packet, numbered through
     ``preambles``: one (packets, P) matrix of preamble weight rows per
-    preamble length P.  ``cells`` gives each cell's (scheme, K, slice of
-    the vector, packet labels, field labels).
+    preamble length P.  ``blocks`` are the CSV blocks in label order, and
+    ``chunks`` cuts them into runs of whole blocks.
     """
 
     weights: np.ndarray  # distinct field and preamble weights, (W, tx antennas)
@@ -214,16 +238,23 @@ class _PowerVarPlan:
     fields: np.ndarray
     packet_of: np.ndarray
     preambles: tuple[np.ndarray, ...]
-    cells: tuple[tuple[str, int, slice, tuple[int, ...], tuple[int, ...]], ...]
     golay: np.ndarray  # the (2, 512) Golay chip matrix of the CE field
+    blocks: tuple[_Block, ...]
+    chunks: tuple[tuple[_Block, ...], ...]
 
 
 @functools.lru_cache(maxsize=8)
 def _power_var_plan(
-    tx_antennas: int, spacing: float, beams_per_packet: tuple[int, ...], schemes: tuple[str, ...]
+    tx_antennas: int,
+    spacing: float,
+    beams_per_packet: tuple[int, ...],
+    schemes: tuple[str, ...],
+    environments: tuple[str, ...],
+    runs: int,
 ) -> _PowerVarPlan:
     """The plan of a power-var config; raises ConfigError for a bad
-    beams-per-packet value.  Schemes are checked by _validate_campaign."""
+    beams-per-packet value.  Schemes and environments are checked by
+    _validate_campaign."""
     if not beams_per_packet:
         raise ConfigError("packet.beams_per_packet: the list is empty")
     out_of_range = [k for k in beams_per_packet if not 1 <= k <= tx_antennas]
@@ -244,7 +275,7 @@ def _power_var_plan(
     # length), and each length's packets' preamble rows.
     packets: list[tuple[int, int]] = []
     preambles: dict[int, list[list[int]]] = {}
-    cells = []
+    blocks: list[_Block] = []
     for scheme in schemes:
         for k in beams_per_packet:
             start, packet_labels, field_labels = len(fields), [], []
@@ -256,10 +287,18 @@ def _power_var_plan(
                 same_length.append(rows(preamble))
                 packet_labels += [packet_idx] * len(packet_fields)
                 field_labels += range(len(packet_fields))
-            cells.append(
-                (scheme, k, slice(start, len(fields)), tuple(packet_labels), tuple(field_labels))
-            )
+            places = (slice(start, len(fields)), tuple(packet_labels), tuple(field_labels))
+            tails = ("", *(f"{p},{f},%.12g\n" for p, f in zip(packet_labels, field_labels)))
+            for e, env in enumerate(environments):
+                cells = (f"power_var/{scheme}/{env}/K{k}", scheme, env, k)
+                lead = ",".join(map(str, cells)).replace("%", "%%") + ","
+                blocks.append(_Block(*cells, e, *places, lead, tails))
+    blocks.sort(key=attrgetter("label"))
     first_packet = dict(zip(preambles, accumulate(map(len, preambles.values()), initial=0)))
+    # A block starts a chunk when its first gamma row is in a later span of
+    # _CHUNK_ROWS than the last's.
+    first_rows = runs * np.cumsum([0, *(len(b.fields) for b in blocks[:-1])])
+    cuts = [*np.flatnonzero(np.diff(first_rows // _CHUNK_ROWS, prepend=-1)).tolist(), len(blocks)]
     # The keys are the weights' bytes in row order; the cached plan is
     # shared by every later call, so its arrays are read-only.
     weights = np.frombuffer(b"".join(row_of), dtype=np.complex128)
@@ -270,9 +309,23 @@ def _power_var_plan(
         fields=_readonly(np.array(fields, np.intp)),
         packet_of=_readonly(np.array([first_packet[p] + i for p, i in packets], np.intp)),
         preambles=tuple(_readonly(np.array(m, np.intp)) for m in preambles.values()),
-        cells=tuple(cells),
-        golay=golay_pair(9),
+        golay=golay_pair(_CE_GOLAY_LOG2),
+        blocks=tuple(blocks),
+        chunks=tuple(tuple(blocks[first:end]) for first, end in zip(cuts, cuts[1:])),
     )
+
+
+def _tap_rows(
+    tx: np.ndarray, rx: np.ndarray, ch: ChannelRealization, tx_cfg: ArrayConfig, rx_cfg: ArrayConfig
+) -> np.ndarray:
+    """Cascade taps of each transmit weight row through the receive weights
+    ``rx``, shape (rows, num_taps).
+
+    Each row is contiguous, so that a sum along it adds in the same order
+    as a sum over that weight's own tap vector.
+    """
+    taps = cascade_gains(tx, rx[None, :], ch, tx_cfg, rx_cfg)
+    return np.ascontiguousarray(taps[:, :, 0].T)
 
 
 def _channel_gammas(plan: _PowerVarPlan, taps: np.ndarray) -> np.ndarray:
@@ -337,6 +390,14 @@ def _validate_channel_and_link(exp: ExperimentConfig, nlos: bool) -> None:
     ):
         if not valid:
             raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    # A channel must fit inside the Golay half of the CE field that estimates it.
+    chips, excess = 1 << _CE_GOLAY_LOG2, ch.max_excess_tap + spread
+    if excess >= chips:
+        raise ConfigError(
+            f"channel.max_excess_tap, channel.intra_cluster_tap_spread: {ch.max_excess_tap} + "
+            f"{spread} = {excess} taps of excess delay; at most {chips - 1} fit inside the "
+            f"{chips}-chip Golay sequence of the CE field"
+        )
     if nlos and ch.num_clusters == 0:
         raise ConfigError(
             "channel.num_clusters: an NLOS channel without clusters has no rays to train on"
@@ -403,113 +464,48 @@ def _validate_amplitudes(exp: ExperimentConfig) -> None:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class PowerVarBlock:
-    """The gammas of one (environment, cell) of a power-var campaign: the
-    read-only (runs, F) matrix of the cell's F entries on each run's
-    channel, its columns in (packet, field) order, labelled by ``packets``
-    and ``fields``.  The label cells lead every CSV row of the block.
-    """
-
-    gamma_header: ClassVar[tuple[str, ...]] = (
-        "experiment", "scheme", "environment", "beams_per_packet",
-        "seed_index", "packet", "field", "gamma",
-    )
-    cdf_header: ClassVar[tuple[str, ...]] = (*gamma_header[:4], "value", "cum_fraction")
-
-    label: str
-    scheme: str
-    environment: str
-    beams_per_packet: int
-    gammas: np.ndarray
-    packets: tuple[int, ...]
-    fields: tuple[int, ...]
-
-
-class _PowerVarRows:
-    """Power-var row text but the numbers, per block of ``cells`` (label
-    cells, packet and field labels, and where its gammas lie in a result's:
-    environment index, every run, entry slice) in label order: the entries
-    per run before it (``bounds``, the total last), its label cells as
-    printf text and, after "", the rest of a run's rows, which its leading
-    cells join."""
-
-    def __init__(self, cells: tuple[tuple, ...]) -> None:
-        self.cells = cells
-        self.bounds = _readonly(np.cumsum([0, *(len(c[4]) for c in cells)]))
-        self.leads = tuple(",".join(map(str, c[:4])).replace("%", "%%") + "," for c in cells)
-        self.tails = tuple(("", *(f"{p},{f},%.12g\n" for p, f in zip(c[4], c[5]))) for c in cells)
-
-
-@functools.lru_cache(maxsize=8)
-def _power_var_rows(plan: _PowerVarPlan, environments: tuple[str, ...]) -> _PowerVarRows:
-    """The rows of a config."""
-    cells = (
-        (f"power_var/{s}/{env}/K{k}", s, env, k, packets, fields, (e, slice(None), entries))
-        for s, k, entries, packets, fields in plan.cells
-        for e, env in enumerate(environments)
-    )
-    return _PowerVarRows(tuple(sorted(cells, key=itemgetter(0))))
-
-
-# A chunk of blocks holds fewer gamma rows than this plus its last block's.
-_CHUNK_ROWS = 4096
-
-
-@functools.lru_cache(maxsize=8)
-def _chunks(rows: _PowerVarRows, runs: int) -> tuple[tuple[int, int], ...]:
-    """Each chunk's first and end block: a block starts a chunk when its
-    first gamma is in a later span of _CHUNK_ROWS than the last's."""
-    starts = np.flatnonzero(np.diff(runs * rows.bounds[:-1] // _CHUNK_ROWS, prepend=-1))
-    cuts = [*starts.tolist(), len(rows.cells)]
-    return tuple(zip(cuts, cuts[1:]))
+GAMMA_HEADER = (
+    "experiment", "scheme", "environment", "beams_per_packet",
+    "seed_index", "packet", "field", "gamma",
+)
+CDF_HEADER = (*GAMMA_HEADER[:4], "value", "cum_fraction")
 
 
 @dataclass(frozen=True, eq=False)
 class PowerVarResult:
     """The gammas of a power-var campaign: row ``[e, i]`` of the read-only
     (environments, runs, entries) ``gammas`` holds the channel of run i in
-    environment e, in plan order.  ``rows`` alone knows the CSV row order:
-    block by block in label order, each block's runs in index order, each
-    run's entries in (packet, field) order.  Each CSV takes one ``%`` per
-    chunk of blocks."""
+    environment e, in the order of the ``plan``'s entries.  The plan's
+    blocks give the CSV row order: block by block in label order, each
+    block's runs in index order, each run's entries in (packet, field)
+    order.  Each CSV takes one ``%`` per chunk of blocks."""
 
-    rows: _PowerVarRows
+    plan: _PowerVarPlan
     gammas: np.ndarray
 
-    @property
-    def blocks(self) -> list[PowerVarBlock]:
-        """One block per (environment, cell), viewing the result's gammas."""
-        return [
-            PowerVarBlock(*cell[:4], self.gammas[place], *cell[4:])
-            for *cell, place in self.rows.cells
-        ]
-
-    def _chunk_gammas(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Each chunk's first and end block, and its blocks' gammas in row order."""
-        cells = self.rows.cells
-        for first, end in _chunks(self.rows, self.gammas.shape[1]):
-            yield first, end, np.concatenate([self.gammas[c[6]].ravel() for c in cells[first:end]])
+    def _chunk_gammas(self) -> Iterator[tuple[tuple[_Block, ...], np.ndarray]]:
+        """Each chunk's blocks, and their gammas in row order."""
+        for blocks in self.plan.chunks:
+            views = [self.gammas[b.env_index, :, b.entries].ravel() for b in blocks]
+            yield blocks, np.concatenate(views)
 
     def gamma_rows(self) -> Iterator[CsvBlock]:
         """The gamma CSV's rows, one block per chunk, a slot for each gamma."""
-        for first, end, gammas in self._chunk_gammas():
-            template = "".join(
-                f"{lead}{i},".join(tails)
-                for lead, tails in zip(self.rows.leads[first:end], self.rows.tails[first:end])
-                for i in range(self.gammas.shape[1])
-            )
+        runs = self.gammas.shape[1]
+        for blocks, gammas in self._chunk_gammas():
+            template = "".join(f"{b.lead}{i},".join(b.tails) for b in blocks for i in range(runs))
             yield CsvBlock(template, [tuple(gammas.tolist())])
 
     def cdf_rows(self) -> Iterator[CsvBlock]:
         """Each block's jump points in value order, from one
         :func:`grouped_cdf` call per chunk."""
-        sizes = self.gammas.shape[1] * np.diff(self.rows.bounds)
-        for first, end, gammas in self._chunk_gammas():
-            values, fractions, counts = grouped_cdf(gammas, sizes[first:end])
+        runs = self.gammas.shape[1]
+        for blocks, gammas in self._chunk_gammas():
+            sizes = [runs * len(b.fields) for b in blocks]
+            values, fractions, counts = grouped_cdf(gammas, sizes)
             slots = np.empty(2 * len(values))
             slots[0::2], slots[1::2] = values, fractions
-            leads = (lead + "%.12g,%.12g\n" for lead in self.rows.leads[first:end])
+            leads = (b.lead + "%.12g,%.12g\n" for b in blocks)
             yield CsvBlock("".join(map(mul, leads, counts.tolist())), [tuple(slots.tolist())])
 
 
@@ -521,9 +517,11 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
     groups of ``beams_per_packet`` per packet.  The config is checked
     before any channel is drawn; a bad value raises :class:`ConfigError`.
 
-    Per channel, one cascade gives the taps of every distinct weight of
-    the config's layouts, and a field's gamma is its power over three
-    times its preamble's sigma from
+    One plan, cached per config less its seed, holds everything that does
+    not depend on the channel: the distinct weights of the config's
+    layouts, the packet of each gamma, and the CSV blocks and chunks.  Per
+    channel, one cascade gives the taps of every distinct weight, and a
+    field's gamma is its power over three times its preamble's sigma from
     :func:`~beamtrain.beam_coding.ce_field_powers`: bit for bit what a
     sample-level synthesis of each layout gives.  Golay complementarity
     gives sigma in closed form, but not bit for bit, so the synthesis
@@ -532,9 +530,9 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
     started = time.perf_counter()
     _validate_campaign(exp)
     plan = _power_var_plan(
-        exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes)
+        exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes),
+        tuple(exp.environments), exp.runs,
     )
-    rows = _power_var_rows(plan, tuple(exp.environments))
     log.info("power-var: %d runs in %s", exp.runs, ", ".join(exp.environments))
     tx_cfg = ArrayConfig(exp.tx_antennas, exp.spacing)
     rx_w = np.ones(1, dtype=np.complex128)
@@ -555,11 +553,11 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
         "power-var: %d runs, %d environments, %d blocks of %d gamma rows in %.3f s",
         exp.runs,
         len(exp.environments),
-        len(rows.cells),
+        len(plan.blocks),
         gammas.size,
         time.perf_counter() - started,
     )
-    return PowerVarResult(rows, gammas)
+    return PowerVarResult(plan, gammas)
 
 
 def _linear_snrs(

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .array_model import ArrayConfig, superpose_beams
+from .array_model import superpose_beams
 from .beam_coding import coded_fields, walsh_codes
-from .channel import ChannelRealization, cascade_gains
 
 __all__ = [
     "AGC_SUBFIELD_BITS",
@@ -96,16 +95,3 @@ def layout_beam_coding(beams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # The packet layouts by scheme name: campaigns and configs take the names here.
 LAYOUTS = {"80211ad": layout_80211ad, "beamcoding": layout_beam_coding}
-
-
-def _tap_rows(
-    tx: np.ndarray, rx: np.ndarray, ch: ChannelRealization, tx_cfg: ArrayConfig, rx_cfg: ArrayConfig
-) -> np.ndarray:
-    """Cascade taps of each transmit weight row through the receive weights
-    ``rx``, shape (rows, num_taps).
-
-    Each row is contiguous, so that a sum along it adds in the same order
-    as a sum over that weight's own tap vector.
-    """
-    taps = cascade_gains(tx, rx[None, :], ch, tx_cfg, rx_cfg)
-    return np.ascontiguousarray(taps[:, :, 0].T)

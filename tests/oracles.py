@@ -20,7 +20,7 @@ import numpy as np
 from beamtrain.array_model import ArrayConfig, array_factor_many
 from beamtrain.beam_coding import _checked_chips, golay_pair, walsh_decode
 from beamtrain.channel import ChannelRealization, LinkBudget
-from beamtrain.packets import _tap_rows
+from beamtrain.harness import _tap_rows
 
 __all__ = [
     "encode_ce_field",

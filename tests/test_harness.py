@@ -20,9 +20,11 @@ from beamtrain.beam_coding import golay_pair
 from beamtrain.channel import ChannelConfig, derive_seed, sample_channel
 from beamtrain.experiment import ExperimentConfig, parse_config, serialize_config
 from beamtrain.harness import (
+    CDF_HEADER,
+    GAMMA_HEADER,
     CsvBlock,
-    PowerVarBlock,
     PowerVarResult,
+    _tap_rows,
     overhead_rows,
     pattern_rows,
     power_var_campaign,
@@ -30,31 +32,45 @@ from beamtrain.harness import (
     train_once,
     write_csv,
 )
-from beamtrain.packets import LAYOUTS, _tap_rows
+from beamtrain.packets import LAYOUTS
 from beamtrain.protocols import Scheme
 from oracles import encode_ce_field, power_trace, preamble_samples
 
 
-def gamma_rows(blocks):
-    """The gamma CSV rows of power-var blocks as tuples, in block order."""
+def block_gammas(result):
+    """Each block of a power-var result's plan, in the plan's order, with
+    its (runs, F) gammas: one environment's entry slice of every run."""
+    return [(b, result.gammas[b.env_index][:, b.entries]) for b in result.plan.blocks]
+
+
+def gamma_rows(result):
+    """The gamma CSV rows of a power-var result as tuples, in block order."""
     return [
         (b.label, b.scheme, b.environment, b.beams_per_packet, i, p, f, g)
-        for b in blocks
-        for i, run_gammas in enumerate(b.gammas.tolist())
+        for b, gammas in block_gammas(result)
+        for i, run_gammas in enumerate(gammas.tolist())
         for p, f, g in zip(b.packets, b.fields, run_gammas)
     ]
 
 
-def cdf_rows(blocks):
-    """The CDF CSV rows of power-var blocks as tuples, in block order: each
-    distinct gamma with the fraction of its block's gammas at or below it."""
+def cdf_rows(result):
+    """The CDF CSV rows of a power-var result as tuples, in block order:
+    each distinct gamma with the fraction of its block's gammas at or below
+    it."""
     rows = []
-    for b in blocks:
-        values, counts = np.unique(b.gammas, return_counts=True)
-        fractions = np.cumsum(counts) / b.gammas.size
+    for b, gammas in block_gammas(result):
+        values, counts = np.unique(gammas, return_counts=True)
+        fractions = np.cumsum(counts) / gammas.size
         label = (b.label, b.scheme, b.environment, b.beams_per_packet)
         rows += [(*label, v, f) for v, f in zip(values.tolist(), fractions.tolist())]
     return rows
+
+
+def power_var_plan(exp):
+    """The plan of a power-var config."""
+    return harness._power_var_plan(
+        exp.tx_antennas, exp.spacing, exp.beams_per_packet, exp.schemes, exp.environments, exp.runs
+    )
 
 
 def fmt_cell(value) -> str:
@@ -90,6 +106,8 @@ WITH_CHANNEL = (*BOTH_CAMPAIGNS, "train")
 # The keys named when the link budget's noise-to-signal ratio is not a
 # positive finite float.
 NOISE_RATIO_KEYS = "link.tx_power_dbm, link.noise_figure_plus_impl_db"
+# The keys named when a channel is longer than the CE sequence.
+TAP_KEYS = "channel.max_excess_tap, channel.intra_cluster_tap_spread"
 
 class TestOverheadRows:
     def test_exact_integers(self):
@@ -154,8 +172,8 @@ class TestPatternRows:
 class TestPowerVarCampaign:
     def test_rows_structure_and_sorting(self):
         exp = small_experiment()
-        g_rows = gamma_rows(power_var_campaign(exp).blocks)
-        assert PowerVarBlock.gamma_header[0] == "experiment"
+        g_rows = gamma_rows(power_var_campaign(exp))
+        assert GAMMA_HEADER[0] == "experiment"
         keys = [(r[0], r[4], r[5], r[6]) for r in g_rows]
         assert keys == sorted(keys)
         # every scheme/K cell present
@@ -164,7 +182,7 @@ class TestPowerVarCampaign:
 
     def test_cdf_rows_end_at_one(self):
         exp = small_experiment()
-        c_rows = cdf_rows(power_var_campaign(exp).blocks)
+        c_rows = cdf_rows(power_var_campaign(exp))
         by_cell = {}
         for r in c_rows:
             by_cell.setdefault(r[0], []).append(r)
@@ -175,10 +193,10 @@ class TestPowerVarCampaign:
 
     def test_deterministic_under_master_seed(self):
         exp = small_experiment()
-        first = gamma_rows(power_var_campaign(exp).blocks)
-        second = gamma_rows(power_var_campaign(exp).blocks)
+        first = gamma_rows(power_var_campaign(exp))
+        second = gamma_rows(power_var_campaign(exp))
         assert first == second
-        moved = gamma_rows(power_var_campaign(replace(exp, master_seed=2)).blocks)
+        moved = gamma_rows(power_var_campaign(replace(exp, master_seed=2)))
         assert moved != first
 
     @pytest.mark.parametrize("environments", [("los", "nlos"), ("nlos", "los")])
@@ -193,10 +211,9 @@ class TestPowerVarCampaign:
             environments=environments,
             channel=ChannelConfig(intra_cluster_tap_spread=4),
         )
-        blocks = power_var_campaign(exp).blocks
-        g_rows, c_rows = gamma_rows(blocks), cdf_rows(blocks)
-        plan = harness._power_var_plan(16, 0.5, exp.beams_per_packet, exp.schemes)
-        assert len(g_rows) == 2 * 3 * len(plan.fields)
+        result = power_var_campaign(exp)
+        g_rows, c_rows = gamma_rows(result), cdf_rows(result)
+        assert len(g_rows) == 2 * 3 * len(result.plan.fields)
         assert g_rows == sorted(g_rows)
         assert g_rows == sorted(g_rows, key=itemgetter(0, 4, 5, 6))
         assert c_rows == sorted(c_rows)
@@ -227,7 +244,7 @@ class TestPowerVarOracle:
 
     @pytest.fixture(scope="class")
     def campaign(self):
-        return gamma_rows(power_var_campaign(self.exp).blocks), campaign_channels(self.exp)
+        return gamma_rows(power_var_campaign(self.exp)), campaign_channels(self.exp)
 
     def test_gammas_match_per_layout_path(self, campaign):
         g_rows, channels = campaign
@@ -297,7 +314,7 @@ class TestPowerVarPlan:
             beams_per_packet=beams_per_packet,
             channel=ChannelConfig(intra_cluster_tap_spread=3),
         )
-        plan = harness._power_var_plan(16, 0.5, beams_per_packet, exp.schemes)
+        plan = power_var_plan(exp)
         assert max(p.shape[1] for p in plan.preambles) > 1
         rx_w, tx_cfg, rx_cfg = np.ones(1, dtype=complex), ArrayConfig(16), ArrayConfig(1)
         for ch in campaign_channels(exp).values():
@@ -307,24 +324,37 @@ class TestPowerVarPlan:
 
     @pytest.mark.parametrize("num_taps", [1, 4])
     def test_zero_preamble_variance_rejected(self, num_taps):
-        plan = harness._power_var_plan(16, 0.5, (1, 4), ("80211ad", "beamcoding"))
+        plan = power_var_plan(ExperimentConfig(beams_per_packet=(1, 4), runs=1))
         taps = np.zeros((len(plan.weights), num_taps), dtype=complex)
         with pytest.raises(ValueError, match="preamble has zero variance"):
             harness._channel_gammas(plan, taps)
 
     @pytest.mark.parametrize("beams_per_packet", [(1, 2, 4, 8, 16), (16, 3, 1, 5)])
     def test_cells_tile_the_gammas_in_config_order(self, beams_per_packet):
-        schemes = ("beamcoding", "80211ad")
-        plan = harness._power_var_plan(16, 0.5, beams_per_packet, schemes)
-        assert [(s, k) for s, k, *_ in plan.cells] == [
-            (s, k) for s in schemes for k in beams_per_packet
-        ]
-        stops = [0] + [entries.stop for _, _, entries, _, _ in plan.cells]
-        assert [entries.start for _, _, entries, _, _ in plan.cells] == stops[:-1]
-        assert stops[-1] == len(plan.fields) == len(plan.packet_of)
+        schemes, environments = ("beamcoding", "80211ad"), ("nlos", "los")
+        plan = harness._power_var_plan(16, 0.5, beams_per_packet, schemes, environments, 300)
+        names = [b.label for b in plan.blocks]
+        assert names == sorted(names)
+        # Each environment's blocks, in entry order, are the cells in config
+        # order, and they tile the entries of a run.
+        for e, env in enumerate(environments):
+            cells = [b for b in plan.blocks if b.env_index == e]
+            cells.sort(key=lambda b: b.entries.start)
+            assert {b.environment for b in cells} == {env}
+            assert [(b.scheme, b.beams_per_packet) for b in cells] == [
+                (s, k) for s in schemes for k in beams_per_packet
+            ]
+            stops = [0] + [b.entries.stop for b in cells]
+            assert [b.entries.start for b in cells] == stops[:-1]
+            assert stops[-1] == len(plan.fields) == len(plan.packet_of)
+        # The chunks cut the blocks into runs of whole blocks, and at 300
+        # runs there are several.
+        assert sum(plan.chunks, ()) == plan.blocks and all(plan.chunks)
+        assert len(plan.chunks) > 1
         packets = sum(len(p) for p in plan.preambles)
         assert sorted(set(plan.packet_of.tolist())) == list(range(packets))
-        for _, k, entries, labels, fields in plan.cells:
+        for b in plan.blocks:
+            k, entries, labels, fields = b.beams_per_packet, b.entries, b.packets, b.fields
             assert len(labels) == len(fields) == entries.stop - entries.start
             # one plan packet per packet label, their fields numbered from 0
             pairs = set(zip(labels, plan.packet_of[entries].tolist()))
@@ -338,6 +368,24 @@ class TestPowerVarPlan:
         arrays = [plan.weights, plan.preamble_rows, plan.fields, plan.packet_of, *plan.preambles]
         assert not any(a.flags.writeable for a in arrays)
 
+    def test_plan_is_built_once_per_config_less_its_seed(self, monkeypatch):
+        built = []
+        for name, layout in LAYOUTS.items():
+            counting = lambda beams, layout=layout: built.append(1) or layout(beams)
+            monkeypatch.setitem(LAYOUTS, name, counting)
+        exp = small_experiment(runs=1)
+        harness._power_var_plan.cache_clear()
+        try:
+            power_var_campaign(exp)
+            per_plan = len(built)
+            assert per_plan > 0
+            power_var_campaign(replace(exp, master_seed=2))
+            assert len(built) == per_plan
+            power_var_campaign(replace(exp, runs=2))
+            assert len(built) == 2 * per_plan
+        finally:
+            harness._power_var_plan.cache_clear()
+
 
 class TestCampaignLogging:
     def records(self, caplog, level):
@@ -346,11 +394,11 @@ class TestCampaignLogging:
     def test_power_var_logs_start_end_and_environments(self, caplog):
         caplog.set_level(logging.DEBUG, logger="beamtrain.harness")
         exp = small_experiment(runs=2, environments=("los", "nlos"))
-        blocks = power_var_campaign(exp).blocks
+        result = power_var_campaign(exp)
         start, end = self.records(caplog, logging.INFO)
         assert start.startswith("power-var: 2 runs in los, nlos")
-        head = f"power-var: 2 runs, 2 environments, {len(blocks)} blocks of "
-        assert end.startswith(f"{head}{len(gamma_rows(blocks))} gamma rows in ")
+        head = f"power-var: 2 runs, 2 environments, {len(result.plan.blocks)} blocks of "
+        assert end.startswith(f"{head}{len(gamma_rows(result))} gamma rows in ")
         assert end.endswith(" s")
         los, nlos = self.records(caplog, logging.DEBUG)
         assert los.startswith("power-var: los done in ") and nlos.startswith("power-var: nlos done in ")
@@ -561,14 +609,18 @@ class TestWriteCsvTemplates:
         assert path.read_bytes() == b"a,b,c\n5%d,1,0.5\n%s%%,2,1e+300\n"
 
     def test_label_cells_are_literal_text(self, tmp_path):
-        cells = (("%d%%", "%s", "los", 1, (0,), (3,), (0, slice(None), slice(0, 1))),)
-        result = PowerVarResult(harness._PowerVarRows(cells), np.full((1, 2, 1), 0.25))
-        (block,) = result.blocks
-        gamma = write_csv(tmp_path / "g.csv", PowerVarBlock.gamma_header, result.gamma_rows())
-        cdf = write_csv(tmp_path / "c.csv", PowerVarBlock.cdf_header, result.cdf_rows())
-        assert gamma.read_bytes() == joined_csv(PowerVarBlock.gamma_header, gamma_rows([block]))
-        assert gamma.read_text().splitlines()[1:] == ["%d%%,%s,los,1,0,0,3,0.25", "%d%%,%s,los,1,1,0,3,0.25"]
-        assert cdf.read_text().splitlines()[1:] == ["%d%%,%s,los,1,0.25,1"]
+        # Only _validate_campaign checks the environments, so the plan takes
+        # one whose label printf would read as slots.
+        plan = harness._power_var_plan(16, 0.5, (16,), ("80211ad",), ("%d%%",), 2)
+        result = PowerVarResult(plan, np.full((1, 2, 16), 0.25))
+        gamma = write_csv(tmp_path / "g.csv", GAMMA_HEADER, result.gamma_rows())
+        cdf = write_csv(tmp_path / "c.csv", CDF_HEADER, result.cdf_rows())
+        assert gamma.read_bytes() == joined_csv(GAMMA_HEADER, gamma_rows(result))
+        lead = "power_var/80211ad/%d%%/K16,80211ad,%d%%,16"
+        assert gamma.read_text().splitlines()[1:] == [
+            f"{lead},{i},0,{f},0.25" for i in range(2) for f in range(16)
+        ]
+        assert cdf.read_text().splitlines()[1:] == [f"{lead},0.25,1"]
 
 
 class TestPowerVarCsvBytes:
@@ -588,13 +640,12 @@ class TestPowerVarCsvBytes:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["power-var", *flags]) == 0
         result = power_var_campaign(exp)
-        blocks = result.blocks
-        assert all(b.gammas.shape == (runs, len(b.fields)) for b in blocks)
+        assert result.gammas.shape == (len(exp.environments), runs, len(result.plan.fields))
         assert (len(list(result.gamma_rows())) > 1) == (golden_case is None and runs == 14)
         gamma = (tmp_path / "power_var_gamma.csv").read_bytes()
         cdf = (tmp_path / "power_var_cdf.csv").read_bytes()
-        assert gamma == joined_csv(PowerVarBlock.gamma_header, gamma_rows(blocks))
-        assert cdf == joined_csv(PowerVarBlock.cdf_header, cdf_rows(blocks))
+        assert gamma == joined_csv(GAMMA_HEADER, gamma_rows(result))
+        assert cdf == joined_csv(CDF_HEADER, cdf_rows(result))
 
 
 class TestCli:
@@ -826,6 +877,59 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, command, line, key
     ):
         self.assert_rejected_before_drawing(command, line, key, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("command", WITH_CHANNEL)
+    @pytest.mark.parametrize("spread", [0, 4])
+    def test_channel_must_fit_inside_the_ce_sequence(
+        self, tmp_path, capsys, monkeypatch, command, spread
+    ):
+        # The longest channel a 512-chip Golay half can estimate has 511
+        # taps of excess delay.
+        def config(excess):
+            return (
+                f"channel.max_excess_tap = {excess - spread}\n"
+                f"channel.intra_cluster_tap_spread = {spread}\nexperiment.runs = 1"
+            )
+
+        config_path = tmp_path / "longest.cfg"
+        config_path.write_text(config(511) + "\n")
+        flags = ["--scheme", "exhaustive_pbp"] if command == "train" else []
+        argv = [command, *flags, "--config", str(config_path), "--out", str(tmp_path / "ok")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        err = self.assert_rejected_before_drawing(
+            command, config(512), TAP_KEYS, tmp_path, capsys, monkeypatch
+        )
+        assert f"{512 - spread} + {spread} = 512 taps of excess delay" in err
+
+    @pytest.mark.parametrize("command", WITH_CHANNEL)
+    def test_huge_tap_count_exits_two_under_a_memory_cap(self, tmp_path, command):
+        # Without the tap-length rule this config asks for cascade tables
+        # of gigabytes; under the cap such an allocation fails (exit 1)
+        # instead of taking the host's memory.
+        import os
+        import resource
+        import subprocess
+        import sys
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        config_path = tmp_path / "huge.cfg"
+        config_path.write_text("channel.max_excess_tap = 1000000\n")
+        flags = ["--scheme", "exhaustive_pbp"] if command == "train" else []
+        argv = [command, *flags, "--config", str(config_path), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamtrain", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ") and TAP_KEYS in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", WITH_CHANNEL)
     @pytest.mark.parametrize("key", ["array.tx_antennas", "array.rx_antennas"])

@@ -14,13 +14,12 @@ from beamtrain.channel import (
     toy_codebooks,
 )
 from beamtrain.experiment import ExperimentConfig
-from beamtrain.harness import _power_var_plan
+from beamtrain.harness import _power_var_plan, _tap_rows
 from beamtrain.packets import (
     CE_BITS,
     LAYOUTS,
     PER_BEAM_BITS_80211AD,
     PER_BEAM_BITS_BEAM_CODING,
-    _tap_rows,
     layout_80211ad,
     layout_beam_coding,
     training_bits,
@@ -136,7 +135,9 @@ class TestTapRows:
     @pytest.mark.parametrize("los", [True, False])
     def test_taps_equal_a_ray_by_ray_sum(self, los, spread):
         exp = ExperimentConfig()
-        weights = _power_var_plan(16, 0.5, exp.beams_per_packet, exp.schemes).weights
+        weights = _power_var_plan(
+            16, 0.5, exp.beams_per_packet, exp.schemes, exp.environments, exp.runs
+        ).weights
         tx_cfg, rx_cfg, rx_w = ArrayConfig(16), ArrayConfig(1), np.ones(1, dtype=np.complex128)
         cfg = ChannelConfig(los=los, intra_cluster_tap_spread=spread)
         for i in range(5):
