@@ -98,8 +98,8 @@ def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.nd
     return (chips @ np.swapaxes(fields, axis, -2)).swapaxes(axis, -2)
 
 
-# Rows whose gathered fields ce_field_powers holds at once; all 80 preamble
-# rows of the default power-var config at once would raise the peak memory.
+# Rows whose convolved fields the convolution fallback of ce_field_powers
+# holds at once.
 _CE_BLOCK = 16
 
 
@@ -229,10 +229,11 @@ def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
     :func:`golay_pair` builds).  Their dot products for all rows at once
     take one stacked ``np.matmul`` for the windows and one per edge length
     for the left and right edge together: T calls, however many rows.  The
-    squared magnitudes are gathered back into the full field, and averaged,
-    a block of rows at a time.  When the windows would not save work (T at
-    least L among those cases) or b's edges differ, the whole field is
-    convolved row by row.
+    squared magnitudes of all rows are gathered back into the full field
+    in one contiguous gather, and each row is averaged as one contiguous
+    pairwise sum.  When the windows would not save work (T at least L
+    among those cases) or b's edges differ, the whole field is convolved
+    row by row.
 
     Bit-exactness rests on one kernel rule.  A stacked ``matmul`` whose
     every product is a (1, n) row by an (n, 1) column calls numpy's vector
@@ -250,9 +251,5 @@ def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
         return _convolved_field_powers(taps, golay)
     windows, index = frame
     power = np.abs(_frame_dots(taps, golay, windows)) ** 2
-    sigmas = np.empty(len(taps))
-    for start in range(0, len(taps), _CE_BLOCK):
-        # A contiguous gather: np.mean rounds a strided row differently.
-        block = np.take(power[start : start + _CE_BLOCK], index, axis=1)
-        sigmas[start : start + len(block)] = np.mean(block, axis=1)
-    return sigmas
+    # A contiguous gather: np.mean rounds a strided row differently.
+    return np.mean(np.take(power, index, axis=1), axis=1)

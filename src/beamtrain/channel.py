@@ -335,11 +335,10 @@ def cascade_gains(
     the result has shape (num_taps, F, G).  Each ray adds gain *
     tx response(aod) * rx response(aoa) at its tap, in ray order.
 
-    The scatter is one ``np.bincount``: part k of the float64 parts of ray
-    r's (F, G) terms goes to bin taps[r] * 2FG + k.  It adds in input order
-    from +0.0, so each tap holds its rays' sum in ray order, real and
-    imaginary parts apart, bit for bit as ``np.add.at`` would (and unlike
-    ``np.add.reduceat``, which does not add in order).
+    Each tap starts from +0.0 and adds its rays' (F, G) terms one ray at a
+    time, real and imaginary parts apart.  So a table holds no -0.0, and a
+    cascade of more rows holds every entry as a cascade of that entry's
+    own weights would, bit for bit.
     """
     steering = (_steering_matrix(ch.aods_deg, tx_cfg), _steering_matrix(ch.aoas_deg, rx_cfg))
     return _cascade(tx_weights, rx_weights, steering, (ch.gains, ch.taps, ch.num_taps))
@@ -358,8 +357,7 @@ def _cascade(
     # the factors round as full contiguous ones do.
     terms = np.empty((len(gains), f, g), dtype=np.complex128)
     np.multiply((gains[:, None] * tx)[:, :, None], rx[:, None, :], out=terms)
-    width = 2 * f * g
-    bins = taps[:, None] * width + np.arange(width)
-    parts = terms.view(np.float64)
-    sums = np.bincount(bins.ravel(), weights=parts.ravel(), minlength=num_taps * width)
-    return sums.view(np.complex128).reshape(num_taps, f, g)
+    out = np.zeros((num_taps, f, g), dtype=np.complex128)
+    for tap, term in zip(taps.tolist(), terms):
+        out[tap] += term
+    return out

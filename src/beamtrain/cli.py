@@ -43,6 +43,8 @@ def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
         exp = ExperimentConfig()
     flags = {"runs": "runs", "master_seed": "seed", "out_dir": "out"}
     given = {k: v for k, flag in flags.items() if (v := getattr(args, flag, None)) is not None}
+    if given.get("runs", 1) < 1:
+        raise ConfigError(f"--runs must be at least 1, got {given['runs']}")
     exp = replace(exp, **given)
     _check_out(exp.out_dir, "--out" if "out_dir" in given else "output.dir")
     return exp

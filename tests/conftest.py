@@ -5,8 +5,8 @@ profile's: 300 examples in the default ``local`` profile and 2,000 in the
 ``ci`` profile that CI runs.  Two bit-exact properties are among them, so
 CI probes them harder than a local run does: the sigma oracle, whose
 bit-exactness rests on an empirical property of numpy's dot kernel, and
-the cascade scatter, which rests on the order in which ``np.bincount``
-adds.
+the cascade's per-tap sums, which must add each ray's terms in ray order
+from +0.0 as the test's own loop does.
 """
 
 import os

@@ -433,8 +433,9 @@ class TestCeFieldPowers:
             assert ce_field_powers(taps, golay).tolist() == self.oracle(taps, golay)
 
     def test_rows_across_blocks_and_both_layouts(self):
-        # Row counts that are not multiples of _CE_BLOCK, each with an
-        # all-zero row; five nonzero taps of 17 are the most the windows take.
+        # Row counts that are not multiples of _CE_BLOCK, the convolution
+        # fallback's buffer height, each with an all-zero row; five nonzero
+        # taps of 17 are the most the windows take.
         golay = golay_pair(9)
         for support in ([0, 4, 9, 16], [0, 3, 7, 12, 16], list(range(17))):
             windowed = beam_coding._ce_frame(golay, 17, np.array(support)) is not None

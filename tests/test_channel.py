@@ -417,8 +417,8 @@ class TestCascadeGains:
                 assert np.array_equal(got[:, f, g], per_pair)
 
     # No max_examples of its own: the ci profile runs it on 2,000 examples
-    # (tests/conftest.py), because its bit-exactness rests on the order in
-    # which np.bincount adds.
+    # (tests/conftest.py), because its bit-exactness rests on the cascade
+    # adding each ray's terms into its tap in ray order, from +0.0.
     @settings(deadline=None)
     @given(scatter_inputs())
     @example((np.ones((1, 2)), np.ones((3, 1)), from_rays([]), ArrayConfig(2), ArrayConfig(1)))

@@ -1062,6 +1062,14 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert file.read_text() == "kept"
 
+    @pytest.mark.parametrize("command", ["power-var", "quant-sweep"])
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_flag_below_one_names_the_flag(self, tmp_path, capsys, monkeypatch, command, runs):
+        monkeypatch.setattr(harness, "sample_channel", None)
+        assert cli.main([command, "--runs", runs, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: --runs must be at least 1, got {runs}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_dir_through_a_file_names_its_key(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "sample_channel", None)
         file = tmp_path / "file"
