@@ -125,8 +125,10 @@ def superpose_beams(beams: np.ndarray, signs: Sequence[int]) -> np.ndarray:
     """Equal-power multi-beam weights w_n = (1/sqrt(K)) sum_k signs[k] beams[k, n]
     of the (K, N) beam matrix ``beams``.
 
-    The rows are added one at a time, in order: a ``signs @ beams`` product
-    rounds differently.
+    The rows are added one at a time, in order, so every machine rounds the
+    sum alike; a ``signs @ beams`` product leaves the order to BLAS.  That
+    matters: coded-field phases sit on quantization half-levels, where one
+    rounding flips a quantized phase.
     """
     beams = np.asarray(beams)
     if beams.ndim != 2 or len(beams) == 0:

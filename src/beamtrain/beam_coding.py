@@ -24,6 +24,7 @@ __all__ = [
     "golay_pair",
     "coded_fields",
     "walsh_decode",
+    "CE_GOLAY",
     "ce_field_powers",
 ]
 
@@ -98,53 +99,53 @@ def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.nd
     return (chips @ np.swapaxes(fields, axis, -2)).swapaxes(axis, -2)
 
 
+# The CE sequence of every training field: the Golay pair of 512 chips per
+# sequence, sent as [a | b].
+CE_GOLAY = golay_pair(9)
+
 # Rows whose convolved fields the convolution fallback of ce_field_powers
 # holds at once.
 _CE_BLOCK = 16
 
+# The largest tap rows that ce_field_powers takes through the window dot
+# products, measured on both kernels: within both bounds the windows beat
+# a whole-field np.convolve on every size tried, while with 16 nonzero
+# taps they lose from about 150 taps, and with 21 nonzero at 128 taps.
+# 16 nonzero taps give at most 2**15 pattern ids.  _WINDOW_TAPS must also
+# stay <= 257 for _ce_frame's edges of b (taken from a's) to be right.
+_WINDOW_TAPS = 128
+_WINDOW_NONZERO = 16
 
-def _same_up_to_sign(x: np.ndarray, y: np.ndarray) -> bool:
-    return bool(np.array_equal(x, y) or np.array_equal(x, -y))
 
-
-def _ce_frame(
-    golay: np.ndarray, num_taps: int, nonzero: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct chip windows, and a gather index into the dot products
-    that give the CE field of any tap row zero outside ``nonzero``.
+def _ce_frame(num_taps: int, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct chip windows of :data:`CE_GOLAY`, and a gather index
+    into the dot products that give the CE field of any tap row zero
+    outside ``nonzero``.
 
     With h reversed into r, the dot products are laid out as the left and
     right edge of each length n < T, then the windows: a[:n] . r[-n:],
     a[-n:] . r[:n] for n = 1 .. T - 1, then windows[j] . r.  Each sample
     of the field [a * h | b * h] is found at ``index`` among them up to its
-    sign.  None when the windows would save nothing, or when b's edges are
-    not a's up to sign.
+    sign.  The edges of b are taken from those of a: b shares a's first
+    256 chips and negates its last 256, so this holds for T up to 257.
     """
-    (a, b), length, t = golay, golay.shape[1], num_taps
+    length, t = CE_GOLAY.shape[1], num_taps
     if nonzero.size == 0:
         nonzero = np.zeros(1, dtype=np.intp)
-    head, tail = slice(0, t - 1), slice(length - t + 1, length)
-    # When the 2**(nonzero - 1) possible windows hold no fewer chips than a,
-    # they save nothing, and the pattern ids below could overflow int64.
-    # The edges of b are taken from those of a, so they must match.
-    if (t << (nonzero.size - 1)) >= length or not (
-        _same_up_to_sign(a[head], b[head]) and _same_up_to_sign(a[tail], b[tail])
-    ):
-        return None
     # Full-overlap output t - 1 + j of seq * h is the dot product of the
     # window seq[j : j + t] with h reversed.  Its pattern id holds the
     # window's signs at the nonzero taps relative to the first one, so a
     # window and its negation share one id.
-    first = golay[:, t - 1 - nonzero[0] : length - nonzero[0]]
+    first = CE_GOLAY[:, t - 1 - nonzero[0] : length - nonzero[0]]
     ids = np.zeros(first.shape, dtype=np.intp)
     for bit, k in enumerate(nonzero[1:].tolist()):
-        ids |= (golay[:, t - 1 - k : length - k] != first) << bit
+        ids |= (CE_GOLAY[:, t - 1 - k : length - k] != first) << bit
     # One window per id (any of those that carry it) and its slot.
     slot = np.full(1 << (nonzero.size - 1), -1)
     slot[ids.ravel()] = np.arange(ids.size)
     seq_of, start = np.divmod(slot[slot >= 0], ids.shape[1])
     slot[slot >= 0] = np.arange(seq_of.size)
-    windows = golay[seq_of[:, None], start[:, None] + np.arange(t)]
+    windows = CE_GOLAY[seq_of[:, None], start[:, None] + np.arange(t)]
     # Output i < T - 1 of seq * h is a left edge of length i + 1, and
     # output L + i a right edge of length T - 1 - i.
     edge = 2 * np.arange(t - 1)
@@ -154,37 +155,33 @@ def _ce_frame(
 
 
 @functools.lru_cache(maxsize=32)
-def _edge_columns(num_taps: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of a and of r for the edge dot products of :func:`_ce_frame`,
-    one length after the other: the 2n entries from n(n - 1) on are
-    a[:n], a[-n:] and r[-n:], r[:n]."""
+def _edge_chips(num_taps: int) -> np.ndarray:
+    """The chips of a for the edge dot products of :func:`_ce_frame`, one
+    length after the other: the 2n entries from n(n - 1) on are a[:n] and
+    a[-n:]."""
     n = np.repeat(np.arange(1, num_taps), 2 * np.arange(1, num_taps))
     j = np.arange(n.size) - n * (n - 1)
-    left = j < n
-    chips = np.where(left, j, length - 2 * n + j)
-    taps = np.where(left, num_taps - n + j, j - n)
-    return _readonly(chips), _readonly(taps)
+    chips = np.where(j < n, j, CE_GOLAY.shape[1] - 2 * n + j)
+    return _readonly(CE_GOLAY[0, chips].astype(np.complex128))
 
 
-def _frame_dots(taps: np.ndarray, golay: np.ndarray, windows: np.ndarray) -> np.ndarray:
+def _frame_dots(taps: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """The dot products of :func:`_ce_frame`'s layout for every tap row,
     (rows, 2 (T - 1) + windows), each bit for bit the output of
     ``np.convolve`` that it stands for."""
     rows, t = taps.shape
-    chip_cols, tap_cols = _edge_columns(t, golay.shape[1])
-    edge_chips = golay[0, chip_cols].astype(np.complex128)
+    chips = _edge_chips(t)
     # np.convolve correlates the chips with the reversed taps, both
-    # contiguous.  Every vector here must be contiguous too, as BLAS sums
-    # a strided one in another order; r[:, tap_cols] would be laid out
-    # column by column.
+    # contiguous.  Every vector here is contiguous too, as BLAS sums a
+    # strided one in another order: r[-n:] and r[:n] are the 2n columns of
+    # [r | r] from T - n on.
     r = np.ascontiguousarray(taps[:, ::-1])
-    edge_taps = np.take(r, tap_cols, axis=1)
+    rr = np.concatenate([r, r], axis=1)
     y = np.empty((rows, 2 * (t - 1) + len(windows), 1, 1), dtype=np.complex128)
     for n in range(1, t):
-        span = slice(n * (n - 1), n * (n + 1))
         np.matmul(
-            edge_chips[span].reshape(1, 2, 1, n),
-            edge_taps[:, span].reshape(rows, 2, n, 1),
+            chips[n * (n - 1) : n * (n + 1)].reshape(1, 2, 1, n),
+            rr[:, t - n : t + n].reshape(rows, 2, n, 1),
             out=y[:, 2 * n - 2 : 2 * n],
         )
     np.matmul(
@@ -195,13 +192,13 @@ def _frame_dots(taps: np.ndarray, golay: np.ndarray, windows: np.ndarray) -> np.
     return y[:, :, 0, 0]
 
 
-def _convolved_field_powers(taps: np.ndarray, golay: np.ndarray) -> np.ndarray:
+def _convolved_field_powers(taps: np.ndarray) -> np.ndarray:
     """ce_field_powers by convolving the whole field, row by row."""
     t = taps.shape[1]
     # np.convolve would cast the int64 chips to complex on every call.  A
     # list of rows: iterating the matrix would make a view per convolve.
-    a, b = list(golay.astype(np.complex128))
-    width = golay.shape[1] + t - 1
+    a, b = list(CE_GOLAY.astype(np.complex128))
+    width = CE_GOLAY.shape[1] + t - 1
     y = np.empty((_CE_BLOCK, 2 * width), dtype=np.complex128)
     sigmas = np.empty(len(taps))
     for start in range(0, len(taps), _CE_BLOCK):
@@ -213,11 +210,11 @@ def _convolved_field_powers(taps: np.ndarray, golay: np.ndarray) -> np.ndarray:
     return sigmas
 
 
-def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
+def ce_field_powers(tap_rows: np.ndarray) -> np.ndarray:
     """Mean sample power of the CE field heard through each tap row.
 
     For every row h of the (rows, T) matrix ``tap_rows`` the CE field is
-    [a * h | b * h], each Golay sequence of ``golay`` = [a, b] convolved
+    [a * h | b * h], each sequence of :data:`CE_GOLAY` = [a, b] convolved
     with h, and the result equals ``np.mean(np.abs(np.concatenate(
     [np.convolve(a, h), np.convolve(b, h)])) ** 2)`` bit for bit.
     Each output of ``np.convolve(seq, h)`` is one dot product of up to T
@@ -225,15 +222,14 @@ def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
     negating the chips at the nonzero taps negates the output exactly.  So
     only the full-overlap windows that differ, up to sign, in the columns
     where some row has a nonzero tap are taken, with the partial-overlap
-    edges of a (those of b equal them up to sign in every pair
-    :func:`golay_pair` builds).  Their dot products for all rows at once
-    take one stacked ``np.matmul`` for the windows and one per edge length
-    for the left and right edge together: T calls, however many rows.  The
-    squared magnitudes of all rows are gathered back into the full field
-    in one contiguous gather, and each row is averaged as one contiguous
-    pairwise sum.  When the windows would not save work (T at least L
-    among those cases) or b's edges differ, the whole field is convolved
-    row by row.
+    edges of a (those of b equal them up to sign).  Their dot products for
+    all rows at once take one stacked ``np.matmul`` for the windows and
+    one per edge length for the left and right edge together: T calls,
+    however many rows.  The squared magnitudes of all rows are gathered
+    back into the full field in one contiguous gather, and each row is
+    averaged as one contiguous pairwise sum.  The windows take tap rows of
+    at most 128 taps, of which at most 16 columns hold a nonzero tap;
+    larger ones convolve the whole field row by row, with the same bits.
 
     Bit-exactness rests on one kernel rule.  A stacked ``matmul`` whose
     every product is a (1, n) row by an (n, 1) column calls numpy's vector
@@ -246,10 +242,10 @@ def ce_field_powers(tap_rows: np.ndarray, golay: np.ndarray) -> np.ndarray:
     taps = np.asarray(tap_rows, dtype=np.complex128)
     if taps.ndim != 2 or taps.shape[1] == 0:
         raise ValueError("tap_rows must be a (rows, taps) matrix with at least one tap")
-    frame = _ce_frame(golay, taps.shape[1], np.flatnonzero(np.any(taps != 0, axis=0)))
-    if frame is None:
-        return _convolved_field_powers(taps, golay)
-    windows, index = frame
-    power = np.abs(_frame_dots(taps, golay, windows)) ** 2
+    nonzero = np.flatnonzero(np.any(taps != 0, axis=0))
+    if taps.shape[1] > _WINDOW_TAPS or nonzero.size > _WINDOW_NONZERO:
+        return _convolved_field_powers(taps)
+    windows, index = _ce_frame(taps.shape[1], nonzero)
+    power = np.abs(_frame_dots(taps, windows)) ** 2
     # A contiguous gather: np.mean rounds a strided row differently.
     return np.mean(np.take(power, index, axis=1), axis=1)

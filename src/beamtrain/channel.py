@@ -352,9 +352,12 @@ def _cascade(
     (gains, taps, num_taps), f, g = rays, len(tx_weights), len(rx_weights)
     tx = _responses(tx_weights, steering[0])
     rx = _responses(rx_weights, steering[1])
-    # (gain * tx response) * rx response, in that operand order and into a
-    # buffer of its own (a commuted product rounds differently); broadcast,
-    # the factors round as full contiguous ones do.
+    # (gain * tx response) * rx response, in that operand order (a commuted
+    # product rounds differently); broadcast, the factors round as full
+    # contiguous ones do.  The responses are column-major views, so the
+    # product gets a C-ordered buffer of its own: left to allocate, it lays
+    # each ray's term out strided and the adds below slow down, and with
+    # order="C" it takes a multiply loop that rounds differently.
     terms = np.empty((len(gains), f, g), dtype=np.complex128)
     np.multiply((gains[:, None] * tx)[:, :, None], rx[:, None, :], out=terms)
     out = np.zeros((num_taps, f, g), dtype=np.complex128)

@@ -32,7 +32,7 @@ from .array_model import (
     steering_vector,
     superpose_beams,
 )
-from .beam_coding import ce_field_powers, golay_pair
+from .beam_coding import CE_GOLAY, ce_field_powers
 from .channel import (
     ChannelRealization,
     cascade_gains,
@@ -194,7 +194,6 @@ def _dft_codebook(key: str, num_antennas: int, spacing: float) -> BeamCodebook:
 
 _POWER_VAR_SCHEMES = tuple(LAYOUTS)
 _ENVIRONMENTS = ("los", "nlos")
-_CE_GOLAY_LOG2 = 9  # each Golay half of the CE field has 2**9 = 512 chips
 
 
 class _Block(NamedTuple):
@@ -238,7 +237,6 @@ class _PowerVarPlan:
     fields: np.ndarray
     packet_of: np.ndarray
     preambles: tuple[np.ndarray, ...]
-    golay: np.ndarray  # the (2, 512) Golay chip matrix of the CE field
     blocks: tuple[_Block, ...]
     chunks: tuple[tuple[_Block, ...], ...]
 
@@ -309,7 +307,6 @@ def _power_var_plan(
         fields=_readonly(np.array(fields, np.intp)),
         packet_of=_readonly(np.array([first_packet[p] + i for p, i in packets], np.intp)),
         preambles=tuple(_readonly(np.array(m, np.intp)) for m in preambles.values()),
-        golay=golay_pair(_CE_GOLAY_LOG2),
         blocks=tuple(blocks),
         chunks=tuple(tuple(blocks[first:end]) for first, end in zip(cuts, cuts[1:])),
     )
@@ -333,7 +330,7 @@ def _channel_gammas(plan: _PowerVarPlan, taps: np.ndarray) -> np.ndarray:
     every plan weight (one contiguous row each)."""
     powers = np.sum(np.abs(taps) ** 2, axis=1)
     sigmas = np.zeros(len(taps))
-    sigmas[plan.preamble_rows] = ce_field_powers(taps[plan.preamble_rows], plan.golay)
+    sigmas[plan.preamble_rows] = ce_field_powers(taps[plan.preamble_rows])
     if np.any(sigmas[plan.preamble_rows] <= 0.0):
         raise ValueError("undefined ratio: preamble has zero variance")
     # The sum over P and a division by P, as np.mean computes it.
@@ -391,7 +388,7 @@ def _validate_channel_and_link(exp: ExperimentConfig, nlos: bool) -> None:
         if not valid:
             raise ConfigError(f"{key} must be {rule}, got {value!r}")
     # A channel must fit inside the Golay half of the CE field that estimates it.
-    chips, excess = 1 << _CE_GOLAY_LOG2, ch.max_excess_tap + spread
+    chips, excess = CE_GOLAY.shape[1], ch.max_excess_tap + spread
     if excess >= chips:
         raise ConfigError(
             f"channel.max_excess_tap, channel.intra_cluster_tap_spread: {ch.max_excess_tap} + "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .array_model import superpose_beams
-from .beam_coding import coded_fields, walsh_codes
+from .beam_coding import CE_GOLAY, coded_fields, walsh_codes
 
 __all__ = [
     "AGC_SUBFIELD_BITS",
@@ -37,7 +37,7 @@ AGC_SUBFIELD_BITS = 320
 AGC_SUBFIELDS_PER_BEAM = 4
 DELAY_SUBFIELD_BITS = 640
 DELAY_SUBFIELDS_PER_BEAM = 4
-CE_BITS = 1024
+CE_BITS = CE_GOLAY.size  # 1024: the two 512-chip Golay sequences
 
 PER_BEAM_BITS_80211AD = (
     AGC_SUBFIELDS_PER_BEAM * AGC_SUBFIELD_BITS

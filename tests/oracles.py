@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from beamtrain.array_model import ArrayConfig, array_factor_many
-from beamtrain.beam_coding import _checked_chips, golay_pair, walsh_decode
+from beamtrain.beam_coding import CE_GOLAY, _checked_chips, walsh_decode
 from beamtrain.channel import ChannelRealization, LinkBudget
 from beamtrain.harness import _tap_rows
 
@@ -169,10 +169,9 @@ def preamble_samples(
     This models the preamble's signal statistics, not its bit-true
     duration.
     """
-    golay = golay_pair(9)
     taps = _tap_rows(layout[0], rx_w, ch, tx_cfg, rx_cfg)
     guard = taps.shape[1] - 1
-    return np.concatenate([encode_ce_field(h, golay, guard) for h in taps])
+    return np.concatenate([encode_ce_field(h, CE_GOLAY, guard) for h in taps])
 
 
 def sidelobe_level(

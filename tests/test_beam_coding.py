@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from beamtrain import beam_coding
 from beamtrain.array_model import ArrayConfig, BeamCodebook, dft_codebook, steering_vector
 from beamtrain.beam_coding import (
+    CE_GOLAY,
     ce_field_powers,
     coded_fields,
     golay_pair,
@@ -66,39 +67,26 @@ def realizations(draw):
 
 @st.composite
 def ce_tap_rows(draw):
-    """A (2, L) +/-1 pair (a Golay pair, or random chips) and a (rows, T)
-    tap matrix: nonzero taps on a sparse or dense column set, exact zeros
-    among them, a negated row and an all-zero row."""
-    n = draw(st.integers(0, 9))
-    if draw(st.booleans()):
-        golay = golay_pair(n)
-    else:
-        golay = draw(hnp.arrays(np.int64, (2, 2**n), elements=st.sampled_from([1, -1])))
-    t = draw(st.integers(1, 21))
+    """A (rows, T) tap matrix of 1 to 140 taps: nonzero taps on a sparse
+    column set of up to 20 columns or on all but up to two columns, exact
+    zeros among them, a negated row and an all-zero row.  Both sides of
+    ce_field_powers' 128-tap and 16-nonzero bounds are drawn."""
+    t = draw(st.integers(1, 140))
     columns = st.integers(0, t - 1)
-    support = sorted(
-        draw(
-            st.one_of(
-                st.sets(columns, min_size=1, max_size=3),
-                st.sets(columns, min_size=max(1, t - 2)),
-            )
-        )
-    )
+    if draw(st.booleans()):
+        support = sorted(draw(st.sets(columns, min_size=1, max_size=min(20, t))))
+    else:
+        support = sorted(set(range(t)) - draw(st.sets(columns, max_size=min(2, t - 1))))
     values = st.one_of(
         st.just(0j),
         st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
     )
-    rows = draw(
-        st.lists(
-            st.lists(values, min_size=len(support), max_size=len(support)),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    shape = (draw(st.integers(1, 4)), len(support))
+    rows = draw(hnp.arrays(np.complex128, shape, elements=values, fill=st.nothing()))
     taps = np.zeros((len(rows) + 2, t), dtype=np.complex128)
     taps[: len(rows), support] = rows
     taps[len(rows)] = -taps[0]
-    return golay, taps
+    return taps
 
 
 def autocorr_oracle(seq, lag):
@@ -402,16 +390,27 @@ class TestPerTapDecoding:
 
 class TestCeFieldPowers:
     @staticmethod
-    def oracle(taps, golay):
+    def oracle(taps):
         guard = taps.shape[1] - 1
-        return [np.mean(np.abs(encode_ce_field(h, golay, guard)) ** 2) for h in taps]
+        return [np.mean(np.abs(encode_ce_field(h, CE_GOLAY, guard)) ** 2) for h in taps]
+
+    @staticmethod
+    def convolves(monkeypatch, taps):
+        """Whether ce_field_powers convolves these tap rows, and its output."""
+        calls = []
+        convolved = beam_coding._convolved_field_powers
+        monkeypatch.setattr(
+            beam_coding, "_convolved_field_powers", lambda t: calls.append(t) or convolved(t)
+        )
+        got = ce_field_powers(taps)
+        monkeypatch.undo()
+        return bool(calls), got
 
     # As many examples as the Hypothesis profile asks for (see conftest.py).
     @settings(deadline=None)
     @given(ce_tap_rows())
-    def test_equals_encode_ce_field_bit_for_bit(self, case):
-        golay, taps = case
-        assert ce_field_powers(taps, golay).tolist() == self.oracle(taps, golay)
+    def test_equals_encode_ce_field_bit_for_bit(self, taps):
+        assert ce_field_powers(taps).tolist() == self.oracle(taps)
 
     @staticmethod
     def random_taps(rng, rows, t, support):
@@ -421,49 +420,63 @@ class TestCeFieldPowers:
         )
         return taps
 
-    @pytest.mark.parametrize("t", [8, 11])
-    def test_taps_as_long_as_the_sequence_or_longer(self, t):
+    @pytest.mark.parametrize("t", [512, 600])
+    def test_taps_as_long_as_the_sequence_or_longer(self, t, monkeypatch):
         # T == L and T > L, where np.convolve swaps its operands: always the
         # whole field.
-        golay = golay_pair(3)
         rng = np.random.default_rng(t)
         for support in ([0], [0, t - 1], range(t)):
-            taps = self.random_taps(rng, 5, t, list(support))
-            assert beam_coding._ce_frame(golay, t, np.array(list(support))) is None
-            assert ce_field_powers(taps, golay).tolist() == self.oracle(taps, golay)
+            taps = self.random_taps(rng, 3, t, list(support))
+            convolved, got = self.convolves(monkeypatch, taps)
+            assert convolved
+            assert got.tolist() == self.oracle(taps)
 
-    def test_rows_across_blocks_and_both_layouts(self):
+    # Each side of the 128-tap and 16-nonzero bounds, sparse and dense.
+    SIZES = [
+        (17, [0, 4, 9, 16]),
+        (17, [0, 3, 7, 12, 16]),
+        (17, [0, 1, 2, 3]),
+        (17, list(range(17))),
+        (128, [0, 127]),
+        (128, np.linspace(0, 127, 16).round().astype(int).tolist()),
+        (128, np.linspace(0, 127, 17).round().astype(int).tolist()),
+        (129, [0, 128]),
+        (129, np.linspace(0, 128, 16).round().astype(int).tolist()),
+    ]
+
+    def test_rows_across_blocks_and_both_layouts(self, monkeypatch):
         # Row counts that are not multiples of _CE_BLOCK, the convolution
-        # fallback's buffer height, each with an all-zero row; five nonzero
-        # taps of 17 are the most the windows take.
-        golay = golay_pair(9)
-        for support in ([0, 4, 9, 16], [0, 3, 7, 12, 16], list(range(17))):
-            windowed = beam_coding._ce_frame(golay, 17, np.array(support)) is not None
-            assert windowed == (len(support) < 6)
+        # fallback's buffer height, each with an all-zero row.  The
+        # convolution equals the oracle on every size, and ce_field_powers
+        # takes the windows up to 128 taps with at most 16 of them nonzero.
+        for t, support in self.SIZES:
             for rows in (1, beam_coding._CE_BLOCK + 1, 37, 5 * beam_coding._CE_BLOCK - 3):
-                taps = self.random_taps(np.random.default_rng(rows), rows, 17, support)
+                taps = self.random_taps(np.random.default_rng(rows), rows, t, support)
                 taps[rows // 2] = 0.0
-                got = ce_field_powers(taps, golay)
-                assert got.tolist() == self.oracle(taps, golay)
+                want = self.oracle(taps)
+                nonzero = np.count_nonzero(np.any(taps != 0, axis=0))
+                convolved, got = self.convolves(monkeypatch, taps)
+                assert convolved == (t > 128 or nonzero > 16)
+                assert got.tolist() == want
+                assert beam_coding._convolved_field_powers(taps).tolist() == want
                 assert got[rows // 2] == 0.0
 
-    @pytest.mark.parametrize("support", [[0, 4, 9, 16], [0, 3, 7, 12, 16], [0, 1, 2, 3]])
-    def test_windowed_samples_equal_the_field_bit_for_bit(self, support):
+    @pytest.mark.parametrize("t, support", SIZES)
+    def test_windowed_samples_equal_the_field_bit_for_bit(self, t, support):
         # Sample by sample, not only through the mean: a dot product that
-        # rounds differently often leaves the mean as it was.
-        golay = golay_pair(9)
-        taps = self.random_taps(np.random.default_rng(len(support)), 80, 17, support)
-        windows, index = beam_coding._ce_frame(golay, 17, np.array(support))
-        got = np.abs(beam_coding._frame_dots(taps, golay, windows)[:, index])
-        want = np.abs([encode_ce_field(h, golay, 16) for h in taps])
+        # rounds differently often leaves the mean as it was.  The window
+        # kernel is checked past its bounds too.
+        taps = self.random_taps(np.random.default_rng(len(support)), 80, t, support)
+        windows, index = beam_coding._ce_frame(t, np.array(support))
+        got = np.abs(beam_coding._frame_dots(taps, windows)[:, index])
+        want = np.abs([encode_ce_field(h, CE_GOLAY, t - 1) for h in taps])
         assert np.array_equal(got, want)
 
     def test_windowed_kernel_calls_do_not_grow_with_rows(self, monkeypatch):
         # One stacked matmul for the windows and one per edge length, for
         # any number of rows; no per-row convolution.
-        golay = golay_pair(9)
         cases = [self.random_taps(np.random.default_rng(r), r, 17, [0, 4, 9, 16]) for r in (16, 160)]
-        want = [self.oracle(taps, golay) for taps in cases]
+        want = [self.oracle(taps) for taps in cases]
         calls = []
         for name in ("matmul", "convolve", "dot", "einsum"):
             kernel = getattr(np, name)
@@ -474,47 +487,55 @@ class TestCeFieldPowers:
         got, counts = [], []
         for taps in cases:
             calls.clear()
-            got.append(ce_field_powers(taps, golay).tolist())
+            got.append(ce_field_powers(taps).tolist())
             counts.append(list(calls))
         monkeypatch.undo()
         assert got == want
         assert counts[0] == counts[1] == ["matmul"] * 17
 
     @pytest.mark.parametrize("t", [1, 2, 5, 17, 40])
-    def test_edge_columns_equal_the_loop_reference(self, t):
-        chips, taps = [], []
-        for n in range(1, t):
-            chips += [*range(n), *range(512 - n, 512)]
-            taps += [*range(t - n, t), *range(n)]
-        got = beam_coding._edge_columns(t, 512)
-        for array, want in zip(got, (chips, taps)):
-            assert array.dtype == np.intp and not array.flags.writeable
-            assert array.tolist() == want
+    def test_edge_chips_equal_the_loop_reference(self, t):
+        a = CE_GOLAY[0]
+        want = [c for n in range(1, t) for c in (*a[:n], *a[-n:])]
+        got = beam_coding._edge_chips(t)
+        assert got.dtype == np.complex128 and not got.flags.writeable
+        assert got.tolist() == want
 
-    def test_layout_choice(self):
-        golay = golay_pair(9)
+    def test_layout_choice(self, monkeypatch):
         # Four nonzero taps of 17: at most 8 windows up to sign, and 16
         # edge dot products on each side.
-        windows, index = beam_coding._ce_frame(golay, 17, np.array([0, 4, 9, 16]))
+        windows, index = beam_coding._ce_frame(17, np.array([0, 4, 9, 16]))
         assert windows.shape[1] == 17 and len(windows) <= 8
         assert len(index) == 2 * (512 + 16)
         assert set(index.tolist()) == set(range(2 * 16 + len(windows)))
-        # Six of 17: 32 windows of 17 chips are no fewer than the 512 of a.
-        assert beam_coding._ce_frame(golay, 17, np.arange(6)) is None
-        # Far past int64 pattern ids, still the full field.
-        assert beam_coding._ce_frame(golay, 70, np.arange(70)) is None
-        # Edges of b that are not those of a up to sign.
-        odd = golay.copy()
-        odd[1, -1] *= -1
-        assert beam_coding._ce_frame(odd, 3, np.array([0, 2])) is None
+        # The size rule: windows up to 128 taps and 16 nonzero ones.
+        rng = np.random.default_rng(0)
+        for t, nonzero, convolved in [
+            (1, 1, False),
+            (17, 6, False),
+            (128, 16, False),
+            (129, 1, True),
+            (128, 17, True),
+            (17, 17, True),
+        ]:
+            taps = self.random_taps(rng, 2, t, list(range(nonzero)))
+            assert self.convolves(monkeypatch, taps)[0] == convolved
+        # The windows take b's edges from a's: they agree up to sign for
+        # every length up to 256, so the window path is right only while
+        # its edges (shorter than _WINDOW_TAPS) stay within that.
+        a, b = CE_GOLAY
+        for n in range(1, 257):
+            for edge in (slice(0, n), slice(512 - n, 512)):
+                assert np.array_equal(a[edge], b[edge]) or np.array_equal(a[edge], -b[edge])
+        assert beam_coding._WINDOW_TAPS - 1 <= 256
+        assert CE_GOLAY.shape == (2, 512) and not CE_GOLAY.flags.writeable
 
     def test_shapes(self):
-        golay = golay_pair(4)
-        assert ce_field_powers(np.zeros((0, 3)), golay).shape == (0,)
-        assert ce_field_powers(np.zeros((2, 3)), golay).tolist() == [0.0, 0.0]
+        assert ce_field_powers(np.zeros((0, 3))).shape == (0,)
+        assert ce_field_powers(np.zeros((2, 3))).tolist() == [0.0, 0.0]
         for bad in (np.zeros(3), np.zeros((2, 0)), np.zeros((1, 2, 3))):
             with pytest.raises(ValueError):
-                ce_field_powers(bad, golay)
+                ce_field_powers(bad)
 
 
 class TestWaveformRouteAgainstFieldRoute:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from beamtrain import cli, harness
 from beamtrain.array_model import ArrayConfig, dft_codebook
-from beamtrain.beam_coding import golay_pair
+from beamtrain.beam_coding import CE_GOLAY
 from beamtrain.channel import ChannelConfig, derive_seed, sample_channel
 from beamtrain.experiment import ExperimentConfig, parse_config, serialize_config
 from beamtrain.harness import (
@@ -278,7 +278,7 @@ class TestPowerVarOracle:
         # complementarity makes sigma = L * P / (L + guard) for guard =
         # num_taps - 1, so every gamma is (L + guard) / (3 L).
         g_rows, channels = campaign
-        length = golay_pair(9).shape[1]
+        length = CE_GOLAY.shape[1]
         single = [r for r in g_rows if r[3] == 1]
         assert len(single) == 2 * 16 * len(channels)
         for row in single:
@@ -294,7 +294,7 @@ class TestPowerVarPlan:
         guard = taps.shape[1] - 1
         powers = np.sum(np.abs(taps) ** 2, axis=1)
         sigmas = {
-            r: np.mean(np.abs(encode_ce_field(taps[r], plan.golay, guard)) ** 2)
+            r: np.mean(np.abs(encode_ce_field(taps[r], CE_GOLAY, guard)) ** 2)
             for r in plan.preamble_rows.tolist()
         }
         packet_sigmas = [
