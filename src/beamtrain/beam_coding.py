@@ -103,10 +103,6 @@ def walsh_decode(chips: np.ndarray, fields: np.ndarray, axis: int = -2) -> np.nd
 # sequence, sent as [a | b].
 CE_GOLAY = golay_pair(9)
 
-# Rows whose convolved fields the convolution fallback of ce_field_powers
-# holds at once.
-_CE_BLOCK = 16
-
 # The largest tap rows that ce_field_powers takes through the window dot
 # products, measured on both kernels: within both bounds the windows beat
 # a whole-field np.convolve on every size tried, while with 16 nonzero
@@ -155,14 +151,11 @@ def _ce_frame(num_taps: int, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 @functools.lru_cache(maxsize=32)
-def _edge_chips(num_taps: int) -> np.ndarray:
-    """The chips of a for the edge dot products of :func:`_ce_frame`, one
-    length after the other: the 2n entries from n(n - 1) on are a[:n] and
-    a[-n:]."""
-    n = np.repeat(np.arange(1, num_taps), 2 * np.arange(1, num_taps))
-    j = np.arange(n.size) - n * (n - 1)
-    chips = np.where(j < n, j, CE_GOLAY.shape[1] - 2 * n + j)
-    return _readonly(CE_GOLAY[0, chips].astype(np.complex128))
+def _edge_chips(num_taps: int) -> tuple[np.ndarray, ...]:
+    """The chips of a for the edge dot products of :func:`_ce_frame`: for
+    each length n = 1 .. T - 1, the (1, 2, 1, n) matrix [a[:n]; a[-n:]]."""
+    a = CE_GOLAY[0].astype(np.complex128)
+    return tuple(_readonly(np.stack([a[:n], a[-n:]])[None, :, None]) for n in range(1, num_taps))
 
 
 def _frame_dots(taps: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -170,7 +163,6 @@ def _frame_dots(taps: np.ndarray, windows: np.ndarray) -> np.ndarray:
     (rows, 2 (T - 1) + windows), each bit for bit the output of
     ``np.convolve`` that it stands for."""
     rows, t = taps.shape
-    chips = _edge_chips(t)
     # np.convolve correlates the chips with the reversed taps, both
     # contiguous.  Every vector here is contiguous too, as BLAS sums a
     # strided one in another order: r[-n:] and r[:n] are the 2n columns of
@@ -178,12 +170,8 @@ def _frame_dots(taps: np.ndarray, windows: np.ndarray) -> np.ndarray:
     r = np.ascontiguousarray(taps[:, ::-1])
     rr = np.concatenate([r, r], axis=1)
     y = np.empty((rows, 2 * (t - 1) + len(windows), 1, 1), dtype=np.complex128)
-    for n in range(1, t):
-        np.matmul(
-            chips[n * (n - 1) : n * (n + 1)].reshape(1, 2, 1, n),
-            rr[:, t - n : t + n].reshape(rows, 2, n, 1),
-            out=y[:, 2 * n - 2 : 2 * n],
-        )
+    for n, edges in enumerate(_edge_chips(t), start=1):
+        np.matmul(edges, rr[:, t - n : t + n].reshape(rows, 2, n, 1), out=y[:, 2 * n - 2 : 2 * n])
     np.matmul(
         windows.astype(np.complex128, order="C")[None, :, None, :],
         r[:, None, :, None],
@@ -194,19 +182,15 @@ def _frame_dots(taps: np.ndarray, windows: np.ndarray) -> np.ndarray:
 
 def _convolved_field_powers(taps: np.ndarray) -> np.ndarray:
     """ce_field_powers by convolving the whole field, row by row."""
-    t = taps.shape[1]
-    # np.convolve would cast the int64 chips to complex on every call.  A
-    # list of rows: iterating the matrix would make a view per convolve.
-    a, b = list(CE_GOLAY.astype(np.complex128))
-    width = CE_GOLAY.shape[1] + t - 1
-    y = np.empty((_CE_BLOCK, 2 * width), dtype=np.complex128)
+    # np.convolve would cast the int64 chips to complex on every call.
+    a, b = CE_GOLAY.astype(np.complex128)
+    width = CE_GOLAY.shape[1] + taps.shape[1] - 1
+    field = np.empty(2 * width, dtype=np.complex128)
     sigmas = np.empty(len(taps))
-    for start in range(0, len(taps), _CE_BLOCK):
-        block = taps[start : start + _CE_BLOCK]
-        for row, h in zip(y, block):
-            row[:width] = np.convolve(a, h)
-            row[width:] = np.convolve(b, h)
-        sigmas[start : start + len(block)] = np.mean(np.abs(y[: len(block)]) ** 2, axis=1)
+    for row, h in enumerate(taps):
+        field[:width] = np.convolve(a, h)
+        field[width:] = np.convolve(b, h)
+        sigmas[row] = np.mean(np.abs(field) ** 2)
     return sigmas
 
 

@@ -367,6 +367,16 @@ def _check_distinct(key: str, labels: Sequence[str]) -> None:
         )
 
 
+# numpy's standard normal draws stay below 14 in magnitude: its ziggurat
+# tail draws r - ln(1 - u) / r with r = 3.65 and u at most 1 - 2**-53.  So
+# a spread s scales every draw to a finite float, with room to add an
+# angle, while 16 s is finite; and no cluster loss falls below its mean
+# by more than 14 rms.
+_NORMAL_DRAW_MAX = 14.0
+_SPREAD_MAX = sys.float_info.max / 16
+_SPREAD_RULE = f"nonnegative and at most {_SPREAD_MAX:.4g}"
+
+
 def _validate_channel_and_link(exp: ExperimentConfig, nlos: bool) -> None:
     """Checks of the array, channel and link settings, made before any
     channel is drawn or any run is trained; ``nlos`` says whether some run
@@ -380,7 +390,7 @@ def _validate_channel_and_link(exp: ExperimentConfig, nlos: bool) -> None:
         ("array.rx_antennas", rx, rx >= 1, "at least 1"),
         ("channel.intra_cluster_tap_spread", spread, spread >= 0, "nonnegative"),
         ("channel.cluster_loss_rms_db", rms, rms >= 0, "nonnegative"),
-        ("channel.intra_cluster_angle_std_deg", std, 0 <= std < math.inf, "nonnegative and finite"),
+        ("channel.intra_cluster_angle_std_deg", std, 0 <= std <= _SPREAD_MAX, _SPREAD_RULE),
         ("channel.carrier_hz", carrier, 0 < carrier < math.inf, "positive and finite"),
         ("channel.distance_m", ch.distance_m, math.isfinite(ch.distance_m), "finite"),
         ("link.bandwidth_hz", bandwidth, 0 < bandwidth < math.inf, "positive and finite"),
@@ -434,21 +444,27 @@ def _overflow_to_inf(value) -> float:
 def _validate_amplitudes(exp: ExperimentConfig) -> None:
     """Ray amplitudes whose powers float arithmetic can hold: the
     line-of-sight amplitude, a cluster ray's at the loss cap (the largest
-    it can draw) and the peak tap amplitude (every ray's largest, times at
-    most sqrt(antennas) per end) must each square to a positive normal
-    float."""
+    it can draw) and at the lowest loss a draw can give, and the peak tap
+    amplitude (every ray's largest, times at most sqrt(antennas) per end)
+    must each square to a positive normal float."""
     ch = exp.channel
     keys = "channel.distance_m, channel.path_loss_exponent, channel.carrier_hz"
     los = _overflow_to_inf(ch.los_amplitude)
     checks = [(keys, "line-of-sight amplitude", los)]
     rays, cluster = ch.num_clusters * ch.rays_per_cluster, 0.0
     if rays:
-        cap_db = ch.cluster_loss_truncation_db
-        cluster = _overflow_to_inf(
-            lambda: los * 10.0 ** (cap_db / 20.0) / math.sqrt(ch.rays_per_cluster)
-        )
+
+        def ray(loss_db):
+            return _overflow_to_inf(
+                lambda: los * 10.0 ** (loss_db / 20.0) / math.sqrt(ch.rays_per_cluster)
+            )
+
+        cluster = ray(ch.cluster_loss_truncation_db)
+        lowest_db = ch.cluster_loss_mean_db - _NORMAL_DRAW_MAX * ch.cluster_loss_rms_db
+        lowest_keys = keys + ", channel.cluster_loss_mean_db, channel.cluster_loss_rms_db"
         keys += ", channel.cluster_loss_truncation_db"
         checks.append((keys, "cluster ray amplitude at the loss cap", cluster))
+        checks.append((lowest_keys, "cluster ray amplitude at the lowest loss", ray(lowest_db)))
         keys += ", channel.num_clusters, channel.rays_per_cluster"
     keys += ", array.tx_antennas, array.rx_antennas"
     antennas = exp.tx_antennas * exp.rx_antennas

@@ -445,12 +445,11 @@ class TestCeFieldPowers:
     ]
 
     def test_rows_across_blocks_and_both_layouts(self, monkeypatch):
-        # Row counts that are not multiples of _CE_BLOCK, the convolution
-        # fallback's buffer height, each with an all-zero row.  The
-        # convolution equals the oracle on every size, and ce_field_powers
-        # takes the windows up to 128 taps with at most 16 of them nonzero.
+        # Several row counts, each with an all-zero row.  The convolution
+        # equals the oracle on every size, and ce_field_powers takes the
+        # windows up to 128 taps with at most 16 of them nonzero.
         for t, support in self.SIZES:
-            for rows in (1, beam_coding._CE_BLOCK + 1, 37, 5 * beam_coding._CE_BLOCK - 3):
+            for rows in (1, 17, 37, 77):
                 taps = self.random_taps(np.random.default_rng(rows), rows, t, support)
                 taps[rows // 2] = 0.0
                 want = self.oracle(taps)
@@ -496,10 +495,11 @@ class TestCeFieldPowers:
     @pytest.mark.parametrize("t", [1, 2, 5, 17, 40])
     def test_edge_chips_equal_the_loop_reference(self, t):
         a = CE_GOLAY[0]
-        want = [c for n in range(1, t) for c in (*a[:n], *a[-n:])]
+        want = [[[[*a[:n]], [*a[-n:]]]] for n in range(1, t)]
         got = beam_coding._edge_chips(t)
-        assert got.dtype == np.complex128 and not got.flags.writeable
-        assert got.tolist() == want
+        assert [edges.shape for edges in got] == [(1, 2, 1, n) for n in range(1, t)]
+        assert all(e.dtype == np.complex128 and not e.flags.writeable for e in got)
+        assert [edges[:, :, 0].tolist() for edges in got] == want
 
     def test_layout_choice(self, monkeypatch):
         # Four nonzero taps of 17: at most 8 windows up to sign, and 16

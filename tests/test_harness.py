@@ -903,6 +903,31 @@ class TestCli:
         assert f"{512 - spread} + {spread} = 512 taps of excess delay" in err
 
     @pytest.mark.parametrize("command", WITH_CHANNEL)
+    @pytest.mark.parametrize(
+        "key, bad, good",
+        [
+            # The spread times a normal draw overflows, and the angle folds
+            # to NaN; a tenth of it draws finite angles.
+            ("channel.intra_cluster_angle_std_deg", "1e308", "1e307"),
+            # Every cluster ray's gain underflows to zero.
+            ("channel.cluster_loss_mean_db", "-1e308", "-200"),
+            ("channel.cluster_loss_rms_db", "1e308", "100"),
+        ],
+    )
+    def test_channel_draws_must_not_overflow_or_underflow(
+        self, tmp_path, capsys, monkeypatch, command, key, bad, good
+    ):
+        config_path = tmp_path / "good.cfg"
+        config_path.write_text(f"{key} = {good}\nexperiment.runs = 1\n")
+        flags = ["--scheme", "exhaustive_pbp"] if command == "train" else []
+        argv = [command, *flags, "--config", str(config_path), "--out", str(tmp_path / "ok")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        self.assert_rejected_before_drawing(
+            command, f"{key} = {bad}", key, tmp_path, capsys, monkeypatch
+        )
+
+    @pytest.mark.parametrize("command", WITH_CHANNEL)
     def test_huge_tap_count_exits_two_under_a_memory_cap(self, tmp_path, command):
         # Without the tap-length rule this config asks for cascade tables
         # of gigabytes; under the cap such an allocation fails (exit 1)

@@ -1,16 +1,21 @@
-"""Metamorphic relations: how training outcomes must move when the channel
-is changed in a known way.
+"""Metamorphic relations: how training outcomes and power-var gammas must
+move when the channel is changed in a known way.
 
 Each relation compares the library with itself on a transformed channel,
 so it holds on any BLAS or SIMD kernel selection, unlike the goldens,
-which pin the last bits of one machine.  Every case is noiseless with an
-SNR budget, over 100 seeded channels (LOS and NLOS alternating) for each
-tap spread, codebook shape and weight transform.
+which pin the last bits of one machine.  Every training case is noiseless
+with an SNR budget, over seeded channels (LOS and NLOS alternating) for
+each tap spread and codebook shape: 100 for each weight transform in the
+first two relations, 50 in the others.  The power-var relations run a
+small campaign on configs that take either of sigma's two kernels.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from beamtrain import beam_coding, harness
 from beamtrain.array_model import ArrayConfig, dft_codebook
 from beamtrain.channel import (
     ChannelConfig,
@@ -19,6 +24,7 @@ from beamtrain.channel import (
     derive_seed,
     sample_channel,
 )
+from beamtrain.experiment import ExperimentConfig
 from beamtrain.protocols import ProtocolConfig, Scheme, run
 
 CHANNELS = 100
@@ -39,8 +45,8 @@ SYMMETRIC = (Scheme.EXHAUSTIVE_PBP, Scheme.EXHAUSTIVE_INPACKET)
 SYMMETRIC_WITHOUT_TRANSFORMS = (Scheme.EXHAUSTIVE_BEAMCODING,)
 
 
-def channels(spread):
-    for i in range(CHANNELS):
+def channels(spread, count=CHANNELS):
+    for i in range(count):
         cfg = ChannelConfig(los=i % 2 == 0, intra_cluster_tap_spread=spread)
         seed = derive_seed(31, i)
         yield seed, sample_channel(cfg, seed)
@@ -129,3 +135,101 @@ def test_swapping_the_ends_transposes_the_exhaustive_picks(shape, spread, record
     # A relation that skips most of its cases shows nothing.
     assert skipped <= CHANNELS * len(TRANSFORMS) // 10, f"{skipped} near-ties skipped"
     assert violations == []
+
+
+# Powers that must agree up to rounding, entry by entry.
+POWER_RTOL = 1e-12
+ROTATION = np.exp(0.7j)
+
+
+def rays_changed(ch, seed):
+    """The three changes of the rays that must keep every pick: each gain
+    times e^{0.7j}, the rays in a seeded random order, and each tap one
+    later.  The first two may round the powers differently."""
+    order = np.random.default_rng(seed).permutation(len(ch.gains))
+    return {
+        "rotated": ChannelRealization(ch.aods_deg, ch.aoas_deg, ROTATION * ch.gains, ch.taps),
+        "reordered": ChannelRealization(
+            ch.aods_deg[order], ch.aoas_deg[order], ch.gains[order], ch.taps[order]
+        ),
+        "delayed": ChannelRealization(ch.aods_deg, ch.aoas_deg, ch.gains, ch.taps + 1),
+    }
+
+
+def close(got, want):
+    if got is None or want is None:
+        return got is want
+    return np.allclose(got, want, rtol=POWER_RTOL, atol=0.0)
+
+
+def powers_close(a, b):
+    """Pair powers and every power trace of two outcomes within POWER_RTOL."""
+    return (
+        close(b.pair_power, a.pair_power)
+        and len(a.power_traces) == len(b.power_traces)
+        and all(close(y, x) for x, y in zip(a.power_traces, b.power_traces))
+    )
+
+
+@pytest.mark.parametrize("spread", SPREADS)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%dx%d" % s)
+def test_rotating_reordering_or_delaying_the_rays_keeps_the_picks(shape, spread, record_property):
+    # On half the channels and without weight transforms, to keep the file
+    # fast: the transforms act on the weights, which none of these changes
+    # touches.
+    cfg = configs(*shape, "none")
+    violations, skipped = [], 0
+    for seed, ch in channels(spread, CHANNELS // 2):
+        base = outcomes(cfg, ch, seed)
+        best, second = np.sort(base[Scheme.EXHAUSTIVE_PBP].pair_power, axis=None)[-2:][::-1]
+        if best - second <= TIE_RTOL * best:
+            skipped += 1
+            continue
+        for change, changed in rays_changed(ch, seed).items():
+            for scheme, b in outcomes(cfg, changed, seed).items():
+                a = base[scheme]
+                if a.best_pair != b.best_pair:
+                    violations.append((seed, change, scheme.value, "best_pair"))
+                if change != "delayed" and not powers_close(a, b):
+                    violations.append((seed, change, scheme.value, "powers"))
+    record_property("skipped", skipped)
+    assert skipped <= CHANNELS // 20, f"{skipped} near-ties skipped"
+    assert violations == []
+
+
+# Power-var channels: the default ones take sigma's window dot products;
+# both wide ones send channels to its whole-field convolution, the first
+# most of them (few nonzero taps, but past 128 taps), the second all.
+POWER_VAR_CHANNELS = {
+    "default": ChannelConfig(),
+    "taps-200": ChannelConfig(max_excess_tap=200),
+    "taps-200-spread-8": ChannelConfig(
+        max_excess_tap=200, intra_cluster_tap_spread=8, num_clusters=8, rays_per_cluster=5
+    ),
+}
+
+
+@pytest.mark.parametrize("name", POWER_VAR_CHANNELS)
+def test_power_var_gammas_ignore_the_gain_scale_and_phase(name, monkeypatch):
+    # Doubling every gain makes every power P and sigma exactly 4x, so
+    # gamma = P / (3 sigma) keeps every bit; a common phase keeps gamma up
+    # to rounding.
+    exp = ExperimentConfig(runs=10, channel=POWER_VAR_CHANNELS[name])
+    convolved = []
+    kernel = beam_coding._convolved_field_powers
+    monkeypatch.setattr(
+        beam_coding, "_convolved_field_powers", lambda t: convolved.append(t) or kernel(t)
+    )
+    base = harness.power_var_campaign(exp).gammas
+    assert (len(convolved) == 0) == (name == "default")
+
+    def gammas(factor):
+        def sample(cfg, seed):
+            ch = sample_channel(cfg, seed)
+            return replace(ch, gains=factor * ch.gains)
+
+        monkeypatch.setattr(harness, "sample_channel", sample)
+        return harness.power_var_campaign(exp).gammas
+
+    assert np.array_equal(gammas(2.0), base)
+    assert np.allclose(gammas(ROTATION), base, rtol=POWER_RTOL, atol=0.0)
