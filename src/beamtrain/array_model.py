@@ -187,6 +187,10 @@ def subarray_beam(cfg: ArrayConfig, cos_center: float, num_active: int) -> np.nd
     return w
 
 
+# The most phase-shifter bits: 2**1023 is the largest power of two a float holds.
+_MAX_PHASE_BITS = 1023
+
+
 def quantize_phases(w: np.ndarray, bits: int) -> np.ndarray:
     """Snap each weight's phase to the nearest of 2**bits uniform levels,
     entry by entry, for weights of any shape.
@@ -195,8 +199,8 @@ def quantize_phases(w: np.ndarray, bits: int) -> np.ndarray:
     rounds to the lower level so results do not depend on platform
     rounding behaviour.
     """
-    if int(bits) != bits or bits < 1:
-        raise ValueError(f"bits must be a positive integer, got {bits!r}")
+    if int(bits) != bits or not 1 <= bits <= _MAX_PHASE_BITS:
+        raise ValueError(f"bits must be an integer in [1, {_MAX_PHASE_BITS}], got {bits!r}")
     step = 2.0 * np.pi / (2 ** int(bits))
     mags = np.abs(w)
     levels = np.ceil(np.angle(w) / step - 0.5)

@@ -21,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
+from .array_model import _MAX_PHASE_BITS, ArrayConfig, dft_codebook
 from .experiment import ConfigError, ExperimentConfig, parse_config
 from .protocols import Scheme
 
@@ -90,13 +91,11 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         raise ConfigError(f"--antennas must be at least 1, got {args.antennas}")
     if not 0.0 < args.spacing < math.inf:
         raise ConfigError(f"--spacing must be positive and finite, got {args.spacing}")
-    if args.quant_bits is not None and args.quant_bits < 1:
-        raise ConfigError(f"--quant-bits must be at least 1, got {args.quant_bits}")
+    if args.quant_bits is not None and not 1 <= args.quant_bits <= _MAX_PHASE_BITS:
+        raise ConfigError(f"--quant-bits must lie in [1, {_MAX_PHASE_BITS}], got {args.quant_bits}")
     if not 0.0 < args.step < 180.0:
         raise ConfigError(f"--step must lie in (0, 180) degrees, got {args.step}")
     if args.dft_beams is not None:
-        from .array_model import ArrayConfig, dft_codebook
-
         try:
             codebook = dft_codebook(ArrayConfig(args.antennas, args.spacing))
         except ValueError as exc:

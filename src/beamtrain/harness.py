@@ -17,13 +17,14 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import attrgetter, itemgetter, mul
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .array_model import (
     ArrayConfig,
     BeamCodebook,
+    _MAX_PHASE_BITS,
     _readonly,
     array_factor_many,
     dft_codebook,
@@ -251,17 +252,10 @@ def _power_var_plan(
     runs: int,
 ) -> _PowerVarPlan:
     """The plan of a power-var config; raises ConfigError for a bad
-    beams-per-packet value.  Schemes and environments are checked by
+    beams-per-packet list.  Schemes and environments are checked by
     _validate_campaign."""
-    if not beams_per_packet:
-        raise ConfigError("packet.beams_per_packet: the list is empty")
-    out_of_range = [k for k in beams_per_packet if not 1 <= k <= tx_antennas]
-    if out_of_range:
-        raise ConfigError(
-            f"packet.beams_per_packet: {', '.join(map(str, out_of_range))} outside "
-            f"[1, {tx_antennas}] (array.tx_antennas)"
-        )
-    _check_distinct("packet.beams_per_packet", [str(k) for k in beams_per_packet])
+    rule = f"[1, {tx_antennas}] (array.tx_antennas)"
+    _check_list("packet.beams_per_packet", beams_per_packet, lambda k: 1 <= k <= tx_antennas, rule)
     tx_cb = _dft_codebook("array.tx_antennas", tx_antennas, spacing)
     row_of: dict[bytes, int] = {}
 
@@ -340,26 +334,25 @@ def _channel_gammas(plan: _PowerVarPlan, taps: np.ndarray) -> np.ndarray:
 
 def _validate_campaign(exp: ExperimentConfig) -> None:
     """Checks shared by the campaigns, made before any channel is drawn."""
-    for what, values, known in (
-        ("environment", exp.environments, _ENVIRONMENTS),
-        ("scheme", exp.schemes, _POWER_VAR_SCHEMES),
+    for key, values, known in (
+        ("experiment.environments", exp.environments, _ENVIRONMENTS),
+        ("experiment.schemes", exp.schemes, _POWER_VAR_SCHEMES),
     ):
-        if not values:
-            raise ConfigError(f"experiment.{what}s: the list is empty")
-        unknown = [v for v in values if v not in known]
-        if unknown:
-            raise ConfigError(
-                f"experiment.{what}s: unknown {what}(s) {', '.join(unknown)}; "
-                f"pick from {', '.join(known)}"
-            )
-        _check_distinct(f"experiment.{what}s", values)
+        _check_list(key, values, known.__contains__, "{" + ", ".join(known) + "}")
     if exp.runs < 1:
         raise ConfigError(f"experiment.runs must be at least 1, got {exp.runs}")
     _validate_channel_and_link(exp, nlos="nlos" in exp.environments)
 
 
-def _check_distinct(key: str, labels: Sequence[str]) -> None:
-    """ConfigError naming ``key`` and its values listed more than once."""
+def _check_list(key: str, values: Sequence, valid: Callable[..., bool], rule: str) -> None:
+    """ConfigError naming ``key`` if its list is empty, has values that
+    ``valid`` refuses (outside ``rule``) or has values listed more than
+    once; a value prints as its row label, None as "inf"."""
+    if not values:
+        raise ConfigError(f"{key}: the list is empty")
+    labels = ["inf" if v is None else str(v) for v in values]
+    if bad := [label for v, label in zip(values, labels) if not valid(v)]:
+        raise ConfigError(f"{key}: {', '.join(bad)} outside {rule}")
     if repeated := [v for v in dict.fromkeys(labels) if labels.count(v) > 1]:
         raise ConfigError(
             f"{key}: {', '.join(repeated)} listed more than once; "
@@ -546,21 +539,16 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
         exp.tx_antennas, exp.spacing, tuple(exp.beams_per_packet), tuple(exp.schemes),
         tuple(exp.environments), exp.runs,
     )
-    log.info("power-var: %d runs in %s", exp.runs, ", ".join(exp.environments))
     tx_cfg = ArrayConfig(exp.tx_antennas, exp.spacing)
     rx_w = np.ones(1, dtype=np.complex128)
     rx_cfg = ArrayConfig(1, exp.spacing)
-
     gammas = np.empty((len(exp.environments), exp.runs, len(plan.fields)))
-    for env_idx, env in enumerate(exp.environments):
-        env_started = time.perf_counter()
-        ch_cfg = replace(exp.channel, los=(env == "los"))
-        env_master = derive_seed(derive_seed(exp.master_seed, _POWER_VAR_STREAM), env_idx)
-        for i in range(exp.runs):
-            ch = sample_channel(ch_cfg, derive_seed(env_master, i))
-            taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
-            gammas[env_idx, i] = _channel_gammas(plan, taps)
-        log.debug("power-var: %s done in %.3f s", env, time.perf_counter() - env_started)
+
+    def channel_gammas(env_idx: int, i: int, ch: ChannelRealization) -> None:
+        taps = _tap_rows(plan.weights, rx_w, ch, tx_cfg, rx_cfg)
+        gammas[env_idx, i] = _channel_gammas(plan, taps)
+
+    _each_channel(exp, _POWER_VAR_STREAM, "power-var", channel_gammas)
     gammas.setflags(write=False)
     log.info(
         "power-var: %d runs, %d environments, %d blocks of %d gamma rows in %.3f s",
@@ -573,11 +561,21 @@ def power_var_campaign(exp: ExperimentConfig) -> PowerVarResult:
     return PowerVarResult(plan, gammas)
 
 
-def _linear_snrs(
-    cfgs: Sequence[ProtocolConfig], ch: ChannelRealization, seed: int
-) -> list[float]:
-    """The linear SNR of each config's run on one channel."""
-    return [10.0 ** (run(cfg, ch, seed).snr_db / 10.0) for cfg in cfgs]
+def _each_channel(exp: ExperimentConfig, stream: int, name: str, work: Callable[..., None]) -> None:
+    """Call ``work(env_idx, i, channel)`` for each run i of each environment
+    in config order, on the channel that the splitting rule seeds with
+    ``derive_seed(derive_seed(derive_seed(master, stream), env_idx), i)``,
+    with line of sight in "los" only.  Each channel is dropped before the
+    next is drawn.  The campaign ``name`` heads an INFO line at the start
+    and a DEBUG line with each environment's time."""
+    log.info("%s: %d runs in %s", name, exp.runs, ", ".join(exp.environments))
+    for env_idx, env in enumerate(exp.environments):
+        env_started = time.perf_counter()
+        ch_cfg = replace(exp.channel, los=(env == "los"))
+        env_master = derive_seed(derive_seed(exp.master_seed, stream), env_idx)
+        for i in range(exp.runs):
+            work(env_idx, i, sample_channel(ch_cfg, derive_seed(env_master, i)))
+        log.debug("%s: %s done in %.3f s", name, env, time.perf_counter() - env_started)
 
 
 def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], CsvBlock]:
@@ -600,15 +598,12 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], CsvBlock]:
             f"experiment.schemes: quant-sweep always compares {', '.join(_POWER_VAR_SCHEMES)}; "
             f"got {', '.join(exp.schemes)}"
         )
-    if not exp.quant_bits:
-        raise ConfigError("quant.bits: the list is empty")
-    bad_bits = [b for b in exp.quant_bits if b is not None and b < 1]
-    if bad_bits:
-        raise ConfigError(f"quant.bits: a phase shifter needs at least 1 bit, got {bad_bits}")
-    _check_distinct("quant.bits", ["inf" if b is None else str(b) for b in exp.quant_bits])
+    _check_list(
+        "quant.bits", exp.quant_bits, lambda b: b is None or 1 <= b <= _MAX_PHASE_BITS,
+        f"[1, {_MAX_PHASE_BITS}]",
+    )
     tx_cb = _dft_codebook("array.tx_antennas", exp.tx_antennas, exp.spacing)
     rx_cb = _dft_codebook("array.rx_antennas", exp.rx_antennas, exp.spacing)
-    log.info("quant-sweep: %d runs in %s", exp.runs, ", ".join(exp.environments))
     base_cfg = ProtocolConfig(
         tx_codebook=tx_cb,
         rx_codebook=rx_cb,
@@ -619,29 +614,23 @@ def quant_sweep_campaign(exp: ExperimentConfig) -> tuple[list[str], CsvBlock]:
         replace(base_cfg, scheme=Scheme.EXHAUSTIVE_BEAMCODING, quantize_bits=bits)
         for bits in exp.quant_bits
     ]
+    # Each config's linear SNR on each channel, in channel order.
+    linear = np.empty((len(exp.environments), len(configs), exp.runs))
+
+    def train(env_idx: int, i: int, ch: ChannelRealization) -> None:
+        linear[env_idx, :, i] = [10.0 ** (run(cfg, ch, i).snr_db / 10.0) for cfg in configs]
+
+    _each_channel(exp, _QUANT_SWEEP_STREAM, "quant-sweep", train)
     header = ["experiment", "environment", "bits", "scheme", "runs", "snr_db"]
     rows: list[tuple] = []
-
-    for env_idx, env in enumerate(exp.environments):
-        env_started = time.perf_counter()
-        ch_cfg = replace(exp.channel, los=(env == "los"))
-        env_master = derive_seed(derive_seed(exp.master_seed, _QUANT_SWEEP_STREAM), env_idx)
-        per_channel = [
-            _linear_snrs(configs, sample_channel(ch_cfg, derive_seed(env_master, i)), i)
-            for i in range(exp.runs)
-        ]
+    for env, env_linear in zip(exp.environments, linear):
         # A cell whose every run failed detection aggregates to 0: -inf dB.
         nbf_db, *coded_dbs = (
-            10.0 * math.log10(a) if a > 0.0 else -math.inf
-            for a in map(aggregate_snr, zip(*per_channel))
+            10.0 * math.log10(a) if a > 0.0 else -math.inf for a in map(aggregate_snr, env_linear)
         )
         for bits, coded_db in zip(exp.quant_bits, coded_dbs):
-            bits_label = "inf" if bits is None else str(bits)
-            cell = f"quant_sweep/{env}"
-            rows.append((cell, env, bits_label, "beamcoding", exp.runs, coded_db))
-            rows.append((cell, env, bits_label, "nbf", exp.runs, nbf_db))
-        log.debug("quant-sweep: %s done in %.3f s", env, time.perf_counter() - env_started)
-
+            lead = (f"quant_sweep/{env}", env, "inf" if bits is None else str(bits))
+            rows += [(*lead, "beamcoding", exp.runs, coded_db), (*lead, "nbf", exp.runs, nbf_db)]
     rows.sort(key=itemgetter(0, 2, 3))
     log.info(
         "quant-sweep: %d runs, %d environments, %d rows in %.3f s",

@@ -317,6 +317,15 @@ class TestQuantizePhases:
         with pytest.raises(ValueError):
             quantize_phases(np.ones(2) + 0j, 0)
 
+    def test_bits_up_to_the_largest_power_of_two_a_float_holds(self):
+        # 2**1024 overflows a float: that bit count used to raise
+        # OverflowError.
+        w = np.exp(1j * np.array([0.3, -2.0]))
+        assert np.allclose(quantize_phases(w, 1023), w, rtol=0.0, atol=1e-12)
+        for bits in (1024, 1100):
+            with pytest.raises(ValueError, match=r"\[1, 1023\]"):
+                quantize_phases(w, bits)
+
     def test_pointing_direction_survives_four_bits(self):
         # coded multi-beam weights keep their argmax direction
         cfg = ArrayConfig(16)

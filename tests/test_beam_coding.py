@@ -412,6 +412,19 @@ class TestCeFieldPowers:
     def test_equals_encode_ce_field_bit_for_bit(self, taps):
         assert ce_field_powers(taps).tolist() == self.oracle(taps)
 
+    # Golay complementarity: the autocorrelations of a and b sum to 2L at
+    # lag 0 and to 0 elsewhere, so the 2(L + T - 1) samples of [a * h | b * h]
+    # hold 2L |h|^2 in all, on either kernel.  Rows whose power is under
+    # 1e-300 are skipped with the all-zero rows: their squares underflow.
+    @settings(deadline=None)
+    @given(ce_tap_rows())
+    def test_equals_the_golay_closed_form(self, taps):
+        length = CE_GOLAY.shape[1]
+        closed = length * np.sum(np.abs(taps) ** 2, axis=1) / (length + taps.shape[1] - 1)
+        rows = closed >= 1e-300
+        got = ce_field_powers(taps)[rows]
+        assert np.allclose(got, closed[rows], rtol=1e-12, atol=0.0)
+
     @staticmethod
     def random_taps(rng, rows, t, support):
         taps = np.zeros((rows, t), dtype=np.complex128)

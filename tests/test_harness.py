@@ -804,6 +804,9 @@ class TestCli:
             for commands, line, key in [
                 (("quant-sweep",), "quant.bits = 0", "quant.bits"),
                 (("quant-sweep",), "quant.bits = 2,-1", "quant.bits"),
+                # 2**1024 phase levels overflow a float.
+                (("quant-sweep",), "quant.bits = 1024", "quant.bits"),
+                (("quant-sweep",), "quant.bits = 3,inf,2000", "quant.bits"),
                 (WITH_CHANNEL, "link.bandwidth_hz = 0", "link.bandwidth_hz"),
                 (
                     WITH_CHANNEL,
@@ -1027,6 +1030,7 @@ class TestCli:
         [
             (["--antennas", "0", "--angles", "90"], "--antennas"),
             (["--antennas", "16", "--angles", "90", "--quant-bits", "0"], "--quant-bits"),
+            (["--antennas", "16", "--angles", "90", "--quant-bits", "1024"], "--quant-bits"),
             (["--antennas", "16", "--angles", "75,105", "--signs", "+1"], "--signs"),
             (["--antennas", "16", "--angles", "broadside"], "--angles"),
             (["--antennas", "16", "--angles", "200"], "--angles"),
@@ -1209,6 +1213,17 @@ class TestCli:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "command, bits", [("quant-sweep", 1023), ("power-var", 1024), ("train", 1024)]
+    )
+    def test_largest_bit_count_runs_and_only_quant_sweep_reads_bits(self, tmp_path, command, bits):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"quant.bits = {bits}\nexperiment.runs = 2\n")
+        flags = ["--scheme", "exhaustive_pbp"] if command == "train" else []
+        argv = [command, *flags, "--config", str(config_path), "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
 
     def test_quant_sweep_command(self, tmp_path):
         cfg = small_experiment(runs=2, quant_bits=(None,))

@@ -17,6 +17,7 @@ import pytest
 
 from beamtrain import beam_coding, harness
 from beamtrain.array_model import ArrayConfig, dft_codebook
+from beamtrain.beam_coding import CE_GOLAY
 from beamtrain.channel import (
     ChannelConfig,
     ChannelRealization,
@@ -233,3 +234,25 @@ def test_power_var_gammas_ignore_the_gain_scale_and_phase(name, monkeypatch):
 
     assert np.array_equal(gammas(2.0), base)
     assert np.allclose(gammas(ROTATION), base, rtol=POWER_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("name", POWER_VAR_CHANNELS)
+def test_power_var_tap_shift_scales_gammas_by_the_field_length(name, monkeypatch):
+    # Moving every tap one later keeps each field's power, and sigma, the
+    # mean power of a CE field of 2(L + T - 1) samples, keeps their sum
+    # 2L |h|^2 (Golay complementarity) over two more samples: every gamma
+    # grows by (L + T) / (L + T - 1), with T the channel's tap count.
+    exp = ExperimentConfig(runs=20, channel=POWER_VAR_CHANNELS[name])
+    base = harness.power_var_campaign(exp).gammas
+    tap_counts = []
+
+    def delayed(cfg, seed):
+        ch = sample_channel(cfg, seed)
+        tap_counts.append(ch.num_taps)
+        return replace(ch, taps=ch.taps + 1)
+
+    monkeypatch.setattr(harness, "sample_channel", delayed)
+    shifted = harness.power_var_campaign(exp).gammas
+    length = CE_GOLAY.shape[1]
+    t = np.reshape(tap_counts, (*base.shape[:2], 1))
+    assert np.allclose(shifted, base * (length + t) / (length + t - 1), rtol=1e-12, atol=0.0)
